@@ -22,9 +22,8 @@
 namespace hetsched {
 namespace {
 
-std::vector<ConstrainedTask> constrain(const TaskSet& tasks, double frac,
-                                       Rng& rng) {
-  std::vector<ConstrainedTask> out;
+std::vector<Task> constrain(const TaskSet& tasks, double frac, Rng& rng) {
+  std::vector<Task> out;
   out.reserve(tasks.size());
   for (const Task& t : tasks) {
     // Deadline uniformly in [frac * p, p], at least exec (else trivially
@@ -33,7 +32,7 @@ std::vector<ConstrainedTask> constrain(const TaskSet& tasks, double frac,
         std::llround(frac * static_cast<double>(t.period)));
     const std::int64_t d =
         std::clamp<std::int64_t>(rng.uniform_int(lo, t.period), 1, t.period);
-    out.push_back(ConstrainedTask{t.exec, d, t.period});
+    out.push_back(Task{t.exec, t.period, d});
   }
   return out;
 }

@@ -183,7 +183,7 @@ BENCHMARK(BM_FirstFitRtaAdmission)
 void BM_DbfQpa(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(0xE5D + n);
-  std::vector<ConstrainedTask> tasks;
+  std::vector<Task> tasks;
   double util = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t period = rng.uniform_int(20, 2000);
@@ -191,7 +191,7 @@ void BM_DbfQpa(benchmark::State& state) {
     const std::int64_t exec = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(0.6 / static_cast<double>(n) *
                                      static_cast<double>(period)));
-    tasks.push_back(ConstrainedTask{exec, deadline, period});
+    tasks.push_back(Task{exec, period, deadline});
     util += tasks.back().utilization();
   }
   for (auto _ : state) {

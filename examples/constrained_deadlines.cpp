@@ -13,16 +13,16 @@
 
 namespace {
 
-std::vector<hetsched::ConstrainedTask> workload_with_tightness(double frac) {
-  using hetsched::ConstrainedTask;
+std::vector<hetsched::Task> workload_with_tightness(double frac) {
+  using hetsched::Task;
   // (exec, period) pairs; deadline = max(exec, frac * period).
   const std::vector<std::pair<std::int64_t, std::int64_t>> base{
       {2, 10}, {3, 15}, {4, 20}, {5, 40}, {6, 30}, {8, 60}, {2, 12}, {9, 90}};
-  std::vector<ConstrainedTask> tasks;
+  std::vector<Task> tasks;
   for (const auto& [c, p] : base) {
     const auto d = std::max<std::int64_t>(
         c, static_cast<std::int64_t>(frac * static_cast<double>(p)));
-    tasks.push_back(ConstrainedTask{c, std::min(d, p), p});
+    tasks.push_back(Task{c, p, std::min(d, p)});
   }
   return tasks;
 }
@@ -37,7 +37,7 @@ int main() {
   for (const double frac : {1.0, 0.6, 0.5, 0.42, 0.35}) {
     const auto tasks = workload_with_tightness(frac);
     double util = 0, density = 0;
-    for (const ConstrainedTask& t : tasks) {
+    for (const Task& t : tasks) {
       util += t.utilization();
       density += t.density();
     }
@@ -57,7 +57,7 @@ int main() {
       // Replay each machine exactly under EDF.
       bool all_met = true;
       for (std::size_t j = 0; j < platform.size(); ++j) {
-        const SimOutcome out = simulate_uniproc_constrained(
+        const SimOutcome out = simulate_uniproc(
             qpa.tasks_per_machine[j], platform.speed_exact(j),
             SchedPolicy::kEdf);
         all_met = all_met && out.schedulable;

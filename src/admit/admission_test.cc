@@ -35,12 +35,13 @@ std::optional<TestKind> test_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-ConstrainedTask inflate(const AdmitConfig& cfg, const Task& t) {
+std::optional<Task> inflate(const AdmitConfig& cfg, const Task& t) {
   HETSCHED_DCHECK(t.valid());
-  auto c = checked_add(t.exec, cfg.release_overhead);
-  if (c) c = checked_add(*c, 2 * cfg.preempt_overhead);
-  HETSCHED_CHECK_MSG(c.has_value(), "overhead inflation overflow");
-  return ConstrainedTask{*c, t.effective_deadline(), t.period};
+  auto c = checked_mul(std::int64_t{2}, cfg.preempt_overhead);
+  if (c) c = checked_add(*c, cfg.release_overhead);
+  if (c) c = checked_add(*c, t.exec);
+  if (!c) return std::nullopt;
+  return Task{*c, t.period, t.effective_deadline()};
 }
 
 AdmissionKind tier0_fold_kind(TestKind k) {
@@ -55,13 +56,13 @@ AdmissionKind tier0_fold_kind(TestKind k) {
 // inflated residents, so the deciders scan it in place; the only mutation is
 // a transient push/pop of the candidate into reserved capacity.
 TierVerdict escalate(const AdmitConfig& cfg, MachineDemand& demand,
-                     const ConstrainedTask& candidate, const Rational& speed,
+                     const Task& candidate, const Rational& speed,
                      double density_margin) {
   HETSCHED_DCHECK(cfg.tiered());
   if (cfg.test == TestKind::kBound) return {false, kTierBound};
 
   demand.push(candidate);
-  const std::span<const ConstrainedTask> with = demand.tasks();
+  const std::span<const Task> with = demand.tasks();
   TierVerdict v{false, kTierApprox};
   switch (cfg.test) {
     case TestKind::kDbfApprox:
@@ -77,7 +78,7 @@ TierVerdict escalate(const AdmitConfig& cfg, MachineDemand& demand,
       }
       break;
     case TestKind::kRta:
-      v = {dm_rta_schedulable(with, speed), kTierExact};
+      v = {rta_schedulable(with, speed), kTierExact};
       break;
     case TestKind::kAuto:
       if (edf_dbf_feasible_approx(with, speed)) {
@@ -98,8 +99,8 @@ TierVerdict escalate(const AdmitConfig& cfg, MachineDemand& demand,
 }
 
 TierVerdict machine_admits(const AdmitConfig& cfg,
-                           std::span<const ConstrainedTask> residents,
-                           const ConstrainedTask& candidate, double capacity,
+                           std::span<const Task> residents,
+                           const Task& candidate, double capacity,
                            const Rational& speed) {
   HETSCHED_CHECK(cfg.tiered());
   const AdmissionKind fold = tier0_fold_kind(cfg.test);
@@ -107,7 +108,7 @@ TierVerdict machine_admits(const AdmitConfig& cfg,
   double hyper = 1.0;
   std::size_t count = 0;
   double slack = admission_slack(fold, capacity, 0.0, 0, 1.0);
-  for (const ConstrainedTask& t : residents) {
+  for (const Task& t : residents) {
     admission_fold_step(fold, t.density(), capacity, dens_sum, hyper, count,
                         slack);
   }
@@ -116,7 +117,7 @@ TierVerdict machine_admits(const AdmitConfig& cfg,
   const double margin = (dens_sum + dens - capacity) / capacity;
   MachineDemand demand;
   demand.reserve(residents.size() + 1);
-  for (const ConstrainedTask& t : residents) demand.push(t);
+  for (const Task& t : residents) demand.push(t);
   return escalate(cfg, demand, candidate, speed, margin);
 }
 

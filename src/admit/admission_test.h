@@ -7,7 +7,7 @@
 // deciders the repo already owns into a *tiered selector*:
 //
 //   tier 0 (bound)   density slack: sum c_i/d_i <= capacity, evaluated with
-//                    the same exact-FP fold the legacy controller uses, so
+//                    the same exact-FP fold the paper's kinds use, so
 //                    warm admits stay allocation-free and the segment-tree
 //                    engine keeps its O(log m) machine lookup.  Sufficient:
 //                    a density accept is always safe, and implies both
@@ -34,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/constrained_task.h"
 #include "core/task.h"
 #include "partition/admission.h"
 #include "util/rational.h"
@@ -79,10 +78,11 @@ struct AdmitConfig {
 std::string to_string(TestKind k);
 std::optional<TestKind> test_from_name(std::string_view name);
 
-// Overhead inflation: c' = c + release + 2 * preempt (checked; aborts on
-// overflow).  The deadline/period are untouched — overhead is work, not
-// urgency.  Implicit Task deadlines embed as d == p.
-ConstrainedTask inflate(const AdmitConfig& cfg, const Task& t);
+// Overhead inflation: c' = c + release + 2 * preempt, or nullopt when that
+// sum overflows int64 — callers facing client input reject such a task
+// instead of admitting it.  The period is untouched and the deadline made
+// explicit (d == p for implicit tasks) — overhead is work, not urgency.
+std::optional<Task> inflate(const AdmitConfig& cfg, const Task& t);
 
 // The AdmissionKind whose exact-FP slack fold tier 0 runs over *densities*:
 // kEdf for the EDF family (density bound), kRmsLiuLayland for kRta (LL over
@@ -104,7 +104,7 @@ class MachineDemand {
  public:
   void reserve(std::size_t n) { tasks_.reserve(n); }
   // HETSCHED_NOALLOC (warm path: capacity is reserved up front)
-  void push(const ConstrainedTask& t) {
+  void push(const Task& t) {
     // hetsched-lint: allow(noalloc) amortized growth, reserved when warm
     tasks_.push_back(t);
   }
@@ -119,10 +119,10 @@ class MachineDemand {
   }
   void clear() { tasks_.clear(); }
   std::size_t size() const { return tasks_.size(); }
-  std::span<const ConstrainedTask> tasks() const { return tasks_; }
+  std::span<const Task> tasks() const { return tasks_; }
 
  private:
-  std::vector<ConstrainedTask> tasks_;
+  std::vector<Task> tasks_;
 };
 
 // Escalation: decide `candidate` on a machine whose tier-0 density test
@@ -131,7 +131,7 @@ class MachineDemand {
 // `density_margin` is the relative overshoot kAuto's band gates on.
 // Allocation-free when `demand` has spare capacity (warm).
 TierVerdict escalate(const AdmitConfig& cfg, MachineDemand& demand,
-                     const ConstrainedTask& candidate, const Rational& speed,
+                     const Task& candidate, const Rational& speed,
                      double density_margin);
 
 // Batch oracle for tests and benchmarks: replays the tier-0 fold over
@@ -139,8 +139,8 @@ TierVerdict escalate(const AdmitConfig& cfg, MachineDemand& demand,
 // online controller would on a machine of double capacity `capacity` and
 // exact speed `speed`.  Allocates; not for the hot path.
 TierVerdict machine_admits(const AdmitConfig& cfg,
-                           std::span<const ConstrainedTask> residents,
-                           const ConstrainedTask& candidate, double capacity,
+                           std::span<const Task> residents,
+                           const Task& candidate, double capacity,
                            const Rational& speed);
 
 }  // namespace hetsched::admit

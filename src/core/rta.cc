@@ -7,43 +7,42 @@
 
 namespace hetsched {
 
-std::vector<std::size_t> rm_priority_order(std::span<const Task> tasks) {
+std::vector<std::size_t> priority_order(std::span<const Task> tasks) {
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&tasks](std::size_t a, std::size_t b) {
-                     return tasks[a].period < tasks[b].period;
+                     return tasks[a].effective_deadline() <
+                            tasks[b].effective_deadline();
                    });
   return order;
 }
 
-std::optional<Rational> rm_response_time(std::span<const Task> tasks,
-                                         std::size_t target,
-                                         const Rational& speed) {
+// HETSCHED_NOALLOC
+std::optional<Rational> response_time(std::span<const Task> tasks,
+                                      std::size_t target,
+                                      const Rational& speed) {
   HETSCHED_CHECK(target < tasks.size());
   HETSCHED_CHECK(speed > Rational(0));
   const Task& ti = tasks[target];
+  const std::int64_t di = ti.effective_deadline();
+  // Higher priority: strictly shorter deadline, or an equal deadline with
+  // a lower index (matching priority_order's tie-break).
+  const auto higher = [&](std::size_t j) {
+    const std::int64_t dj = tasks[j].effective_deadline();
+    return dj < di || (dj == di && j < target);
+  };
 
-  // Higher-priority set: strictly shorter period, or equal period with lower
-  // index (matching rm_priority_order's tie-break).
-  std::vector<std::size_t> hp;
-  for (std::size_t j = 0; j < tasks.size(); ++j) {
-    if (j == target) continue;
-    if (tasks[j].period < ti.period ||
-        (tasks[j].period == ti.period && j < target)) {
-      hp.push_back(j);
-    }
-  }
-
-  const Rational deadline(ti.period);
+  const Rational deadline(di);
   Rational r = Rational(ti.exec) / speed;
   if (r > deadline) return std::nullopt;
 
   // The iterates increase monotonically and take at most
-  // sum_j (p_i / p_j) distinct values, so this terminates.
+  // sum_j (d_i / p_j) distinct values, so this terminates.
   for (;;) {
     Rational demand(ti.exec);
-    for (const std::size_t j : hp) {
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      if (j == target || !higher(j)) continue;
       const Rational releases((r / Rational(tasks[j].period)).ceil());
       demand += releases * Rational(tasks[j].exec);
     }
@@ -55,53 +54,10 @@ std::optional<Rational> rm_response_time(std::span<const Task> tasks,
   }
 }
 
+// HETSCHED_NOALLOC
 bool rta_schedulable(std::span<const Task> tasks, const Rational& speed) {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!rm_response_time(tasks, i, speed)) return false;
-  }
-  return true;
-}
-
-std::optional<Rational> dm_response_time(std::span<const ConstrainedTask> tasks,
-                                         std::size_t target,
-                                         const Rational& speed) {
-  HETSCHED_CHECK(target < tasks.size());
-  HETSCHED_CHECK(speed > Rational(0));
-  const ConstrainedTask& ti = tasks[target];
-
-  // Higher-priority set under DM: strictly shorter relative deadline, or an
-  // equal deadline with lower index (the same documented tie-break as RM).
-  std::vector<std::size_t> hp;
-  for (std::size_t j = 0; j < tasks.size(); ++j) {
-    if (j == target) continue;
-    if (tasks[j].deadline < ti.deadline ||
-        (tasks[j].deadline == ti.deadline && j < target)) {
-      hp.push_back(j);
-    }
-  }
-
-  const Rational deadline(ti.deadline);
-  Rational r = Rational(ti.exec) / speed;
-  if (r > deadline) return std::nullopt;
-
-  for (;;) {
-    Rational demand(ti.exec);
-    for (const std::size_t j : hp) {
-      const Rational releases((r / Rational(tasks[j].period)).ceil());
-      demand += releases * Rational(tasks[j].exec);
-    }
-    const Rational next = demand / speed;
-    if (next == r) return r;
-    if (next > deadline) return std::nullopt;
-    HETSCHED_DCHECK(next > r);
-    r = next;
-  }
-}
-
-bool dm_rta_schedulable(std::span<const ConstrainedTask> tasks,
-                        const Rational& speed) {
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!dm_response_time(tasks, i, speed)) return false;
+    if (!response_time(tasks, i, speed)) return false;
   }
   return true;
 }

@@ -1,14 +1,15 @@
 // Exact response-time analysis (RTA) for fixed-priority preemptive
-// scheduling of implicit-deadline sporadic tasks on one related machine.
+// scheduling of constrained-deadline sporadic tasks on one related machine.
 //
-// Under rate-monotonic priorities (shorter period = higher priority) the
+// Under deadline-monotonic priorities (shorter relative deadline = higher
+// priority; for implicit deadlines this is exactly rate-monotonic order) the
 // worst-case response time of task i on a machine of speed s satisfies the
 // recurrence (Joseph & Pandya 1986, Audsley et al. 1993), adapted to speed s:
 //
 //     R = ( c_i + sum_{j in hp(i)} ceil(R / p_j) * c_j ) / s
 //
-// iterated from R = c_i / s until a fixed point or R > p_i.  The set is
-// schedulable iff every task's fixed point satisfies R <= p_i.  All
+// iterated from R = c_i / s until a fixed point or R > d_i.  The set is
+// schedulable iff every task's fixed point satisfies R <= d_i.  All
 // arithmetic is exact (64-bit rationals), so this is a ground-truth oracle
 // for the sufficient RMS bounds in core/uniproc.h — this exactness is why
 // speeds are rationals throughout the library.
@@ -23,36 +24,26 @@
 #include <span>
 #include <vector>
 
-#include "core/constrained_task.h"
 #include "core/task.h"
 #include "util/rational.h"
 
 namespace hetsched {
 
-// Indices of `tasks` sorted into rate-monotonic priority order: increasing
-// period, ties by lower index first (a fixed, documented tie-break).
-std::vector<std::size_t> rm_priority_order(std::span<const Task> tasks);
+// Indices of `tasks` sorted into deadline-monotonic priority order:
+// increasing effective deadline (the period when implicit, so RM order),
+// ties by lower index first (a fixed, documented tie-break).
+std::vector<std::size_t> priority_order(std::span<const Task> tasks);
 
 // Worst-case response time of the task at `target` (an index into `tasks`)
-// when `tasks` runs under RM priorities on a machine of speed `speed`.
-// Returns nullopt if the response time exceeds the task's deadline (period),
-// i.e. the task is unschedulable.
-std::optional<Rational> rm_response_time(std::span<const Task> tasks,
-                                         std::size_t target,
-                                         const Rational& speed);
+// when `tasks` runs under the priorities above on a machine of speed
+// `speed`.  Returns nullopt if the response time exceeds the task's
+// effective deadline, i.e. the task is unschedulable.  Allocation-free:
+// the warm admission controller runs it on its owner loop.
+std::optional<Rational> response_time(std::span<const Task> tasks,
+                                      std::size_t target,
+                                      const Rational& speed);
 
-// True iff every task meets its deadline under RM on a speed-`speed` machine.
+// True iff every task meets its deadline on a speed-`speed` machine.
 bool rta_schedulable(std::span<const Task> tasks, const Rational& speed);
-
-// Deadline-monotonic variants for the constrained model (d_i <= p_i).
-// DM (shorter relative deadline = higher priority) is optimal among fixed
-// priorities for constrained deadlines, and reduces to RM when d == p, so
-// these strictly generalize the implicit-deadline functions above.  The
-// recurrence is identical except the fixed point must satisfy R <= d_i.
-std::optional<Rational> dm_response_time(std::span<const ConstrainedTask> tasks,
-                                         std::size_t target,
-                                         const Rational& speed);
-bool dm_rta_schedulable(std::span<const ConstrainedTask> tasks,
-                        const Rational& speed);
 
 }  // namespace hetsched

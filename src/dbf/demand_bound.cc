@@ -8,19 +8,20 @@
 
 namespace hetsched {
 
-std::int64_t dbf(const ConstrainedTask& task, std::int64_t t) {
+std::int64_t dbf(const Task& task, std::int64_t t) {
   HETSCHED_DCHECK(task.valid());
-  if (t < task.deadline) return 0;
-  const std::int64_t jobs = (t - task.deadline) / task.period + 1;
+  const std::int64_t d = task.effective_deadline();
+  if (t < d) return 0;
+  const std::int64_t jobs = (t - d) / task.period + 1;
   const auto demand = checked_mul(jobs, task.exec);
   HETSCHED_CHECK_MSG(demand.has_value(), "dbf overflow");
   return *demand;
 }
 
-std::int64_t total_dbf(std::span<const ConstrainedTask> tasks,
+std::int64_t total_dbf(std::span<const Task> tasks,
                        std::int64_t t) {
   std::int64_t sum = 0;
-  for (const ConstrainedTask& task : tasks) {
+  for (const Task& task : tasks) {
     const auto next = checked_add(sum, dbf(task, t));
     HETSCHED_CHECK_MSG(next.has_value(), "total dbf overflow");
     sum = *next;
@@ -39,9 +40,9 @@ namespace {
 // (never toward wrongly rejecting or accepting).
 constexpr long double kUtilBand = 1e-12L;
 
-long double total_utilization_ld(std::span<const ConstrainedTask> tasks) {
+long double total_utilization_ld(std::span<const Task> tasks) {
   long double u = 0;
-  for (const ConstrainedTask& t : tasks) {
+  for (const Task& t : tasks) {
     u += static_cast<long double>(t.exec) / static_cast<long double>(t.period);
   }
   return u;
@@ -56,16 +57,16 @@ long double speed_ld(const Rational& speed) {
 //   L = (sum_i ceil(L / p_i) * c_i) / s,
 // seeded with the total first-job demand.  Exists whenever U <= s; a cap
 // guards the U == s case where it can reach the hyperperiod.
-std::optional<Rational> busy_period(std::span<const ConstrainedTask> tasks,
+std::optional<Rational> busy_period(std::span<const Task> tasks,
                                     const Rational& speed) {
   Rational work(0);
-  for (const ConstrainedTask& t : tasks) work += Rational(t.exec);
+  for (const Task& t : tasks) work += Rational(t.exec);
   Rational L = work / speed;
   constexpr int kMaxIters = 100000;
   const Rational kCap(std::int64_t{1} << 40);
   for (int iter = 0; iter < kMaxIters; ++iter) {
     Rational demand(0);
-    for (const ConstrainedTask& t : tasks) {
+    for (const Task& t : tasks) {
       demand += Rational((L / Rational(t.period)).ceil()) * Rational(t.exec);
     }
     const Rational next = demand / speed;
@@ -80,7 +81,7 @@ std::optional<Rational> busy_period(std::span<const ConstrainedTask> tasks,
 }  // namespace
 
 std::optional<std::int64_t> dbf_check_bound(
-    std::span<const ConstrainedTask> tasks, const Rational& speed) {
+    std::span<const Task> tasks, const Rational& speed) {
   HETSCHED_CHECK(speed > Rational(0));
   if (tasks.empty()) return 0;
   const long double u = total_utilization_ld(tasks);
@@ -93,8 +94,8 @@ std::optional<std::int64_t> dbf_check_bound(
     // from U <= s alone.  Computed in long double and inflated slightly —
     // any upper bound on La is a valid check bound.
     long double num = 0;
-    for (const ConstrainedTask& t : tasks) {
-      num += static_cast<long double>(t.period - t.deadline) *
+    for (const Task& t : tasks) {
+      num += static_cast<long double>(t.period - t.effective_deadline()) *
              static_cast<long double>(t.exec) /
              static_cast<long double>(t.period);
     }
@@ -106,11 +107,11 @@ std::optional<std::int64_t> dbf_check_bound(
   // Also never below the largest relative deadline (the first job of each
   // task must be checked at least once).
   std::int64_t dmax = 0;
-  for (const ConstrainedTask& t : tasks) dmax = std::max(dmax, t.deadline);
+  for (const Task& t : tasks) dmax = std::max(dmax, t.effective_deadline());
   return std::max(bound->ceil(), dmax);
 }
 
-bool edf_dbf_feasible_exact(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_exact(std::span<const Task> tasks,
                             const Rational& speed) {
   if (tasks.empty()) return true;
   // dbf_check_bound rejects U > speed (within the band) via nullopt.
@@ -119,8 +120,9 @@ bool edf_dbf_feasible_exact(std::span<const ConstrainedTask> tasks,
 
   // Enumerate every absolute deadline k * p_i + d_i <= bound.
   std::vector<std::int64_t> points;
-  for (const ConstrainedTask& t : tasks) {
-    for (std::int64_t x = t.deadline; x <= *bound; x += t.period) {
+  for (const Task& t : tasks) {
+    for (std::int64_t x = t.effective_deadline(); x <= *bound;
+         x += t.period) {
       points.push_back(x);
     }
   }
@@ -137,10 +139,10 @@ namespace {
 // Largest absolute deadline strictly below rational time `t`; nullopt if
 // none exists.
 std::optional<Rational> max_deadline_below(
-    std::span<const ConstrainedTask> tasks, const Rational& t) {
+    std::span<const Task> tasks, const Rational& t) {
   std::optional<Rational> best;
-  for (const ConstrainedTask& task : tasks) {
-    const Rational d(task.deadline);
+  for (const Task& task : tasks) {
+    const Rational d(task.effective_deadline());
     if (!(d < t)) continue;
     // Largest k >= 0 with k * p + d < t:  k = ceil((t - d)/p) - 1
     // (integer ratio needs the -1 because the inequality is strict;
@@ -158,14 +160,14 @@ std::optional<Rational> max_deadline_below(
 
 }  // namespace
 
-bool edf_dbf_feasible_qpa(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
                           const Rational& speed) {
   if (tasks.empty()) return true;
   const auto bound = dbf_check_bound(tasks, speed);
   if (!bound) return false;
 
   std::int64_t dmin = std::numeric_limits<std::int64_t>::max();
-  for (const ConstrainedTask& t : tasks) dmin = std::min(dmin, t.deadline);
+  for (const Task& t : tasks) dmin = std::min(dmin, t.effective_deadline());
 
   // Start at the largest deadline strictly below (bound + 1) i.e. <= bound.
   auto start = max_deadline_below(tasks, Rational(*bound + 1));
@@ -187,12 +189,12 @@ bool edf_dbf_feasible_qpa(std::span<const ConstrainedTask> tasks,
   }
 }
 
-bool edf_dbf_feasible_approx(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_approx(std::span<const Task> tasks,
                              const Rational& speed) {
   return edf_dbf_feasible_approx_k(tasks, speed, 1);
 }
 
-bool edf_dbf_feasible_approx_k(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
                                const Rational& speed, std::size_t k) {
   HETSCHED_CHECK(k >= 1);
   if (tasks.empty()) return true;
@@ -215,8 +217,8 @@ bool edf_dbf_feasible_approx_k(std::span<const ConstrainedTask> tasks,
   // denominators overflow); the comparison keeps a conservative band so
   // the test stays *sound* — a borderline value is rejected, never
   // accepted.
-  auto dbf_star = [k](const ConstrainedTask& task, long double t) {
-    const long double d = static_cast<long double>(task.deadline);
+  auto dbf_star = [k](const Task& task, long double t) {
+    const long double d = static_cast<long double>(task.effective_deadline());
     if (t < d) return 0.0L;
     const long double p = static_cast<long double>(task.period);
     const long double c = static_cast<long double>(task.exec);
@@ -227,14 +229,14 @@ bool edf_dbf_feasible_approx_k(std::span<const ConstrainedTask> tasks,
     return static_cast<long double>(k) * c + c / p * (t - kink);
   };
 
-  for (const ConstrainedTask& probe : tasks) {
+  for (const Task& probe : tasks) {
     for (std::size_t j = 0; j < k; ++j) {
       const long double t =
-          static_cast<long double>(probe.deadline) +
+          static_cast<long double>(probe.effective_deadline()) +
           static_cast<long double>(j) * static_cast<long double>(probe.period);
       if (t > static_cast<long double>(*bound)) break;
       long double demand = 0;
-      for (const ConstrainedTask& task : tasks) demand += dbf_star(task, t);
+      for (const Task& task : tasks) demand += dbf_star(task, t);
       if (demand > s * t * (1 - kUtilBand)) return false;
     }
   }
@@ -242,7 +244,7 @@ bool edf_dbf_feasible_approx_k(std::span<const ConstrainedTask> tasks,
 }
 
 ConstrainedPartitionResult first_fit_partition_constrained(
-    std::span<const ConstrainedTask> tasks, const Platform& platform,
+    std::span<const Task> tasks, const Platform& platform,
     DbfAdmission admission, double alpha) {
   HETSCHED_CHECK(platform.size() >= 1);
   HETSCHED_CHECK(alpha >= 1.0);
@@ -255,10 +257,10 @@ ConstrainedPartitionResult first_fit_partition_constrained(
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&tasks](std::size_t a, std::size_t b) {
-                     const int128 lhs =
-                         static_cast<int128>(tasks[a].exec) * tasks[b].deadline;
-                     const int128 rhs =
-                         static_cast<int128>(tasks[b].exec) * tasks[a].deadline;
+                     const int128 lhs = static_cast<int128>(tasks[a].exec) *
+                                        tasks[b].effective_deadline();
+                     const int128 rhs = static_cast<int128>(tasks[b].exec) *
+                                        tasks[a].effective_deadline();
                      return lhs > rhs;
                    });
 
@@ -269,7 +271,7 @@ ConstrainedPartitionResult first_fit_partition_constrained(
     capacity.push_back(platform.speed_exact(j) * ar);
   }
 
-  auto feasible_on = [&](const std::vector<ConstrainedTask>& set,
+  auto feasible_on = [&](const std::vector<Task>& set,
                          const Rational& speed) {
     switch (admission) {
       case DbfAdmission::kExactQpa:
@@ -286,7 +288,7 @@ ConstrainedPartitionResult first_fit_partition_constrained(
   for (const std::size_t i : order) {
     bool placed = false;
     for (std::size_t j = 0; j < platform.size(); ++j) {
-      std::vector<ConstrainedTask> with = out.tasks_per_machine[j];
+      std::vector<Task> with = out.tasks_per_machine[j];
       with.push_back(tasks[i]);
       if (feasible_on(with, capacity[j])) {
         out.tasks_per_machine[j] = std::move(with);

@@ -3,8 +3,9 @@
 // [7], Chen & Chakraborty RTSS'11, studies exactly the approximate-DBF
 // variant of this machinery).
 //
-// For a constrained-deadline task tau_i = (c_i, d_i, p_i), the demand bound
-// function
+// For a constrained-deadline task tau_i = (c_i, d_i, p_i) — a Task, whose
+// d_i is its effective_deadline(), the period when implicit — the demand
+// bound function
 //     dbf_i(t) = max(0, floor((t - d_i) / p_i) + 1) * c_i
 // counts the work of all jobs with both release and deadline inside any
 // window of length t.  The processor-demand criterion (Baruah et al.):
@@ -27,38 +28,38 @@
 #include <span>
 #include <vector>
 
-#include "core/constrained_task.h"
 #include "core/platform.h"
+#include "core/task.h"
 #include "util/rational.h"
 
 namespace hetsched {
 
 // dbf_i(t) for a single task (exact, integer).
-std::int64_t dbf(const ConstrainedTask& task, std::int64_t t);
+std::int64_t dbf(const Task& task, std::int64_t t);
 
 // sum_i dbf_i(t) over a set; saturates via checked arithmetic (aborts on
 // overflow, which realistic instances never approach).
-std::int64_t total_dbf(std::span<const ConstrainedTask> tasks, std::int64_t t);
+std::int64_t total_dbf(std::span<const Task> tasks, std::int64_t t);
 
 // Upper bound L on the instants that must be checked: min of the busy
 // period (fixed point of w = ceil(sum_i ceil(w/p_i) c_i / s)) and the
 // La-style utilization bound sum (p_i - d_i) u_i / (s - U).  Returns
 // nullopt when total utilization exceeds the speed (trivially infeasible).
 std::optional<std::int64_t> dbf_check_bound(
-    std::span<const ConstrainedTask> tasks, const Rational& speed);
+    std::span<const Task> tasks, const Rational& speed);
 
 // Exact processor-demand test by enumerating all deadlines <= bound.
-bool edf_dbf_feasible_exact(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_exact(std::span<const Task> tasks,
                             const Rational& speed);
 
 // QPA: same verdict as the exact test, typically visiting far fewer points.
-bool edf_dbf_feasible_qpa(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
                           const Rational& speed);
 
 // Sufficient test via the linear approximate DBF: never accepts an
 // infeasible set; may reject feasible ones (bounded pessimism).
 // Equivalent to edf_dbf_feasible_approx_k with k = 1.
-bool edf_dbf_feasible_approx(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_approx(std::span<const Task> tasks,
                              const Rational& speed);
 
 // k-point approximate DBF (Albers & Slomka; the family the paper's ref [7]
@@ -68,7 +69,7 @@ bool edf_dbf_feasible_approx(std::span<const ConstrainedTask> tasks,
 //     dbf*_i(t) = c_i k + u_i (t - d_i - (k-1) p_i)  for t >= d_i + k p_i,
 // so the test only evaluates O(nk) candidate points plus U <= s.  Sound for
 // every k >= 1; acceptance grows with k and converges to the exact test.
-bool edf_dbf_feasible_approx_k(std::span<const ConstrainedTask> tasks,
+bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
                                const Rational& speed, std::size_t k);
 
 // Which per-machine DBF test the constrained partitioner admits with.
@@ -78,14 +79,14 @@ struct ConstrainedPartitionResult {
   bool feasible = false;
   // task index -> machine index (platform sorted order).
   std::vector<std::size_t> assignment;
-  std::vector<std::vector<ConstrainedTask>> tasks_per_machine;
+  std::vector<std::vector<Task>> tasks_per_machine;
   std::optional<std::size_t> failed_task;
 };
 
 // First-fit, decreasing *density*, machines slowest-first — the paper's
 // algorithm transplanted to the constrained-deadline model.
 ConstrainedPartitionResult first_fit_partition_constrained(
-    std::span<const ConstrainedTask> tasks, const Platform& platform,
+    std::span<const Task> tasks, const Platform& platform,
     DbfAdmission admission, double alpha);
 
 }  // namespace hetsched

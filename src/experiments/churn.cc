@@ -1,5 +1,6 @@
 #include "experiments/churn.h"
 
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -81,10 +82,12 @@ ChurnResult run_churn(const Platform& platform, const ChurnTrace& trace,
         // Constrained model: score the baseline with the exact (QPA)
         // batch partitioner over the inflated tasks, so the clairvoyant
         // is the strongest admitter the tiers converge to.
-        std::vector<ConstrainedTask> cts;
+        std::vector<Task> cts;
         cts.reserve(clair_tasks.size());
-        for (const Task& ct : clair_tasks) {
-          cts.push_back(admit::inflate(options.admit, ct));
+        for (const Task& t : clair_tasks) {
+          const std::optional<Task> ct = admit::inflate(options.admit, t);
+          HETSCHED_CHECK_MSG(ct.has_value(), "overhead inflation overflow");
+          cts.push_back(*ct);
         }
         clair_ok = first_fit_partition_constrained(
                        cts, platform, DbfAdmission::kExactQpa, options.alpha)

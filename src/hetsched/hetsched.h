@@ -25,7 +25,6 @@
 #include "baselines/andersson_tovar.h"   // IWYU pragma: export
 #include "baselines/heuristics.h"        // IWYU pragma: export
 #include "baselines/local_search.h"      // IWYU pragma: export
-#include "core/constrained_task.h"       // IWYU pragma: export
 #include "core/platform.h"               // IWYU pragma: export
 #include "core/rta.h"                    // IWYU pragma: export
 #include "core/task.h"                   // IWYU pragma: export

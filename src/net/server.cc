@@ -1048,10 +1048,12 @@ Response Server::process_request(Shard& shard, const Request& req,
       // Deadline validity (minor 3): a constrained deadline must lie in
       // (0, period], and only a tiered controller knows how to test it —
       // a legacy shard answers kBadRequest, which a deadline-aware client
-      // reads as "server not configured for constrained deadlines".
-      if (req.exec() <= 0 || req.period() <= 0 || req.deadline_val() < 0 ||
-          req.deadline_val() > req.period() ||
-          (req.deadline != 0 && !shard.controller.tiered())) {
+      // reads as "server not configured for constrained deadlines".  A
+      // WCET the overhead model cannot inflate within int64 is refused the
+      // same way: no decision, no WAL record, checksum untouched.
+      const Task t{req.exec(), req.period(), req.deadline_val()};
+      if ((req.deadline != 0 && !shard.controller.tiered()) ||
+          !shard.controller.accepts_input(t)) {
         resp.status = Status::kBadRequest;
         break;
       }
@@ -1060,7 +1062,6 @@ Response Server::process_request(Shard& shard, const Request& req,
         resp.status = Status::kBadShard;
         break;
       }
-      const Task t{req.exec(), req.period(), req.deadline_val()};
       const AdmitDecision d = shard.controller.admit(t);
       resp.value = std::bit_cast<std::uint64_t>(d.utilization);
       if (d.admitted) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <iomanip>
+#include <optional>
+#include <span>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -64,170 +66,147 @@ OnlinePartitioner::OnlinePartitioner(const Platform& platform,
     : platform_(platform), kind_(kind), alpha_(alpha), admit_cfg_(admit_cfg) {
   HETSCHED_CHECK(platform_.size() >= 1);
   HETSCHED_CHECK(alpha_ >= 1.0);
-  tiered_ = admit_cfg_.tiered();
-  // Tiered mode: the tier-0 fold kind replaces the legacy admission kind —
-  // the whole slack machinery (fold arrays, segment tree, rebalance
-  // scratch) then runs over densities unchanged.
-  if (tiered_) kind_ = admit::tier0_fold_kind(admit_cfg_.test);
-  slack_form_ = admission_has_slack_form(kind_);
+  // Resolve the per-machine test once.  A tiered test folds densities under
+  // its tier-0 kind, which replaces `kind`, and escalates as configured.
+  // The paper's kinds inflate nothing and escalate only for
+  // kRmsResponseTime, whose never-admitting fold hands every decision to
+  // the RTA escalation.
+  if (admit_cfg_.tiered()) {
+    kind_ = admit::tier0_fold_kind(admit_cfg_.test);
+    escalation_ = admit_cfg_;
+  } else {
+    escalation_.test = kind_ == AdmissionKind::kRmsResponseTime
+                           ? admit::TestKind::kRta
+                           : admit::TestKind::kBound;
+  }
   use_tree_ =
       resolve_engine(engine, kind_) == PartitionEngine::kSegmentTree;
   const std::size_t m = platform_.size();
   capacity_.resize(m);
-  st_.residents.resize(m);
-  if (slack_form_) {
-    st_.util_sum.assign(m, 0.0);
-    st_.hyper.assign(m, 1.0);
-    st_.count.assign(m, 0);
-    st_.slack.resize(m);
-  } else {
-    st_.loads.reserve(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    capacity_[j] = platform_.speed(j) * alpha_;
   }
-  if (tiered_) {
+  st_.residents.resize(m);
+  st_.fold.reset(kind_, capacity_);
+  if (escalates()) {
     demand_.resize(m);
     speed_exact_.reserve(m);
-    // The same alpha quantization the constrained batch partitioner uses.
+    // The same alpha quantization MachineLoad and the constrained batch
+    // partitioner use.
     const Rational ar = rational_from_double(alpha_, 1'000'000);
     for (std::size_t j = 0; j < m; ++j) {
       speed_exact_.push_back(platform_.speed_exact(j) * ar);
     }
   }
-  for (std::size_t j = 0; j < m; ++j) {
-    capacity_[j] = platform_.speed(j) * alpha_;
-    if (slack_form_) {
-      st_.slack[j] = admission_slack(kind_, capacity_[j], 0.0, 0, 1.0);
-    } else {
-      st_.loads.emplace_back(kind_, platform_.speed_exact(j), alpha_);
-    }
-  }
-  if (use_tree_) tree_.build(st_.slack);
+  if (use_tree_) tree_.build(st_.fold.slack);
 }
 
-double OnlinePartitioner::slot_weight(const Task& t) const {
-  return tiered_ ? admit::inflate(admit_cfg_, t).density() : t.utilization();
+void OnlinePartitioner::Folds::reset(AdmissionKind kind,
+                                     const std::vector<double>& capacity) {
+  const std::size_t m = capacity.size();
+  util_sum.assign(m, 0.0);
+  hyper.assign(m, 1.0);
+  count.assign(m, 0);
+  slack.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    slack[j] = admission_slack(kind, capacity[j], 0.0, 0, 1.0);
+  }
+}
+
+Task OnlinePartitioner::inflated(const Task& t) const {
+  const std::optional<Task> ct = admit::inflate(escalation_, t);
+  HETSCHED_CHECK_MSG(ct.has_value(), "overhead inflation overflow");
+  return *ct;
+}
+
+bool OnlinePartitioner::accepts_input(const Task& t) const {
+  return t.valid() && (tiered() || t.implicit_deadline()) &&
+         admit::inflate(escalation_, t).has_value();
 }
 
 void OnlinePartitioner::rebuild_demand() {
-  if (!tiered_) return;
-  const std::size_t m = platform_.size();
-  demand_.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
+  if (!escalates()) return;
+  for (std::size_t j = 0; j < platform_.size(); ++j) {
     demand_[j].clear();
     demand_[j].reserve(st_.residents[j].size() + 1);
     for (const std::uint32_t idx : st_.residents[j]) {
-      demand_[j].push(admit::inflate(admit_cfg_, st_.slots[idx].task));
+      demand_[j].push(inflated(st_.slots[idx].task));
     }
   }
 }
 
-// HETSCHED_NOALLOC (slack-form kinds; the RTA fallback allocates)
-std::size_t OnlinePartitioner::find_machine(const Task& t, double w) const {
+// HETSCHED_OWNER_LOOP (warm admit: pure compute over the slack array and
+// the demand mirrors, no syscalls)
+// HETSCHED_NOALLOC (warm: escalation pushes into reserved mirror capacity)
+std::size_t OnlinePartitioner::find_machine(const Task& ct, double w,
+                                            std::uint8_t& tier) const {
+  // j0 = leftmost tier-0 accept.  A tier-0 accept implies the escalation
+  // accepts too (dbf_i(t) <= (c_i/d_i) t for t >= d_i), so j0 is an upper
+  // bound on the first-fit answer and machines right of it never need to
+  // be consulted.
   const std::size_t m = platform_.size();
-  if (!slack_form_) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (st_.loads[j].can_admit(t)) return j;
-    }
-    return kNoMachine;
-  }
+  std::size_t j0 = kNoMachine;
   if (use_tree_) {
     const std::size_t j = tree_.find_first_at_least(w);
-    return j == SlackTree::npos ? kNoMachine : j;
-  }
-  // Naive engine: the reference linear scan, identical comparisons.
-  for (std::size_t j = 0; j < m; ++j) {
-    if (w <= st_.slack[j]) return j;
-  }
-  return kNoMachine;
-}
-
-// HETSCHED_OWNER_LOOP (tiered warm admit: pure compute over the resident
-// demand mirrors, no syscalls)
-// HETSCHED_NOALLOC (warm: escalation pushes into reserved mirror capacity)
-std::size_t OnlinePartitioner::find_machine_tiered(const ConstrainedTask& ct,
-                                                   double w,
-                                                   std::uint8_t& tier) const {
-  // j0 = leftmost tier-0 (density) accept.  Density accept implies every
-  // escalation tier accepts (dbf_i(t) <= (c_i/d_i) t for t >= d_i), so j0
-  // is an upper bound on the first-fit answer and machines right of it
-  // never need to be consulted.
-  const std::size_t m = platform_.size();
-  std::size_t j0;
-  if (use_tree_) {
-    j0 = tree_.find_first_at_least(w);
-    if (j0 == SlackTree::npos) j0 = kNoMachine;
+    if (j != SlackTree::npos) j0 = j;
   } else {
-    j0 = kNoMachine;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (w <= st_.slack[j]) {
-        j0 = j;
-        break;
-      }
+    // Naive engine: the reference linear scan, identical comparisons.
+    for (std::size_t j = 0; j < m && j0 == kNoMachine; ++j) {
+      if (w <= st_.fold.slack[j]) j0 = j;
     }
   }
-  // Machines left of j0 rejected the density bound; offer them to the
-  // escalation tiers in index order (first fit over the *selected* test).
+  tier = admit::kTierBound;
+  if (!escalates()) return j0;
+  // Machines left of j0 rejected tier 0; offer them to the escalation in
+  // index order (first fit over the full test).
   const std::size_t limit = j0 == kNoMachine ? m : j0;
   std::uint8_t deepest = admit::kTierBound;
   for (std::size_t j = 0; j < limit; ++j) {
     const double margin =
-        (st_.util_sum[j] + w - capacity_[j]) / capacity_[j];
+        (st_.fold.util_sum[j] + w - capacity_[j]) / capacity_[j];
     const admit::TierVerdict v =
-        admit::escalate(admit_cfg_, demand_[j], ct, speed_exact_[j], margin);
+        admit::escalate(escalation_, demand_[j], ct, speed_exact_[j], margin);
     if (v.accept) {
       tier = v.tier;
       return j;
     }
     deepest = std::max(deepest, v.tier);
   }
-  if (j0 != kNoMachine) {
-    tier = admit::kTierBound;
-    return j0;
-  }
-  tier = deepest;
-  return kNoMachine;
-}
-
-// HETSCHED_NOALLOC (slack-form kinds; the RTA fallback allocates)
-void OnlinePartitioner::apply_admit(std::size_t j, double w, const Task& t) {
-  if (slack_form_) {
-    admission_fold_step(kind_, w, capacity_[j], st_.util_sum[j], st_.hyper[j],
-                        st_.count[j], st_.slack[j]);
-    if (use_tree_) tree_.update(j, st_.slack[j]);
-  } else {
-    st_.loads[j].admit(t);
-  }
+  if (j0 == kNoMachine) tier = deepest;
+  return j0;
 }
 
 // HETSCHED_OWNER_LOOP (warm admit is called per frame from the server's
 // owner loops; pure compute, no syscalls)
-// HETSCHED_NOALLOC (slack-form kinds, warm arena; growth is amortized)
+// HETSCHED_NOALLOC (warm arena; growth is amortized)
 AdmitDecision OnlinePartitioner::admit(const Task& t) {
   return admit_impl(t, /*fold_checksum=*/true);
 }
 
-// HETSCHED_NOALLOC (slack-form kinds, warm arena; growth is amortized)
+// HETSCHED_NOALLOC (warm arena; growth is amortized)
 AdmitDecision OnlinePartitioner::admit_migrated(const Task& t) {
   return admit_impl(t, /*fold_checksum=*/false);
 }
 
-// HETSCHED_NOALLOC (slack-form kinds, warm arena; growth is amortized)
+// HETSCHED_NOALLOC (warm arena; growth is amortized)
 AdmitDecision OnlinePartitioner::admit_impl(const Task& t,
                                             bool fold_checksum) {
   HETSCHED_TIMED_SAMPLED(g_metrics.admit_ns);
   HETSCHED_CHECK(t.valid());
+  // The paper's kinds predate the deadline field and must keep their byte
+  // streams bit-identical; deadlines are the tiered tests' to decide.
+  HETSCHED_CHECK(tiered() || t.implicit_deadline());
   AdmitDecision d;
   d.utilization = t.utilization();
-  // Legacy mode predates the deadline field and must keep its byte streams
-  // bit-identical; deadlines are the tiered subsystem's to decide.
-  HETSCHED_CHECK(tiered_ || t.implicit_deadline());
-  ConstrainedTask ct;  // tiered only: overhead-inflated constrained view
-  double w = d.utilization;
-  if (tiered_) {
-    ct = admit::inflate(admit_cfg_, t);
-    w = ct.density();
-  }
-  const std::size_t j =
-      tiered_ ? find_machine_tiered(ct, w, d.tier) : find_machine(t, w);
+  // Slot weight: the inflated density, which for the paper's kinds (no
+  // overhead, d == p) is bit-equal to the utilization.
+  const Task ct = inflated(t);
+  const double w = ct.density();
+  std::uint8_t tier = admit::kTierBound;
+  const std::size_t j = find_machine(ct, w, tier);
+  // The paper's kinds persist tier 0 whatever decided: their WAL records
+  // predate tiers.
+  if (tiered()) d.tier = tier;
   // The checksum folds the deadline only when one rides the request, so
   // every pre-deadline decision stream replays byte-identically.
   const auto fold_admit = [&](bool admitted, std::size_t machine) {
@@ -249,12 +228,13 @@ AdmitDecision OnlinePartitioner::admit_impl(const Task& t,
     fold_admit(false, kNoMachine);
     HETSCHED_COUNT(g_metrics.admits_rejected);
     HETSCHED_TRACE_EVENT(obs::TraceKind::kAdmit, false, 0, 0);
-    HETSCHED_AUDIT_HOOK(audit_verify_decision(t, w, kNoMachine, d.tier));
+    HETSCHED_AUDIT_HOOK(audit_verify_decision(ct, w, kNoMachine, tier));
     return d;
   }
 
-  apply_admit(j, w, t);
-  if (tiered_) demand_[j].push(ct);
+  st_.fold.step(kind_, j, w, capacity_[j]);
+  if (use_tree_) tree_.update(j, st_.fold.slack[j]);
+  if (escalates()) demand_[j].push(ct);
   std::uint32_t slot;
   if (!st_.free_slots.empty()) {
     slot = st_.free_slots.back();
@@ -280,47 +260,41 @@ AdmitDecision OnlinePartitioner::admit_impl(const Task& t,
   d.machine = j;
   fold_admit(true, j);
   HETSCHED_TRACE_EVENT(obs::TraceKind::kAdmit, true, j, slot);
-  HETSCHED_AUDIT_HOOK(audit_verify_decision(t, w, j, d.tier);
+  HETSCHED_AUDIT_HOOK(audit_verify_decision(ct, w, j, tier);
                       audit_verify_machine(j));
   return d;
 }
 
-// HETSCHED_NOALLOC (slack-form kinds; the RTA fallback allocates)
+// HETSCHED_NOALLOC
 void OnlinePartitioner::recompute_machine(std::size_t j) {
-  if (slack_form_) {
-    double util_sum = 0.0;
-    double hyper = 1.0;
-    for (const std::uint32_t idx : st_.residents[j]) {
-      const double w = st_.slots[idx].util;
-      util_sum += w;
-      hyper *= w / capacity_[j] + 1.0;
-    }
-    st_.util_sum[j] = util_sum;
-    st_.hyper[j] = hyper;
-    st_.count[j] = st_.residents[j].size();
-    st_.slack[j] =
-        admission_slack(kind_, capacity_[j], util_sum, st_.count[j], hyper);
-    if (use_tree_) tree_.update(j, st_.slack[j]);
-  } else {
-    st_.loads[j] = MachineLoad(kind_, platform_.speed_exact(j), alpha_);
-    for (const std::uint32_t idx : st_.residents[j]) {
-      st_.loads[j].admit(st_.slots[idx].task);
-    }
+  Folds& f = st_.fold;
+  double util_sum = 0.0;
+  double hyper = 1.0;
+  for (const std::uint32_t idx : st_.residents[j]) {
+    const double w = st_.slots[idx].util;
+    util_sum += w;
+    hyper *= w / capacity_[j] + 1.0;
   }
+  f.util_sum[j] = util_sum;
+  f.hyper[j] = hyper;
+  f.count[j] = st_.residents[j].size();
+  f.slack[j] =
+      admission_slack(kind_, capacity_[j], util_sum, f.count[j], hyper);
+  if (use_tree_) tree_.update(j, f.slack[j]);
 }
 
 // HETSCHED_OWNER_LOOP (warm depart, same per-frame contract as admit)
-// HETSCHED_NOALLOC (slack-form kinds, warm arena; growth is amortized)
+// HETSCHED_NOALLOC (warm arena; growth is amortized)
 bool OnlinePartitioner::depart(OnlineTaskId id) {
   return depart_impl(id, /*fold_checksum=*/true);
 }
 
-// HETSCHED_NOALLOC (slack-form kinds, warm arena; growth is amortized)
+// HETSCHED_NOALLOC (warm arena; growth is amortized)
 bool OnlinePartitioner::depart_migrated(OnlineTaskId id) {
   return depart_impl(id, /*fold_checksum=*/false);
 }
 
-// HETSCHED_NOALLOC (slack-form kinds, warm arena; growth is amortized)
+// HETSCHED_NOALLOC (warm arena; growth is amortized)
 bool OnlinePartitioner::depart_impl(OnlineTaskId id, bool fold_checksum) {
   HETSCHED_TIMED_SAMPLED(g_metrics.depart_ns);
   const auto fold_depart = [&](bool ok) {
@@ -350,7 +324,7 @@ bool OnlinePartitioner::depart_impl(OnlineTaskId id, bool fold_checksum) {
   const std::size_t j = s.machine;
   auto& res = st_.residents[j];
   const auto it = std::find(res.begin(), res.end(), slot);
-  if (tiered_) {
+  if (escalates()) {
     demand_[j].remove_at(static_cast<std::size_t>(it - res.begin()));
   }
   res.erase(it);
@@ -392,70 +366,39 @@ MigrationPlan OnlinePartitioner::migration_plan() {
               return st_.slots[a].seq < st_.slots[b].seq;
             });
 
-  // Trial pass on scratch state; the live assignment is untouched.
+  // Trial pass on scratch state; the live assignment is untouched.  It
+  // replays the full test (tier-0 slack, then the escalation over trial
+  // demand mirrors), so a re-pack stays feasible for sets only the
+  // escalation admitted.
   const std::size_t m = platform_.size();
-  std::vector<MachineLoad> trial_loads;  // kRmsResponseTime only
-  if (slack_form_) {
-    rb_util_sum_.assign(m, 0.0);
-    rb_hyper_.assign(m, 1.0);
-    rb_count_.assign(m, 0);
-    rb_slack_.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      rb_slack_[j] = admission_slack(kind_, capacity_[j], 0.0, 0, 1.0);
-    }
-  } else {
-    trial_loads.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      trial_loads.emplace_back(kind_, platform_.speed_exact(j), alpha_);
-    }
-  }
-  if (tiered_) {
+  rb_fold_.reset(kind_, capacity_);
+  if (escalates()) {
     rb_demand_.resize(m);
-    for (std::size_t j = 0; j < m; ++j) rb_demand_[j].clear();
+    for (admit::MachineDemand& dm : rb_demand_) dm.clear();
   }
   plan.moves.reserve(rb_order_.size());
   for (std::size_t pos = 0; pos < rb_order_.size(); ++pos) {
     const std::uint32_t idx = rb_order_[pos];
     const Slot& s = st_.slots[idx];
-    // Tiered: the trial replays the full tiered test (density slack, then
-    // escalation over the trial demand mirrors) so a re-pack stays feasible
-    // for sets that only the escalation tiers admitted.
-    const ConstrainedTask ct =
-        tiered_ ? admit::inflate(admit_cfg_, s.task) : ConstrainedTask{};
+    const Task ct = escalates() ? inflated(s.task) : s.task;
     std::size_t placed = kNoMachine;
-    for (std::size_t j = 0; j < m; ++j) {
-      bool fits;
-      if (tiered_) {
-        if (s.util <= rb_slack_[j]) {
-          fits = true;
-        } else {
-          const double margin =
-              (rb_util_sum_[j] + s.util - capacity_[j]) / capacity_[j];
-          fits = admit::escalate(admit_cfg_, rb_demand_[j], ct,
-                                 speed_exact_[j], margin)
-                     .accept;
-        }
-      } else {
-        fits = slack_form_ ? s.util <= rb_slack_[j]
-                           : trial_loads[j].can_admit(s.task);
-      }
-      if (fits) {
+    for (std::size_t j = 0; j < m && placed == kNoMachine; ++j) {
+      if (s.util <= rb_fold_.slack[j]) {
         placed = j;
-        break;
+      } else if (escalates()) {
+        const double margin =
+            (rb_fold_.util_sum[j] + s.util - capacity_[j]) / capacity_[j];
+        const admit::TierVerdict v = admit::escalate(
+            escalation_, rb_demand_[j], ct, speed_exact_[j], margin);
+        if (v.accept) placed = j;
       }
     }
     if (placed == kNoMachine) {  // infeasible: report, no partial plan
       plan.moves.clear();
       return plan;
     }
-    if (slack_form_) {
-      admission_fold_step(kind_, s.util, capacity_[placed],
-                          rb_util_sum_[placed], rb_hyper_[placed],
-                          rb_count_[placed], rb_slack_[placed]);
-    } else {
-      trial_loads[placed].admit(s.task);
-    }
-    if (tiered_) rb_demand_[placed].push(ct);
+    rb_fold_.step(kind_, placed, s.util, capacity_[placed]);
+    if (escalates()) rb_demand_[placed].push(ct);
     MigrationPlan::Move mv;
     mv.id = make_id(idx, s.gen);
     mv.task = s.task;
@@ -493,52 +436,24 @@ RebalanceReport OnlinePartitioner::apply_plan(const MigrationPlan& plan) {
   // FP operations in the same order, so the committed state is
   // bit-identical to what the plan computed), then rebuild the resident
   // lists in canonical admission order.
-  const std::size_t m = platform_.size();
-  std::vector<MachineLoad> trial_loads;  // kRmsResponseTime only
-  if (slack_form_) {
-    rb_util_sum_.assign(m, 0.0);
-    rb_hyper_.assign(m, 1.0);
-    rb_count_.assign(m, 0);
-    rb_slack_.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      rb_slack_[j] = admission_slack(kind_, capacity_[j], 0.0, 0, 1.0);
-    }
-  } else {
-    trial_loads.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      trial_loads.emplace_back(kind_, platform_.speed_exact(j), alpha_);
-    }
-  }
-  for (std::size_t j = 0; j < m; ++j) st_.residents[j].clear();
+  rb_fold_.reset(kind_, capacity_);
+  for (std::vector<std::uint32_t>& res : st_.residents) res.clear();
   for (const MigrationPlan::Move& mv : plan.moves) {
     const auto slot = static_cast<std::uint32_t>(mv.id & 0xffffffffu);
-    if (slack_form_) {
-      admission_fold_step(kind_, mv.util, capacity_[mv.to],
-                          rb_util_sum_[mv.to], rb_hyper_[mv.to],
-                          rb_count_[mv.to], rb_slack_[mv.to]);
-    } else {
-      trial_loads[mv.to].admit(mv.task);
-    }
+    rb_fold_.step(kind_, mv.to, mv.util, capacity_[mv.to]);
     if (st_.slots[slot].machine != mv.to) ++rep.migrations;
     st_.slots[slot].machine = mv.to;
     st_.residents[mv.to].push_back(slot);
   }
-  if (slack_form_) {
-    st_.util_sum = rb_util_sum_;
-    st_.hyper = rb_hyper_;
-    st_.count = rb_count_;
-    st_.slack = rb_slack_;
-    if (use_tree_) tree_.build(st_.slack);
-  } else {
-    st_.loads = std::move(trial_loads);
-  }
+  std::swap(st_.fold, rb_fold_);
+  if (use_tree_) tree_.build(st_.fold.slack);
   rebuild_demand();
   rep.applied = true;
   // The canonical-oracle audit replays the implicit-deadline batch first
-  // fit, which has no notion of escalation — tiered mode keeps the
+  // fit, which has no notion of the tiered tests — they keep the
   // whole-state audit only.
   HETSCHED_AUDIT_HOOK(audit_verify_full();
-                      if (!tiered_) audit_verify_canonical());
+                      if (!tiered()) audit_verify_canonical());
   return rep;
 }
 
@@ -572,7 +487,7 @@ OnlinePartitioner::Snapshot OnlinePartitioner::snapshot() const {
 bool OnlinePartitioner::restore(const Snapshot& snap) {
   if (snap.state.residents.size() != platform_.size()) return false;
   st_ = snap.state;
-  if (slack_form_ && use_tree_) tree_.build(st_.slack);
+  if (use_tree_) tree_.build(st_.fold.slack);
   rebuild_demand();
   HETSCHED_AUDIT_HOOK(audit_verify_full());
   return true;
@@ -628,9 +543,80 @@ constexpr std::uint32_t kSnapshotPayloadMagic = 0x53504F48;  // "HOPS"
 // Version 1: implicit-deadline slots (exec, period), no admission config.
 // Version 2 (tiered controllers only): an admission-config block follows
 // alpha — test id, band bits, overheads — and every slot record carries a
-// deadline.  Legacy controllers keep writing version 1 byte-identically.
+// deadline.  The paper's kinds keep writing version 1 byte-identically.
 constexpr std::uint32_t kSnapshotPayloadVersion = 1;
 constexpr std::uint32_t kSnapshotPayloadVersionTiered = 2;
+
+// The payload's identity header: which controller configuration wrote it.
+// Recovery refuses a snapshot whose header disagrees with the serving
+// config instead of silently replaying a different decision function.
+struct SnapshotHeader {
+  std::uint32_t version = 0;
+  std::uint32_t kind = 0;
+  std::uint32_t machines = 0;
+  std::uint64_t alpha = 0;  // bit pattern
+  // Version 2 only: the selected test and its knobs.
+  std::uint32_t test = 0;
+  std::uint64_t band = 0;  // bit pattern
+  std::uint64_t release_overhead = 0;
+  std::uint64_t preempt_overhead = 0;
+
+  friend bool operator==(const SnapshotHeader&,
+                         const SnapshotHeader&) = default;
+};
+
+SnapshotHeader header_of(const OnlinePartitioner& c) {
+  SnapshotHeader h;
+  h.kind = static_cast<std::uint32_t>(c.kind());
+  h.machines = static_cast<std::uint32_t>(c.machine_count());
+  h.alpha = std::bit_cast<std::uint64_t>(c.alpha());
+  if (!c.tiered()) {
+    h.version = kSnapshotPayloadVersion;
+    return h;
+  }
+  const admit::AdmitConfig& cfg = c.admit_config();
+  h.version = kSnapshotPayloadVersionTiered;
+  h.test = static_cast<std::uint32_t>(cfg.test);
+  h.band = std::bit_cast<std::uint64_t>(cfg.band);
+  h.release_overhead = static_cast<std::uint64_t>(cfg.release_overhead);
+  h.preempt_overhead = static_cast<std::uint64_t>(cfg.preempt_overhead);
+  return h;
+}
+
+void put_header(std::vector<std::uint8_t>& out, const SnapshotHeader& h) {
+  put_u32(out, kSnapshotPayloadMagic);
+  put_u32(out, h.version);
+  put_u32(out, h.kind);
+  put_u32(out, h.machines);
+  put_u64(out, h.alpha);
+  if (h.version == kSnapshotPayloadVersionTiered) {
+    put_u32(out, h.test);
+    put_u64(out, h.band);
+    put_u64(out, h.release_overhead);
+    put_u64(out, h.preempt_overhead);
+  }
+}
+
+// Reads a header with the known magic and a known version; false on
+// anything else (corruption, not a configuration we can name).
+bool read_header(ByteCursor& c, SnapshotHeader& h) {
+  if (c.u32() != kSnapshotPayloadMagic) return false;
+  h.version = c.u32();
+  if (h.version != kSnapshotPayloadVersion &&
+      h.version != kSnapshotPayloadVersionTiered) {
+    return false;
+  }
+  h.kind = c.u32();
+  h.machines = c.u32();
+  h.alpha = c.u64();
+  if (h.version == kSnapshotPayloadVersionTiered) {
+    h.test = c.u32();
+    h.band = c.u64();
+    h.release_overhead = c.u64();
+    h.preempt_overhead = c.u64();
+  }
+  return c.ok;
+}
 
 }  // namespace
 
@@ -638,20 +624,7 @@ std::vector<std::uint8_t> OnlinePartitioner::serialize_snapshot() const {
   std::vector<std::uint8_t> out;
   out.reserve(64 + st_.slots.size() * 29 + st_.free_slots.size() * 4 +
               (st_.resident + platform_.size()) * 4);
-  put_u32(out, kSnapshotPayloadMagic);
-  put_u32(out, tiered_ ? kSnapshotPayloadVersionTiered : kSnapshotPayloadVersion);
-  put_u32(out, static_cast<std::uint32_t>(kind_));
-  put_u32(out, static_cast<std::uint32_t>(platform_.size()));
-  put_u64(out, std::bit_cast<std::uint64_t>(alpha_));
-  if (tiered_) {
-    // Selected-test id + knobs: recovery refuses a snapshot whose test
-    // disagrees with the serving config instead of silently replaying a
-    // different decision function.
-    put_u32(out, static_cast<std::uint32_t>(admit_cfg_.test));
-    put_u64(out, std::bit_cast<std::uint64_t>(admit_cfg_.band));
-    put_u64(out, static_cast<std::uint64_t>(admit_cfg_.release_overhead));
-    put_u64(out, static_cast<std::uint64_t>(admit_cfg_.preempt_overhead));
-  }
+  put_header(out, header_of(*this));
   put_u64(out, st_.next_seq);
   put_u64(out, st_.decision_seq);
   put_u64(out, st_.decision_checksum);
@@ -664,7 +637,7 @@ std::vector<std::uint8_t> OnlinePartitioner::serialize_snapshot() const {
     put_u64(out, s.seq);
     put_u64(out, static_cast<std::uint64_t>(s.task.exec));
     put_u64(out, static_cast<std::uint64_t>(s.task.period));
-    if (tiered_) put_u64(out, static_cast<std::uint64_t>(s.task.deadline));
+    if (tiered()) put_u64(out, static_cast<std::uint64_t>(s.task.deadline));
   }
   put_u32(out, static_cast<std::uint32_t>(st_.free_slots.size()));
   for (const std::uint32_t idx : st_.free_slots) put_u32(out, idx);
@@ -678,23 +651,8 @@ std::vector<std::uint8_t> OnlinePartitioner::serialize_snapshot() const {
 bool OnlinePartitioner::restore_bytes(const std::uint8_t* data,
                                       std::size_t size) {
   ByteCursor c{data, size};
-  if (c.u32() != kSnapshotPayloadMagic) return false;
-  const std::uint32_t want_version =
-      tiered_ ? kSnapshotPayloadVersionTiered : kSnapshotPayloadVersion;
-  if (c.u32() != want_version) return false;
-  if (c.u32() != static_cast<std::uint32_t>(kind_)) return false;
-  if (c.u32() != static_cast<std::uint32_t>(platform_.size())) return false;
-  if (c.u64() != std::bit_cast<std::uint64_t>(alpha_)) return false;
-  if (tiered_) {
-    if (c.u32() != static_cast<std::uint32_t>(admit_cfg_.test)) return false;
-    if (c.u64() != std::bit_cast<std::uint64_t>(admit_cfg_.band)) return false;
-    if (c.u64() != static_cast<std::uint64_t>(admit_cfg_.release_overhead)) {
-      return false;
-    }
-    if (c.u64() != static_cast<std::uint64_t>(admit_cfg_.preempt_overhead)) {
-      return false;
-    }
-  }
+  SnapshotHeader h;
+  if (!read_header(c, h) || h != header_of(*this)) return false;
   const std::size_t m = platform_.size();
   State ns;
   ns.next_seq = c.u64();
@@ -712,15 +670,15 @@ bool OnlinePartitioner::restore_bytes(const std::uint8_t* data,
     s.seq = c.u64();
     s.task.exec = static_cast<std::int64_t>(c.u64());
     s.task.period = static_cast<std::int64_t>(c.u64());
-    if (tiered_) s.task.deadline = static_cast<std::int64_t>(c.u64());
+    if (tiered()) s.task.deadline = static_cast<std::int64_t>(c.u64());
     if (!c.ok) return false;
     if (s.live) {
-      if (!s.task.valid() || s.machine >= m || s.seq >= ns.next_seq) {
+      if (!accepts_input(s.task) || s.machine >= m || s.seq >= ns.next_seq) {
         return false;
       }
       // Same computation admit() performed, so the cached value is
       // bit-identical to the live controller's.
-      s.util = slot_weight(s.task);
+      s.util = inflated(s.task).density();
       ++live;
     }
   }
@@ -759,17 +717,7 @@ bool OnlinePartitioner::restore_bytes(const std::uint8_t* data,
   // the canonical left fold over each resident list — bit-identical to the
   // incrementally maintained values (the audit layer proves this), so no
   // floating-point accumulator ever round-trips through the file.
-  if (slack_form_) {
-    ns.util_sum.assign(m, 0.0);
-    ns.hyper.assign(m, 1.0);
-    ns.count.assign(m, 0);
-    ns.slack.resize(m);
-  } else {
-    ns.loads.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      ns.loads.emplace_back(kind_, platform_.speed_exact(j), alpha_);
-    }
-  }
+  ns.fold.reset(kind_, capacity_);
   st_ = std::move(ns);
   for (std::size_t j = 0; j < m; ++j) recompute_machine(j);
   rebuild_demand();
@@ -780,27 +728,8 @@ bool OnlinePartitioner::restore_bytes(const std::uint8_t* data,
 bool OnlinePartitioner::snapshot_config_mismatch(const std::uint8_t* data,
                                                  std::size_t size) const {
   ByteCursor c{data, size};
-  if (c.u32() != kSnapshotPayloadMagic || !c.ok) return false;
-  const std::uint32_t version = c.u32();
-  if (version != kSnapshotPayloadVersion &&
-      version != kSnapshotPayloadVersionTiered) {
-    return false;  // unknown layout: corruption, not a config we can name
-  }
-  const std::uint32_t want_version =
-      tiered_ ? kSnapshotPayloadVersionTiered : kSnapshotPayloadVersion;
-  bool differs = version != want_version;
-  differs |= c.u32() != static_cast<std::uint32_t>(kind_);
-  differs |= c.u32() != static_cast<std::uint32_t>(platform_.size());
-  differs |= c.u64() != std::bit_cast<std::uint64_t>(alpha_);
-  if (version == kSnapshotPayloadVersionTiered && tiered_) {
-    differs |= c.u32() != static_cast<std::uint32_t>(admit_cfg_.test);
-    differs |= c.u64() != std::bit_cast<std::uint64_t>(admit_cfg_.band);
-    differs |=
-        c.u64() != static_cast<std::uint64_t>(admit_cfg_.release_overhead);
-    differs |=
-        c.u64() != static_cast<std::uint64_t>(admit_cfg_.preempt_overhead);
-  }
-  return c.ok && differs;
+  SnapshotHeader h;
+  return read_header(c, h) && h != header_of(*this);
 }
 
 void OnlinePartitioner::reserve(std::size_t tasks) {
@@ -810,7 +739,7 @@ void OnlinePartitioner::reserve(std::size_t tasks) {
 
 double OnlinePartitioner::machine_utilization(std::size_t j) const {
   HETSCHED_CHECK(j < platform_.size());
-  return slack_form_ ? st_.util_sum[j] : st_.loads[j].utilization();
+  return st_.fold.util_sum[j];
 }
 
 std::size_t OnlinePartitioner::machine_task_count(std::size_t j) const {
@@ -877,20 +806,7 @@ double OnlinePartitioner::total_utilization() const {
 
 void OnlinePartitioner::audit_verify_machine(std::size_t j) const {
   HETSCHED_CHECK(j < platform_.size());
-  if (!slack_form_) {
-    // Rebuild the RTA admission state from the resident list and compare
-    // the observable fold.
-    MachineLoad expect(kind_, platform_.speed_exact(j), alpha_);
-    for (const std::uint32_t idx : st_.residents[j]) {
-      expect.admit(st_.slots[idx].task);
-    }
-    HETSCHED_CHECK_MSG(
-        // hetsched-lint: allow(float-compare)
-        expect.utilization() == st_.loads[j].utilization() &&
-            expect.tasks() == st_.loads[j].tasks(),
-        "audit: RTA machine state diverged from resident fold");
-    return;
-  }
+  const Folds& f = st_.fold;
   double util_sum = 0.0;
   double hyper = 1.0;
   for (const std::uint32_t idx : st_.residents[j]) {
@@ -898,7 +814,7 @@ void OnlinePartitioner::audit_verify_machine(std::size_t j) const {
     HETSCHED_CHECK_MSG(s.live && s.machine == j,
                        "audit: resident list names a dead or foreign slot");
     // hetsched-lint: allow(float-compare)
-    HETSCHED_CHECK_MSG(s.util == slot_weight(s.task),
+    HETSCHED_CHECK_MSG(s.util == inflated(s.task).density(),
                        "audit: cached slot weight is stale");
     util_sum += s.util;
     hyper *= s.util / capacity_[j] + 1.0;
@@ -907,47 +823,61 @@ void OnlinePartitioner::audit_verify_machine(std::size_t j) const {
       admission_slack(kind_, capacity_[j], util_sum, st_.residents[j].size(),
                       hyper);
   // hetsched-lint: allow(float-compare) — bit-identity is the contract.
-  HETSCHED_CHECK_MSG(util_sum == st_.util_sum[j],
+  HETSCHED_CHECK_MSG(util_sum == f.util_sum[j],
                      "audit: util_sum fold diverged from recomputation");
   // hetsched-lint: allow(float-compare)
-  HETSCHED_CHECK_MSG(hyper == st_.hyper[j],
+  HETSCHED_CHECK_MSG(hyper == f.hyper[j],
                      "audit: hyperbolic fold diverged from recomputation");
-  HETSCHED_CHECK_MSG(st_.count[j] == st_.residents[j].size(),
+  HETSCHED_CHECK_MSG(f.count[j] == st_.residents[j].size(),
                      "audit: task count diverged from resident list");
   // hetsched-lint: allow(float-compare)
-  HETSCHED_CHECK_MSG(slack == st_.slack[j],
+  HETSCHED_CHECK_MSG(slack == f.slack[j],
                      "audit: slack diverged from recomputation");
   if (use_tree_) {
     // hetsched-lint: allow(float-compare)
-    HETSCHED_CHECK_MSG(tree_.slack_at(j) == st_.slack[j],
+    HETSCHED_CHECK_MSG(tree_.slack_at(j) == f.slack[j],
                        "audit: SlackTree leaf out of sync with slack array");
+  }
+  if (escalates()) {
+    // The escalation's view of the machine: the inflated residents, in
+    // resident-list order.
+    const std::span<const Task> mirror = demand_[j].tasks();
+    HETSCHED_CHECK_MSG(mirror.size() == st_.residents[j].size(),
+                       "audit: demand mirror size diverged from residents");
+    for (std::size_t k = 0; k < mirror.size(); ++k) {
+      HETSCHED_CHECK_MSG(
+          mirror[k] == inflated(st_.slots[st_.residents[j][k]].task),
+          "audit: demand mirror diverged from resident list");
+    }
   }
 }
 
-void OnlinePartitioner::audit_verify_decision(const Task& t, double w,
+void OnlinePartitioner::audit_verify_decision(const Task& ct, double w,
                                               std::size_t chosen,
                                               std::uint8_t tier) const {
-  // Replay the first-fit decision with the reference scan.  On the admit
-  // path the per-machine state has already been folded forward for the
-  // chosen machine, so reconstruct its pre-admit admissibility from the
-  // decision itself: machines left of `chosen` must reject, and `chosen`
-  // (when a machine was picked) must have admitted — which for slack-form
-  // kinds we can still check because only machine `chosen` mutated.
-  //
-  // Tiered mode: the slack array answers only the tier-0 density query, so
-  // "machines left of chosen reject tier 0" still holds (a tier-0 accept is
-  // a full accept), but a tier-escalated admit legitimately lands on a
-  // machine whose density slack rejected it — the positive check below is
-  // therefore gated on tier 0.
+  // Replay the first-fit decision.  On the admit path the per-machine state
+  // has already been folded forward for the chosen machine, so reconstruct
+  // its pre-admit admissibility from the decision itself: machines left of
+  // `chosen` must reject at every tier, and `chosen` (when a machine was
+  // picked by tier 0) must have admitted — which we can still check because
+  // only machine `chosen` mutated.  An escalation-decided admit
+  // legitimately lands on a machine whose slack rejected it, so the
+  // positive check keys on the tier that decided.
   const std::size_t m = platform_.size();
   const std::size_t stop = chosen == kNoMachine ? m : chosen;
   for (std::size_t j = 0; j < stop; ++j) {
-    const bool admits =
-        slack_form_ ? w <= st_.slack[j] : st_.loads[j].can_admit(t);
-    HETSCHED_CHECK_MSG(!admits,
+    HETSCHED_CHECK_MSG(!(w <= st_.fold.slack[j]),
                        "audit: first fit skipped an admitting machine");
+    if (escalates()) {
+      const double margin =
+          (st_.fold.util_sum[j] + w - capacity_[j]) / capacity_[j];
+      const admit::TierVerdict v = admit::escalate(
+          escalation_, demand_[j], ct, speed_exact_[j], margin);
+      HETSCHED_CHECK_MSG(!v.accept,
+                         "audit: first fit skipped an escalation accept");
+    }
   }
-  if (chosen != kNoMachine && slack_form_ && tier == admit::kTierBound) {
+  if (chosen != kNoMachine && tier == admit::kTierBound) {
     // Undo the fold on the chosen machine: recompute its pre-admit state
     // from the residents minus the newest arrival (the last list entry).
     double util_sum = 0.0;

@@ -8,11 +8,12 @@
 // machines, and the per-machine admission state — and keeps the slack
 // segment tree of the batch engine incrementally up to date, so that
 //
-//   * admit(task)   decides and places in O(log m) for the slack-form
-//                   admission kinds (kEdf, kRmsLiuLayland, kRmsHyperbolic),
-//                   applying the SAME first-fit rule (leftmost machine whose
-//                   test passes at speed alpha * s_j) with the SAME exact
-//                   floating-point thresholds as the batch path;
+//   * admit(task)   decides and places in O(log m) whenever the tier-0
+//                   slack fold decides (always for kEdf, kRmsLiuLayland,
+//                   kRmsHyperbolic), applying the SAME first-fit rule
+//                   (leftmost machine whose test passes at speed
+//                   alpha * s_j) with the SAME exact floating-point
+//                   thresholds as the batch path;
 //   * depart(id)    releases the task's slack (the machine's admission
 //                   state is recomputed as the left fold of its remaining
 //                   residents in admission order — a canonical value that
@@ -30,11 +31,17 @@
 // share one admission code path and stay bit-identical — the property
 // tests/online_equivalence_test.cpp asserts over 500 seeded instances.
 //
-// After warm-up (every internal vector has reached its high-water mark),
-// admit performs no heap allocation for the slack-form admission kinds;
-// tests/online_alloc_test.cpp counts global operator new to prove it.
-// kRmsResponseTime is supported through the MachineLoad fallback and may
-// allocate on every call (RTA needs the per-machine task lists).
+// Every admission kind and admission test runs through ONE per-machine
+// test, resolved once by the constructor: a tier-0 slack fold (EDF,
+// Liu-Layland or hyperbolic, over utilizations for the paper's kinds and
+// over overhead-inflated densities for the tiered tests of src/admit),
+// plus an optional escalation that decides on machines whose fold
+// rejected the task (approximate DBF, QPA, auto, or response-time
+// analysis).  kRmsResponseTime is a fold whose slack never admits,
+// followed by the RTA escalation.  After warm-up (every internal vector
+// has reached its high-water mark) admit performs no heap allocation for
+// any kind or test; tests/online_alloc_test.cpp counts global operator
+// new to prove it.
 //
 // Thread safety: none.  A controller is a single-writer object; shard
 // controllers per partition of the machine pool to scale out.
@@ -48,7 +55,6 @@
 #include <vector>
 
 #include "admit/admission_test.h"
-#include "core/constrained_task.h"
 #include "core/platform.h"
 #include "core/task.h"
 #include "partition/admission.h"
@@ -71,10 +77,10 @@ struct AdmitDecision {
   OnlineTaskId id = kInvalidOnlineTaskId;
   std::size_t machine = static_cast<std::size_t>(-1);  // sorted platform index
   double utilization = 0.0;
-  // Tiered mode: the admission-test tier that produced the verdict
-  // (admit::kTierBound/kTierApprox/kTierExact); always 0 in legacy mode.
-  // Persisted in the WAL record flags so recovery can assert the replayed
-  // decision came from the same tier.
+  // Tiered tests: the tier that produced the verdict
+  // (admit::kTierBound/kTierApprox/kTierExact).  Always 0 for the paper's
+  // kinds, kRmsResponseTime included.  Persisted in the WAL record flags so
+  // recovery can assert the replayed decision came from the same tier.
   std::uint8_t tier = 0;
 };
 
@@ -117,19 +123,25 @@ class OnlinePartitioner {
   //
   // A tiered `admit_cfg` (test != kLegacy) switches the controller to the
   // constrained-deadline admission subsystem (src/admit): the per-machine
-  // fold runs over task *densities* under tier0_fold_kind(cfg.test) — which
-  // replaces `kind` — and a tier-0 density reject escalates through the
-  // configured DBF/RTA tiers before the first-fit verdict.  For implicit
+  // fold runs over inflated task *densities* under tier0_fold_kind(cfg.test)
+  // — which replaces `kind` — and a tier-0 density reject escalates through
+  // the configured DBF/RTA tiers before the first-fit verdict.  For implicit
   // tasks density == utilization, so the tier-0 path makes bit-identical
-  // decisions to the legacy kEdf controller.
+  // decisions to the kEdf controller.  With kLegacy the paper's `kind`
+  // decides, and the band and overhead knobs are ignored.
   OnlinePartitioner(const Platform& platform, AdmissionKind kind, double alpha,
                     PartitionEngine engine = PartitionEngine::kAuto,
                     const admit::AdmitConfig& admit_cfg = {});
 
   // First-fit admission: leftmost machine whose test still passes.
-  // O(log m) (tree engine) or O(m) (naive engine) for slack-form kinds;
-  // both make bit-identical decisions.
+  // O(log m) (tree engine) or O(m) (naive engine) when tier 0 decides; both
+  // make bit-identical decisions.  `t` must pass accepts_input().
   AdmitDecision admit(const Task& t);
+
+  // True when admit() takes `t` as input: a valid task, implicit unless the
+  // test is tiered, and an overhead-inflated WCET that fits int64.  Servers
+  // check it before admitting client-supplied parameters.
+  bool accepts_input(const Task& t) const;
 
   // Removes a resident task and releases its slack.  Returns false (and
   // changes nothing) if the id is unknown, stale, or already departed.
@@ -199,7 +211,7 @@ class OnlinePartitioner {
   AdmissionKind kind() const { return kind_; }
   double alpha() const { return alpha_; }
   const admit::AdmitConfig& admit_config() const { return admit_cfg_; }
-  bool tiered() const { return tiered_; }
+  bool tiered() const { return admit_cfg_.tiered(); }
   std::size_t machine_count() const { return platform_.size(); }
   std::size_t resident_count() const { return st_.resident; }
 
@@ -212,8 +224,8 @@ class OnlinePartitioner {
   std::uint64_t decision_checksum() const { return st_.decision_checksum; }
 
   // Load admitted on machine j: the sum of unaugmented task utilizations
-  // in legacy mode, of (overhead-inflated) task *densities* in tiered mode
-  // — in both cases the quantity the machine's tier-0 fold accumulates.
+  // for the paper's kinds, of (overhead-inflated) task *densities* for the
+  // tiered tests — in both cases the quantity the tier-0 fold accumulates.
   double machine_utilization(std::size_t j) const;
   std::size_t machine_task_count(std::size_t j) const;
 
@@ -238,11 +250,26 @@ class OnlinePartitioner {
  private:
   struct Slot {
     Task task;
-    double util = 0.0;
-    std::uint64_t seq = 0;     // admission sequence, canonical tie-break
+    double util = 0.0;          // slot weight: inflated density
+    std::uint64_t seq = 0;      // admission sequence, canonical tie-break
     std::uint32_t machine = 0;  // valid while live
     std::uint32_t gen = 0;      // bumped on depart
     bool live = false;
+  };
+
+  // Per machine: the tier-0 fold MachineLoad would compute.
+  struct Folds {
+    std::vector<double> util_sum;
+    std::vector<double> hyper;
+    std::vector<std::size_t> count;
+    std::vector<double> slack;
+    // m empty machines.
+    void reset(AdmissionKind kind, const std::vector<double>& capacity);
+    // HETSCHED_NOALLOC
+    void step(AdmissionKind kind, std::size_t j, double w, double capacity) {
+      admission_fold_step(kind, w, capacity, util_sum[j], hyper[j], count[j],
+                          slack[j]);
+    }
   };
 
   // Everything snapshot()/restore() copies.
@@ -251,13 +278,7 @@ class OnlinePartitioner {
     std::vector<std::uint32_t> free_slots;  // dead slot indices, LIFO
     // Per machine: resident slot indices in admission order.
     std::vector<std::vector<std::uint32_t>> residents;
-    // Per machine, slack-form kinds: the fold MachineLoad would compute.
-    std::vector<double> util_sum;
-    std::vector<double> hyper;
-    std::vector<std::size_t> count;
-    std::vector<double> slack;
-    // Per machine, kRmsResponseTime only: full RTA admission state.
-    std::vector<MachineLoad> loads;
+    Folds fold;
     std::uint64_t next_seq = 0;
     std::size_t resident = 0;
     // Decision stream (see decision_seq()/decision_checksum()).
@@ -265,31 +286,31 @@ class OnlinePartitioner {
     std::uint64_t decision_checksum = kFnv1aOffsetBasis;
   };
 
-  std::size_t find_machine(const Task& t, double w) const;
-  // Tiered first fit: leftmost machine whose *selected* test accepts.  The
-  // engine answers the tier-0 density query; machines it rejects are offered
-  // to the escalation tiers in index order.  Sets `tier` to the verdict's
-  // tier (on reject: the deepest tier consulted).
-  std::size_t find_machine_tiered(const ConstrainedTask& ct, double w,
-                                  std::uint8_t& tier) const;
-  void apply_admit(std::size_t j, double w, const Task& t);
+  // The task every tier sees: overhead-inflated, deadline explicit.
+  Task inflated(const Task& t) const;
+  bool escalates() const {
+    return escalation_.test != admit::TestKind::kBound;
+  }
+  // First fit over the resolved test: the engine answers the tier-0 slack
+  // query; machines left of its answer are offered to the escalation in
+  // index order.  Sets `tier` to the tier that decided (on reject: the
+  // deepest tier consulted).
+  std::size_t find_machine(const Task& ct, double w, std::uint8_t& tier) const;
   void recompute_machine(std::size_t j);
   AdmitDecision admit_impl(const Task& t, bool fold_checksum);
   bool depart_impl(OnlineTaskId id, bool fold_checksum);
-  // The per-machine fold weight of a task: utilization (legacy) or
-  // inflated density (tiered).
-  double slot_weight(const Task& t) const;
-  // Rebuilds the per-machine incremental demand mirrors (tiered mode) from
-  // the resident lists, in list order — the decider sums are evaluated in
-  // that order, so recovery must reproduce it exactly.
+  // Rebuilds the per-machine demand mirrors from the resident lists, in
+  // list order — the deciders sum demand in that order, so recovery must
+  // reproduce it exactly.
   void rebuild_demand();
 #if HETSCHED_AUDIT_ENABLED
-  // Shadow-oracle checks (see partition/audit.h).  Machine-local fold
-  // recomputation, first-fit decision replay, whole-state invariants, and
-  // bit-identity of the canonical state with the batch oracle.
+  // Shadow-oracle checks (see partition/audit.h).  Machine-local fold and
+  // demand-mirror recomputation, first-fit decision replay, whole-state
+  // invariants, and bit-identity of the canonical state with the batch
+  // oracle.
   void audit_verify_machine(std::size_t j) const;
-  void audit_verify_decision(const Task& t, double w, std::size_t chosen,
-                             std::uint8_t tier = 0) const;
+  void audit_verify_decision(const Task& ct, double w, std::size_t chosen,
+                             std::uint8_t tier) const;
   void audit_verify_full() const;
   void audit_verify_canonical() const;
 #endif
@@ -298,27 +319,29 @@ class OnlinePartitioner {
   }
 
   Platform platform_;
+  // The resolved per-machine test: the tier-0 fold (kRmsResponseTime's
+  // slack never admits) and the escalation, whose config also carries the
+  // overhead inflation (kBound: no escalation).
   AdmissionKind kind_;
+  admit::AdmitConfig escalation_;
   double alpha_ = 1.0;
-  admit::AdmitConfig admit_cfg_;
-  bool tiered_ = false;
-  bool slack_form_ = true;
+  admit::AdmitConfig admit_cfg_;       // as configured
   bool use_tree_ = true;               // resolved engine is the segment tree
   std::vector<double> capacity_;       // per machine: alpha * s_j (fixed)
   std::vector<Rational> speed_exact_;  // per machine: alpha * s_j, exact
-                                       // (tiered escalation runs on rationals)
+                                       // (the escalation runs on rationals)
   State st_;
-  SlackTree tree_;                     // mirrors st_.slack when use_tree_
-  // Tiered mode: per-machine incremental demand mirrors, index-aligned
-  // with st_.residents[j] (same push / ordered-erase discipline).  Mutable
-  // because escalation transiently pushes the candidate during const
-  // machine search; net state is unchanged on return.
+  SlackTree tree_;                     // mirrors st_.fold.slack when use_tree_
+  // Escalating tests: per-machine demand mirrors of the inflated residents,
+  // index-aligned with st_.residents[j] (same push / ordered-erase
+  // discipline).  Mutable because escalation transiently pushes the
+  // candidate during const machine search; net state is unchanged on
+  // return.
   mutable std::vector<admit::MachineDemand> demand_;
   // Rebalance scratch (reused; rebalance itself may allocate on growth).
   std::vector<std::uint32_t> rb_order_;
-  std::vector<double> rb_util_sum_, rb_hyper_, rb_slack_;
-  std::vector<std::size_t> rb_count_;
-  std::vector<admit::MachineDemand> rb_demand_;  // tiered trial pass
+  Folds rb_fold_;
+  std::vector<admit::MachineDemand> rb_demand_;
 };
 
 struct OnlinePartitioner::Snapshot {

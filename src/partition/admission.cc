@@ -120,8 +120,7 @@ double admission_slack(AdmissionKind kind, double capacity, double util_sum,
     case AdmissionKind::kRmsResponseTime:
       break;
   }
-  HETSCHED_CHECK_MSG(false, "admission_slack: kind has no closed-form slack");
-  return 0;
+  return -1.0;
 }
 
 MachineLoad::MachineLoad(AdmissionKind kind, const Rational& speed,

@@ -51,7 +51,9 @@ bool admission_has_slack_form(AdmissionKind k);
 // {0.44, 0.40, 0.16} on a unit machine — admissible, matching the predicate
 // form the repo has always used.  `task_count` and `hyper_product` describe
 // the tasks already admitted; negative return means not even w = 0 fits.
-// Aborts for kRmsResponseTime, which has no closed form.
+// kRmsResponseTime has no closed form: its slack is always negative, so a
+// fold over it never admits and every decision falls to response-time
+// analysis (the online controller's RTA escalation).
 double admission_slack(AdmissionKind kind, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product);
 

@@ -45,15 +45,14 @@ struct TaskState {
 };
 
 // True if the active job of task `a` has higher priority than that of `b`.
-bool higher_priority(SchedPolicy policy,
-                     std::span<const ConstrainedTask> tasks,
+bool higher_priority(SchedPolicy policy, std::span<const Task> tasks,
                      std::span<const TaskState> st, std::size_t a,
                      std::size_t b) {
   if (policy == SchedPolicy::kFixedPriorityRm) {
     // Deadline-monotonic == rate-monotonic for implicit deadlines.
-    if (tasks[a].deadline != tasks[b].deadline) {
-      return tasks[a].deadline < tasks[b].deadline;
-    }
+    const std::int64_t da = tasks[a].effective_deadline();
+    const std::int64_t db = tasks[b].effective_deadline();
+    if (da != db) return da < db;
   } else {  // both EDF variants pick by absolute deadline
     if (st[a].deadline != st[b].deadline) return st[a].deadline < st[b].deadline;
   }
@@ -73,10 +72,9 @@ void append_trace(std::vector<TraceSegment>& trace, std::size_t task,
 
 }  // namespace
 
-SimOutcome simulate_uniproc_constrained(
-    std::span<const ConstrainedTask> tasks, const Rational& speed,
-    SchedPolicy policy, const SimLimits& limits,
-    const ArrivalModel& arrivals) {
+SimOutcome simulate_uniproc(std::span<const Task> tasks, const Rational& speed,
+                            SchedPolicy policy, const SimLimits& limits,
+                            const ArrivalModel& arrivals) {
   HETSCHED_CHECK(speed > Rational(0));
   SimOutcome out;
 
@@ -87,7 +85,7 @@ SimOutcome simulate_uniproc_constrained(
   } else {
     std::vector<std::int64_t> periods;
     periods.reserve(tasks.size());
-    for (const ConstrainedTask& t : tasks) {
+    for (const Task& t : tasks) {
       HETSCHED_CHECK(t.valid());
       periods.push_back(t.period);
     }
@@ -132,7 +130,7 @@ SimOutcome simulate_uniproc_constrained(
       if (st[i].remaining.is_zero() && st[i].next_release < horizon &&
           Rational(st[i].next_release) <= now) {
         st[i].remaining = Rational(tasks[i].exec);
-        st[i].deadline = st[i].next_release + tasks[i].deadline;
+        st[i].deadline = st[i].next_release + tasks[i].effective_deadline();
         st[i].next_release += tasks[i].period + draw_jitter(tasks[i].period);
         ++out.jobs_released;
       }
@@ -212,15 +210,6 @@ SimOutcome simulate_uniproc_constrained(
       }
     }
   }
-}
-
-SimOutcome simulate_uniproc(std::span<const Task> tasks, const Rational& speed,
-                            SchedPolicy policy, const SimLimits& limits,
-                            const ArrivalModel& arrivals) {
-  std::vector<ConstrainedTask> ct;
-  ct.reserve(tasks.size());
-  for (const Task& t : tasks) ct.push_back(ConstrainedTask::from_task(t));
-  return simulate_uniproc_constrained(ct, speed, policy, limits, arrivals);
 }
 
 PartitionSimOutcome simulate_partition(

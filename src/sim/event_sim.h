@@ -5,8 +5,9 @@
 // alpha, property tests replay the schedule on each machine at speed
 // alpha * s_j and assert zero deadline misses.
 //
-// Task model: constrained-deadline sporadic tasks (deadline <= period);
-// implicit-deadline tasks embed via deadline == period.  Two arrival models:
+// Task model: constrained-deadline sporadic tasks (deadline <= period); an
+// implicit-deadline Task (deadline 0) runs with deadline == period.  Two
+// arrival models:
 //   * synchronous periodic — all first jobs at time 0, then strictly
 //     periodic.  This is the worst case (for fixed priorities time 0 is a
 //     critical instant; for EDF the demand-bound analysis assumes it), so
@@ -27,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/constrained_task.h"
 #include "core/task.h"
 #include "util/rational.h"
 
@@ -98,13 +98,8 @@ struct SimLimits {
   bool record_trace = false;
 };
 
-// Simulates constrained-deadline `tasks` on one machine of speed `speed`.
-SimOutcome simulate_uniproc_constrained(
-    std::span<const ConstrainedTask> tasks, const Rational& speed,
-    SchedPolicy policy, const SimLimits& limits = {},
-    const ArrivalModel& arrivals = {});
-
-// Implicit-deadline convenience (the paper's model).
+// Simulates `tasks` on one machine of speed `speed`; each job's deadline is
+// its task's effective deadline (the period when implicit).
 SimOutcome simulate_uniproc(std::span<const Task> tasks, const Rational& speed,
                             SchedPolicy policy, const SimLimits& limits = {},
                             const ArrivalModel& arrivals = {});

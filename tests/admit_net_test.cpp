@@ -22,11 +22,11 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "admit/admission_test.h"
-#include "core/constrained_task.h"
 #include "core/platform.h"
 #include "core/task.h"
 #include "gen/churn_gen.h"
@@ -40,6 +40,7 @@
 #include "online/online_partitioner.h"
 #include "sim/event_sim.h"
 #include "util/rng.h"
+#include "task_literals.h"
 
 namespace hetsched::net {
 namespace {
@@ -240,6 +241,44 @@ TEST(AdmitE2E, ServerValidatesDeadlineRange) {
   server.wait();
 }
 
+// A WCET the overhead model cannot inflate within int64 is a bad request,
+// never an abort: the server takes no decision, logs no WAL record, leaves
+// the checksum alone, and keeps serving.
+TEST(AdmitE2E, OverheadOverflowAnswersBadRequest) {
+  TempDir dir("admit-overflow");
+  const Platform pf = Platform::from_speeds({1.0, 1.5});
+  AdmitConfig cfg = cfg_of(TestKind::kBound);
+  cfg.release_overhead = 1;
+  ServerOptions opts;
+  opts.admit = cfg;
+  opts.wal_dir = dir.path();
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client client;
+  ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Response r;
+  ASSERT_TRUE(client.call(Request::admit(0, 1, kMax, kMax), &r, 2000));
+  EXPECT_EQ(r.status, Status::kBadRequest);
+  ASSERT_TRUE(client.call(Request::admit(0, 2, kMax, kMax, kMax - 1), &r,
+                          2000));
+  EXPECT_EQ(r.status, Status::kBadRequest);
+  ASSERT_TRUE(client.call(Request::admit(0, 3, 2, 10), &r, 2000));
+  EXPECT_EQ(r.status, Status::kAdmitted);
+  server.request_stop();
+  server.wait();
+
+  // Only the valid admit reached the controller and the WAL.
+  OnlinePartitioner twin(pf, AdmissionKind::kEdf, 1.0,
+                         PartitionEngine::kAuto, cfg);
+  twin.admit(Task{2, 10});
+  EXPECT_EQ(server.shard_decision_seq(0), 1u);
+  EXPECT_EQ(server.shard_decision_checksum(0), twin.decision_checksum());
+  EXPECT_EQ(server.stats().wal_records, 1u);
+}
+
 // A served constrained trace folds the same decision checksum as the
 // offline tiered controller — the minor-3 path keeps the bit-exactness
 // contract the implicit path has.
@@ -427,14 +466,14 @@ TEST(AdmitRecovery, KillNineRecoversConstrainedStreamBitExactly) {
   // The recovered resident sets are genuinely schedulable: simulate each
   // machine's inflated tasks at its speed and demand zero misses.
   for (std::size_t j = 0; j < pf.size(); ++j) {
-    std::vector<ConstrainedTask> cts;
+    std::vector<Task> cts;
     for (const Task& t : recovered.machine_tasks(j)) {
-      cts.push_back(admit::inflate(cfg, t));
+      cts.push_back(*admit::inflate(cfg, t));
     }
     if (cts.empty()) continue;
     SimLimits limits;
     limits.max_jobs = 200'000;  // periods are arbitrary: cap, don't prove
-    const SimOutcome out = simulate_uniproc_constrained(
+    const SimOutcome out = simulate_uniproc(
         cts, pf.speed_exact(j), SchedPolicy::kEdf, limits);
     EXPECT_TRUE(out.schedulable) << "machine " << j;
   }

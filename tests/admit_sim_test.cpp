@@ -13,11 +13,11 @@
 
 #include "admit/admission_test.h"
 #include "admit/sweep.h"
-#include "core/constrained_task.h"
 #include "core/platform.h"
 #include "core/task.h"
 #include "online/online_partitioner.h"
 #include "sim/event_sim.h"
+#include "task_literals.h"
 
 namespace hetsched {
 namespace {
@@ -43,13 +43,13 @@ void replay_and_simulate(TestKind kind) {
     ++streams;
 
     for (std::size_t j = 0; j < platform.size(); ++j) {
-      std::vector<ConstrainedTask> cts;
+      std::vector<Task> cts;
       for (const Task& t : ctl.machine_tasks(j)) {
-        cts.push_back(admit::inflate(cfg, t));
+        cts.push_back(*admit::inflate(cfg, t));
       }
       if (cts.empty()) continue;
       ++simulated_machines;
-      const SimOutcome out = simulate_uniproc_constrained(
+      const SimOutcome out = simulate_uniproc(
           cts, platform.speed_exact(j), policy);
       EXPECT_TRUE(out.schedulable)
           << admit::to_string(kind) << " seed " << point.seed << " density "
@@ -102,12 +102,12 @@ TEST(AdmitSimDifferential, OverheadInflatedAdmitsSimulateMissFree) {
                         PartitionEngine::kAuto, cfg);
   for (const Task& t : point.tasks) ctl.admit(t);
   for (std::size_t j = 0; j < platform.size(); ++j) {
-    std::vector<ConstrainedTask> cts;
+    std::vector<Task> cts;
     for (const Task& t : ctl.machine_tasks(j)) {
-      cts.push_back(admit::inflate(cfg, t));
+      cts.push_back(*admit::inflate(cfg, t));
     }
     if (cts.empty()) continue;
-    const SimOutcome out = simulate_uniproc_constrained(
+    const SimOutcome out = simulate_uniproc(
         cts, platform.speed_exact(j), SchedPolicy::kEdf);
     EXPECT_TRUE(out.schedulable) << "machine " << j;
   }

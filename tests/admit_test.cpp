@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "admit/admission_test.h"
-#include "core/constrained_task.h"
 #include "core/platform.h"
 #include "core/task.h"
 #include "online/online_partitioner.h"
 #include "util/rng.h"
+#include "task_literals.h"
 
 namespace hetsched {
 namespace {
@@ -56,15 +56,15 @@ TEST(AdmitConfig, InflateAppliesOverheadModel) {
   cfg.release_overhead = 3;
   cfg.preempt_overhead = 2;
   // Explicit deadline: c' = c + release + 2 * preempt; d and p untouched.
-  const ConstrainedTask ct = admit::inflate(cfg, Task{10, 100, 40});
+  const Task ct = *admit::inflate(cfg, Task{10, 100, 40});
   EXPECT_EQ(ct.exec, 10 + 3 + 2 * 2);
   EXPECT_EQ(ct.deadline, 40);
   EXPECT_EQ(ct.period, 100);
   // Implicit deadline embeds as d == p.
-  const ConstrainedTask imp = admit::inflate(cfg, Task{10, 100});
+  const Task imp = *admit::inflate(cfg, Task{10, 100});
   EXPECT_EQ(imp.deadline, 100);
   // Zero overhead is the identity.
-  const ConstrainedTask id = admit::inflate(cfg_of(TestKind::kQpa), Task{7, 9, 8});
+  const Task id = *admit::inflate(cfg_of(TestKind::kQpa), Task{7, 9, 8});
   EXPECT_EQ(id.exec, 7);
 }
 
@@ -90,16 +90,16 @@ TEST(AdmitConfig, Tier0FoldKind) {
 
 const Rational kUnit{1};
 
-TierVerdict decide(TestKind k, const std::vector<ConstrainedTask>& residents,
-                   const ConstrainedTask& cand, double band = 0.5) {
+TierVerdict decide(TestKind k, const std::vector<Task>& residents,
+                   const Task& cand, double band = 0.5) {
   AdmitConfig cfg = cfg_of(k);
   cfg.band = band;
   return admit::machine_admits(cfg, residents, cand, 1.0, kUnit);
 }
 
 TEST(AdmitTiers, ApproxAcceptLandsAtTierOne) {
-  const std::vector<ConstrainedTask> res = {{3, 4, 20}};
-  const ConstrainedTask cand{4, 10, 20};
+  const std::vector<Task> res = {cdp(3, 4, 20)};
+  const Task cand = cdp(4, 10, 20);
   // tier 0 alone rejects ...
   const TierVerdict bound = decide(TestKind::kBound, res, cand);
   EXPECT_FALSE(bound.accept);
@@ -113,8 +113,8 @@ TEST(AdmitTiers, ApproxAcceptLandsAtTierOne) {
 }
 
 TEST(AdmitTiers, QpaAcceptsWhatApproxRejects) {
-  const std::vector<ConstrainedTask> res = {{5, 5, 10}};
-  const ConstrainedTask cand{4, 9, 10};
+  const std::vector<Task> res = {cdp(5, 5, 10)};
+  const Task cand = cdp(4, 9, 10);
   EXPECT_FALSE(decide(TestKind::kBound, res, cand).accept);
   const TierVerdict approx = decide(TestKind::kDbfApprox, res, cand);
   EXPECT_FALSE(approx.accept);
@@ -125,8 +125,8 @@ TEST(AdmitTiers, QpaAcceptsWhatApproxRejects) {
 }
 
 TEST(AdmitTiers, AutoBandGatesTheExactTier) {
-  const std::vector<ConstrainedTask> res = {{5, 5, 10}};
-  const ConstrainedTask cand{4, 9, 10};
+  const std::vector<Task> res = {cdp(5, 5, 10)};
+  const Task cand = cdp(4, 9, 10);
   // Density margin = (1.0 + 4/9 - 1) / 1 ~ 0.444.  Inside the default
   // band the exact tier runs and accepts ...
   const TierVerdict in = decide(TestKind::kAuto, res, cand, 0.5);
@@ -139,8 +139,8 @@ TEST(AdmitTiers, AutoBandGatesTheExactTier) {
 }
 
 TEST(AdmitTiers, DensitySlackAcceptsAtTierZero) {
-  const std::vector<ConstrainedTask> res = {{1, 4, 10}};
-  const ConstrainedTask cand{1, 2, 10};  // densities 0.25 + 0.5 <= 1
+  const std::vector<Task> res = {cdp(1, 4, 10)};
+  const Task cand = cdp(1, 2, 10);  // densities 0.25 + 0.5 <= 1
   for (TestKind k : {TestKind::kBound, TestKind::kDbfApprox, TestKind::kQpa,
                      TestKind::kRta, TestKind::kAuto}) {
     const TierVerdict v = decide(k, res, cand);
@@ -153,8 +153,8 @@ TEST(AdmitTiers, RtaDecidesFixedPriorityAtTierTwo) {
   // Densities 0.5 + 0.75 reject the LL-over-densities filter, but DM
   // response times fit: R1 = 2 <= 2, R2 = 2 + 3 = 5 <= 6 (RM order: the
   // d=2 task preempts once within [0, 6]... exactly once since p1 = 8).
-  const std::vector<ConstrainedTask> res = {{2, 2, 8}};
-  const ConstrainedTask cand{3, 6, 8};
+  const std::vector<Task> res = {cdp(2, 2, 8)};
+  const Task cand = cdp(3, 6, 8);
   const TierVerdict v = decide(TestKind::kRta, res, cand);
   EXPECT_TRUE(v.accept);
   EXPECT_EQ(v.tier, admit::kTierExact);
@@ -163,15 +163,16 @@ TEST(AdmitTiers, RtaDecidesFixedPriorityAtTierTwo) {
 TEST(AdmitTiers, EscalateLeavesDemandUnchanged) {
   MachineDemand demand;
   demand.reserve(4);
-  demand.push({5, 5, 10});
+  demand.push(cdp(5, 5, 10));
   const AdmitConfig cfg = cfg_of(TestKind::kQpa);
-  const TierVerdict v = admit::escalate(cfg, demand, {4, 9, 10}, kUnit, 0.45);
+  const TierVerdict v =
+      admit::escalate(cfg, demand, cdp(4, 9, 10), kUnit, 0.45);
   EXPECT_TRUE(v.accept);
   ASSERT_EQ(demand.size(), 1u);
   EXPECT_EQ(demand.tasks()[0].exec, 5);
   // Ordered erase keeps later elements in place.
-  demand.push({4, 9, 10});
-  demand.push({1, 2, 4});
+  demand.push(cdp(4, 9, 10));
+  demand.push(cdp(1, 2, 4));
   demand.remove_at(0);
   ASSERT_EQ(demand.size(), 2u);
   EXPECT_EQ(demand.tasks()[0].exec, 4);
@@ -185,17 +186,17 @@ TEST(AdmitTiers, AcceptanceHierarchyProperty) {
   Rng rng(0xAD317);
   std::size_t bound_accepts = 0, approx_only = 0, exact_only = 0;
   for (int iter = 0; iter < 300; ++iter) {
-    std::vector<ConstrainedTask> res;
+    std::vector<Task> res;
     const int n = static_cast<int>(rng.uniform_int(0, 4));
     for (int i = 0; i < n; ++i) {
       const std::int64_t p = rng.uniform_int(4, 60);
       const std::int64_t d = rng.uniform_int(1, p);
       const std::int64_t c = rng.uniform_int(1, d);
-      res.push_back({c, d, p});
+      res.push_back(cdp(c, d, p));
     }
     const std::int64_t p = rng.uniform_int(4, 60);
     const std::int64_t d = rng.uniform_int(1, p);
-    const ConstrainedTask cand{rng.uniform_int(1, d), d, p};
+    const Task cand = cdp(rng.uniform_int(1, d), d, p);
 
     const TierVerdict b = decide(TestKind::kBound, res, cand);
     const TierVerdict a = decide(TestKind::kDbfApprox, res, cand);
@@ -228,7 +229,7 @@ TEST(AdmitController, MatchesBatchOracleFirstFit) {
                         PartitionEngine::kAuto, cfg);
   ASSERT_TRUE(ctl.tiered());
 
-  std::vector<std::vector<ConstrainedTask>> shadow(platform.size());
+  std::vector<std::vector<Task>> shadow(platform.size());
   Rng rng(0xF00D);
   std::size_t admitted = 0, rejected = 0;
   for (int iter = 0; iter < 120; ++iter) {
@@ -239,7 +240,7 @@ TEST(AdmitController, MatchesBatchOracleFirstFit) {
     const Task t{c, p, d};
 
     // Shadow first fit: leftmost machine whose selected test accepts.
-    const ConstrainedTask ct = admit::inflate(cfg, t);
+    const Task ct = *admit::inflate(cfg, t);
     std::size_t want = OnlinePartitioner::kNoMachine;
     TierVerdict want_v;
     for (std::size_t j = 0; j < platform.size(); ++j) {

@@ -97,8 +97,10 @@ TEST(Audit, ControllerChurnAcrossKindsAndEngines) {
   }
 }
 
-// The RTA fallback has no slack form; its audit path folds MachineLoad
-// state from the resident lists instead.  Small sizes: RTA is expensive.
+// kRmsResponseTime has no slack form: tier 0 never admits and the RTA
+// escalation decides, so its audit replays the escalation on every machine
+// first fit skipped and checks the demand mirrors against the resident
+// lists.  Small sizes: RTA is expensive.
 TEST(Audit, ControllerChurnResponseTimeFallback) {
   Rng rng(0xa0d17);
   for (int trial = 0; trial < 3; ++trial) {

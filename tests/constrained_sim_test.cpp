@@ -1,42 +1,20 @@
 // Tests for the simulator's constrained-deadline, trace, and sporadic
-// arrival extensions (sim/event_sim.h, core/constrained_task.h).
+// arrival extensions (sim/event_sim.h).
 #include <gtest/gtest.h>
 
-#include "core/constrained_task.h"
 #include "sim/event_sim.h"
+#include "task_literals.h"
 
 namespace hetsched {
 namespace {
 
-TEST(ConstrainedTask, Validity) {
-  EXPECT_TRUE((ConstrainedTask{1, 2, 4}).valid());
-  EXPECT_TRUE((ConstrainedTask{1, 4, 4}).valid());   // implicit
-  EXPECT_FALSE((ConstrainedTask{1, 5, 4}).valid());  // d > p
-  EXPECT_FALSE((ConstrainedTask{0, 2, 4}).valid());
-  EXPECT_FALSE((ConstrainedTask{1, 0, 4}).valid());
-}
-
-TEST(ConstrainedTask, DensityAndUtilization) {
-  const ConstrainedTask t{2, 4, 8};
-  EXPECT_DOUBLE_EQ(t.utilization(), 0.25);
-  EXPECT_DOUBLE_EQ(t.density(), 0.5);
-  EXPECT_EQ(t.utilization_exact(), Rational(1, 4));
-}
-
-TEST(ConstrainedTask, FromTaskIsImplicit) {
-  const ConstrainedTask t = ConstrainedTask::from_task(Task{3, 7});
-  EXPECT_EQ(t.deadline, 7);
-  EXPECT_EQ(t.period, 7);
-}
-
 TEST(ConstrainedSim, TightDeadlineMissesWherePeriodWouldNot) {
   // (3, d, 10): utilization 0.3, but with d = 2 the first job cannot finish.
-  const std::vector<ConstrainedTask> ok{{3, 3, 10}};
-  const std::vector<ConstrainedTask> bad{{3, 2, 10}};
-  EXPECT_TRUE(simulate_uniproc_constrained(ok, Rational(1), SchedPolicy::kEdf)
-                  .schedulable);
-  const SimOutcome miss =
-      simulate_uniproc_constrained(bad, Rational(1), SchedPolicy::kEdf);
+  const std::vector<Task> ok{cdp(3, 3, 10)};
+  const std::vector<Task> bad{cdp(3, 2, 10)};
+  EXPECT_TRUE(
+      simulate_uniproc(ok, Rational(1), SchedPolicy::kEdf).schedulable);
+  const SimOutcome miss = simulate_uniproc(bad, Rational(1), SchedPolicy::kEdf);
   EXPECT_FALSE(miss.schedulable);
   ASSERT_TRUE(miss.miss.has_value());
   EXPECT_EQ(miss.miss->deadline, 2);
@@ -45,10 +23,9 @@ TEST(ConstrainedSim, TightDeadlineMissesWherePeriodWouldNot) {
 TEST(ConstrainedSim, EdfHandlesConstrainedInterleaving) {
   // tau1 = (2, 3, 6), tau2 = (2, 6, 6): EDF runs tau1 first (deadline 3),
   // then tau2 finishes at 4 <= 6.  Both repeat; schedulable.
-  const std::vector<ConstrainedTask> tasks{{2, 3, 6}, {2, 6, 6}};
+  const std::vector<Task> tasks{cdp(2, 3, 6), cdp(2, 6, 6)};
   EXPECT_TRUE(
-      simulate_uniproc_constrained(tasks, Rational(1), SchedPolicy::kEdf)
-          .schedulable);
+      simulate_uniproc(tasks, Rational(1), SchedPolicy::kEdf).schedulable);
 }
 
 TEST(ConstrainedSim, DeadlineMonotonicPriorityOrder) {
@@ -56,20 +33,21 @@ TEST(ConstrainedSim, DeadlineMonotonicPriorityOrder) {
   // under fixed priorities.  tau1 = (3, 9, 10), tau2 = (2, 2, 10).
   // DM runs tau2 first: finishes at 2 == deadline.  RM-by-period would tie
   // and run tau1 first, making tau2 miss.
-  const std::vector<ConstrainedTask> tasks{{3, 9, 10}, {2, 2, 10}};
-  EXPECT_TRUE(simulate_uniproc_constrained(tasks, Rational(1),
-                                           SchedPolicy::kFixedPriorityRm)
-                  .schedulable);
+  const std::vector<Task> tasks{cdp(3, 9, 10), cdp(2, 2, 10)};
+  EXPECT_TRUE(
+      simulate_uniproc(tasks, Rational(1), SchedPolicy::kFixedPriorityRm)
+          .schedulable);
 }
 
 TEST(ConstrainedSim, ImplicitEmbeddingMatchesTaskOverload) {
   const std::vector<Task> tasks{{1, 2}, {1, 3}, {1, 6}};  // U = 1 exactly
   const SimOutcome via_task =
       simulate_uniproc(tasks, Rational(1), SchedPolicy::kEdf);
-  std::vector<ConstrainedTask> ct;
-  for (const Task& t : tasks) ct.push_back(ConstrainedTask::from_task(t));
+  // The same tasks with the deadline spelled out as d == p.
+  std::vector<Task> ct;
+  for (const Task& t : tasks) ct.push_back(Task{t.exec, t.period, t.period});
   const SimOutcome via_constrained =
-      simulate_uniproc_constrained(ct, Rational(1), SchedPolicy::kEdf);
+      simulate_uniproc(ct, Rational(1), SchedPolicy::kEdf);
   EXPECT_EQ(via_task.schedulable, via_constrained.schedulable);
   EXPECT_EQ(via_task.busy_time, via_constrained.busy_time);
   EXPECT_EQ(via_task.jobs_released, via_constrained.jobs_released);

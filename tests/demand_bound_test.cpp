@@ -5,13 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_sim.h"
+#include "task_literals.h"
 #include "util/rng.h"
 
 namespace hetsched {
 namespace {
 
 TEST(Dbf, SingleTaskStepFunction) {
-  const ConstrainedTask t{2, 3, 5};
+  const Task t = cdp(2, 3, 5);
   EXPECT_EQ(dbf(t, 0), 0);
   EXPECT_EQ(dbf(t, 2), 0);
   EXPECT_EQ(dbf(t, 3), 2);   // first deadline at 3
@@ -21,7 +22,7 @@ TEST(Dbf, SingleTaskStepFunction) {
 }
 
 TEST(Dbf, ImplicitDeadlineMatchesUtilizationAsymptotically) {
-  const ConstrainedTask t{1, 4, 4};
+  const Task t = cdp(1, 4, 4);
   // dbf(k*4) = k * 1.
   for (std::int64_t k = 1; k <= 10; ++k) {
     EXPECT_EQ(dbf(t, 4 * k), k);
@@ -29,18 +30,18 @@ TEST(Dbf, ImplicitDeadlineMatchesUtilizationAsymptotically) {
 }
 
 TEST(Dbf, TotalSumsTasks) {
-  const std::vector<ConstrainedTask> ts{{2, 3, 5}, {1, 4, 4}};
+  const std::vector<Task> ts{cdp(2, 3, 5), cdp(1, 4, 4)};
   EXPECT_EQ(total_dbf(ts, 4), 2 + 1);
 }
 
 TEST(DbfBound, InfeasibleUtilizationGivesNullopt) {
-  const std::vector<ConstrainedTask> ts{{3, 2, 2}};  // U = 1.5
+  const std::vector<Task> ts{cdp(3, 2, 2)};  // U = 1.5
   EXPECT_FALSE(dbf_check_bound(ts, Rational(1)).has_value());
   EXPECT_TRUE(dbf_check_bound(ts, Rational(2)).has_value());
 }
 
 TEST(DbfBound, CoversLargestDeadline) {
-  const std::vector<ConstrainedTask> ts{{1, 9, 10}};
+  const std::vector<Task> ts{cdp(1, 9, 10)};
   const auto bound = dbf_check_bound(ts, Rational(1));
   ASSERT_TRUE(bound.has_value());
   EXPECT_GE(*bound, 9);
@@ -49,8 +50,8 @@ TEST(DbfBound, CoversLargestDeadline) {
 TEST(DbfExact, ImplicitDeadlineReducesToUtilizationTest) {
   // For implicit deadlines the processor-demand criterion is exactly
   // U <= s.
-  const std::vector<ConstrainedTask> ok{{1, 2, 2}, {1, 2, 2}};    // U = 1
-  const std::vector<ConstrainedTask> bad{{1, 2, 2}, {2, 3, 3}};   // U ~ 1.17
+  const std::vector<Task> ok{cdp(1, 2, 2), cdp(1, 2, 2)};   // U = 1
+  const std::vector<Task> bad{cdp(1, 2, 2), cdp(2, 3, 3)};  // U ~ 1.17
   EXPECT_TRUE(edf_dbf_feasible_exact(ok, Rational(1)));
   EXPECT_FALSE(edf_dbf_feasible_exact(bad, Rational(1)));
 }
@@ -58,25 +59,24 @@ TEST(DbfExact, ImplicitDeadlineReducesToUtilizationTest) {
 TEST(DbfExact, ConstrainedDeadlinesBiteBelowFullUtilization) {
   // Two tasks with U = 0.6 but both deadlines at 2: dbf(2) = 2 > 2 * s for
   // s < 1... at s = 1, dbf(2) = 2 <= 2 fits exactly; tighten: three tasks.
-  const std::vector<ConstrainedTask> tight{{1, 2, 10}, {1, 2, 10},
-                                           {1, 2, 10}};
+  const std::vector<Task> tight{cdp(1, 2, 10), cdp(1, 2, 10), cdp(1, 2, 10)};
   EXPECT_FALSE(edf_dbf_feasible_exact(tight, Rational(1)));  // dbf(2)=3 > 2
   EXPECT_TRUE(edf_dbf_feasible_exact(tight, Rational(3, 2)));  // 3 <= 3
 }
 
 TEST(DbfExact, SpeedScalesDemandCapacity) {
-  const std::vector<ConstrainedTask> ts{{4, 5, 10}, {3, 6, 12}};
+  const std::vector<Task> ts{cdp(4, 5, 10), cdp(3, 6, 12)};
   EXPECT_FALSE(edf_dbf_feasible_exact(ts, Rational(1)));
   EXPECT_TRUE(edf_dbf_feasible_exact(ts, Rational(2)));
 }
 
 TEST(DbfQpa, MatchesExactOnCuratedCases) {
-  const std::vector<std::vector<ConstrainedTask>> cases{
-      {{2, 3, 5}},
-      {{1, 2, 10}, {1, 2, 10}, {1, 2, 10}},
-      {{4, 5, 10}, {3, 6, 12}},
-      {{1, 2, 2}, {1, 2, 2}},
-      {{5, 7, 20}, {2, 3, 9}, {1, 4, 4}},
+  const std::vector<std::vector<Task>> cases{
+      {cdp(2, 3, 5)},
+      {cdp(1, 2, 10), cdp(1, 2, 10), cdp(1, 2, 10)},
+      {cdp(4, 5, 10), cdp(3, 6, 12)},
+      {cdp(1, 2, 2), cdp(1, 2, 2)},
+      {cdp(5, 7, 20), cdp(2, 3, 9), cdp(1, 4, 4)},
   };
   for (const auto& ts : cases) {
     for (const Rational speed : {Rational(1), Rational(3, 2), Rational(2)}) {
@@ -88,26 +88,25 @@ TEST(DbfQpa, MatchesExactOnCuratedCases) {
 }
 
 TEST(DbfApprox, NeverAcceptsInfeasible) {
-  const std::vector<ConstrainedTask> tight{{1, 2, 10}, {1, 2, 10},
-                                           {1, 2, 10}};
+  const std::vector<Task> tight{cdp(1, 2, 10), cdp(1, 2, 10), cdp(1, 2, 10)};
   EXPECT_FALSE(edf_dbf_feasible_approx(tight, Rational(1)));
 }
 
 TEST(DbfApprox, AcceptsEasySets) {
-  const std::vector<ConstrainedTask> easy{{1, 5, 10}, {1, 8, 12}};
+  const std::vector<Task> easy{cdp(1, 5, 10), cdp(1, 8, 12)};
   EXPECT_TRUE(edf_dbf_feasible_approx(easy, Rational(1)));
 }
 
 TEST(DbfApproxK, KEqualsOneMatchesLinearApprox) {
   Rng rng(404);
   for (int iter = 0; iter < 60; ++iter) {
-    std::vector<ConstrainedTask> ts;
+    std::vector<Task> ts;
     for (int i = 0; i < 4; ++i) {
       const std::int64_t period = rng.uniform_int(4, 60);
       const std::int64_t deadline = rng.uniform_int(2, period);
-      ts.push_back(ConstrainedTask{
-          rng.uniform_int(1, std::max<std::int64_t>(1, deadline / 2)),
-          deadline, period});
+      const std::int64_t exec =
+          rng.uniform_int(1, std::max<std::int64_t>(1, deadline / 2));
+      ts.push_back(cdp(exec, deadline, period));
     }
     const Rational speed(rng.uniform_int(2, 8), 4);
     EXPECT_EQ(edf_dbf_feasible_approx(ts, speed),
@@ -119,12 +118,11 @@ TEST(DbfApproxK, MonotoneInKAndSoundAgainstExact) {
   Rng rng(405);
   int gained = 0;
   for (int iter = 0; iter < 100; ++iter) {
-    std::vector<ConstrainedTask> ts;
+    std::vector<Task> ts;
     for (int i = 0; i < 4; ++i) {
       const std::int64_t period = rng.uniform_int(4, 60);
       const std::int64_t deadline = rng.uniform_int(2, period);
-      ts.push_back(ConstrainedTask{rng.uniform_int(1, deadline), deadline,
-                                   period});
+      ts.push_back(cdp(rng.uniform_int(1, deadline), deadline, period));
     }
     const Rational speed(rng.uniform_int(3, 9), 4);
     bool prev = false;
@@ -157,12 +155,11 @@ TEST(DbfApproxK, LargeKNearlyConvergesToExact) {
   Rng rng(406);
   int exact_feasible = 0, agreed = 0;
   for (int iter = 0; iter < 100; ++iter) {
-    std::vector<ConstrainedTask> ts;
+    std::vector<Task> ts;
     for (int i = 0; i < 3; ++i) {
       const std::int64_t period = rng.uniform_int(4, 16);
       const std::int64_t deadline = rng.uniform_int(2, period);
-      ts.push_back(ConstrainedTask{rng.uniform_int(1, deadline), deadline,
-                                   period});
+      ts.push_back(cdp(rng.uniform_int(1, deadline), deadline, period));
     }
     const Rational speed(rng.uniform_int(4, 10), 4);
     const bool exact = edf_dbf_feasible_exact(ts, speed);
@@ -176,7 +173,7 @@ TEST(DbfApproxK, LargeKNearlyConvergesToExact) {
 }
 
 TEST(DbfEmpty, AllTestsAcceptEmpty) {
-  const std::vector<ConstrainedTask> none;
+  const std::vector<Task> none;
   EXPECT_TRUE(edf_dbf_feasible_exact(none, Rational(1)));
   EXPECT_TRUE(edf_dbf_feasible_qpa(none, Rational(1)));
   EXPECT_TRUE(edf_dbf_feasible_approx(none, Rational(1)));
@@ -184,14 +181,14 @@ TEST(DbfEmpty, AllTestsAcceptEmpty) {
 
 // ------------------------------------------------------------ properties
 
-std::vector<ConstrainedTask> random_constrained(Rng& rng, std::size_t n) {
-  std::vector<ConstrainedTask> ts;
+std::vector<Task> random_constrained(Rng& rng, std::size_t n) {
+  std::vector<Task> ts;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t period = rng.uniform_int(4, 60);
     const std::int64_t deadline = rng.uniform_int(2, period);
     const std::int64_t exec =
         rng.uniform_int(1, std::max<std::int64_t>(1, deadline / 2));
-    ts.push_back(ConstrainedTask{exec, deadline, period});
+    ts.push_back(cdp(exec, deadline, period));
   }
   return ts;
 }
@@ -229,17 +226,17 @@ TEST_P(DbfPropertyTest, ExactMatchesSimulation) {
   Rng rng(GetParam() ^ 0xD2);
   for (int iter = 0; iter < 60; ++iter) {
     // Small periods keep hyperperiods simulable.
-    std::vector<ConstrainedTask> ts;
+    std::vector<Task> ts;
     for (int i = 0; i < 3; ++i) {
       const std::int64_t period = rng.uniform_int(4, 12);
       const std::int64_t deadline = rng.uniform_int(2, period);
       const std::int64_t exec = rng.uniform_int(1, deadline);
-      ts.push_back(ConstrainedTask{exec, deadline, period});
+      ts.push_back(cdp(exec, deadline, period));
     }
     const Rational speed(rng.uniform_int(4, 10), 4);
     const bool analytic = edf_dbf_feasible_exact(ts, speed);
     const SimOutcome sim =
-        simulate_uniproc_constrained(ts, speed, SchedPolicy::kEdf);
+        simulate_uniproc(ts, speed, SchedPolicy::kEdf);
     ASSERT_FALSE(sim.horizon_exhausted);
     EXPECT_EQ(analytic, sim.schedulable)
         << "speed " << speed.to_string() << " tasks: "
@@ -252,22 +249,22 @@ TEST_P(DbfPropertyTest, ExactMatchesSimulation) {
 TEST_P(DbfPropertyTest, SynchronousIsWorstCase) {
   Rng rng(GetParam() ^ 0xD3);
   for (int iter = 0; iter < 40; ++iter) {
-    std::vector<ConstrainedTask> ts;
+    std::vector<Task> ts;
     for (int i = 0; i < 3; ++i) {
       const std::int64_t period = rng.uniform_int(4, 12);
       const std::int64_t deadline = rng.uniform_int(2, period);
       const std::int64_t exec = rng.uniform_int(1, deadline);
-      ts.push_back(ConstrainedTask{exec, deadline, period});
+      ts.push_back(cdp(exec, deadline, period));
     }
     const Rational speed(rng.uniform_int(4, 10), 4);
-    if (!simulate_uniproc_constrained(ts, speed, SchedPolicy::kEdf)
+    if (!simulate_uniproc(ts, speed, SchedPolicy::kEdf)
              .schedulable) {
       continue;
     }
     SimLimits limits;
     limits.horizon_override = 500;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      EXPECT_TRUE(simulate_uniproc_constrained(
+      EXPECT_TRUE(simulate_uniproc(
                       ts, speed, SchedPolicy::kEdf, limits,
                       ArrivalModel::jittered(seed, 0.4))
                       .schedulable);
@@ -281,8 +278,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DbfPropertyTest,
 // ------------------------------------------------- constrained partitioner
 
 TEST(ConstrainedPartition, PlacesAndValidates) {
-  const std::vector<ConstrainedTask> ts{
-      {2, 4, 10}, {3, 6, 12}, {1, 2, 8}, {4, 10, 20}};
+  const std::vector<Task> ts{cdp(2, 4, 10), cdp(3, 6, 12), cdp(1, 2, 8),
+                             cdp(4, 10, 20)};
   const Platform platform = Platform::from_speeds({1.0, 1.0});
   const auto res = first_fit_partition_constrained(
       ts, platform, DbfAdmission::kExactQpa, 1.0);
@@ -314,7 +311,7 @@ TEST(ConstrainedPartition, ApproxAdmissionIsMoreConservative) {
 }
 
 TEST(ConstrainedPartition, FailureReportsTask) {
-  const std::vector<ConstrainedTask> ts{{5, 5, 10}, {5, 5, 10}, {5, 5, 10}};
+  const std::vector<Task> ts{cdp(5, 5, 10), cdp(5, 5, 10), cdp(5, 5, 10)};
   const Platform platform = Platform::from_speeds({1.0});
   const auto res = first_fit_partition_constrained(
       ts, platform, DbfAdmission::kExactQpa, 1.0);
@@ -323,7 +320,7 @@ TEST(ConstrainedPartition, FailureReportsTask) {
 }
 
 TEST(ConstrainedPartition, AlphaHelps) {
-  const std::vector<ConstrainedTask> ts{{5, 5, 10}, {5, 5, 10}};
+  const std::vector<Task> ts{cdp(5, 5, 10), cdp(5, 5, 10)};
   const Platform platform = Platform::from_speeds({1.0});
   EXPECT_FALSE(first_fit_partition_constrained(ts, platform,
                                                DbfAdmission::kExactQpa, 1.0)

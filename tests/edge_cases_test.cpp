@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hetsched/hetsched.h"
+#include "task_literals.h"
 
 namespace hetsched {
 namespace {
@@ -135,10 +136,10 @@ TEST(Edge, BvnIdleSlicesAreDropped) {
 TEST(Edge, DbfCoprimePeriodsDoNotOverflow) {
   // The regression that motivated the long-double utilization path:
   // eight pairwise-coprime-ish periods whose lcm exceeds int64.
-  std::vector<ConstrainedTask> tasks;
+  std::vector<Task> tasks;
   for (const std::int64_t p :
        {1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049}) {
-    tasks.push_back(ConstrainedTask{p / 20, p / 2, p});
+    tasks.push_back(cdp(p / 20, p / 2, p));
   }
   EXPECT_TRUE(edf_dbf_feasible_qpa(tasks, Rational(1)));
   EXPECT_TRUE(edf_dbf_feasible_exact(tasks, Rational(1)));

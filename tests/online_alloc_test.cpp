@@ -1,19 +1,26 @@
-// Proves the ISSUE acceptance criterion: after warm-up, admit() performs no
-// heap allocation for the slack-form admission kinds (and depart() stays
-// clean too once the free list has grown).  This lives in its own test
-// binary because it replaces global operator new — instrumenting every
-// other suite with the counter would be noise.
+// Proves that after warm-up admit() performs no heap allocation for any
+// admission kind or admission test — the slack-form kinds, kRmsResponseTime
+// and every tiered test, whose escalations run inline on the server's
+// owner loops — and that depart() stays clean too once the free list has
+// grown.  This lives in its own test binary because it replaces global
+// operator new — instrumenting every other suite with the counter would be
+// noise.
 //
 // Methodology: admit a full wave (warm-up grows the slot arena, the
 // per-machine resident lists, and the free list via the departures), depart
 // everything, then admit the same wave again and assert the allocation
 // counter did not move.  The second wave reuses freed slots LIFO and lands
-// on the same machines (same canonical state), so no vector regrows.
+// on the same machines (same canonical state), so no vector regrows.  The
+// escalating cases repeat that admit-then-depart cycle 16 times (~1,000
+// warm admits), so every escalation tier runs against warm demand mirrors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "online/online_partitioner.h"
@@ -28,10 +35,28 @@ void* counted_alloc(std::size_t size) {
   throw std::bad_alloc();
 }
 
+void* counted_alloc_nothrow(std::size_t size) noexcept {
+  ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
 }  // namespace
 
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): every form must pair with the free() below, or sanitizer
+// builds report an allocation/deallocation mismatch.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -91,6 +116,82 @@ INSTANTIATE_TEST_SUITE_P(SlackFormKinds, AllocTest,
                          ::testing::Values(AdmissionKind::kEdf,
                                            AdmissionKind::kRmsLiuLayland,
                                            AdmissionKind::kRmsHyperbolic));
+
+// Kinds and tests whose tier 0 rejects escalate: kRmsResponseTime (a fold
+// that never admits, then response-time analysis) and every tiered test.
+struct EscalationCase {
+  std::string name;
+  AdmissionKind kind;
+  admit::TestKind test;
+};
+
+class EscalationAllocTest : public ::testing::TestWithParam<EscalationCase> {};
+
+// Dense enough for four unit machines that most arrivals fail tier 0 and
+// many are rejected outright; constrained deadlines for the tiered tests.
+std::vector<Task> dense_wave(bool constrained) {
+  std::vector<Task> tasks;
+  for (int i = 0; i < 64; ++i) {
+    Task t{1 + (i * 7) % 9, 10 + (i * 13) % 90};
+    if (constrained && i % 4 != 0) {
+      t.deadline = std::max<std::int64_t>(t.exec, t.period * (4 + i % 6) / 10);
+    }
+    tasks.push_back(t);
+  }
+  return tasks;
+}
+
+TEST_P(EscalationAllocTest, WarmAdmitAndDepartAreAllocationFree) {
+  const EscalationCase& tc = GetParam();
+  admit::AdmitConfig cfg;
+  cfg.test = tc.test;
+  for (const PartitionEngine engine :
+       {PartitionEngine::kNaive, PartitionEngine::kSegmentTree}) {
+    OnlinePartitioner c(Platform::identical(4), tc.kind, 1.5, engine, cfg);
+    const std::vector<Task> tasks = dense_wave(c.tiered());
+    c.reserve(tasks.size());
+    std::vector<OnlineTaskId> ids(tasks.size());
+
+    // One cycle: admit the wave, then depart whatever was admitted.  The
+    // first cycle warms every vector up; later cycles replay identical
+    // decisions from the same empty state.
+    std::size_t escalated = 0;
+    const auto cycle = [&] {
+      std::size_t k = 0;
+      for (const Task& t : tasks) {
+        const AdmitDecision d = c.admit(t);
+        if (d.tier != admit::kTierBound) ++escalated;
+        if (d.admitted) ids[k++] = d.id;
+      }
+      for (std::size_t i = 0; i < k; ++i) ASSERT_TRUE(c.depart(ids[i]));
+    };
+    cycle();
+    const std::size_t before = g_allocations.load();
+    for (int rep = 0; rep < 16; ++rep) cycle();  // ~1,000 warm admits
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << tc.name << " engine "
+        << (engine == PartitionEngine::kNaive ? "naive" : "tree");
+    if (c.tiered() && tc.test != admit::TestKind::kBound) {
+      EXPECT_GT(escalated, 0u) << "the wave never reached an escalation tier";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EscalatingTests, EscalationAllocTest,
+    ::testing::Values(
+        EscalationCase{"rms_rta", AdmissionKind::kRmsResponseTime,
+                       admit::TestKind::kLegacy},
+        EscalationCase{"bound", AdmissionKind::kEdf, admit::TestKind::kBound},
+        EscalationCase{"dbf_approx", AdmissionKind::kEdf,
+                       admit::TestKind::kDbfApprox},
+        EscalationCase{"qpa", AdmissionKind::kEdf, admit::TestKind::kQpa},
+        EscalationCase{"rta", AdmissionKind::kRmsLiuLayland,
+                       admit::TestKind::kRta},
+        EscalationCase{"auto", AdmissionKind::kEdf, admit::TestKind::kAuto}),
+    [](const ::testing::TestParamInfo<EscalationCase>& p) {
+      return p.param.name;
+    });
 
 TEST(AllocCounter, CountsAtAll) {
   // Sanity-check the instrumentation itself: a vector growth must count.

@@ -177,7 +177,7 @@ TEST(OnlinePartitioner, SnapshotRestoreWhatIf) {
 
 TEST(OnlinePartitioner, RtaKindRoundTrips) {
   // kRmsResponseTime has no slack form; the controller must still admit,
-  // depart, and rebalance through the MachineLoad fallback.
+  // depart, and rebalance, deciding every admit in its RTA escalation.
   OnlinePartitioner c(two_unit_machines(), AdmissionKind::kRmsResponseTime,
                       1.0);
   const AdmitDecision a = c.admit({5, 10});

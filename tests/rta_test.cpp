@@ -10,20 +10,20 @@ namespace {
 
 TEST(RmOrder, SortsByPeriodWithIndexTieBreak) {
   const std::vector<Task> tasks{{1, 10}, {1, 5}, {2, 5}};
-  const auto order = rm_priority_order(tasks);
+  const auto order = priority_order(tasks);
   EXPECT_EQ(order, (std::vector<std::size_t>{1, 2, 0}));
 }
 
 TEST(Rta, SingleTaskResponseIsExecOverSpeed) {
   const std::vector<Task> tasks{{3, 10}};
-  const auto r = rm_response_time(tasks, 0, Rational(1));
+  const auto r = response_time(tasks, 0, Rational(1));
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, Rational(3));
 }
 
 TEST(Rta, SingleTaskOnFasterMachine) {
   const std::vector<Task> tasks{{3, 10}};
-  const auto r = rm_response_time(tasks, 0, Rational(2));
+  const auto r = response_time(tasks, 0, Rational(2));
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, Rational(3, 2));
 }
@@ -32,8 +32,8 @@ TEST(Rta, ClassicTwoTaskExample) {
   // tau1 = (1, 4), tau2 = (2, 6) on unit speed.
   // R1 = 1.  R2: 2 + ceil(2/4)*1 = 3; 2 + ceil(3/4)*1 = 3. So R2 = 3.
   const std::vector<Task> tasks{{1, 4}, {2, 6}};
-  EXPECT_EQ(rm_response_time(tasks, 0, Rational(1)), Rational(1));
-  EXPECT_EQ(rm_response_time(tasks, 1, Rational(1)), Rational(3));
+  EXPECT_EQ(response_time(tasks, 0, Rational(1)), Rational(1));
+  EXPECT_EQ(response_time(tasks, 1, Rational(1)), Rational(3));
 }
 
 TEST(Rta, InterferenceAccumulatesAcrossReleases) {
@@ -42,14 +42,14 @@ TEST(Rta, InterferenceAccumulatesAcrossReleases) {
   // tau1 job releases at exactly 4; ceil(4/4)=1 keeps R=4, which is the
   // standard fixed point (release at t is not counted in [0, t)).
   const std::vector<Task> tasks{{2, 4}, {2, 10}};
-  EXPECT_EQ(rm_response_time(tasks, 1, Rational(1)), Rational(4));
+  EXPECT_EQ(response_time(tasks, 1, Rational(1)), Rational(4));
 }
 
 TEST(Rta, UnschedulableTaskReturnsNullopt) {
   // tau1 = (3, 5), tau2 = (3, 7): R2 = 3 + ceil(R/5)*3 grows past 7.
   const std::vector<Task> tasks{{3, 5}, {3, 7}};
-  EXPECT_TRUE(rm_response_time(tasks, 0, Rational(1)).has_value());
-  EXPECT_FALSE(rm_response_time(tasks, 1, Rational(1)).has_value());
+  EXPECT_TRUE(response_time(tasks, 0, Rational(1)).has_value());
+  EXPECT_FALSE(response_time(tasks, 1, Rational(1)).has_value());
 }
 
 TEST(Rta, SpeedupRescuesUnschedulableSet) {
@@ -79,18 +79,18 @@ TEST(Rta, JustOverFullUtilizationFails) {
 TEST(Rta, FractionalSpeedExactness) {
   // On speed 1/3, task (1, 3) has response time exactly 3 == deadline.
   const std::vector<Task> tasks{{1, 3}};
-  const auto r = rm_response_time(tasks, 0, Rational(1, 3));
+  const auto r = response_time(tasks, 0, Rational(1, 3));
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, Rational(3));
   // One tick less speed and it misses.
-  EXPECT_FALSE(rm_response_time(tasks, 0, Rational(33, 100)).has_value());
+  EXPECT_FALSE(response_time(tasks, 0, Rational(33, 100)).has_value());
 }
 
 TEST(Rta, EqualPeriodsUseIndexTieBreak) {
   // Two tasks with equal periods: the first has higher priority.
   const std::vector<Task> tasks{{2, 10}, {2, 10}};
-  EXPECT_EQ(rm_response_time(tasks, 0, Rational(1)), Rational(2));
-  EXPECT_EQ(rm_response_time(tasks, 1, Rational(1)), Rational(4));
+  EXPECT_EQ(response_time(tasks, 0, Rational(1)), Rational(2));
+  EXPECT_EQ(response_time(tasks, 1, Rational(1)), Rational(4));
 }
 
 TEST(Rta, EmptySetSchedulable) {

@@ -5,6 +5,8 @@
 
 #include <vector>
 
+#include "task_literals.h"
+
 namespace hetsched {
 namespace {
 
@@ -19,6 +21,33 @@ TEST(Task, ValidityChecks) {
   EXPECT_FALSE((Task{0, 5}).valid());
   EXPECT_FALSE((Task{5, 0}).valid());
   EXPECT_FALSE((Task{-1, 5}).valid());
+}
+
+TEST(Task, ConstrainedDeadlineValidity) {
+  EXPECT_TRUE(cdp(1, 2, 4).valid());
+  EXPECT_TRUE(cdp(1, 4, 4).valid());   // d == p
+  EXPECT_FALSE(cdp(1, 5, 4).valid());  // d > p
+  EXPECT_FALSE(cdp(0, 2, 4).valid());
+  EXPECT_FALSE(cdp(1, -1, 4).valid());
+  EXPECT_TRUE(cdp(1, 0, 4).valid());  // 0 = implicit
+}
+
+TEST(Task, DensityAndUtilization) {
+  const Task t = cdp(2, 4, 8);
+  EXPECT_DOUBLE_EQ(t.utilization(), 0.25);
+  EXPECT_DOUBLE_EQ(t.density(), 0.5);
+  EXPECT_EQ(t.utilization_exact(), Rational(1, 4));
+  EXPECT_EQ(t.density_exact(), Rational(1, 2));
+}
+
+TEST(Task, ImplicitDeadlineIsThePeriod) {
+  const Task t{3, 7};
+  EXPECT_EQ(t.effective_deadline(), 7);
+  EXPECT_TRUE(t.implicit_deadline());
+  EXPECT_TRUE(cdp(3, 7, 7).implicit_deadline());
+  EXPECT_FALSE(cdp(3, 5, 7).implicit_deadline());
+  // Density equals utilization bit for bit when d == p.
+  EXPECT_EQ(t.density(), t.utilization());
 }
 
 TEST(TaskSet, TotalUtilization) {

@@ -109,9 +109,11 @@
 // (default, implicit deadlines only), bound, dbf-approx, qpa, rta, auto —
 // the tiered constrained-deadline selector of src/admit/; auto escalates
 // density-bound rejects through the approximate DBF to exact QPA only
-// inside the --admit-band uncertainty band (default 0.5).
-// --release-overhead / --preempt-overhead inflate every WCET by the
-// admission-time overhead model before any test runs.
+// inside the --admit-band uncertainty band (default 0.5, auto only).
+// --release-overhead / --preempt-overhead (tiered tests only) inflate
+// every WCET by the admission-time overhead model before any test runs.
+// A tiered test decides tier 0 itself (edf, or rms-ll for rta), so an
+// explicit --admission naming another kind is an error (exit 2).
 // Engines: auto (default), naive, tree — bit-identical results; "naive" is
 // the paper's O(n m) scan, "tree" the O(n log m) segment tree.
 #include <csignal>
@@ -140,6 +142,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "util/int_math.h"
 
 namespace hetsched {
 namespace {
@@ -220,23 +223,48 @@ std::optional<PartitionEngine> engine_flag(const Args& args) {
 }
 
 // --admission-test=auto|bound|dbf-approx|qpa|rta (default: legacy, the
-// implicit-deadline bound), plus the tiered-selector knobs --admit-band,
-// --release-overhead, --preempt-overhead.  False = bad flag value.
-bool admit_config_flag(const Args& args, admit::AdmitConfig* out) {
+// paper's --admission kind), plus the tiered-selector knobs --admit-band,
+// --release-overhead, --preempt-overhead.  Flags the controller would
+// silently rewrite or ignore are errors: an explicit --admission other than
+// the test's tier-0 fold, an overhead without a tiered test, --admit-band
+// without auto, and overheads whose inflation (release + 2 * preempt)
+// overflows int64.  False = error printed.
+bool admit_config_flag(const Args& args, AdmissionKind kind,
+                       admit::AdmitConfig* out) {
+  const auto fail = [](const std::string& what) {
+    std::fprintf(stderr, "error: %s\n", what.c_str());
+    return false;
+  };
   const auto test = admit::test_from_name(args.get("admission-test", "legacy"));
   if (!test) {
-    std::fprintf(stderr,
-                 "error: --admission-test must be "
-                 "legacy|bound|dbf-approx|qpa|rta|auto\n");
-    return false;
+    return fail(
+        "--admission-test must be legacy|bound|dbf-approx|qpa|rta|auto");
   }
   out->test = *test;
   out->band = args.get_double("admit-band", out->band);
   out->release_overhead = args.get_long("release-overhead", 0);
   out->preempt_overhead = args.get_long("preempt-overhead", 0);
   if (out->band < 0 || out->release_overhead < 0 || out->preempt_overhead < 0) {
-    std::fprintf(stderr, "error: admission-test knobs must be non-negative\n");
-    return false;
+    return fail("admission-test knobs must be non-negative");
+  }
+  if (out->tiered() && args.has("admission") &&
+      kind != admit::tier0_fold_kind(out->test)) {
+    return fail("--admission-test " + admit::to_string(out->test) +
+                " decides tier 0 with " +
+                to_string(admit::tier0_fold_kind(out->test)) + ", not " +
+                to_string(kind) + "; drop --admission");
+  }
+  if (!out->tiered() &&
+      (args.has("release-overhead") || args.has("preempt-overhead"))) {
+    return fail("--release-overhead/--preempt-overhead need a tiered "
+                "--admission-test");
+  }
+  if (out->test != admit::TestKind::kAuto && args.has("admit-band")) {
+    return fail("--admit-band needs --admission-test auto");
+  }
+  const auto preempt = checked_mul(std::int64_t{2}, out->preempt_overhead);
+  if (!preempt || !checked_add(*preempt, out->release_overhead)) {
+    return fail("release + 2 * preempt overhead overflows int64");
   }
   return true;
 }
@@ -481,7 +509,7 @@ int cmd_replay(const Args& args) {
   options.rebalance_every =
       static_cast<std::size_t>(args.get_long("rebalance-every", 0));
   options.engine = *engine;
-  if (!admit_config_flag(args, &options.admit)) return 2;
+  if (!admit_config_flag(args, *kind, &options.admit)) return 2;
   const ChurnResult res =
       run_churn(parsed.value->platform, parsed.value->trace, options);
   std::printf("replay %s/%s alpha=%.3f: %s\n", to_string(*kind).c_str(),
@@ -622,7 +650,7 @@ int cmd_serve_net(const Args& args) {
   }
   options.snapshot_every =
       static_cast<std::size_t>(args.get_long("snapshot-every", 65536));
-  if (!admit_config_flag(args, &options.admit)) return 2;
+  if (!admit_config_flag(args, *kind, &options.admit)) return 2;
   options.slo_ns =
       static_cast<std::uint64_t>(args.get_long("slo-us", 1000)) * 1000;
   const auto stats_interval = args.get_long("stats-interval", 0);
@@ -804,7 +832,7 @@ int cmd_recover(const Args& args) {
   }
   const double alpha = args.get_double("alpha", 1.0);
   admit::AdmitConfig admit_cfg;
-  if (!admit_config_flag(args, &admit_cfg)) return 2;
+  if (!admit_config_flag(args, *kind, &admit_cfg)) return 2;
 
   std::size_t shard_count =
       static_cast<std::size_t>(args.get_long("shards", 0));
@@ -882,7 +910,7 @@ int cmd_serve(const Args& args) {
   if (!engine) return usage();
   const double alpha = args.get_double("alpha", 1.0);
   admit::AdmitConfig admit_cfg;
-  if (!admit_config_flag(args, &admit_cfg)) return 2;
+  if (!admit_config_flag(args, *kind, &admit_cfg)) return 2;
   const auto stats_interval =
       static_cast<std::size_t>(args.get_long("stats-interval", 0));
   const std::string trace_out = args.get("trace-out", "");
@@ -967,6 +995,10 @@ int cmd_serve(const Args& args) {
       const Task t{*exec, *period, deadline};
       if (!t.valid()) {
         complain("task parameters must be positive");
+        continue;
+      }
+      if (!controller->accepts_input(t)) {
+        complain("overhead-inflated exec overflows int64");
         continue;
       }
       const AdmitDecision d = controller->admit(t);
