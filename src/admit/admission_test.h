@@ -13,8 +13,10 @@
 //                    a density accept is always safe, and implies both
 //                    escalation tiers accept (dbf_i(t) <= (c_i/d_i) t for
 //                    t >= d_i), so tier 0 never needs double-checking.
-//   tier 1 (approx)  linear approximate DBF (dbf/demand_bound.h), O(n) per
-//                    query.  Sufficient, bounded pessimism.
+//   tier 1 (approx)  linear approximate DBF (dbf/demand_bound.h): n probe
+//                    points, each summing n tasks, O(n^2) per query (plus
+//                    the busy-period bound when U is within 1e-12 of the
+//                    speed).  Sufficient, bounded pessimism.
 //   tier 2 (exact)   QPA for EDF modes; deadline-monotonic response-time
 //                    analysis for the fixed-priority mode.  Exact, but a
 //                    per-query cost that depends on the period spread.

@@ -3,30 +3,52 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/int_time.h"
 #include "util/check.h"
+#include "util/int128.h"
 #include "util/int_math.h"
 
 namespace hetsched {
 
-std::int64_t dbf(const Task& task, std::int64_t t) {
-  HETSCHED_DCHECK(task.valid());
+namespace {
+
+// dbf_i(t), or nullopt when it overflows int64.
+std::optional<std::int64_t> dbf_checked(const Task& task, std::int64_t t) {
   const std::int64_t d = task.effective_deadline();
   if (t < d) return 0;
-  const std::int64_t jobs = (t - d) / task.period + 1;
-  const auto demand = checked_mul(jobs, task.exec);
+  return checked_mul((t - d) / task.period + 1, task.exec);
+}
+
+// sum_i dbf_i(t), or nullopt when it overflows int64.  The deciders sum
+// through this instead of total_dbf: an overflowing demand is answered
+// "infeasible", a sound reject, never an abort.
+// HETSCHED_NOALLOC
+std::optional<std::int64_t> total_dbf_checked(std::span<const Task> tasks,
+                                              std::int64_t t) {
+  std::int64_t sum = 0;
+  for (const Task& task : tasks) {
+    const auto demand = dbf_checked(task, t);
+    const auto next = demand ? checked_add(sum, *demand) : std::nullopt;
+    if (!next) return std::nullopt;
+    sum = *next;
+  }
+  return sum;
+}
+
+}  // namespace
+
+std::int64_t dbf(const Task& task, std::int64_t t) {
+  HETSCHED_DCHECK(task.valid());
+  const auto demand = dbf_checked(task, t);
   HETSCHED_CHECK_MSG(demand.has_value(), "dbf overflow");
   return *demand;
 }
 
 std::int64_t total_dbf(std::span<const Task> tasks,
                        std::int64_t t) {
-  std::int64_t sum = 0;
-  for (const Task& task : tasks) {
-    const auto next = checked_add(sum, dbf(task, t));
-    HETSCHED_CHECK_MSG(next.has_value(), "total dbf overflow");
-    sum = *next;
-  }
-  return sum;
+  const auto sum = total_dbf_checked(tasks, t);
+  HETSCHED_CHECK_MSG(sum.has_value(), "total dbf overflow");
+  return *sum;
 }
 
 namespace {
@@ -53,33 +75,76 @@ long double speed_ld(const Rational& speed) {
          static_cast<long double>(speed.den());
 }
 
-// Synchronous busy-period length at speed s: least fixed point of
+// La = sum (p_i - d_i) u_i / (s - U): beyond it, dbf(t) <= s t follows from
+// U <= s alone.  Needs U < s; computed in long double and inflated
+// slightly — any upper bound on La is a valid check bound.  nullopt when
+// it does not fit int64 (the busy period alone then bounds the scan).
+std::optional<std::int64_t> la_bound(std::span<const Task> tasks,
+                                     long double u, long double s) {
+  long double num = 0;
+  for (const Task& t : tasks) {
+    num += static_cast<long double>(t.period - t.effective_deadline()) *
+           static_cast<long double>(t.exec) /
+           static_cast<long double>(t.period);
+  }
+  const long double la = num / (s - u) * (1 + 1e-9L) + 1;
+  if (!(la < 0x1p63L)) return std::nullopt;
+  return static_cast<std::int64_t>(la);
+}
+
+// Synchronous busy-period length at speed s — the least fixed point of
 //   L = (sum_i ceil(L / p_i) * c_i) / s,
-// seeded with the total first-job demand.  Exists whenever U <= s; a cap
-// guards the U == s case where it can reach the hyperperiod.
-std::optional<Rational> busy_period(std::span<const Task> tasks,
-                                    const Rational& speed) {
-  Rational work(0);
-  for (const Task& t : tasks) work += Rational(t.exec);
-  Rational L = work / speed;
+// seeded with the total first-job demand — rounded up to an integer
+// instant.  Exists whenever U <= s; a cap guards the U == s case where it
+// can reach the hyperperiod.  The iterates are integer work W with
+// L = W / s (core/int_time.h), and they only grow: once one reaches `stop`
+// the fixed point lies at or beyond it, so `stop` is returned.  nullopt
+// past the cap or the iteration limit, or when the work overflows int64.
+// HETSCHED_NOALLOC
+std::optional<std::int64_t> busy_period(std::span<const Task> tasks,
+                                        const Rational& speed,
+                                        std::optional<std::int64_t> stop) {
+  std::int64_t work = 0;
+  for (const Task& t : tasks) {
+    const auto next = checked_add(work, t.exec);
+    if (!next) return std::nullopt;
+    work = *next;
+  }
   constexpr int kMaxIters = 100000;
-  const Rational kCap(std::int64_t{1} << 40);
+  const int128 cap = instant_ticks(std::int64_t{1} << 40, speed);
+  const auto all = [](std::size_t) { return true; };
   for (int iter = 0; iter < kMaxIters; ++iter) {
-    Rational demand(0);
-    for (const Task& t : tasks) {
-      demand += Rational((L / Rational(t.period)).ceil()) * Rational(t.exec);
+    if (stop && work_ticks(work, speed) >= instant_ticks(*stop, speed)) {
+      return stop;
     }
-    const Rational next = demand / speed;
-    if (next == L) return L;
-    if (next > kCap) return std::nullopt;
-    HETSCHED_DCHECK(next > L);
-    L = next;
+    const auto next = next_work(tasks, all, 0, work, speed);
+    if (!next) return std::nullopt;
+    if (*next == work) return ceil_instant(work_ticks(work, speed), speed);
+    if (work_ticks(*next, speed) > cap) return std::nullopt;
+    HETSCHED_DCHECK(*next > work);
+    work = *next;
   }
   return std::nullopt;
 }
 
+// Largest absolute deadline k * p_i + d_i (k >= 0) at or before instant
+// `t`; nullopt if none exists.
+// HETSCHED_NOALLOC
+std::optional<std::int64_t> max_deadline_at_most(std::span<const Task> tasks,
+                                                 std::int64_t t) {
+  std::optional<std::int64_t> best;
+  for (const Task& task : tasks) {
+    const std::int64_t d = task.effective_deadline();
+    if (d > t) continue;
+    const std::int64_t candidate = t - (t - d) % task.period;
+    if (!best || candidate > *best) best = candidate;
+  }
+  return best;
+}
+
 }  // namespace
 
+// HETSCHED_NOALLOC
 std::optional<std::int64_t> dbf_check_bound(
     std::span<const Task> tasks, const Rational& speed) {
   HETSCHED_CHECK(speed > Rational(0));
@@ -88,27 +153,17 @@ std::optional<std::int64_t> dbf_check_bound(
   const long double s = speed_ld(speed);
   if (u > s + kUtilBand) return std::nullopt;  // trivially infeasible
 
-  std::optional<Rational> bound = busy_period(tasks, speed);
-  if (u < s - kUtilBand) {
-    // La = sum (p_i - d_i) u_i / (s - U): beyond it, dbf(t) <= s t follows
-    // from U <= s alone.  Computed in long double and inflated slightly —
-    // any upper bound on La is a valid check bound.
-    long double num = 0;
-    for (const Task& t : tasks) {
-      num += static_cast<long double>(t.period - t.effective_deadline()) *
-             static_cast<long double>(t.exec) /
-             static_cast<long double>(t.period);
-    }
-    const long double la = num / (s - u) * (1 + 1e-9L) + 1;
-    const Rational la_bound(static_cast<std::int64_t>(la));
-    if (!bound || la_bound < *bound) bound = la_bound;
-  }
+  // The bound is min(busy period, La); the busy-period scan stops at La.
+  const std::optional<std::int64_t> la =
+      u < s - kUtilBand ? la_bound(tasks, u, s) : std::nullopt;
+  std::optional<std::int64_t> bound = busy_period(tasks, speed, la);
+  if (!bound) bound = la;
   if (!bound) return std::nullopt;
   // Also never below the largest relative deadline (the first job of each
   // task must be checked at least once).
   std::int64_t dmax = 0;
   for (const Task& t : tasks) dmax = std::max(dmax, t.effective_deadline());
-  return std::max(bound->ceil(), dmax);
+  return std::max(*bound, dmax);
 }
 
 bool edf_dbf_feasible_exact(std::span<const Task> tasks,
@@ -134,32 +189,7 @@ bool edf_dbf_feasible_exact(std::span<const Task> tasks,
   return true;
 }
 
-namespace {
-
-// Largest absolute deadline strictly below rational time `t`; nullopt if
-// none exists.
-std::optional<Rational> max_deadline_below(
-    std::span<const Task> tasks, const Rational& t) {
-  std::optional<Rational> best;
-  for (const Task& task : tasks) {
-    const Rational d(task.effective_deadline());
-    if (!(d < t)) continue;
-    // Largest k >= 0 with k * p + d < t:  k = ceil((t - d)/p) - 1
-    // (integer ratio needs the -1 because the inequality is strict;
-    // otherwise ceil - 1 == floor).
-    const Rational ratio = (t - d) / Rational(task.period);
-    const std::int64_t k = ratio.ceil() - 1;
-    HETSCHED_DCHECK(k >= 0);
-    const Rational candidate =
-        Rational(k) * Rational(task.period) + d;
-    HETSCHED_DCHECK(candidate < t);
-    if (!best || candidate > *best) best = candidate;
-  }
-  return best;
-}
-
-}  // namespace
-
+// HETSCHED_NOALLOC
 bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
                           const Rational& speed) {
   if (tasks.empty()) return true;
@@ -168,23 +198,29 @@ bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
 
   std::int64_t dmin = std::numeric_limits<std::int64_t>::max();
   for (const Task& t : tasks) dmin = std::min(dmin, t.effective_deadline());
+  const int128 safe = instant_ticks(dmin, speed);
 
-  // Start at the largest deadline strictly below (bound + 1) i.e. <= bound.
-  auto start = max_deadline_below(tasks, Rational(*bound + 1));
+  // The scan point t is kept in ticks (core/int_time.h): a deadline d is
+  // instant_ticks(d), and the time demand D takes is work_ticks(D).
+  const auto start = max_deadline_at_most(tasks, *bound);
   if (!start) return true;  // no deadline in range: nothing can miss
-  Rational t = *start;
+  int128 t = instant_ticks(*start, speed);
   for (;;) {
-    const Rational demand(total_dbf(tasks, t.floor()));
-    if (demand > speed * t) return false;  // miss at t
-    if (!(demand / speed > Rational(dmin))) {
+    const auto demand = total_dbf_checked(tasks, floor_instant(t, speed));
+    if (!demand) return false;  // demand beyond int64: reject
+    const int128 need = work_ticks(*demand, speed);
+    if (need > t) return false;  // miss at t
+    if (need <= safe) {
       return true;  // scanned down into the trivially-safe region
     }
-    if (demand < speed * t) {
-      t = demand / speed;
+    if (need < t) {
+      t = need;
     } else {
-      const auto next = max_deadline_below(tasks, t);
+      // The largest deadline strictly before t.
+      const auto next =
+          max_deadline_at_most(tasks, floor_instant(t - 1, speed));
       if (!next) return true;
-      t = *next;
+      t = instant_ticks(*next, speed);
     }
   }
 }
@@ -194,19 +230,28 @@ bool edf_dbf_feasible_approx(std::span<const Task> tasks,
   return edf_dbf_feasible_approx_k(tasks, speed, 1);
 }
 
+// HETSCHED_NOALLOC
 bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
                                const Rational& speed, std::size_t k) {
   HETSCHED_CHECK(k >= 1);
   if (tasks.empty()) return true;
   const long double s = speed_ld(speed);
-  if (total_utilization_ld(tasks) > s + kUtilBand) return false;
+  const long double u = total_utilization_ld(tasks);
+  if (u > s + kUtilBand) return false;
   // Check points beyond the La/busy-period bound are always safe: each
   // dbf*_i lies below its tangent line u_i t + (c_i - u_i d_i), and past
   // the bound the summed line is below s t.  Capping the scan there both
   // matches the canonical k-point test and lets acceptance converge to the
-  // exact test as k grows.
-  const auto bound = dbf_check_bound(tasks, speed);
-  if (!bound) return false;
+  // exact test as k grows.  The bound is never below d_max, so at k = 1 —
+  // probes at first deadlines only — it excludes no point.  It matters
+  // there only inside the band of s, where La is not used and a missing
+  // busy period rejects.
+  std::int64_t limit = std::numeric_limits<std::int64_t>::max();
+  if (k > 1 || u >= s - kUtilBand) {
+    const auto bound = dbf_check_bound(tasks, speed);
+    if (!bound) return false;
+    limit = *bound;
+  }
 
   // dbf*_i is the exact step function for the first k jobs and the
   // utilization line afterwards.  The total is piecewise linear with jumps
@@ -234,7 +279,7 @@ bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
       const long double t =
           static_cast<long double>(probe.effective_deadline()) +
           static_cast<long double>(j) * static_cast<long double>(probe.period);
-      if (t > static_cast<long double>(*bound)) break;
+      if (t > static_cast<long double>(limit)) break;
       long double demand = 0;
       for (const Task& task : tasks) demand += dbf_star(task, t);
       if (demand > s * t * (1 - kUtilBand)) return false;

@@ -18,9 +18,16 @@
 //     only a handful of points in practice,
 //   * the linear approximate DBF (Albers & Slomka / ref [7] style):
 //     dbf*_i(t) = c_i + u_i (t - d_i) for t >= d_i — a sufficient test
-//     whose error is bounded, giving an O(n log n) admission.
+//     whose error is bounded; it sums all n tasks at each task's first
+//     deadline, O(n^2) per query (O(n^2 k) with k retained steps).
 // A first-fit partitioner over these tests extends the paper's algorithm
 // to the constrained-deadline setting.
+//
+// The bound, QPA and the approximate DBF run in exact integer time over
+// the speed's numerator (core/int_time.h), never in Rational arithmetic;
+// a demand or busy-period work that overflows int64 makes them answer
+// "infeasible", a sound reject, instead of aborting.  Only the exact
+// enumeration below keeps Rational: it is the tests' oracle.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +44,19 @@ namespace hetsched {
 // dbf_i(t) for a single task (exact, integer).
 std::int64_t dbf(const Task& task, std::int64_t t);
 
-// sum_i dbf_i(t) over a set; saturates via checked arithmetic (aborts on
-// overflow, which realistic instances never approach).
+// sum_i dbf_i(t) over a set, in checked arithmetic that aborts on
+// overflow: the contract of the exact oracle, which realistic instances
+// never approach.  The other deciders sum through a non-aborting variant.
 std::int64_t total_dbf(std::span<const Task> tasks, std::int64_t t);
 
 // Upper bound L on the instants that must be checked: min of the busy
-// period (fixed point of w = ceil(sum_i ceil(w/p_i) c_i / s)) and the
-// La-style utilization bound sum (p_i - d_i) u_i / (s - U).  Returns
-// nullopt when total utilization exceeds the speed (trivially infeasible).
+// period (fixed point of w = sum_i ceil(w/p_i) c_i / s, rounded up) and
+// the La-style utilization bound sum (p_i - d_i) u_i / (s - U), and never
+// below the largest relative deadline.  Returns nullopt when total
+// utilization exceeds the speed (trivially infeasible), or when neither
+// bound exists: La needs U below s by more than 1e-12 and a value that
+// fits int64, and the busy period must converge below 2^40, within
+// 100 000 iterations and without int64 overflow.
 std::optional<std::int64_t> dbf_check_bound(
     std::span<const Task> tasks, const Rational& speed);
 
@@ -67,8 +79,9 @@ bool edf_dbf_feasible_approx(std::span<const Task> tasks,
 // the utilization line afterwards,
 //     dbf*_i(t) = dbf_i(t)                       for t <  d_i + k p_i
 //     dbf*_i(t) = c_i k + u_i (t - d_i - (k-1) p_i)  for t >= d_i + k p_i,
-// so the test only evaluates O(nk) candidate points plus U <= s.  Sound for
-// every k >= 1; acceptance grows with k and converges to the exact test.
+// so the test only evaluates O(nk) candidate points, each summing n tasks
+// (O(n^2 k)), plus U <= s.  Sound for every k >= 1; acceptance grows with
+// k and converges to the exact test.
 bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
                                const Rational& speed, std::size_t k);
 

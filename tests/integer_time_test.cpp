@@ -1,0 +1,261 @@
+// Differential tests of the integer-time deciders (core/int_time.h behind
+// dbf/demand_bound.h and core/rta.h) against the exact-Rational code they
+// replaced (rational_reference.h): equal check bounds, QPA and approximate
+// DBF verdicts, response times and RTA verdicts, on the regimes the served
+// admission path reaches and the small-period property tests in
+// demand_bound_test.cpp do not — coprime periods near 10^6, speeds with
+// real denominators, U == s (the busy period's iteration limit) and U just
+// below s (the busy period stopping at La).  Those property tests cannot
+// see a bound bug: edf_dbf_feasible_exact shares dbf_check_bound with QPA.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/rta.h"
+#include "dbf/demand_bound.h"
+#include "gen/platform_gen.h"
+#include "rational_reference.h"
+#include "task_literals.h"
+#include "util/rng.h"
+
+namespace hetsched {
+namespace {
+
+bool is_prime(std::int64_t v) {
+  if (v < 2) return false;
+  for (std::int64_t f = 2; f * f <= v; ++f) {
+    if (v % f == 0) return false;
+  }
+  return true;
+}
+
+// `n` distinct primes drawn from [lo, hi]: pairwise coprime periods, by
+// default near 10^6.
+std::vector<std::int64_t> prime_periods(Rng& rng, std::int64_t n,
+                                        std::int64_t lo = 900'000,
+                                        std::int64_t hi = 1'100'000) {
+  std::vector<std::int64_t> out;
+  while (std::ssize(out) < n) {
+    std::int64_t v = rng.uniform_int(lo, hi);
+    while (!is_prime(v)) ++v;
+    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+  }
+  return out;
+}
+
+// Splits utilization `total` at random over `periods`, with deadlines
+// uniform in [lo p, p] and never below the exec.
+std::vector<Task> split_utilization(Rng& rng,
+                                    const std::vector<std::int64_t>& periods,
+                                    double total, double lo = 0.4) {
+  std::vector<double> weights;
+  double sum = 0;
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    weights.push_back(rng.uniform(0.2, 1.0));
+    sum += weights.back();
+  }
+  std::vector<Task> tasks;
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    const std::int64_t p = periods[i];
+    const double share = total * weights[i] / sum;
+    const double ratio = rng.uniform(lo, 1.0);
+    const auto c = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(share * static_cast<double>(p)));
+    const auto d = std::max<std::int64_t>(
+        c, static_cast<std::int64_t>(ratio * static_cast<double>(p)));
+    tasks.push_back(cdp(c, std::min(d, p), p));
+  }
+  return tasks;
+}
+
+long double utilization_ld(const std::vector<Task>& tasks) {
+  long double u = 0;
+  for (const Task& t : tasks) {
+    u += static_cast<long double>(t.exec) / static_cast<long double>(t.period);
+  }
+  return u;
+}
+
+// Asserts every integer-time decider answers as the reference does.
+// Returns the QPA verdict.
+bool expect_matches_reference(const std::vector<Task>& tasks,
+                              const Rational& speed) {
+  SCOPED_TRACE("n=" + std::to_string(tasks.size()) +
+               " speed=" + speed.to_string());
+  EXPECT_EQ(dbf_check_bound(tasks, speed),
+            reference::dbf_check_bound(tasks, speed));
+  const bool qpa = edf_dbf_feasible_qpa(tasks, speed);
+  EXPECT_EQ(qpa, reference::edf_dbf_feasible_qpa(tasks, speed));
+  for (const std::size_t k : {1u, 3u}) {
+    EXPECT_EQ(edf_dbf_feasible_approx_k(tasks, speed, k),
+              reference::edf_dbf_feasible_approx_k(tasks, speed, k))
+        << "k=" << k;
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(response_time(tasks, i, speed),
+              reference::response_time(tasks, i, speed))
+        << "task " << i;
+  }
+  EXPECT_EQ(rta_schedulable(tasks, speed),
+            reference::rta_schedulable(tasks, speed));
+  return qpa;
+}
+
+TEST(IntegerTime, CoprimePeriodsNearOneMillion) {
+  Rng rng(1401);
+  int accepts = 0, rejects = 0;
+  for (const std::int64_t n : {8, 16, 32, 64}) {
+    for (int rep = 0; rep < 6; ++rep) {
+      const auto periods = prime_periods(rng, n);
+      const Rational speed(rng.uniform_int(1, 2));
+      const double total = rng.uniform(0.7, 1.02) * speed.to_double();
+      const auto tasks = split_utilization(rng, periods, total);
+      (expect_matches_reference(tasks, speed) ? accepts : rejects) += 1;
+    }
+  }
+  // Both verdicts occur, so neither side of QPA goes unchecked.
+  EXPECT_GT(accepts, 0);
+  EXPECT_GT(rejects, 0);
+}
+
+TEST(IntegerTime, SpeedsWithRealDenominators) {
+  // The served speeds: a ratio-1.5 platform's exact speeds times alpha.
+  const Platform platform = geometric_platform(4, 1.5);
+  const Rational alpha = rational_from_double(2.98);
+  Rng rng(1402);
+  int fractional = 0, accepts = 0, rejects = 0;
+  for (std::size_t j = 0; j < platform.size(); ++j) {
+    const Rational speed = platform.speed_exact(j) * alpha;
+    fractional += speed.den() > 1 ? 1 : 0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto periods = prime_periods(rng, rng.uniform_int(8, 16));
+      const double total = rng.uniform(0.8, 1.02) * speed.to_double();
+      const auto tasks = split_utilization(rng, periods, total);
+      (expect_matches_reference(tasks, speed) ? accepts : rejects) += 1;
+    }
+  }
+  EXPECT_EQ(fractional, static_cast<int>(platform.size()));
+  EXPECT_GT(accepts, 0);
+  EXPECT_GT(rejects, 0);
+}
+
+// A set with U == speed exactly: for speed a/b, task i has period
+// 16 b m_i and exec k_i m_i, for `n` pairwise coprime m_i near `mid` and
+// shares k_i summing to 16 a, so the u_i = k_i / (16 b) sum to a / b.
+// Deadlines are 3/4 of the period (or the exec, if larger).
+std::vector<Task> exact_utilization_set(Rng& rng, const Rational& speed,
+                                        std::int64_t n, std::int64_t mid) {
+  const std::int64_t scale = 16 * speed.den();
+  const auto m = prime_periods(rng, n, mid - mid / 50, mid + mid / 50);
+  // An even split of the shares, then random one-share transfers.
+  std::vector<std::int64_t> shares(m.size(), 16 * speed.num() / n);
+  for (int move = 0; move < 8; ++move) {
+    const auto from = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+    const auto to = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+    if (shares[from] > 1) {
+      --shares[from];
+      ++shares[to];
+    }
+  }
+  std::vector<Task> tasks;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const std::int64_t p = scale * m[i];
+    const std::int64_t c = shares[i] * m[i];
+    tasks.push_back(cdp(c, std::max(c, p * 3 / 4), p));
+  }
+  return tasks;
+}
+
+TEST(IntegerTime, UtilizationEqualToSpeedReachesIterationLimit) {
+  // U == s: inside the 1e-12 band, so only the busy period can bound the
+  // scan.  It runs toward the hyperperiod at increments of about
+  // sum c_i / 2 and meets the 100 000-iteration limit long before the
+  // 2^40 cap: no bound exists, and every EDF decider rejects.
+  Rng rng(1403);
+  const Rational speed(3, 2);
+  const auto tasks = exact_utilization_set(rng, speed, 4, 1'000'000 / 32);
+  Rational u(0);
+  for (const Task& t : tasks) u += t.utilization_exact();
+  ASSERT_EQ(u, speed);
+  EXPECT_FALSE(dbf_check_bound(tasks, speed).has_value());
+  expect_matches_reference(tasks, speed);
+
+  // Faster by 5e-7, the busy period converges near 2.7e10, inside the
+  // limit and below La, at a speed of numerator 3 000 001.
+  const Rational faster = speed + Rational(1, 2'000'000);
+  EXPECT_TRUE(reference::busy_period(tasks, faster).has_value());
+  expect_matches_reference(tasks, faster);
+  // Faster by 5e-8, La exists but lies beyond where the busy period stands
+  // at the limit: the bound is La.  QPA from there overflows the
+  // reference's Rational arithmetic, so only the bound is compared.
+  const Rational hair = speed + Rational(1, 20'000'000);
+  ASSERT_FALSE(reference::busy_period(tasks, hair).has_value());
+  const auto la = dbf_check_bound(tasks, hair);
+  ASSERT_TRUE(la.has_value());
+  EXPECT_EQ(la, reference::dbf_check_bound(tasks, hair));
+
+  // Two tasks whose busy period would converge at the hyperperiod, about
+  // 1.6e11, after about 2e5 iterations: the limit, not the cap, decides.
+  const auto pair = exact_utilization_set(rng, Rational(1), 2, 100'000);
+  EXPECT_FALSE(dbf_check_bound(pair, Rational(1)).has_value());
+  expect_matches_reference(pair, Rational(1));
+}
+
+TEST(IntegerTime, UtilizationJustBelowSpeedCutsAtLa) {
+  // U = s - eps for eps in [1e-4, 1e-3]: outside the 1e-12 band, so the
+  // bound is min(busy period, La).  With deadlines near the periods La,
+  // sum (p_i - d_i) u_i / (s - U), is the smaller — the case where the
+  // integer busy period stops at La instead of running to its fixed point.
+  Rng rng(1404);
+  int la_cut = 0;
+  for (int rep = 0; rep < 12; ++rep) {
+    const Rational speed(rng.uniform_int(1, 3), rng.uniform_int(1, 2));
+    const auto periods = prime_periods(rng, rng.uniform_int(8, 16));
+    const double eps = std::pow(10.0, rng.uniform(-4.0, -3.0));
+    const double s = speed.to_double();
+    auto tasks = split_utilization(rng, periods, (1.0 - eps) * s, 0.9);
+    // Top the last task up to bring U to just below s (1 - eps).
+    Task& last = tasks.back();
+    last.exec = 1;
+    const long double room = s * (1.0 - eps) - utilization_ld(tasks);
+    const auto period = static_cast<long double>(last.period);
+    last.exec = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(room * period));
+    last.deadline = std::max(last.deadline, last.exec);
+    ASSERT_LE(last.deadline, last.period);
+    ASSERT_LT(utilization_ld(tasks), s - 1e-6L);
+
+    expect_matches_reference(tasks, speed);
+    const auto bound = reference::dbf_check_bound(tasks, speed);
+    const auto busy = reference::busy_period(tasks, speed);
+    ASSERT_TRUE(bound.has_value());
+    if (!busy || *bound < busy->ceil()) ++la_cut;
+  }
+  EXPECT_GE(la_cut, 9);
+}
+
+TEST(IntegerTime, OverflowingDemandIsRejectedNotAborted) {
+  // Two tasks of exec 2^62, deadline 2^62, period 2^63 - 1 on a unit
+  // machine: the busy-period work and the RTA interference overflow int64.
+  // The Rational code aborted; every decider now answers "infeasible".
+  const std::int64_t big = std::int64_t{1} << 62;
+  const std::vector<Task> tasks{
+      cdp(big, big, std::numeric_limits<std::int64_t>::max()),
+      cdp(big, big, std::numeric_limits<std::int64_t>::max())};
+  const Rational speed(1);
+  EXPECT_FALSE(dbf_check_bound(tasks, speed).has_value());
+  EXPECT_FALSE(edf_dbf_feasible_qpa(tasks, speed));
+  EXPECT_FALSE(edf_dbf_feasible_approx(tasks, speed));
+  EXPECT_FALSE(rta_schedulable(tasks, speed));
+  EXPECT_FALSE(response_time(tasks, 1, speed).has_value());
+  // The first task alone is schedulable, and still exactly so.
+  EXPECT_EQ(response_time(tasks, 0, speed), Rational(big));
+  EXPECT_TRUE(edf_dbf_feasible_qpa(std::span(tasks).first(1), speed));
+}
+
+}  // namespace
+}  // namespace hetsched
