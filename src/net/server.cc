@@ -112,6 +112,14 @@ std::size_t hardware_loops() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+// Frame types a shard controller decides — the ones that place a
+// connection.  Introspection and resize frames run on whichever loop
+// decodes them.
+bool routes_to_shard(MsgType type) {
+  return type == MsgType::kAdmit || type == MsgType::kDepart ||
+         type == MsgType::kRebalance;
+}
+
 // Poller: per-loop readiness multiplexer — epoll on Linux, poll(2)
 // everywhere else.  Level triggered in both flavors, so a partially
 // drained socket re-fires and the read path never needs an exhaustive
@@ -248,9 +256,14 @@ class Poller {
 // parks the unsent tail in `backlog` and the home loop resumes it on
 // EPOLLOUT, scatter-gathering backlog + fresh frames in one sendmsg so
 // frames never interleave mid-frame on the wire.
+//
+// The home moves at most once, when the first shard-addressed frame
+// places the connection (hand_off_connection): the old home stops
+// touching the home-loop-only state before it publishes the connection
+// through the new home's control list, whose mutex orders the two.
 struct Server::Connection {
-  Connection(int fd_in, std::size_t home)
-      : fd(fd_in), home_loop(home), rbuf(kReadBufSize) {}
+  Connection(int fd_in, std::size_t home, bool placed_in)
+      : fd(fd_in), home_loop(home), rbuf(kReadBufSize), placed(placed_in) {}
   ~Connection() {
     if (fd >= 0) ::close(fd);
   }
@@ -331,13 +344,16 @@ struct Server::Connection {
   static constexpr std::size_t kReadBufSize = 16384;
 
   int fd;
-  const std::size_t home_loop;
+  // Written only by the home loop as it hands the connection off; read by
+  // any loop that must arm EPOLLOUT for a backlog it parked.
+  std::atomic<std::size_t> home_loop;
 
   // Home-loop-only state.
   std::vector<unsigned char> rbuf;
   std::size_t rbuf_len = 0;   // bytes of undecoded prefix in rbuf
   bool read_enabled = true;   // cleared at shutdown
   bool write_armed = false;   // mirrors the poller's EPOLLOUT interest
+  bool placed;                // serving loop settled (first shard frame)
 
   std::atomic<bool> dead{false};
   std::atomic<bool> want_write{false};  // backlog nonempty
@@ -464,15 +480,17 @@ struct Server::Loop {
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<bool> wake_pending{false};
+  bool reading = true;  // loop-thread-only: cleared when the stop begins
 
   // Cross-loop control plane, serviced on wakeup: write-interest requests
-  // for connections this loop homes, accepted fds handed off by the
-  // fallback acceptor, and freshly split shards awaiting adoption (they
-  // stay `moving` — answering kRetryLater — until this loop adds them to
-  // `shards`, because only adopted shards join the WAL group commit).
+  // for connections this loop homes, connections handed to this loop by
+  // their first shard-addressed frame, and freshly split shards awaiting
+  // adoption (they stay `moving` — answering kRetryLater — until this
+  // loop adds them to `shards`, because only adopted shards join the WAL
+  // group commit).
   std::mutex control_mu;
   std::vector<std::shared_ptr<Connection>> pending_arms;
-  std::vector<int> pending_fds;
+  std::vector<std::shared_ptr<Connection>> pending_conns;
   std::vector<Shard*> pending_shards;
 
 #if HETSCHED_METRICS_ENABLED
@@ -720,7 +738,6 @@ bool Server::start(std::string* error) {
 
   paused_.store(options_.start_paused, std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
-  accept_rr_ = 0;
   loops_reading_.store(static_cast<int>(loop_count),
                        std::memory_order_release);
   loops_draining_.store(static_cast<int>(loop_count),
@@ -839,6 +856,8 @@ ServerStats Server::stats() const {
   s.snapshots = counters_.snapshots.load(std::memory_order_relaxed);
   s.recovered = counters_.recovered.load(std::memory_order_relaxed);
   s.introspect = counters_.introspect.load(std::memory_order_relaxed);
+  s.connection_handoffs =
+      counters_.connection_handoffs.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -929,6 +948,9 @@ std::string Server::stats_text() const {
        s.recovered},
       {"hetsched_server_introspect_total",
        "GET_STATS / GET_TRACEZ frames answered", s.introspect},
+      {"hetsched_server_connection_handoffs_total",
+       "Connections moved to the loop that owns their first frame's shard",
+       s.connection_handoffs},
   };
   for (const Row& r : rows) {
     append_family(&out, r.name, "counter", r.help);
@@ -1257,7 +1279,9 @@ void Server::send_to_connection(Loop& lp,
 
 void Server::request_write_interest(Loop& lp,
                                     const std::shared_ptr<Connection>& conn) {
-  if (conn->home_loop == lp.index) {
+  const std::size_t home_index =
+      conn->home_loop.load(std::memory_order_acquire);
+  if (home_index == lp.index) {
     if (conn->dead.load(std::memory_order_relaxed)) return;  // read path closes
     if (!conn->write_armed &&
         conn->want_write.load(std::memory_order_relaxed)) {
@@ -1266,7 +1290,7 @@ void Server::request_write_interest(Loop& lp,
     }
     return;
   }
-  Loop& home = *loops_[conn->home_loop];
+  Loop& home = *loops_[home_index];
   if (!conn->arm_pending.exchange(true, std::memory_order_acq_rel)) {
     {
       std::lock_guard<std::mutex> lock(home.control_mu);
@@ -1301,7 +1325,8 @@ void Server::adopt_connection(Loop& lp, int fd) {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf_bytes,
                  sizeof(options_.sndbuf_bytes));
   }
-  auto conn = std::make_shared<Connection>(fd, lp.index);
+  // A one-loop server has nothing to place.
+  auto conn = std::make_shared<Connection>(fd, lp.index, loops_.size() == 1);
   if (!lp.poller.add(fd, true, false)) return;  // dtor closes fd
   lp.conns.emplace(fd, std::move(conn));
   lp.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -1318,6 +1343,47 @@ void Server::close_connection(Loop& lp, int fd) {
   HETSCHED_GAUGE_SET(lp.conn_gauge, lp.conns.size());
 }
 
+// The caller flushed every staged answer, and none of the connection's
+// frames was ever queued (only its first shard-addressed frame places
+// it), so nothing of it is in flight: the old home deregisters it and
+// publishes it, undecoded bytes and parked backlog included, to the
+// owner.  Another loop that parks a backlog meanwhile may still ask the
+// old home to arm EPOLLOUT; loop_service_control passes such requests on.
+void Server::hand_off_connection(Loop& lp,
+                                 const std::shared_ptr<Connection>& conn,
+                                 std::size_t off, std::size_t owner) {
+  std::memmove(conn->rbuf.data(), conn->rbuf.data() + off,
+               conn->rbuf_len - off);
+  conn->rbuf_len -= off;
+  conn->write_armed = false;
+  lp.poller.remove(conn->fd);
+  lp.conns.erase(conn->fd);
+  HETSCHED_GAUGE_SET(lp.conn_gauge, lp.conns.size());
+  conn->home_loop.store(owner, std::memory_order_release);
+  Loop& dst = *loops_[owner];
+  {
+    std::lock_guard<std::mutex> lock(dst.control_mu);
+    dst.pending_conns.push_back(conn);
+  }
+  wake_loop(dst);
+  bump(counters_.connection_handoffs);
+}
+
+// Decodes the inherited frames before this loop next polls.  A loop
+// already stopping registers the connection write-only and reads nothing
+// new, but still decides the frames it inherited.
+void Server::adopt_handed_off(Loop& lp,
+                              const std::shared_ptr<Connection>& conn) {
+  conn->read_enabled = lp.reading;
+  conn->write_armed = conn->want_write.load(std::memory_order_relaxed);
+  if (!lp.poller.add(conn->fd, conn->read_enabled, conn->write_armed)) return;
+  lp.conns.emplace(conn->fd, conn);
+  HETSCHED_GAUGE_SET(lp.conn_gauge, lp.conns.size());
+  if (!drain_readable(lp, conn, /*inherited=*/true)) {
+    close_connection(lp, conn->fd);
+  }
+}
+
 void Server::loop_accept(Loop& lp) {
   while (true) {
     const int cfd = ::accept(lp.listen_fd, nullptr, nullptr);
@@ -1325,46 +1391,32 @@ void Server::loop_accept(Loop& lp) {
       if (errno == EINTR) continue;
       break;  // EAGAIN: accepted everything pending
     }
-    if (!reuseport_active_ && loops_.size() > 1) {
-      // Single-acceptor fallback: loop 0 spreads fds round-robin.
-      const std::size_t target = accept_rr_++ % loops_.size();
-      if (target != lp.index) {
-        Loop& t = *loops_[target];
-        {
-          std::lock_guard<std::mutex> lock(t.control_mu);
-          t.pending_fds.push_back(cfd);
-        }
-        wake_loop(t);
-        continue;
-      }
-    }
     adopt_connection(lp, cfd);
   }
 }
 
 void Server::loop_service_control(Loop& lp) {
   std::vector<std::shared_ptr<Connection>> arms;
-  std::vector<int> fds;
+  std::vector<std::shared_ptr<Connection>> moved;
   std::vector<Shard*> new_shards;
   {
     std::lock_guard<std::mutex> lock(lp.control_mu);
     arms.swap(lp.pending_arms);
-    fds.swap(lp.pending_fds);
+    moved.swap(lp.pending_conns);
     new_shards.swap(lp.pending_shards);
   }
   for (Shard* sh : new_shards) {
     lp.shards.push_back(sh);
     sh->moving.store(false, std::memory_order_release);  // open for business
   }
-  for (const int fd : fds) {
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);  // handed off mid-shutdown: nothing will read it
-    } else {
-      adopt_connection(lp, fd);
-    }
-  }
+  for (const auto& conn : moved) adopt_handed_off(lp, conn);
   for (const auto& conn : arms) {
     conn->arm_pending.store(false, std::memory_order_release);
+    if (conn->home_loop.load(std::memory_order_acquire) != lp.index) {
+      // Asked of this loop just before it handed the connection off.
+      request_write_interest(lp, conn);
+      continue;
+    }
     // fd reuse guard: only act if this very connection is still homed here.
     const auto it = lp.conns.find(conn->fd);
     if (it == lp.conns.end() || it->second.get() != conn.get()) continue;
@@ -1383,7 +1435,7 @@ void Server::loop_service_control(Loop& lp) {
 // Rewrites a depart naming a migrated tenant to the shard it lives on
 // now, following chains (split then merge composes two hops).  One
 // relaxed flag load on the common no-forwards path.
-bool Server::resolve_forward(Request& req) {
+bool Server::follow_forwards(Request& req) const {
   if (req.type != MsgType::kDepart) return false;
   bool rewritten = false;
   const std::size_t count = shard_count_.load(std::memory_order_acquire);
@@ -1397,6 +1449,20 @@ bool Server::resolve_forward(Request& req) {
     req.a = it->second.new_id;
     rewritten = true;
   }
+  return rewritten;
+}
+
+std::size_t Server::placement_loop(const Request& req) const {
+  Request target = req;
+  follow_forwards(target);
+  if (target.shard >= shard_count_.load(std::memory_order_acquire)) {
+    return loops_.size();
+  }
+  return shards_[target.shard]->owner_loop;
+}
+
+bool Server::resolve_forward(Request& req) {
+  const bool rewritten = follow_forwards(req);
   if (rewritten) {
     bump(counters_.forwarded);
     HETSCHED_COUNT(g_metrics.forwards);
@@ -1873,7 +1939,8 @@ void Server::drain_shard_queues(Loop& lp) {
 }
 
 // HETSCHED_OWNER_LOOP (per-connection read/decode/respond path)
-bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
+bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
+                            bool inherited) {
   if (conn->dead.load(std::memory_order_relaxed)) return false;
   std::size_t staged = 0;        // response bytes staged for this conn
   std::size_t staged_frames = 0;
@@ -1906,19 +1973,23 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
     staged_frames = 0;
   };
   while (alive) {
-    const std::size_t space = conn->rbuf.size() - conn->rbuf_len;
-    const ssize_t n =
-        ::recv(conn->fd, conn->rbuf.data() + conn->rbuf_len, space, 0);
-    if (n == 0) {
-      alive = false;  // orderly EOF
-      break;
+    std::size_t space = 0;
+    ssize_t n = 0;
+    if (!inherited) {
+      if (!conn->read_enabled) break;  // adopted mid-stop: inherited only
+      space = conn->rbuf.size() - conn->rbuf_len;
+      n = ::recv(conn->fd, conn->rbuf.data() + conn->rbuf_len, space, 0);
+      if (n == 0) {
+        alive = false;  // orderly EOF
+        break;
+      }
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        alive = errno == EAGAIN || errno == EWOULDBLOCK;  // drained for now
+        break;
+      }
+      conn->rbuf_len += static_cast<std::size_t>(n);
     }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      alive = errno == EAGAIN || errno == EWOULDBLOCK;  // drained for now
-      break;
-    }
-    conn->rbuf_len += static_cast<std::size_t>(n);
     std::size_t off = 0;
     while (alive) {
       Request req;
@@ -1939,6 +2010,24 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
         HETSCHED_COUNT(g_metrics.bad);
         alive = false;
         break;
+      }
+      if (!conn->placed && routes_to_shard(req.type)) {
+        // The first frame bound for a shard controller places the
+        // connection on the loop that owns that shard.  While the server
+        // stops it stays put and the frame takes the queue path.
+        const std::size_t owner = placement_loop(req);
+        conn->placed = owner != loops_.size();
+        if (conn->placed && owner != lp.index &&
+            !stopping_.load(std::memory_order_acquire)) {
+          flush_staged();
+          if (conn->dead.load(std::memory_order_relaxed)) {
+            alive = false;
+            break;
+          }
+          // The frame stays undecoded at `off`: the owner decodes it.
+          hand_off_connection(lp, conn, off, owner);
+          return true;
+        }
       }
       // `consumed` is never larger than the `rbuf_len - off` bytes the
       // decoder was handed, so the advance is bounded by decode_request's
@@ -2065,6 +2154,10 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
       conn->rbuf_len -= off;
     }
     if (!alive) break;
+    if (inherited) {
+      inherited = false;  // now read whatever followed on the socket
+      continue;
+    }
     if (static_cast<std::size_t>(n) < space) break;  // socket drained
   }
   flush_staged();
@@ -2126,7 +2219,8 @@ void Server::loop_main(Loop& lp) {
 }
 
 // Graceful shutdown, in lockstep with the sibling loops:
-//   1. stop accepting and reading (our half of "no new work"),
+//   1. stop accepting and reading (our half of "no new work"; handed-off
+//      connections adopted from here on decode only what they inherited),
 //   2. once EVERY loop stopped reading, close + drain our shard queues —
 //      no producer can race the close, so the drain answers everything,
 //   3. once every loop drained, flush response backlogs (bounded by
@@ -2137,6 +2231,7 @@ void Server::stop_phase(Loop& lp) {
     ::close(lp.listen_fd);
     lp.listen_fd = -1;
   }
+  lp.reading = false;
   for (auto& [fd, conn] : lp.conns) {
     conn->read_enabled = false;
     lp.poller.set_interest(fd, false, conn->write_armed);
@@ -2175,7 +2270,11 @@ void Server::stop_phase(Loop& lp) {
   }
   // All loops are past their read phase: no resize is in flight (resizes
   // run inside drain_readable) and none will start, so every shard is
-  // released and the final drain below covers them all.
+  // released and the final drain below covers them all.  No handoff will
+  // start either, and any made before a sibling stopped reading is in
+  // our control list by now: adopt it before the queues close, so the
+  // frames it inherited are decided (or queued and drained below).
+  loop_service_control(lp);
   for (Shard* sh : lp.shards) sh->queue.close();
   drain_shard_queues(lp);
   // Final durability point of a graceful stop: force-fsync whatever the

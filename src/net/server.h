@@ -11,17 +11,23 @@
 //     spreads incoming connections across loops with no shared acceptor
 //     lock.  Where SO_REUSEPORT is unavailable (or disabled via
 //     ServerOptions::reuseport), loop 0 owns the only listen socket and
-//     hands accepted fds to the other loops round-robin through their
-//     wake pipes.
+//     adopts every accepted fd itself.
 //   * Tenant shards are statically owned by loops (shard s belongs to
-//     loop s % loops).  The common case — a frame naming a shard its
-//     connection's loop owns — runs connection → decode → warm admit →
-//     encode → writev entirely on that loop, with zero cross-thread queue
-//     hops.  The bounded MPSC queue (net/bounded_queue.h) remains only
-//     for the off-loop cases: frames that name a shard another loop owns,
-//     and shards paused by ServerOptions::start_paused.  A full queue
-//     still answers kRetryLater immediately — explicit backpressure,
-//     never unbounded buffering.
+//     loop s % loops).  The kernel's (or loop 0's) pick is only a first
+//     home: a connection's first shard-addressed frame places it.  If
+//     another loop owns that shard, the accepting loop hands the
+//     connection over once, at a point where nothing of it is in flight
+//     (its staged answers are flushed and none of its frames was ever
+//     queued); the owner adopts the fd, the undecoded bytes and any
+//     parked response backlog, and decodes them before it next polls.
+//     From then on a frame naming the connection's shard runs connection
+//     → decode → warm admit → WAL append → encode → sendmsg entirely on
+//     that loop, with zero cross-thread queue hops.  The bounded MPSC
+//     queue (net/bounded_queue.h) remains only for the off-loop cases:
+//     frames that name a shard another loop owns, and shards paused by
+//     ServerOptions::start_paused.  A full queue still answers
+//     kRetryLater immediately — explicit backpressure, never unbounded
+//     buffering.
 //   * Batch sizes adapt to load (net/adaptive_batch.h): each loop drains
 //     up to `batch` frames per round but shrinks its budget toward
 //     `batch_min` when rounds come up near-empty (cutting p50) and grows
@@ -74,7 +80,9 @@
 // accepting and reading, then — once all loops have stopped producing —
 // drains its shards' queues, answers everything queued, flushes response
 // backlogs (bounded by write_timeout_ms), and exits.  A clean stop
-// answers everything it has accepted responsibility for.
+// answers everything it has accepted responsibility for: a connection
+// handed off as the stop begins is adopted before its new loop's queues
+// close, so the frame that placed it is still decided and answered.
 //
 // Observability (compiled with -DHETSCHED_METRICS=ON): per-shard
 // queue-depth gauges, per-loop open-connection gauges, a batch-size
@@ -134,7 +142,8 @@ struct ServerOptions {
   std::size_t batch_min = 1;       // adaptive batch lower bound (frames)
   // One listen socket per loop via SO_REUSEPORT (kernel load-balances
   // accepts).  false — or an OS without the option — falls back to a
-  // single acceptor on loop 0 that hands fds to loops round-robin.
+  // single acceptor on loop 0.  Either way a connection's first
+  // shard-addressed frame moves it to the loop that owns that shard.
   bool reuseport = true;
   int write_timeout_ms = 5000;  // no-progress budget for a blocked peer
                                 // (shutdown flush deadline)
@@ -190,6 +199,8 @@ struct ServerStats {
   std::uint64_t snapshots = 0;     // mid-run snapshot files written
   std::uint64_t recovered = 0;     // WAL records replayed by start()
   std::uint64_t introspect = 0;    // kGetStats/kGetTracez frames answered
+  // Connections moved to the loop that owns their first frame's shard.
+  std::uint64_t connection_handoffs = 0;
 };
 
 class Server {
@@ -215,7 +226,9 @@ class Server {
   // Whether the listen sockets actually use SO_REUSEPORT (after start) —
   // false when disabled by options or unsupported by the OS.
   bool reuseport_active() const { return reuseport_active_; }
-  // Connections accepted by loop `i` — the reuseport distribution probe.
+  // Connections accepted by loop `i` — the reuseport distribution probe
+  // (accepts, not placements: a handed-off connection counts where it
+  // was accepted).
   std::uint64_t loop_connections(std::size_t i) const;
 
   // Releases shards started with ServerOptions::start_paused.
@@ -266,13 +279,27 @@ class Server {
   void loop_main(Loop& lp);
   void loop_accept(Loop& lp);
   void adopt_connection(Loop& lp, int fd);
+  // Connection placement: the first shard-addressed frame of `conn`,
+  // still undecoded at rbuf[off], names a shard loop `owner` owns.  Moves
+  // the connection there (nothing of it may be in flight).
+  void hand_off_connection(Loop& lp, const std::shared_ptr<Connection>& conn,
+                           std::size_t off, std::size_t owner);
+  // The owner's side: registers a handed-off connection and decodes the
+  // bytes it inherited.
+  void adopt_handed_off(Loop& lp, const std::shared_ptr<Connection>& conn);
+  // The loop owning the shard `req` is bound for (forwards followed), or
+  // loop_count() when it names no shard and so cannot place a connection.
+  std::size_t placement_loop(const Request& req) const;
   void loop_service_control(Loop& lp);
   void pacer_main();
   void drain_shard_queues(Loop& lp);
   // Decodes and routes every complete frame in `conn`'s read buffer.
   // Returns false when the connection must be closed (EOF, error, or a
   // malformed frame — a desynced byte stream cannot be re-synced).
-  bool drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn);
+  // `inherited`: rbuf holds whole frames from the loop that handed the
+  // connection off (possibly a full buffer), decoded before any recv.
+  bool drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
+                      bool inherited = false);
   void close_connection(Loop& lp, int fd);
   // Appends `len` staged bytes to `conn`, arming EPOLLOUT on its home
   // loop if a short write parks a backlog.  `lp` is the calling loop.
@@ -305,6 +332,8 @@ class Server {
   // shard's id, following chains.  Returns true if the request was
   // rewritten (counted once per request).
   bool resolve_forward(Request& req);
+  // The rewrite alone, uncounted: placement peeks at a frame's target.
+  bool follow_forwards(Request& req) const;
 
   // Elastic resize (kSplitShard / kMergeShards), run inline on the loop
   // that decoded the frame — resize frames are never queued.
@@ -342,7 +371,6 @@ class Server {
   std::thread pacer_thread_;
   std::mutex pacer_mu_;
   std::condition_variable pacer_cv_;
-  std::size_t accept_rr_ = 0;  // fd handoff cursor (fallback acceptor)
 
   // Shutdown barrier: loops that may still produce into shard queues /
   // connection backlogs.  Queues close only once reading stops globally;
@@ -357,7 +385,8 @@ class Server {
         frames_inline{0}, admitted{0}, rejected{0}, retried{0}, departed{0},
         stale{0}, rebalances{0}, bad{0}, batches{0}, partial_writes{0},
         resizes{0}, resize_failures{0}, forwarded{0}, wal_records{0},
-        wal_commits{0}, snapshots{0}, recovered{0}, introspect{0};
+        wal_commits{0}, snapshots{0}, recovered{0}, introspect{0},
+        connection_handoffs{0};
   };
   Counters counters_;
 };

@@ -12,8 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/churn_gen.h"
@@ -653,9 +655,11 @@ TEST(NetLoopback, ReuseportSpreadsConnectionsAcrossLoops) {
   }
 }
 
-// With reuseport off, loop 0's single acceptor hands fds round-robin.
-// Each client below then replays the shard the OTHER loop owns, forcing
-// the cross-loop queue path for every frame — checksums must still hold.
+// Cross-loop parity: each connection is first pinned to one loop by a
+// frame that cannot change any decision (a depart of an id no slot can
+// hold, answered kStaleId), then replays the shard the OTHER loop owns,
+// so every replayed frame takes the cross-loop queue path — checksums
+// must still hold.
 TEST(NetLoopback, FallbackAcceptorRoutesAcrossLoops) {
   const Platform pf = geometric_platform(4, 1.5);
   const ChurnTrace traces[2] = {make_trace(11, 200), make_trace(12, 200)};
@@ -674,15 +678,18 @@ TEST(NetLoopback, FallbackAcceptorRoutesAcrossLoops) {
   ASSERT_TRUE(server.start(&err)) << err;
   EXPECT_FALSE(server.reuseport_active());
 
-  // Connect sequentially so the handoff is deterministic: client 0 lands
-  // on loop 0, client 1 on loop 1 (round-robin from loop 0's acceptor).
+  // Client i's first shard frame names shard i, which places it on loop i.
+  constexpr std::uint64_t kNoSuchTask = ~std::uint64_t{0};
   Client clients[2];
-  ASSERT_TRUE(clients[0].connect(loopback_addr(server), 2000, &err)) << err;
-  ASSERT_TRUE(eventually([&] { return server.stats().connections == 1; }));
-  ASSERT_TRUE(clients[1].connect(loopback_addr(server), 2000, &err)) << err;
-  ASSERT_TRUE(eventually([&] { return server.stats().connections == 2; }));
-  EXPECT_EQ(server.loop_connections(0), 1u);
-  EXPECT_EQ(server.loop_connections(1), 1u);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(clients[i].connect(loopback_addr(server), 2000, &err)) << err;
+    const Request pin_req =
+        Request::depart(static_cast<std::uint16_t>(i), 0, kNoSuchTask);
+    Response pin;
+    ASSERT_TRUE(clients[i].call(pin_req, &pin, 2000))
+        << clients[i].last_error();
+    EXPECT_EQ(pin.status, Status::kStaleId);
+  }
 
   ReplaySummary sums[2];
   std::thread workers[2];
@@ -701,14 +708,16 @@ TEST(NetLoopback, FallbackAcceptorRoutesAcrossLoops) {
     EXPECT_EQ(sums[i].checksum, offline[1 - i]) << "connection " << i;
   }
   const ServerStats s = server.stats();
-  EXPECT_EQ(s.frames_inline, 0u);  // every frame crossed loops
-  EXPECT_EQ(s.enqueued, s.frames_rx);
+  // The two pins ran inline; every replayed frame crossed loops.
+  EXPECT_EQ(s.frames_inline, 2u);
+  EXPECT_EQ(s.enqueued, sums[0].requests + sums[1].requests);
+  EXPECT_EQ(s.frames_rx, s.enqueued + 2);
 }
 
 // The correctness anchor in thread-per-core mode: with 4 loops accepting
 // via SO_REUSEPORT, concurrent per-shard replays stay bit-identical to
-// offline no matter which loop each connection lands on (frames run
-// inline when the loop owns the shard and cross a queue otherwise).
+// offline no matter which loop each connection lands on (its first frame
+// moves it to the loop that owns its shard).
 TEST(NetLoopback, MultiLoopServeMatchesOfflineChecksums) {
   constexpr int kShards = 4;
   const Platform pf = geometric_platform(4, 1.5);
@@ -754,9 +763,10 @@ TEST(NetLoopback, MultiLoopServeMatchesOfflineChecksums) {
 }
 
 // Partial-write regression: a tiny server-side SO_SNDBUF plus a client
-// that reads nothing until it has sent everything forces EAGAIN on the
-// response path.  Every response must still arrive, in order, and the
-// partial_writes counter proves the backlog/EPOLLOUT resumption ran.
+// that reads nothing until the server has decoded everything forces
+// EAGAIN on the response path.  Every response must still arrive, in
+// order, and the partial_writes counter proves the backlog/EPOLLOUT
+// resumption ran.
 TEST(NetLoopback, TinySndbufPartialWritesResumeInOrder) {
   const Platform pf = geometric_platform(2, 1.5);
   ServerOptions opts;
@@ -792,6 +802,12 @@ TEST(NetLoopback, TinySndbufPartialWritesResumeInOrder) {
     ASSERT_GT(w, 0) << std::strerror(errno);
     sent += static_cast<std::size_t>(w);
   }
+  // Read nothing until the server has decoded every request: by then it
+  // has produced nearly all 72 KB of answers, far more than the clamped
+  // buffers hold, so short writes cannot be avoided however fast it runs.
+  ASSERT_TRUE(eventually([&] {
+    return server.stats().frames_rx == kRequests;
+  }));
 
   std::vector<unsigned char> in;
   in.reserve(wire.size());
@@ -819,6 +835,367 @@ TEST(NetLoopback, TinySndbufPartialWritesResumeInOrder) {
   server.request_stop();
   server.wait();
   EXPECT_EQ(server.stats().frames_rx, kRequests);
+}
+
+// ---------------------------------------------------------------------
+// connection placement: the first shard-addressed frame picks the loop
+// ---------------------------------------------------------------------
+
+// Whatever loop the kernel hands each connection to, its first frame
+// moves it to the loop that owns its shard: every frame runs inline.
+TEST(NetLoopback, ReuseportConnectionsServeOnTheirShardsLoop) {
+  constexpr int kConns = 16;
+  const Platform pf = geometric_platform(4, 1.5);
+  ChurnTrace traces[kConns];
+  std::uint64_t offline[kConns];
+  for (int i = 0; i < kConns; ++i) {
+    traces[i] = make_trace(300 + static_cast<std::uint64_t>(i), 150);
+    offline[i] =
+        offline_decision_checksum(pf, traces[i], AdmissionKind::kEdf, 1.0);
+  }
+
+  ServerOptions opts;
+  opts.shards = kConns;  // one shard per connection, four per loop
+  opts.loops = 4;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  ASSERT_EQ(server.loop_count(), 4u);
+
+  ReplaySummary sums[kConns];
+  std::string errs[kConns];
+  std::thread workers[kConns];
+  for (int i = 0; i < kConns; ++i) {
+    workers[i] = std::thread([&, i] {
+      Client client;
+      std::string cerr;
+      if (!client.connect(loopback_addr(server), 2000, &cerr)) {
+        errs[i] = cerr;
+        return;
+      }
+      sums[i] = replay_trace_over_client(
+          client, traces[i], static_cast<std::uint16_t>(i), 32, 5000);
+      if (!sums[i].ok) errs[i] = client.last_error();
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  std::uint64_t requests = 0;
+  for (int i = 0; i < kConns; ++i) {
+    ASSERT_TRUE(sums[i].ok) << errs[i];
+    ASSERT_EQ(sums[i].retried, 0u);
+    EXPECT_EQ(sums[i].checksum, offline[i]) << "shard " << i;
+    requests += sums[i].requests;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.frames_rx, requests);
+  EXPECT_EQ(s.enqueued, 0u);
+  EXPECT_EQ(s.frames_inline, s.frames_rx);
+  EXPECT_LE(s.connection_handoffs, static_cast<std::uint64_t>(kConns));
+}
+
+// The single acceptor no longer deals fds round-robin: loop 0 takes
+// every connection and the one whose shard loop 1 owns moves there once.
+TEST(NetLoopback, SingleAcceptorHandsOffOnFirstFrame) {
+  const Platform pf = geometric_platform(4, 1.5);
+  const ChurnTrace traces[2] = {make_trace(21, 200), make_trace(22, 200)};
+  std::uint64_t offline[2];
+  for (int i = 0; i < 2; ++i) {
+    offline[i] =
+        offline_decision_checksum(pf, traces[i], AdmissionKind::kEdf, 1.0);
+  }
+
+  ServerOptions opts;
+  opts.shards = 2;
+  opts.loops = 2;
+  opts.reuseport = false;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  ASSERT_FALSE(server.reuseport_active());
+
+  Client clients[2];
+  for (Client& c : clients) {
+    ASSERT_TRUE(c.connect(loopback_addr(server), 2000, &err)) << err;
+  }
+  ASSERT_TRUE(eventually([&] { return server.stats().connections == 2; }));
+  EXPECT_EQ(server.loop_connections(0), 2u);
+  EXPECT_EQ(server.loop_connections(1), 0u);
+  EXPECT_EQ(server.stats().connection_handoffs, 0u);  // nothing sent yet
+
+  ReplaySummary sums[2];
+  std::thread workers[2];
+  for (int i = 0; i < 2; ++i) {
+    workers[i] = std::thread([&, i] {
+      sums[i] = replay_trace_over_client(clients[i], traces[i],
+                                         static_cast<std::uint16_t>(i), 32,
+                                         5000);
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(sums[i].ok) << clients[i].last_error();
+    ASSERT_EQ(sums[i].retried, 0u);
+    EXPECT_EQ(sums[i].checksum, offline[i]) << "connection " << i;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.connection_handoffs, 1u);
+  EXPECT_EQ(s.enqueued, 0u);
+  EXPECT_EQ(s.frames_inline, s.frames_rx);
+  EXPECT_EQ(s.frames_rx, sums[0].requests + sums[1].requests);
+}
+
+// One connection replaying two traces at once, alternating frames between
+// a shard on each loop.  Responses of different shards may interleave, so
+// they are matched to their trace by request id (even: trace 0, odd:
+// trace 1); within a shard they come back in request order.
+struct InterleavedTrace {
+  const ChurnTrace* trace = nullptr;
+  std::uint16_t shard = 0;
+  std::uint64_t tag = 0;  // request id parity
+  std::size_t next = 0;   // next trace event to submit
+  std::uint64_t next_id = 0;
+  std::vector<int> outcome;  // per task: 0 pending, 1 admitted, 2 lost
+  std::vector<std::uint64_t> server_id;
+  std::deque<std::pair<std::uint64_t, std::uint64_t>> inflight;  // rid, task
+  std::uint64_t checksum = kFnv1aSeed;
+  std::uint64_t sent = 0;
+  std::uint64_t retried = 0;
+
+  void init(const ChurnTrace& t, std::uint16_t s, std::uint64_t parity) {
+    trace = &t;
+    shard = s;
+    tag = parity;
+    outcome.assign(t.arrivals, 0);
+    server_id.assign(t.arrivals, 0);
+  }
+  bool done() const { return next == trace->events.size() && inflight.empty(); }
+
+  // Queues this trace's next frame; false when it has none ready (the
+  // trace is exhausted or waits on an arrival's answer).
+  bool submit(Client& client) {
+    while (next < trace->events.size()) {
+      const ChurnEvent& ev = trace->events[next];
+      const std::uint64_t rid = next_id * 2 + tag;
+      if (ev.kind == ChurnEvent::Kind::kArrival) {
+        client.queue_request(
+            Request::admit(shard, rid, ev.params.exec, ev.params.period));
+        outcome[ev.task] = 0;
+      } else if (outcome[ev.task] == 0) {
+        return false;
+      } else if (outcome[ev.task] == 2) {
+        ++next;  // never admitted: nothing to depart
+        continue;
+      } else {
+        client.queue_request(Request::depart(shard, rid, server_id[ev.task]));
+      }
+      inflight.emplace_back(rid, next);
+      ++next;
+      ++next_id;
+      ++sent;
+      return true;
+    }
+    return false;
+  }
+
+  // Folds one response (the same fold as offline_decision_checksum).
+  bool resolve(const Response& r) {
+    if (inflight.empty() || inflight.front().first != r.request_id) {
+      return false;
+    }
+    const ChurnEvent& ev = trace->events[inflight.front().second];
+    inflight.pop_front();
+    if (r.status == Status::kRetryLater) {
+      ++retried;
+      if (ev.kind == ChurnEvent::Kind::kArrival) outcome[ev.task] = 2;
+      return true;
+    }
+    if (ev.kind == ChurnEvent::Kind::kArrival) {
+      const bool ok = r.status == Status::kAdmitted;
+      checksum = fnv1a(checksum, ok ? 1 : 0);
+      checksum = fnv1a(checksum, ok ? r.machine : 0);
+      checksum = fnv1a(checksum, r.value);
+      outcome[ev.task] = ok ? 1 : 2;
+      server_id[ev.task] = r.task_id;
+    } else {
+      checksum = fnv1a(checksum, r.status == Status::kDeparted ? 1 : 0);
+    }
+    return true;
+  }
+};
+
+TEST(NetLoopback, AlternatingShardsQueueOnlyTheOtherLoopsFrames) {
+  const Platform pf = geometric_platform(4, 1.5);
+  const ChurnTrace traces[2] = {make_trace(31, 200), make_trace(32, 200)};
+  std::uint64_t offline[2];
+  for (int i = 0; i < 2; ++i) {
+    offline[i] =
+        offline_decision_checksum(pf, traces[i], AdmissionKind::kEdf, 1.0);
+  }
+
+  ServerOptions opts;
+  opts.shards = 2;
+  opts.loops = 2;
+  opts.reuseport = false;  // accepted by loop 0, which owns shard 0
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  // Trace 0 drives shard 1 and goes first, so its first frame places the
+  // connection on loop 1; trace 1's frames for shard 0 then cross loops.
+  InterleavedTrace streams[2];
+  streams[0].init(traces[0], 1, 0);
+  streams[1].init(traces[1], 0, 1);
+  Client client;
+  ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+  constexpr std::size_t kWindow = 32;
+  const auto in_flight = [&] {
+    return streams[0].inflight.size() + streams[1].inflight.size();
+  };
+  while (!streams[0].done() || !streams[1].done()) {
+    bool queued = true;
+    while (queued) {
+      queued = false;
+      for (InterleavedTrace& st : streams) {
+        if (in_flight() < kWindow && st.submit(client)) queued = true;
+      }
+    }
+    ASSERT_TRUE(client.flush(2000)) << client.last_error();
+    ASSERT_GT(in_flight(), 0u);
+    Response r;
+    ASSERT_TRUE(client.recv_response(&r, 5000)) << client.last_error();
+    ASSERT_TRUE(streams[r.request_id % 2].resolve(r))
+        << "out-of-order response " << r.request_id;
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(streams[i].retried, 0u);
+    EXPECT_EQ(streams[i].checksum, offline[i]) << "trace " << i;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.connection_handoffs, 1u);
+  EXPECT_EQ(s.frames_rx, streams[0].sent + streams[1].sent);
+  EXPECT_EQ(s.frames_inline, streams[0].sent);  // shard 1, on its own loop
+  EXPECT_EQ(s.enqueued, streams[1].sent);       // shard 0, across loops
+}
+
+// Answers staged before the handoff stay ahead of everything after it:
+// GET_STATS frames answered on the accepting loop (their bytes parked in
+// the backlog by a tiny SO_SNDBUF and a client that is not reading yet)
+// precede the admits its new loop decides.
+TEST(NetLoopback, StatsAnsweredBeforeHandoffStayInOrder) {
+  const Platform pf = geometric_platform(2, 1.5);
+  ServerOptions opts;
+  opts.shards = 2;
+  opts.loops = 2;
+  opts.reuseport = false;
+  opts.sndbuf_bytes = 4096;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcv = 2048;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcv, sizeof(rcv)), 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)),
+            0);
+
+  constexpr std::uint64_t kStats = 16;
+  constexpr std::uint64_t kAdmits = 64;
+  std::vector<unsigned char> wire((kStats + kAdmits) * kFrameSize);
+  for (std::uint64_t i = 0; i < kStats + kAdmits; ++i) {
+    const Request r =
+        i < kStats ? Request::get_stats(i) : Request::admit(1, i, 1, 1000);
+    encode_request(r, wire.data() + i * kFrameSize);
+  }
+  std::size_t sent = 0;
+  while (sent < wire.size()) {
+    const ssize_t w =
+        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(w, 0) << std::strerror(errno);
+    sent += static_cast<std::size_t>(w);
+  }
+  ASSERT_TRUE(eventually([&] {
+    return server.stats().frames_rx == kStats + kAdmits;
+  }));
+
+  std::vector<unsigned char> in;
+  std::size_t off = 0;
+  std::uint64_t got = 0;
+  unsigned char chunk[4096];
+  while (got < kStats + kAdmits) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    in.insert(in.end(), chunk, chunk + n);
+    while (got < kStats + kAdmits) {
+      std::size_t consumed = 0;
+      std::uint64_t rid = 0;
+      DecodeResult d;
+      if (got < kStats) {
+        InfoResponse info;
+        d = decode_info_response(in.data() + off, in.size() - off, &info,
+                                 &consumed);
+        rid = info.request_id;
+      } else {
+        Response r;
+        d = decode_response(in.data() + off, in.size() - off, &r, &consumed);
+        rid = r.request_id;
+        if (d == DecodeResult::kOk) {
+          EXPECT_EQ(r.status, Status::kAdmitted);
+        }
+      }
+      ASSERT_NE(d, DecodeResult::kBad) << "frame " << got;
+      if (d != DecodeResult::kOk) break;
+      off += consumed;
+      EXPECT_EQ(rid, got);
+      ++got;
+    }
+  }
+  ::close(fd);
+  server.request_stop();
+  server.wait();
+  const ServerStats s = server.stats();
+  EXPECT_GT(s.partial_writes, 0u);
+  EXPECT_EQ(s.introspect, kStats);
+  EXPECT_EQ(s.connection_handoffs, 1u);
+  EXPECT_EQ(s.frames_inline, kAdmits);
+  EXPECT_EQ(s.enqueued, 0u);
+}
+
+// A handoff racing request_stop: whether the placing frame moves with its
+// connection, takes the queue path, or is never read, every frame the
+// server decoded is answered before the socket closes.
+TEST(NetLoopback, HandoffRacingStopAnswersWhatItDecoded) {
+  const Platform pf = geometric_platform(2, 1.5);
+  for (int round = 0; round < 40; ++round) {
+    ServerOptions opts;
+    opts.shards = 2;
+    opts.loops = 2;
+    opts.reuseport = false;
+    Server server(pf, opts);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    Client client;
+    ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+    ASSERT_TRUE(eventually([&] { return server.stats().connections == 1; }));
+    client.queue_request(Request::admit(1, 7, 1, 1000));  // loop 1's shard
+    ASSERT_TRUE(client.flush(2000)) << client.last_error();
+    std::this_thread::sleep_for(std::chrono::microseconds(5 * (round % 8)));
+    server.request_stop();
+    Response r;
+    const bool answered = client.recv_response(&r, 5000);
+    server.wait();
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.frames_rx, answered ? 1u : 0u) << "round " << round;
+    EXPECT_LE(s.connection_handoffs, s.frames_rx) << "round " << round;
+    if (answered) {
+      EXPECT_EQ(r.request_id, 7u);
+      EXPECT_EQ(r.status, Status::kAdmitted);
+    }
+  }
 }
 
 TEST(NetReplay, OfflineChecksumIsDeterministic) {

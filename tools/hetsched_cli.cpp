@@ -53,10 +53,12 @@
 //       the event-loop (acceptor) thread count; 0 = one per core, capped
 //       by the shard count.  Each loop normally has its own SO_REUSEPORT
 //       listen socket; --no-reuseport forces the single-acceptor fallback
-//       (loop 0 hands fds round-robin).  The per-round drain budget
-//       adapts between --batch-min and --batch frames.  In this mode
-//       --stats-interval is in seconds.  SIGINT/SIGTERM drain the shard
-//       queues, flush responses and the final snapshot, and exit 0.
+//       (loop 0 accepts everything).  Either way a connection's first
+//       shard frame moves it to the loop owning that shard.  The
+//       per-round drain budget adapts between --batch-min and --batch
+//       frames.  In this mode --stats-interval is in seconds.
+//       SIGINT/SIGTERM drain the shard queues, flush responses and the
+//       final snapshot, and exit 0.
 //       Durability: --wal-dir DIR logs every decision to per-shard WALs
 //       before its response is sent and recovers from DIR on start;
 //       --wal-sync always|batch|off picks the fsync policy (default
