@@ -135,15 +135,18 @@ void TaskSet::order_by_utilization_desc(std::vector<std::size_t>& out) const {
     out[i] = s.idx[cur][i];
   }
   // Repair double-equal runs with the exact comparison (stable, so the
-  // index tiebreak is inherited from the radix passes).
+  // index tiebreak is inherited from the radix passes).  A run already in
+  // exact order is a fixed point of stable_sort, so only an out-of-order
+  // run is sorted; that also keeps stable_sort's heap-allocated buffer off
+  // the common path, where equal doubles are equal rationals.
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
     while (j < n && s.keys[cur][j] == s.keys[cur][i]) ++j;
-    if (j - i > 1) {
-      std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(i),
-                       out.begin() + static_cast<std::ptrdiff_t>(j),
-                       exact_desc);
+    const auto first = out.begin() + static_cast<std::ptrdiff_t>(i);
+    const auto last = out.begin() + static_cast<std::ptrdiff_t>(j);
+    if (j - i > 1 && !std::is_sorted(first, last, exact_desc)) {
+      std::stable_sort(first, last, exact_desc);
     }
     i = j;
   }

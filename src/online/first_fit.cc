@@ -6,8 +6,9 @@
 // online paths share one admission code path and stay bit-identical
 // (tests/online_equivalence_test.cpp).  The decision-only accept path and
 // the alpha bisection keep their allocation-free PartitionScratch engine —
-// the same slack arithmetic via admission_fold_step, without the
-// controller's assignment bookkeeping.
+// the same admission arithmetic (admission.h), without the controller's
+// assignment bookkeeping, and with a machine cursor that lets most
+// placements skip the slack tree (run_slack_engine).
 #include "partition/first_fit.h"
 
 #include <iomanip>
@@ -28,15 +29,16 @@ namespace hetsched {
 
 namespace {
 
-// Fills scratch.utils and scratch.order.  The order is the exact
-// permutation TaskSet::order_by_utilization_desc produces, so every engine
-// consumes tasks in the same sequence.
+// Fills scratch.order and gathers scratch.utils in that order.  The order
+// is the exact permutation TaskSet::order_by_utilization_desc produces, so
+// every engine consumes tasks in the same sequence.
 // HETSCHED_NOALLOC (scratch warm-up; allocation-free once warm)
 void prepare_order(const TaskSet& tasks, PartitionScratch& s) {
-  const std::size_t n = tasks.size();
-  s.utils.resize(n);
-  for (std::size_t i = 0; i < n; ++i) s.utils[i] = tasks[i].utilization();
   tasks.order_by_utilization_desc(s.order);
+  s.utils.resize(tasks.size());
+  for (std::size_t pos = 0; pos < s.order.size(); ++pos) {
+    s.utils[pos] = tasks[s.order[pos]].utilization();
+  }
 }
 
 // Resets the per-machine state (capacity, sums, slacks) for one run.
@@ -59,33 +61,66 @@ void reset_machines(const Platform& platform, AdmissionKind kind, double alpha,
   }
 }
 
-// Runs first fit over the prepared order using the resolved engine
-// (kNaive = linear scan over the slack array, kSegmentTree = tree descent;
-// identical comparisons either way).  Returns the position in s.order of
-// the first task that fits nowhere, or tasks.size() if all fit.
+// Runs first fit over the prepared order using the resolved engine.
+// Returns the position in s.order of the first task that fits nowhere, or
+// s.utils.size() if all fit.
+//
+// kNaive is the reference: a linear scan over the slack array for every
+// task.  kSegmentTree keeps a cursor on the machine j of the last placement
+// and the largest slack left of j, which the descent that found j reports.
+// Machines left of j do not change while the cursor stays, so while that
+// maximum is below the next utilization and j's own comparison admits the
+// task, j is still the leftmost fit: the task folds straight into j with
+// no slack search, tree update or descent.  When the cursor leaves, j's
+// slack is computed once, the tree updated and a new descent run.  Since
+// (w <= slack) == admission_admits(w), both engines make the same
+// comparisons and place every task on the same machine.
 // HETSCHED_NOALLOC
-std::size_t run_slack_engine(const TaskSet& tasks, AdmissionKind kind,
-                             PartitionEngine resolved, PartitionScratch& s) {
+std::size_t run_slack_engine(AdmissionKind kind, PartitionEngine resolved,
+                             PartitionScratch& s) {
+  const std::size_t n = s.utils.size();
   const std::size_t m = s.slack.size();
-  const bool use_tree = resolved == PartitionEngine::kSegmentTree;
-  if (use_tree) s.tree.build(s.slack);
-  for (std::size_t pos = 0; pos < s.order.size(); ++pos) {
-    const std::size_t i = s.order[pos];
-    const double w = s.utils[i];
-    std::size_t j;
-    if (use_tree) {
-      j = s.tree.find_first_at_least(w);
-      if (j == SlackTree::npos) return pos;
-    } else {
-      j = 0;
+  if (resolved == PartitionEngine::kNaive) {
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      const double w = s.utils[pos];
+      std::size_t j = 0;
       while (j < m && !(w <= s.slack[j])) ++j;
       if (j == m) return pos;
+      admission_fold_step(kind, w, s.capacity[j], s.util_sum[j], s.hyper[j],
+                          s.count[j], s.slack[j]);
     }
-    admission_fold_step(kind, w, s.capacity[j], s.util_sum[j], s.hyper[j],
-                        s.count[j], s.slack[j]);
-    if (use_tree) s.tree.update(j, s.slack[j]);
+    return n;
   }
-  return tasks.size();
+  s.tree.build(s.slack);
+  // The cursor machine's state lives in locals while the cursor stays and
+  // is written back when it leaves.
+  std::size_t j = SlackTree::npos;
+  double left_max = 0.0;
+  double capacity = 0.0, util_sum = 0.0, hyper = 1.0;
+  std::size_t count = 0;
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const double w = s.utils[pos];
+    if (j != SlackTree::npos) {
+      if (left_max < w &&
+          admission_admits(kind, w, capacity, util_sum, count, hyper)) {
+        admission_accumulate(w, capacity, util_sum, hyper, count);
+        continue;
+      }
+      s.util_sum[j] = util_sum;
+      s.hyper[j] = hyper;
+      s.count[j] = count;
+      s.slack[j] = admission_slack(kind, capacity, util_sum, count, hyper);
+      s.tree.update(j, s.slack[j]);
+    }
+    j = s.tree.find_first_at_least(w, left_max);
+    if (j == SlackTree::npos) return pos;
+    capacity = s.capacity[j];
+    util_sum = s.util_sum[j];
+    hyper = s.hyper[j];
+    count = s.count[j];
+    admission_accumulate(w, capacity, util_sum, hyper, count);
+  }
+  return n;
 }
 
 // Decision-only scan for kinds without a slack form (kRmsResponseTime):
@@ -124,7 +159,7 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
   } else {
     reset_machines(platform, kind, alpha, s);
     const PartitionEngine resolved = resolve_engine(engine, kind);
-    verdict = run_slack_engine(tasks, kind, resolved, s) == tasks.size();
+    verdict = run_slack_engine(kind, resolved, s) == tasks.size();
   }
   // Shadow oracle: the decision-only scratch verdict must match the full
   // batch partition (the controller path) and the opposite engine.
@@ -142,7 +177,7 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
         prepare_order(tasks, fresh);
         reset_machines(platform, kind, alpha, fresh);
         const bool cross =
-            run_slack_engine(tasks, kind, other, fresh) == tasks.size();
+            run_slack_engine(kind, other, fresh) == tasks.size();
         HETSCHED_CHECK_MSG(verdict == cross,
                            "audit: engines disagree on accept verdict");
       });

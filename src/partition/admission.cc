@@ -100,22 +100,29 @@ bool admission_has_slack_form(AdmissionKind k) {
 
 double admission_slack(AdmissionKind kind, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product) {
-  // Each predicate below is the verbatim comparison MachineLoad::can_admit
-  // performs; the threshold search preserves its exact FP semantics.
+  // Each predicate is admission_admits at a literal kind, so its switch
+  // folds away outside the search.  Liu–Layland's comparison is EDF's
+  // against the count-aware limit, as in admission_admits; the limit is
+  // computed once here rather than on every probe.
   switch (kind) {
     case AdmissionKind::kEdf:
-      return exact_admission_threshold(
-          capacity - util_sum,
-          [&](double w) { return util_sum + w <= capacity; });
+      return exact_admission_threshold(capacity - util_sum, [&](double w) {
+        return admission_admits(AdmissionKind::kEdf, w, capacity, util_sum,
+                                task_count, hyper_product);
+      });
     case AdmissionKind::kRmsLiuLayland: {
       const double limit = rms_liu_layland_bound(task_count + 1) * capacity;
-      return exact_admission_threshold(
-          limit - util_sum, [&](double w) { return util_sum + w <= limit; });
+      return exact_admission_threshold(limit - util_sum, [&](double w) {
+        return admission_admits(AdmissionKind::kEdf, w, limit, util_sum,
+                                task_count, hyper_product);
+      });
     }
     case AdmissionKind::kRmsHyperbolic:
       return exact_admission_threshold(
           (2.0 / hyper_product - 1.0) * capacity, [&](double w) {
-            return hyper_product * (w / capacity + 1.0) <= 2.0;
+            return admission_admits(AdmissionKind::kRmsHyperbolic, w,
+                                    capacity, util_sum, task_count,
+                                    hyper_product);
           });
     case AdmissionKind::kRmsResponseTime:
       break;

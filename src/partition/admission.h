@@ -13,6 +13,7 @@
 
 #include "core/platform.h"
 #include "core/task.h"
+#include "core/uniproc.h"
 #include "util/rational.h"
 
 namespace hetsched {
@@ -36,10 +37,37 @@ bool is_rms(AdmissionKind k);
 // engine (partition/engine.h) can index; kRmsResponseTime is not one.
 bool admission_has_slack_form(AdmissionKind k);
 
+// The slack-form kinds' admission comparison, verbatim as
+// MachineLoad::can_admit performs it: does a machine of capacity alpha * s
+// whose admitted tasks sum to `util_sum` (`task_count` of them, hyperbolic
+// product `hyper_product`) still pass with a task of utilization `w` added?
+// kRmsResponseTime has no such comparison and never admits here.
+// HETSCHED_NOALLOC
+inline bool admission_admits(AdmissionKind kind, double w, double capacity,
+                             double util_sum, std::size_t task_count,
+                             double hyper_product) {
+  switch (kind) {
+    case AdmissionKind::kEdf:
+      return util_sum + w <= capacity;
+    case AdmissionKind::kRmsLiuLayland:
+      // EDF's comparison against the count-aware Liu–Layland limit.
+      return admission_admits(
+          AdmissionKind::kEdf, w,
+          rms_liu_layland_bound(task_count + 1) * capacity, util_sum,
+          task_count, hyper_product);
+    case AdmissionKind::kRmsHyperbolic:
+      return hyper_product * (w / capacity + 1.0) <= 2.0;
+    case AdmissionKind::kRmsResponseTime:
+      break;
+  }
+  return false;
+}
+
 // The largest task utilization the machine still admits — the EXACT
-// floating-point threshold of can_admit's comparison, i.e. for every double
-// w >= 0, (w <= slack) == can_admit(task of utilization w).  In real
-// arithmetic the thresholds are
+// floating-point threshold of admission_admits, i.e. for every double
+// w >= 0, (w <= slack) == admission_admits(kind, w, ...).  The threshold
+// search evaluates admission_admits itself as its predicate, so the two
+// agree by construction.  In real arithmetic the thresholds are
 //   kEdf:            capacity - util_sum
 //   kRmsLiuLayland:  LL(task_count + 1) * capacity - util_sum
 //   kRmsHyperbolic:  (2 / hyper_product - 1) * capacity
@@ -57,19 +85,27 @@ bool admission_has_slack_form(AdmissionKind k);
 double admission_slack(AdmissionKind kind, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product);
 
-// One step of the slack-form admission fold, mirroring MachineLoad::admit's
-// arithmetic exactly: accumulate a task of utilization `w` into the
-// machine's running state and refresh its slack.  This is THE admission
-// code path shared by the batch scratch engine (online/first_fit.cc) and
-// the stateful controller (online/online_partitioner.h); keeping it in one
-// place is what keeps the two bit-identical.
+// Accumulates a task of utilization `w` into a machine's running state,
+// mirroring MachineLoad::admit's arithmetic exactly.
+// HETSCHED_NOALLOC
+inline void admission_accumulate(double w, double capacity, double& util_sum,
+                                 double& hyper_product,
+                                 std::size_t& task_count) {
+  util_sum += w;
+  hyper_product *= w / capacity + 1.0;
+  ++task_count;
+}
+
+// One step of the slack-form admission fold: accumulate `w` and refresh the
+// machine's slack.  This is THE admission code path shared by the batch
+// scratch engine (online/first_fit.cc) and the stateful controller
+// (online/online_partitioner.h); keeping it in one place is what keeps the
+// two bit-identical.
 // HETSCHED_NOALLOC
 inline void admission_fold_step(AdmissionKind kind, double w, double capacity,
                                 double& util_sum, double& hyper_product,
                                 std::size_t& task_count, double& slack) {
-  util_sum += w;
-  hyper_product *= w / capacity + 1.0;
-  ++task_count;
+  admission_accumulate(w, capacity, util_sum, hyper_product, task_count);
   slack = admission_slack(kind, capacity, util_sum, task_count, hyper_product);
 }
 

@@ -79,20 +79,40 @@ void SlackTree::build(std::span<const double> slack) {
   HETSCHED_AUDIT_HOOK(audit_verify_heap());
 }
 
-std::size_t SlackTree::find_first_at_least(double w) const {
+// The controller's descent instantiates kLeftMax = false and pays nothing
+// for the batch engine's left maximum.
+template <bool kLeftMax>
+std::size_t SlackTree::descend(double w, double* left_max) const {
   if (m_ == 0 || node_[1] < w) {
     HETSCHED_COUNT(g_tree_metrics.misses);
     HETSCHED_AUDIT_HOOK(audit_verify_find(w, npos));
     return npos;
   }
+  double skipped = -std::numeric_limits<double>::infinity();
   std::size_t i = 1;
   while (i < leaves_) {
     i *= 2;
-    if (node_[i] < w) ++i;  // left subtree's max too small -> go right
+    if (node_[i] < w) {  // left subtree's max too small -> go right
+      if constexpr (kLeftMax) skipped = std::max(skipped, node_[i]);
+      ++i;
+    }
   }
   HETSCHED_COUNT(g_tree_metrics.descents);
   HETSCHED_AUDIT_HOOK(audit_verify_find(w, i - leaves_));
+  if constexpr (kLeftMax) {
+    *left_max = skipped;
+    HETSCHED_AUDIT_HOOK(audit_verify_left_max(i - leaves_, skipped));
+  }
   return i - leaves_;
+}
+
+std::size_t SlackTree::find_first_at_least(double w) const {
+  return descend<false>(w, nullptr);
+}
+
+// HETSCHED_NOALLOC
+std::size_t SlackTree::find_first_at_least(double w, double& left_max) const {
+  return descend<true>(w, &left_max);
 }
 
 // HETSCHED_NOALLOC
@@ -136,6 +156,18 @@ void SlackTree::audit_verify_find(double w, std::size_t result) const {
   }
   HETSCHED_CHECK_MSG(result == expect,
                      "audit: SlackTree descent disagrees with naive scan");
+}
+
+void SlackTree::audit_verify_left_max(std::size_t result,
+                                      double left_max) const {
+  double scanned = -std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < result; ++j) {
+    scanned = std::max(scanned, node_[leaves_ + j]);
+  }
+  // Bitwise on purpose: the maximum is one of the leaves, not a sum.
+  // hetsched-lint: allow(float-compare)
+  HETSCHED_CHECK_MSG(left_max == scanned,
+                     "audit: SlackTree left maximum disagrees with the leaves");
 }
 
 #endif  // HETSCHED_AUDIT_ENABLED

@@ -9,13 +9,21 @@
 // segment tree over the m slacks answers in O(log m) — turning the
 // partition pass into O(n log n + n log m) instead of O(n log n + n m).
 //
-// admission_slack() returns the EXACT floating-point threshold of the
-// per-machine comparison MachineLoad::can_admit performs, so "w <= slack"
-// and the direct predicate decide every admission identically — the
-// segment-tree engine returns bit-identical assignments and verdicts to the
-// naive scan (asserted by tests/engine_equivalence_test.cpp).
-// kRmsResponseTime has no closed-form slack; every engine falls back to the
-// naive scan there.
+// The batch accept path (first_fit_accepts, min_feasible_alpha) adds a
+// machine cursor on top: it stays on the machine of the last placement and
+// remembers the largest slack left of it, which the descent reports.  In
+// utilization-descending order most tasks land on the same machine as the
+// one before, so a placement costs one admission_admits comparison while
+// the cursor stays and O(log m) (one slack search, one tree update, one
+// descent) when it moves.
+//
+// admission_slack() returns the EXACT floating-point threshold of
+// admission_admits(), the per-machine comparison MachineLoad::can_admit
+// performs, so "w <= slack" and the direct predicate decide every admission
+// identically — the segment-tree engine returns bit-identical assignments
+// and verdicts to the naive scan (asserted by
+// tests/engine_equivalence_test.cpp).  kRmsResponseTime has no closed-form
+// slack; every engine falls back to the naive scan there.
 #pragma once
 
 #include <cstddef>
@@ -60,6 +68,15 @@ class SlackTree {
   // Leftmost j with slack_j >= w, or npos; O(log m).
   std::size_t find_first_at_least(double w) const;
 
+  // The same descent, which also sets `left_max` to the largest slack left
+  // of the answer (-inf when the answer is machine 0).  The machines left
+  // of the answer are exactly the left subtrees the descent skips, so it
+  // reads the maximum off those children for one max per level.  A caller
+  // that keeps placing onto the answer j, and changes no machine left of
+  // it, can skip later queries while w > left_max and j itself admits w:
+  // j is then still the leftmost fit.
+  std::size_t find_first_at_least(double w, double& left_max) const;
+
   // Sets machine j's slack and fixes the ancestors; O(log m).
   void update(std::size_t j, double slack);
 
@@ -70,7 +87,10 @@ class SlackTree {
   // leftmost scan over the leaves.
   void audit_verify_heap() const;
   void audit_verify_find(double w, std::size_t result) const;
+  void audit_verify_left_max(std::size_t result, double left_max) const;
 #endif
+  template <bool kLeftMax>
+  std::size_t descend(double w, double* left_max) const;
   std::size_t m_ = 0;
   std::size_t leaves_ = 0;    // leaf count, power of two (padding = -inf)
   std::vector<double> node_;  // 1-based heap layout; node_[1] is the root
@@ -81,7 +101,7 @@ class SlackTree {
 // heap allocation and never copies Task vectors.  Treat the members as
 // opaque; a scratch must not be shared between threads.
 struct PartitionScratch {
-  std::vector<double> utils;       // per task (caller's numbering): w_i
+  std::vector<double> utils;       // w of task order[k], at position k
   std::vector<std::size_t> order;  // task indices, utilization-descending
   std::vector<double> capacity;    // per machine: alpha * s_j
   std::vector<double> util_sum;    // per machine: admitted utilization

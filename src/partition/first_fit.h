@@ -11,7 +11,11 @@
 //   * alpha = 2.98   + EDF admission:  the migrating-adversary LP (1)-(4)
 //                      is infeasible (Theorem I.3);
 //   * alpha = 3.34   + RMS admission:  same under RMS (Theorem I.4).
-// Running time O(n log n + n m) for the bound-based admission kinds.
+// Running time for the bound-based admission kinds: O(n log n + n m) with
+// the naive scan, O(n log n + n log m) with the segment tree.  The
+// decision-only accept path below places a task in O(1) while it lands on
+// the same machine as the task before it, and in O(log m) when the machine
+// changes.
 #pragma once
 
 #include <cstddef>

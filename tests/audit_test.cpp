@@ -11,7 +11,9 @@
 // monotonicity assumption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -167,7 +169,8 @@ TEST(Audit, ExactBoundaryPackingsSurviveChurn) {
 }
 
 // Direct SlackTree ops at adversarial values; the audit build verifies the
-// heap invariant and replays every descent against the naive scan.
+// heap invariant and replays every descent, and its left maximum, against
+// the naive scan.
 TEST(Audit, SlackTreeDirectOperations) {
   SlackTree tree;
   Rng rng(0x7ee5);
@@ -179,9 +182,16 @@ TEST(Audit, SlackTreeDirectOperations) {
     for (int q = 0; q < 50; ++q) {
       const double w = rng.uniform(-1.5, 2.5);
       const std::size_t j = tree.find_first_at_least(w);
+      double left_max = 0.0;
+      EXPECT_EQ(tree.find_first_at_least(w, left_max), j);
       if (j != SlackTree::npos) {
         EXPECT_GE(tree.slack_at(j), w);
-        for (std::size_t k = 0; k < j; ++k) EXPECT_LT(tree.slack_at(k), w);
+        double scanned = -std::numeric_limits<double>::infinity();
+        for (std::size_t k = 0; k < j; ++k) {
+          EXPECT_LT(tree.slack_at(k), w);
+          scanned = std::max(scanned, tree.slack_at(k));
+        }
+        EXPECT_EQ(left_max, scanned);
       } else {
         for (std::size_t k = 0; k < m; ++k) EXPECT_LT(tree.slack_at(k), w);
       }

@@ -3,8 +3,15 @@
 // alike.  This is the contract that lets every experiment run on the fast
 // path while the naive scan stays the auditable reference implementation of
 // the paper's algorithm.
+//
+// Small instances cover many platform shapes.  Large ones (n in the
+// thousands, m up to 128, log-uniform periods 10-1000) repeat utilizations
+// in long runs, so the batch tree engine's machine cursor stays on one
+// machine for many placements, and mixed machine speeds make it move left
+// as well as right.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gen/platform_gen.h"
@@ -44,7 +51,21 @@ void expect_identical(const PartitionResult& a, const PartitionResult& b) {
   EXPECT_EQ(a.failed_utilization, b.failed_utilization);
 }
 
-Platform random_platform(Rng& rng) {
+Platform random_platform(Rng& rng, bool large = false) {
+  if (large) {
+    // Total speed m, as for identical unit machines.
+    const std::size_t m = static_cast<std::size_t>(rng.uniform_int(16, 128));
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        return Platform::identical(m);
+      case 1:
+        return geometric_platform(m, rng.uniform(1.01, 1.07),
+                                  static_cast<double>(m));
+      default:
+        return big_little_platform(m - m / 4, m / 4, 1.0,
+                                   rng.uniform(1.5, 4.0));
+    }
+  }
   const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 12));
   switch (rng.uniform_int(0, 2)) {
     case 0:
@@ -57,9 +78,11 @@ Platform random_platform(Rng& rng) {
   }
 }
 
-TaskSet random_taskset(Rng& rng, const Platform& platform, bool bounded_periods) {
+TaskSet random_taskset(Rng& rng, const Platform& platform, bool bounded_periods,
+                       bool large = false) {
   TasksetSpec spec;
-  spec.n = static_cast<std::size_t>(rng.uniform_int(1, 40));
+  spec.n = static_cast<std::size_t>(large ? rng.uniform_int(1000, 4096)
+                                          : rng.uniform_int(1, 40));
   spec.max_task_utilization = platform.max_speed();
   // Normalized load 0.4..1.15: straddles the acceptance boundary so the
   // sample contains plenty of rejections (the branchier engine path).
@@ -80,8 +103,9 @@ TEST(EngineEquivalence, SlackFormKindsBitIdenticalOverRandomInstances) {
   Rng rng(0x5EED5EED);
   int rejects = 0;
   for (int iter = 0; iter < 300; ++iter) {
-    const Platform platform = random_platform(rng);
-    const TaskSet tasks = random_taskset(rng, platform, false);
+    const bool large = iter % 10 == 9;
+    const Platform platform = random_platform(rng, large);
+    const TaskSet tasks = random_taskset(rng, platform, false, large);
     const AdmissionKind kind = kinds[iter % 3];
     const double alpha = alphas[iter % 4];
 
@@ -149,13 +173,19 @@ TEST(EngineEquivalence, ResponseTimeKindMatchesThroughFallback) {
 }
 
 TEST(EngineEquivalence, MinFeasibleAlphaAgreesAcrossEnginesAndScratch) {
+  const AdmissionKind kinds[] = {AdmissionKind::kEdf,
+                                 AdmissionKind::kRmsLiuLayland,
+                                 AdmissionKind::kRmsHyperbolic};
+  constexpr double kTol = 1e-6;
   Rng rng(0xA1FA);
   PartitionScratch scratch;
-  for (int iter = 0; iter < 60; ++iter) {
-    const Platform platform = random_platform(rng);
-    const TaskSet tasks = random_taskset(rng, platform, false);
-    const AdmissionKind kind =
-        iter % 2 == 0 ? AdmissionKind::kEdf : AdmissionKind::kRmsLiuLayland;
+  int large_searched = 0;
+  int below_rejects = 0;
+  for (int iter = 0; iter < 72; ++iter) {
+    const bool large = iter % 4 == 3;
+    const Platform platform = random_platform(rng, large);
+    const TaskSet tasks = random_taskset(rng, platform, false, large);
+    const AdmissionKind kind = kinds[iter % 3];
     const auto plain = min_feasible_alpha(tasks, platform, kind, 8.0);
     const auto via_naive = min_feasible_alpha(tasks, platform, kind, 8.0,
                                               scratch, PartitionEngine::kNaive);
@@ -163,11 +193,31 @@ TEST(EngineEquivalence, MinFeasibleAlphaAgreesAcrossEnginesAndScratch) {
         tasks, platform, kind, 8.0, scratch, PartitionEngine::kSegmentTree);
     ASSERT_EQ(plain.has_value(), via_tree.has_value());
     ASSERT_EQ(via_naive.has_value(), via_tree.has_value());
-    if (plain) {
-      EXPECT_EQ(*plain, *via_tree);
-      EXPECT_EQ(*via_naive, *via_tree);
+    if (!plain) continue;
+    // Bit for bit: the engines must bisect through the same verdicts.
+    EXPECT_EQ(*plain, *via_tree);
+    EXPECT_EQ(*via_naive, *via_tree);
+    if (!large) continue;
+    // Both sides of the acceptance boundary: the alpha found, and just
+    // below it, where the bisection saw a reject.  Each engine, and the
+    // controller path, must give the same verdict there.
+    ++large_searched;
+    const double below = std::max(1.0, *via_tree - 2 * kTol);
+    for (const double alpha : {*via_tree, below}) {
+      const bool naive = first_fit_accepts(tasks, platform, kind, alpha,
+                                           scratch, PartitionEngine::kNaive);
+      const bool tree = first_fit_accepts(
+          tasks, platform, kind, alpha, scratch, PartitionEngine::kSegmentTree);
+      EXPECT_EQ(naive, tree) << "alpha " << alpha;
+      EXPECT_EQ(first_fit_partition(tasks, platform, kind, alpha).feasible,
+                tree)
+          << "alpha " << alpha;
+      if (alpha < *via_tree && !tree) ++below_rejects;
     }
   }
+  // The large sample must reach the bisection and its reject side.
+  EXPECT_GT(large_searched, 10);
+  EXPECT_GT(below_rejects, 5);
 }
 
 }  // namespace

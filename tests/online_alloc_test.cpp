@@ -2,9 +2,10 @@
 // admission kind or admission test — the slack-form kinds, kRmsResponseTime
 // and every tiered test, whose escalations run inline on the server's
 // owner loops — and that depart() stays clean too once the free list has
-// grown.  This lives in its own test binary because it replaces global
-// operator new — instrumenting every other suite with the counter would be
-// noise.
+// grown.  The batch accept path and the alpha search through a warm
+// PartitionScratch are held to the same bar.  This lives in its own test
+// binary because it replaces global operator new — instrumenting every
+// other suite with the counter would be noise.
 //
 // Methodology: admit a full wave (warm-up grows the slot arena, the
 // per-machine resident lists, and the free list via the departures), depart
@@ -23,7 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "gen/platform_gen.h"
+#include "gen/taskset_gen.h"
 #include "online/online_partitioner.h"
+#include "partition/first_fit.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -192,6 +197,61 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<EscalationCase>& p) {
       return p.param.name;
     });
+
+// The batch path: 2048 tasks with log-uniform periods 10-1000 repeat many
+// utilizations, so the ordering's radix path meets long double-equal runs;
+// the load sits above capacity at alpha = 1, so the search bisects.
+class BatchAllocTest : public ::testing::TestWithParam<AdmissionKind> {};
+
+TEST_P(BatchAllocTest, WarmAcceptsAndAlphaSearchAreAllocationFree) {
+  const AdmissionKind kind = GetParam();
+  const Platform platform = geometric_platform(32, 1.0625, 0.05 * 2048);
+  Rng rng(0xBA7C);
+  TasksetSpec spec;
+  spec.n = 2048;
+  spec.total_utilization = 1.1 * platform.total_speed();
+  spec.periods = PeriodSpec::log_uniform(10, 1000);
+  const TaskSet tasks = generate_taskset(rng, spec);
+  const std::vector<std::size_t> order = tasks.order_by_utilization_desc();
+  std::size_t repeats = 0;
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    // hetsched-lint: allow(float-compare) counting exact repeats
+    if (tasks[order[k]].utilization() == tasks[order[k - 1]].utilization()) {
+      ++repeats;
+    }
+  }
+  ASSERT_GT(repeats, 100u) << "the taskset has too few repeated utilizations";
+
+  for (const PartitionEngine engine :
+       {PartitionEngine::kNaive, PartitionEngine::kSegmentTree}) {
+    const char* name = engine == PartitionEngine::kNaive ? "naive" : "tree";
+    PartitionScratch scratch;
+    const bool warm_accept =
+        first_fit_accepts(tasks, platform, kind, 1.5, scratch, engine);
+    const auto warm_alpha =
+        min_feasible_alpha(tasks, platform, kind, 4.0, scratch, engine);
+    ASSERT_TRUE(warm_alpha.has_value()) << name;
+    EXPECT_GT(*warm_alpha, 1.0) << name;
+
+    std::size_t before = g_allocations.load();
+    EXPECT_EQ(first_fit_accepts(tasks, platform, kind, 1.5, scratch, engine),
+              warm_accept);
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << "first_fit_accepts, engine " << name;
+
+    before = g_allocations.load();
+    const auto alpha =
+        min_feasible_alpha(tasks, platform, kind, 4.0, scratch, engine);
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << "min_feasible_alpha, engine " << name;
+    EXPECT_EQ(alpha, warm_alpha) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SlackFormKinds, BatchAllocTest,
+                         ::testing::Values(AdmissionKind::kEdf,
+                                           AdmissionKind::kRmsLiuLayland,
+                                           AdmissionKind::kRmsHyperbolic));
 
 TEST(AllocCounter, CountsAtAll) {
   // Sanity-check the instrumentation itself: a vector growth must count.
