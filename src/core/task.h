@@ -78,9 +78,12 @@ class TaskSet {
   // index (the order the paper's first-fit algorithm consumes tasks in).
   std::vector<std::size_t> order_by_utilization_desc() const;
 
-  // Same permutation written into `out`, reusing its capacity — for callers
-  // (the partition fast path) that must stay allocation-free when warm.
-  void order_by_utilization_desc(std::vector<std::size_t>& out) const;
+  // Same permutation written into `out`, and each ordered task's
+  // utilization() into `utils` (utils[k] is the double of task out[k], bit
+  // for bit), both reusing their capacity — for callers (the partition
+  // fast path) that must stay allocation-free when warm.
+  void order_by_utilization_desc(std::vector<std::size_t>& out,
+                                 std::vector<double>& utils) const;
 
   // Appends a task (used by generators and the exact search).
   void push_back(const Task& t);

@@ -11,7 +11,9 @@
 // placements skip the slack tree (run_slack_engine).
 #include "partition/first_fit.h"
 
+#include <algorithm>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "online/online_partitioner.h"
@@ -19,7 +21,6 @@
 #include "util/check.h"
 
 #if HETSCHED_AUDIT_ENABLED
-#include <algorithm>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -29,16 +30,82 @@ namespace hetsched {
 
 namespace {
 
-// Fills scratch.order and gathers scratch.utils in that order.  The order
-// is the exact permutation TaskSet::order_by_utilization_desc produces, so
-// every engine consumes tasks in the same sequence.
+// Fills scratch.order, scratch.utils in that order, and the total and
+// largest utilization the load bounds read.  The order is the exact
+// permutation TaskSet::order_by_utilization_desc produces, so every engine
+// consumes tasks in the same sequence.
 // HETSCHED_NOALLOC (scratch warm-up; allocation-free once warm)
 void prepare_order(const TaskSet& tasks, PartitionScratch& s) {
-  tasks.order_by_utilization_desc(s.order);
-  s.utils.resize(tasks.size());
-  for (std::size_t pos = 0; pos < s.order.size(); ++pos) {
-    s.utils[pos] = tasks[s.order[pos]].utilization();
+  tasks.order_by_utilization_desc(s.order, s.utils);
+  double total = 0.0;
+  for (const double w : s.utils) total += w;
+  s.util_total = total;
+  s.util_max = s.utils.empty() ? 0.0 : s.utils.front();
+}
+
+// The load bounds below are off beyond this many tasks or machines, which
+// keeps their rounding error under kLoadBoundMargin.
+constexpr std::size_t kLoadBoundMaxSize = std::size_t{1} << 20;
+// delta: the relative margin each bound keeps over its rounding error.
+constexpr double kLoadBoundMargin = 1e-8;
+// f for the RMS kinds: a constant just below ln 2 = 0.693147...
+constexpr double kRmsLoadFactor = 0.693;
+
+// Decides a probe from two O(m) load bounds, without a first-fit pass;
+// nullopt when neither applies.  Both bounds come from the load argument
+// behind Theorem I.1's failure certificate.  W = sum of the n task
+// utilizations (the doubles first fit compares), cap_j = speed(j) * alpha
+// exactly as reset_machines computes it, w_max the largest utilization,
+// u = 2^-53 the unit roundoff, and n, m <= 2^20.
+//
+// Reject when W > (1 + delta) * sum_j cap_j.  A pass that places every
+// task leaves each machine's exact load L_j (the real sum of its doubles)
+// at most cap_j up to rounding: EDF's last admission passed
+// fl(sum + w) <= cap_j; RMS-LL's passed the same against
+// fl(LL(k) * cap_j) with LL(k) <= LL(1) = 1; RMS-HB's product
+// prod(1 + w/cap_j) <= 2 gives sum w/cap_j <= prod - 1 <= 1.  With three
+// roundings per task that is L_j <= cap_j (1 + 6 k_j u), so
+// W <= (1 + 6nu) sum_j cap_j exactly, and the two computed sums add
+// (n + m)u more: in all less than 2^-30 < delta.  So a computed W above
+// (1 + delta) times the computed capacity rules out an accepting pass.
+//
+// Accept when W <= (1 - delta) * sum_j max(0, f cap_j - w_max).  Suppose
+// first fit fails on task t.  Then every machine j rejected t:
+//   * EDF:    fl(U_j + w_t) > cap_j, so U_j > cap_j - w_t exactly (cap_j is
+//             a double and rounding is monotone), f = 1;
+//   * RMS-LL: fl(U_j + w_t) > fl(LL(k + 1) cap_j) with LL(k) >= ln 2 for
+//             every k, computed to 1e-9 relative for k <= 2^20, so
+//             U_j > fl(f cap_j) - w_t for f = 0.693;
+//   * RMS-HB: prod over j's tasks and t of (1 + w/cap_j) > 2 up to
+//             rounding, and ln(1 + x) <= x turns it into
+//             L_j + w_t > (ln 2 - 4(n+1)u) cap_j > fl(f cap_j),
+// where U_j is j's rounded running sum, at most L_j (1 + nu).  Each
+// machine therefore holds L_j >= max(0, f cap_j - w_max) up to that
+// relative rounding, and W >= sum_j L_j + w_t with w_t > 0; the computed
+// sums again add (n + m + 1)u.  So a computed W at most (1 - delta) times
+// the computed sum rules out a failing pass.
+//
+// Either way the bound returns the verdict the pass would, so a
+// bisection sees the same answers and returns the same bits.
+// HETSCHED_NOALLOC
+std::optional<bool> load_bound_verdict(const Platform& platform,
+                                       AdmissionKind kind, double alpha,
+                                       const PartitionScratch& s) {
+  const std::size_t m = platform.size();
+  if (s.utils.size() > kLoadBoundMaxSize || m > kLoadBoundMaxSize) {
+    return std::nullopt;
   }
+  const double f = kind == AdmissionKind::kEdf ? 1.0 : kRmsLoadFactor;
+  double capacity = 0.0;
+  double failed_load = 0.0;  // the least load a failed pass leaves
+  for (std::size_t j = 0; j < m; ++j) {
+    const double cap = platform.speed(j) * alpha;
+    capacity += cap;
+    failed_load += std::max(0.0, f * cap - s.util_max);
+  }
+  if (s.util_total > (1.0 + kLoadBoundMargin) * capacity) return false;
+  if (s.util_total <= (1.0 - kLoadBoundMargin) * failed_load) return true;
+  return std::nullopt;
 }
 
 // Resets the per-machine state (capacity, sums, slacks) for one run.
@@ -147,22 +214,34 @@ bool naive_accepts_only(const TaskSet& tasks, const Platform& platform,
   return true;
 }
 
-// Accept probe assuming scratch.order / scratch.utils are already prepared
-// for `tasks` (the bisection hoists the sort out of the loop).
+// Accept probe assuming the scratch is prepared for `tasks` by
+// prepare_order (the bisection hoists the ordering out of the loop).  The
+// tree engine first tries the load bounds; kNaive always runs the pass.
 // HETSCHED_NOALLOC (slack-form kinds; the RTA fallback allocates)
 bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
                       AdmissionKind kind, double alpha, PartitionScratch& s,
                       PartitionEngine engine) {
   bool verdict;
   if (!admission_has_slack_form(kind)) {
+    ++s.first_fit_passes;
     verdict = naive_accepts_only(tasks, platform, kind, alpha);
   } else {
-    reset_machines(platform, kind, alpha, s);
     const PartitionEngine resolved = resolve_engine(engine, kind);
-    verdict = run_slack_engine(kind, resolved, s) == tasks.size();
+    const std::optional<bool> bound =
+        resolved == PartitionEngine::kSegmentTree
+            ? load_bound_verdict(platform, kind, alpha, s)
+            : std::nullopt;
+    if (bound) {
+      verdict = *bound;
+    } else {
+      ++s.first_fit_passes;
+      reset_machines(platform, kind, alpha, s);
+      verdict = run_slack_engine(kind, resolved, s) == tasks.size();
+    }
   }
-  // Shadow oracle: the decision-only scratch verdict must match the full
-  // batch partition (the controller path) and the opposite engine.
+  // Shadow oracle: the decision-only scratch verdict, whether a pass or a
+  // load bound gave it, must match the full batch partition (the
+  // controller path) and a full pass of the opposite engine.
   HETSCHED_AUDIT_HOOK(
       const bool oracle =
           first_fit_partition(tasks, platform, kind, alpha, engine).feasible;
@@ -259,6 +338,7 @@ bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
   HETSCHED_CHECK(platform.size() >= 1);
   HETSCHED_CHECK(alpha >= 1.0);
   if (!admission_has_slack_form(kind)) {
+    ++scratch.first_fit_passes;
     return naive_accepts_only(tasks, platform, kind, alpha);
   }
   prepare_order(tasks, scratch);

@@ -15,7 +15,12 @@
 // utilization-descending order most tasks land on the same machine as the
 // one before, so a placement costs one admission_admits comparison while
 // the cursor stays and O(log m) (one slack search, one tree update, one
-// descent) when it moves.
+// descent) when it moves.  Before any placement, the tree engine tries two
+// O(m) load bounds (total utilization against the platform's capacity, and
+// against the load a failed pass must leave), which decide about half of
+// an alpha search's probes on overloaded inputs with the verdict the pass
+// would give (partition/first_fit.h).  The naive engine always runs the
+// pass.
 //
 // admission_slack() returns the EXACT floating-point threshold of
 // admission_admits(), the per-machine comparison MachineLoad::can_admit
@@ -99,16 +104,23 @@ class SlackTree {
 // Reusable state for the decision-only accept path.  After warm-up every
 // first_fit_accepts / min_feasible_alpha call through a scratch performs no
 // heap allocation and never copies Task vectors.  Treat the members as
-// opaque; a scratch must not be shared between threads.
+// opaque, except that callers may read first_fit_passes; a scratch must not
+// be shared between threads.
 struct PartitionScratch {
   std::vector<double> utils;       // w of task order[k], at position k
   std::vector<std::size_t> order;  // task indices, utilization-descending
+  double util_total = 0.0;         // sum of utils, in that order
+  double util_max = 0.0;           // utils[0], or 0 with no tasks
   std::vector<double> capacity;    // per machine: alpha * s_j
   std::vector<double> util_sum;    // per machine: admitted utilization
   std::vector<double> hyper;       // per machine: prod(w_i / cap + 1)
   std::vector<std::size_t> count;  // per machine: admitted task count
   std::vector<double> slack;       // per machine: admission_slack(...)
   SlackTree tree;
+  // First-fit passes run through this scratch since it was made: every
+  // probe kNaive answers, and those the tree engine's load bounds leave
+  // undecided.  Read-only for callers.
+  std::size_t first_fit_passes = 0;
 };
 
 }  // namespace hetsched

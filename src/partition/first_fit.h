@@ -15,7 +15,8 @@
 // the naive scan, O(n log n + n log m) with the segment tree.  The
 // decision-only accept path below places a task in O(1) while it lands on
 // the same machine as the task before it, and in O(log m) when the machine
-// changes.
+// changes; on the tree engine it first tries two O(m) load bounds that
+// decide many probes without placing any task.
 #pragma once
 
 #include <cstddef>
@@ -72,6 +73,28 @@ bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
 // but never builds a PartitionResult, never copies Task vectors, and reuses
 // the caller's scratch buffers — allocation-free once the scratch is warm.
 // (kRmsResponseTime has no slack form and still allocates internally.)
+//
+// On the tree engine (kAuto for the slack-form kinds, or kSegmentTree), two
+// load bounds from the argument behind Theorem I.1's failure certificate
+// decide the probe in O(m) when they apply, and only otherwise does first
+// fit run.  With W the sum of the task utilizations, cap_j = alpha * s_j,
+// w_max the largest utilization, delta = 1e-8, and f = 1 for EDF or 0.693
+// (just below ln 2) for RMS-LL and RMS-HB:
+//   * reject when W > (1 + delta) sum_j cap_j: a pass that places every
+//     task loads no machine beyond its capacity, so it places at most
+//     sum_j cap_j;
+//   * accept when W <= (1 - delta) sum_j max(0, f cap_j - w_max): a pass
+//     that fails on task t leaves every machine j loaded beyond
+//     f cap_j - w_t, since each kind's test passes any machine loaded up to
+//     f cap_j (EDF: cap_j; RMS-LL: LL(k) cap_j >= ln 2 cap_j; RMS-HB:
+//     prod(1 + w/cap_j) <= exp(sum w/cap_j) <= 2), so W would exceed that
+//     sum.
+// delta covers the rounding of every sum and test involved while n and m
+// are at most 2^20 (the bounds are off beyond that), so a bound fires only
+// where the pass would return the same verdict: neither can change one.
+// kNaive never takes them: it is the plain reference scan.  The proofs in
+// full are in online/first_fit.cc; PartitionScratch::first_fit_passes
+// counts the passes that did run.
 bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
                        AdmissionKind kind, double alpha,
                        PartitionScratch& scratch,
@@ -91,9 +114,13 @@ std::optional<double> min_feasible_alpha(const TaskSet& tasks,
                                          AdmissionKind kind, double alpha_hi,
                                          double tol = 1e-6);
 
-// Scratch-reusing bisection: sorts the tasks once, then runs every probe
-// through the decision-only accept path.  Identical result to the overload
-// above; this is the hot path of the augmentation studies.
+// Scratch-reusing bisection: orders the tasks once, then runs every probe
+// through the decision-only accept path, load bounds included.  Since each
+// probe's verdict is the pass's, the bisection visits the same alphas and
+// returns the same bits on every engine; identical result to the overload
+// above.  This is the hot path of the augmentation studies.  On the
+// batch experiments' overloaded inputs (U/S about 1.06-1.35, n = 16384,
+// m = 128, EDF) the bounds decide about half of a search's 24 probes.
 std::optional<double> min_feasible_alpha(
     const TaskSet& tasks, const Platform& platform, AdmissionKind kind,
     double alpha_hi, PartitionScratch& scratch,

@@ -257,5 +257,59 @@ TEST(IntegerTime, OverflowingDemandIsRejectedNotAborted) {
   EXPECT_TRUE(edf_dbf_feasible_qpa(std::span(tasks).first(1), speed));
 }
 
+TEST(IntegerTime, BusyPeriodCapIsTwoToTheForty) {
+  // U == s, so the check bound is the busy period alone (La needs U below
+  // s).  With (1, 2) beside (c, 2c) on a unit machine the busy period is
+  // the fixed point 2c, reached from below: it may end at 2^40, not past.
+  const auto at_fixed_point = [](std::int64_t c) {
+    const std::vector<Task> tasks{{1, 2}, {c, 2 * c}};
+    return dbf_check_bound(tasks, Rational(1));
+  };
+  const std::int64_t half = std::int64_t{1} << 39;
+  EXPECT_EQ(at_fixed_point(half - 1), 2 * (half - 1));
+  EXPECT_EQ(at_fixed_point(half), 2 * half);
+  EXPECT_FALSE(at_fixed_point(half + 1).has_value());
+  // Past the cap the bound, and with it QPA, rejects.
+  const std::vector<Task> over{{1, 2}, {half + 1, 2 * (half + 1)}};
+  EXPECT_FALSE(edf_dbf_feasible_qpa(over, Rational(1)));
+}
+
+TEST(IntegerTime, ApproxAtKOneReadsTheBoundOnlyInsideTheBand) {
+  // At k = 1 every probe is a first deadline, which the check bound never
+  // excludes, so edf_dbf_feasible_approx_k asks for the bound only when U
+  // lies within 1e-12 of s: there a missing busy period rejects.
+  //
+  // Inside the band: U = 1/2 - 7.5e-13 on speed 1/2.  The busy period
+  // passes the 2^40 cap on its first step, so the bound is missing and
+  // the test rejects, although both first deadlines pass the linear
+  // demand (at t = 1.2e13 it is 6e12 - 9 against s t (1 - 1e-12) =
+  // 6e12 - 6).
+  const std::vector<Task> in_band{{1, 3}, {2'000'000'000'000 - 9,
+                                          12'000'000'000'000}};
+  const Rational half(1, 2);
+  EXPECT_FALSE(dbf_check_bound(in_band, half).has_value());
+  EXPECT_FALSE(edf_dbf_feasible_approx_k(in_band, half, 1));
+  EXPECT_FALSE(edf_dbf_feasible_approx(in_band, half));
+
+  // Outside the band: U = 0.9 on a unit machine, and the bound is missing
+  // too — La = sum (p - d) u / (s - U) passes int64 and the busy period
+  // passes the cap — yet the test accepts, since it does not ask for it.
+  // The largest deadline is int64's maximum T, and task A's slack
+  // (p - d) u = 0.1 T - 10^8 sits between what overflows La (0.1 T less
+  // 1e-9 relative) and what the linear demand at T admits (0.1 T less
+  // 1e-12 T).
+  const std::int64_t t_max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t p_a = std::int64_t{1} << 62;
+  const std::int64_t slack_a = t_max / 5 - 200'000'000;  // p - d of A
+  const std::vector<Task> out_of_band{
+      {1, 10},
+      cdp(p_a / 2, p_a - slack_a, p_a),
+      {t_max / 10 * 3, t_max}};
+  const Rational one(1);
+  EXPECT_FALSE(dbf_check_bound(out_of_band, one).has_value());
+  EXPECT_TRUE(edf_dbf_feasible_approx_k(out_of_band, one, 1));
+  EXPECT_TRUE(edf_dbf_feasible_approx(out_of_band, one));
+}
+
 }  // namespace
 }  // namespace hetsched
