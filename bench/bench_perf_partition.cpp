@@ -1,8 +1,12 @@
 // Machine-readable engine benchmark: naive scan vs. segment tree.
 //
 // Emits BENCH_partition.json (working directory) with one record per
-// (n, m, kind) cell: median ns per full partition for both engines plus the
-// decision-only accept path, and the tree/naive speedup.  A second list,
+// (n, m, kind) cell: median ns per full partition for both engines, the
+// tree/naive speedup, and the decision-only first_fit_accepts call with
+// the first-fit passes it ran per call.  At these cells' loads (alpha 2 or
+// 2.41, U/S 0.7) the tree engine's accept load bound decides every call,
+// so `accepts_ns` times the task ordering plus an O(m) bound, not a
+// first-fit pass, and `accepts_passes_per_call` reads 0.  A second list,
 // "alpha_cells", times whole min_feasible_alpha searches on the loads the
 // batch experiments search (U/S about 1.06-1.35): median ns per search on
 // each engine and how many of a search's probes ran a first-fit pass
@@ -71,6 +75,7 @@ struct Cell {
   double naive_ns = 0;
   double tree_ns = 0;
   double accepts_ns = 0;
+  double accepts_passes = 0;  // first-fit passes per accepts call
   bool feasible = false;
   double speedup() const { return naive_ns / tree_ns; }
 };
@@ -111,14 +116,18 @@ Cell run_cell(std::size_t n, std::size_t m, AdmissionKind kind, double alpha,
       },
       reps);
   PartitionScratch scratch;
+  std::size_t accepts_calls = 0;
   cell.accepts_ns = time_ns(
       [&] {
+        ++accepts_calls;
         if (first_fit_accepts(w.tasks, w.platform, kind, alpha, scratch) !=
             cell.feasible) {
           std::exit(2);
         }
       },
       reps);
+  cell.accepts_passes = static_cast<double>(scratch.first_fit_passes) /
+                        static_cast<double>(accepts_calls);
   return cell;
 }
 
@@ -218,10 +227,11 @@ void append_json(std::string& out, const Cell& c) {
       buf, sizeof(buf),
       "    {\"n\": %zu, \"m\": %zu, \"kind\": \"%s\", \"alpha\": %.3f, "
       "\"feasible\": %s, \"naive_ns\": %.0f, \"tree_ns\": %.0f, "
-      "\"accepts_ns\": %.0f, \"speedup_tree_vs_naive\": %.2f}",
+      "\"accepts_ns\": %.0f, \"accepts_passes_per_call\": %.2f, "
+      "\"speedup_tree_vs_naive\": %.2f}",
       c.n, c.m, to_string(c.kind).c_str(), c.alpha,
       c.feasible ? "true" : "false",
-      c.naive_ns, c.tree_ns, c.accepts_ns, c.speedup());
+      c.naive_ns, c.tree_ns, c.accepts_ns, c.accepts_passes, c.speedup());
   out += buf;
 }
 
@@ -257,8 +267,9 @@ int main(int argc, char** argv) {
 
   std::printf("engine benchmark: naive scan vs segment tree (%d reps/cell)\n",
               reps);
-  std::printf("%8s %6s %18s %12s %12s %12s %9s\n", "n", "m", "kind",
-              "naive(us)", "tree(us)", "accepts(us)", "speedup");
+  std::printf("%8s %6s %18s %12s %12s %12s %13s %9s\n", "n", "m", "kind",
+              "naive(us)", "tree(us)", "accepts(us)", "accepts pass",
+              "speedup");
 
   std::string json = "{\n  \"benchmark\": \"partition_engines\",\n"
                      "  \"reps_per_cell\": " + std::to_string(reps) +
@@ -267,9 +278,10 @@ int main(int argc, char** argv) {
   bool target_met = true;
   for (const Spec& s : grid) {
     const Cell c = run_cell(s.n, s.m, s.kind, s.alpha, reps);
-    std::printf("%8zu %6zu %18s %12.1f %12.1f %12.1f %8.2fx\n", c.n, c.m,
-                to_string(c.kind).c_str(), c.naive_ns / 1e3, c.tree_ns / 1e3,
-                c.accepts_ns / 1e3, c.speedup());
+    std::printf("%8zu %6zu %18s %12.1f %12.1f %12.1f %13.2f %8.2fx\n", c.n,
+                c.m, to_string(c.kind).c_str(), c.naive_ns / 1e3,
+                c.tree_ns / 1e3, c.accepts_ns / 1e3, c.accepts_passes,
+                c.speedup());
     if (!first) json += ",\n";
     first = false;
     append_json(json, c);

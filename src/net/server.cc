@@ -36,51 +36,12 @@ namespace hetsched::net {
 namespace {
 
 #if HETSCHED_METRICS_ENABLED
-// Pre-registered handles: instrumentation on the frame path must not do
-// by-name registry lookups (lint rule [metric-handle]).  Per-shard queue
-// depth and per-loop connection gauges are registered per Server instance
-// (names carry the shard/loop index), so they live on Shard/Loop, not
-// here.
+// Pre-registered histogram handles: instrumentation on the frame path
+// must not do by-name registry lookups (lint rule [metric-handle]).  The
+// per-event counters are ServerStats, exposed as hetsched_server_* in
+// every build; per-shard queue-depth and per-loop connection gauges carry
+// the shard/loop index in their names, so they live on Shard/Loop.
 struct NetMetrics {
-  obs::Counter connections = obs::registry().counter(
-      "hetsched_net_connections_total", "TCP connections accepted");
-  obs::Counter frames_rx = obs::registry().counter(
-      "hetsched_net_frames_rx_total", "Request frames decoded");
-  obs::Counter frames_inline = obs::registry().counter(
-      "hetsched_net_frames_inline_total",
-      "Frames decided on the accepting loop with zero queue hops");
-  obs::Counter admits = obs::registry().counter(
-      "hetsched_net_admit_total", "Admit requests answered admitted");
-  obs::Counter rejects = obs::registry().counter(
-      "hetsched_net_reject_total", "Admit requests answered rejected");
-  obs::Counter retries = obs::registry().counter(
-      "hetsched_net_retry_total",
-      "Requests answered retry-later because the shard queue was full");
-  obs::Counter departs = obs::registry().counter(
-      "hetsched_net_depart_total", "Depart requests answered departed");
-  obs::Counter stale = obs::registry().counter(
-      "hetsched_net_stale_total", "Depart requests naming a stale id");
-  obs::Counter rebalances = obs::registry().counter(
-      "hetsched_net_rebalance_total", "Rebalance requests processed");
-  obs::Counter bad = obs::registry().counter(
-      "hetsched_net_bad_frame_total",
-      "Malformed frames, bad shard indices, and invalid task parameters");
-  obs::Counter batches = obs::registry().counter(
-      "hetsched_net_batches_total", "Drain rounds that handled >= 1 frame");
-  obs::Counter partial_writes = obs::registry().counter(
-      "hetsched_net_partial_write_total",
-      "Short response writes parked in a connection backlog");
-  obs::Counter resizes = obs::registry().counter(
-      "hetsched_net_resize_total", "Shard splits and merges applied");
-  obs::Counter resize_failures = obs::registry().counter(
-      "hetsched_net_resize_failed_total",
-      "Split/merge requests answered resize-failed");
-  obs::Counter forwards = obs::registry().counter(
-      "hetsched_net_forwarded_depart_total",
-      "Departs rewritten through a forwarding entry to a migrated tenant");
-  obs::Counter introspect = obs::registry().counter(
-      "hetsched_net_introspect_total",
-      "GET_STATS / GET_TRACEZ frames answered");
   obs::LatencyHistogram resize_pause = obs::registry().histogram(
       "hetsched_net_resize_pause_ns",
       "Time the involved shards were quiesced, per resize");
@@ -110,6 +71,45 @@ std::string errno_string(const char* what) {
 std::size_t hardware_loops() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+// Opens a non-blocking listen socket on host:port — socket, SO_REUSEADDR,
+// SO_REUSEPORT when `reuseport`, bind, listen — and stores the port it
+// bound in *bound (port 0 binds an ephemeral one).  Returns the fd, or -1
+// with *error set; an empty *error means only SO_REUSEPORT was refused.
+int open_listen_socket(const std::string& host, std::uint16_t port,
+                       [[maybe_unused]] bool reuseport, std::uint16_t* bound,
+                       std::string* error) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    *error = errno_string("socket");
+    return -1;
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+#if defined(SO_REUSEPORT)
+  if (reuseport &&
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    ::close(fd);
+    error->clear();
+    return -1;
+  }
+#endif
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  ::inet_pton(AF_INET, host.c_str(), &sa.sin_addr);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
+      ::listen(fd, 1024) != 0 || !set_nonblocking(fd)) {
+    *error = errno_string("bind/listen");
+    ::close(fd);
+    return -1;
+  }
+  sockaddr_in got{};
+  socklen_t got_len = sizeof(got);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&got), &got_len);
+  *bound = ntohs(got.sin_port);
+  return fd;
 }
 
 // Frame types a shard controller decides — the ones that place a
@@ -432,15 +432,20 @@ struct Server::Shard {
   // compiled out with the metrics kill switch.
   obs::FlightRecorder flight;
 
-#if HETSCHED_METRICS_ENABLED
-  obs::Gauge depth_gauge;
+  obs::Gauge depth_gauge;  // registered in metrics-ON builds only
   std::atomic<std::uint32_t> push_tick{0};  // latency sampling (any loop)
-  // Latency-SLO burn counters, fed by the sampled-latency sites: a
-  // sampled request at or under ServerOptions::slo_ns lands in slo_ok,
-  // the rest in slo_breach (net_slo_* in /metrics and GET_STATS).
+  // Latency-SLO burn counters, fed by the sampled-latency sites in every
+  // build: a sampled request at or under ServerOptions::slo_ns lands in
+  // slo_ok, the rest in slo_breach (net_slo_* in /metrics and GET_STATS).
   std::atomic<std::uint64_t> slo_ok{0};
   std::atomic<std::uint64_t> slo_breach{0};
-#endif
+
+  // One sampled request latency: the SLO burn counters in every build,
+  // the request-latency histogram in metrics-ON builds.
+  void record_latency(std::uint64_t lat_ns, std::uint64_t slo_ns) {
+    HETSCHED_HIST_RECORD(g_metrics.latency, lat_ns);
+    bump(lat_ns <= slo_ns ? slo_ok : slo_breach);
+  }
 };
 
 // One event-loop thread: poller, wake pipe, owned shards, accepted
@@ -493,32 +498,43 @@ struct Server::Loop {
   std::vector<std::shared_ptr<Connection>> pending_conns;
   std::vector<Shard*> pending_shards;
 
-#if HETSCHED_METRICS_ENABLED
-  obs::Gauge conn_gauge;
+  obs::Gauge conn_gauge;  // registered in metrics-ON builds only
   std::uint32_t sample_tick = 0;  // loop-thread-only (inline sampling)
 
   // Traced frames staged in the current response batch.  Group commit and
   // sendmsg are batch-level work, so every traced frame in the batch
   // records the same [t0, t1] window for those stages.  Fixed capacity:
-  // overflow drops span records, never frames.
+  // overflow drops span records, never frames.  Loop-thread-only, and
+  // never written when metrics are compiled out.
   struct StagedTrace {
     std::uint64_t trace_id = 0;
     std::uint64_t parent = 0;  // the frame's decode span
   };
   static constexpr std::size_t kMaxStagedTraces = 16;
   StagedTrace staged_traces[kMaxStagedTraces];
-  std::size_t staged_trace_count = 0;  // loop-thread-only
+  std::size_t staged_trace_count = 0;
 
-  void stage_trace(std::uint64_t trace_id, std::uint64_t parent) {
-    if (staged_trace_count < kMaxStagedTraces) {
-      staged_traces[staged_trace_count++] = StagedTrace{trace_id, parent};
+  // Closes a frame's encode span when the frame is traced (`root`, its
+  // decode span, is nonzero) and stages it for the batch-level spans.
+  void end_encode_span(std::uint64_t trace_id, std::uint64_t root,
+                       std::uint64_t t0) {
+    const std::uint64_t id = obs::span_close(root != 0, trace_id, root,
+                                             obs::SpanStage::kEncode, t0);
+    if (id != 0 && staged_trace_count < kMaxStagedTraces) {
+      staged_traces[staged_trace_count++] = StagedTrace{trace_id, root};
     }
+  }
+  // Start stamp of the batch-level spans: taken only while traced frames
+  // are staged.
+  std::uint64_t batch_clock() const {
+    return obs::span_clock_if(staged_trace_count != 0);
   }
   // Emits the shared batch-level spans for every trace staged since the
   // last call: group commit over [gc_t0, gc_t1], sendmsg over
-  // [gc_t1, send_t1].
-  void record_batch_spans(std::uint64_t gc_t0, std::uint64_t gc_t1,
-                          std::uint64_t send_t1) {
+  // [gc_t1, now].
+  void record_batch_spans(std::uint64_t gc_t0, std::uint64_t gc_t1) {
+    if (!obs::kMetricsCompiled || staged_trace_count == 0) return;
+    const std::uint64_t send_t1 = obs::now_ns();
     for (std::size_t i = 0; i < staged_trace_count; ++i) {
       const StagedTrace& st = staged_traces[i];
       obs::span_record(st.trace_id, obs::span_next_id(), st.parent,
@@ -528,7 +544,6 @@ struct Server::Loop {
     }
     staged_trace_count = 0;
   }
-#endif
 };
 
 Server::Server(const Platform& platform, const ServerOptions& options)
@@ -543,80 +558,36 @@ bool Server::start_listen_sockets(std::string* error) {
   HostPort addr;
   if (!parse_host_port(options_.listen_addr, &addr, error)) return false;
 
-  reuseport_active_ = false;
 #if defined(SO_REUSEPORT)
-  const bool try_reuseport = options_.reuseport && loops_.size() > 1;
+  reuseport_active_ = options_.reuseport && loops_.size() > 1;
 #else
-  const bool try_reuseport = false;
+  reuseport_active_ = false;
 #endif
-  const std::size_t sockets = try_reuseport ? loops_.size() : 1;
-  std::uint16_t bound_port = addr.port;
-  for (std::size_t i = 0; i < sockets; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *error = errno_string("socket");
-      return false;
+  if (reuseport_active_) {
+    // One socket per loop, all on the port the first one bound.
+    std::uint16_t port = addr.port;
+    for (std::size_t i = 0; i < loops_.size(); ++i) {
+      const int fd = open_listen_socket(addr.host, port, true, &port, error);
+      if (fd < 0) {
+        if (!error->empty()) return false;
+        if (i > 0) {
+          *error = "SO_REUSEPORT failed after first bind";
+          return false;
+        }
+        // Option unsupported at runtime: fall back to the single-acceptor
+        // round-robin handoff (only reachable before any socket is bound).
+        reuseport_active_ = false;
+        break;
+      }
+      loops_[i]->listen_fd = fd;
+      port_ = port;
     }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    bool reuseport_ok = false;
-#if defined(SO_REUSEPORT)
-    if (try_reuseport) {
-      reuseport_ok =
-          ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0;
-    }
-#endif
-    if (try_reuseport && !reuseport_ok) {
-      // Option unsupported at runtime: fall back to the single-acceptor
-      // round-robin handoff (only reachable before any socket is bound).
-      ::close(fd);
-      if (i == 0) break;
-      *error = "SO_REUSEPORT failed after first bind";
-      return false;
-    }
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(bound_port);
-    ::inet_pton(AF_INET, addr.host.c_str(), &sa.sin_addr);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd, 1024) != 0 || !set_nonblocking(fd)) {
-      *error = errno_string("bind/listen");
-      ::close(fd);
-      return false;
-    }
-    if (i == 0) {
-      sockaddr_in bound{};
-      socklen_t bound_len = sizeof(bound);
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-      bound_port = ntohs(bound.sin_port);
-      port_ = bound_port;
-    }
-    loops_[i]->listen_fd = fd;
-    if (try_reuseport) reuseport_active_ = true;
   }
-  if (loops_[0]->listen_fd < 0) {
-    // try_reuseport bailed on socket 0: single-acceptor fallback.
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *error = errno_string("socket");
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(addr.port);
-    ::inet_pton(AF_INET, addr.host.c_str(), &sa.sin_addr);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd, 1024) != 0 || !set_nonblocking(fd)) {
-      *error = errno_string("bind/listen");
-      ::close(fd);
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-    port_ = ntohs(bound.sin_port);
+  if (!reuseport_active_) {
+    // Single acceptor: loop 0 owns the only listen socket.
+    const int fd =
+        open_listen_socket(addr.host, addr.port, false, &port_, error);
+    if (fd < 0) return false;
     loops_[0]->listen_fd = fd;
   }
   return true;
@@ -688,11 +659,10 @@ bool Server::start(std::string* error) {
       loops_.clear();
       return false;
     }
-#if HETSCHED_METRICS_ENABLED
-    lp.conn_gauge = obs::registry().gauge(
-        "hetsched_net_loop_conns" + std::to_string(i),
-        "Open connections homed on loop " + std::to_string(i));
-#endif
+    HETSCHED_GAUGE_REGISTER(lp.conn_gauge,
+                            "hetsched_net_loop_conns" + std::to_string(i),
+                            "Open connections homed on loop " +
+                                std::to_string(i));
   }
 
   shards_.clear();
@@ -707,11 +677,9 @@ bool Server::start(std::string* error) {
     sh.owner_loop = i % loop_count;
     sh.flight.set_shard(static_cast<std::uint16_t>(i));
     loops_[sh.owner_loop]->shards.push_back(&sh);
-#if HETSCHED_METRICS_ENABLED
-    sh.depth_gauge = obs::registry().gauge(
-        "hetsched_net_queue_depth_shard" + std::to_string(i),
+    HETSCHED_GAUGE_REGISTER(
+        sh.depth_gauge, "hetsched_net_queue_depth_shard" + std::to_string(i),
         "Requests queued for shard " + std::to_string(i));
-#endif
   }
   shard_count_.store(shard_count, std::memory_order_release);
 
@@ -892,11 +860,9 @@ void append_shard_sample(std::string* out, const char* name, std::size_t shard,
 }  // namespace
 
 // Prometheus-style exposition: the body of both the GET_STATS info frame
-// and the HTTP /metrics side port.  ServerStats is rendered under
-// hetsched_server_* — the obs registry already owns the hetsched_net_*
-// names in metrics-ON builds, and one exposition must never carry a
-// family twice — so the decision counters stay scrapeable even in
-// metrics-off builds.
+// and the HTTP /metrics side port.  ServerStats is the server's one
+// per-event counter set, rendered as hetsched_server_* in every build;
+// metrics-ON builds append span health and the obs registry.
 std::string Server::stats_text() const {
   const ServerStats s = stats();
   std::string out;
@@ -956,9 +922,8 @@ std::string Server::stats_text() const {
     append_family(&out, r.name, "counter", r.help);
     append_sample(&out, r.name, r.v);
   }
-  // Per-shard latency-SLO burn counters.  The families are always
-  // present so scrapes keep a stable shape; the counters move only in
-  // metrics-ON builds (attribution rides the sampled-latency path).
+  // Per-shard latency-SLO burn counters.  They move in every build: one
+  // request in kLatencySamplePeriod is timed per loop and per shard queue.
   const std::size_t count = shard_count();
   append_family(&out, "hetsched_net_slo_ok_total", "counter",
                 "Sampled requests at or under the latency SLO");
@@ -978,7 +943,8 @@ std::string Server::stats_text() const {
   append_family(&out, "hetsched_span_enabled", "gauge",
                 "1 while span tracing is armed");
   append_sample(&out, "hetsched_span_enabled", obs::span_enabled() ? 1 : 0);
-  // The full obs registry: hetsched_net_* counters, gauges, histograms.
+  // The obs registry: controller and WAL counters, the hetsched_net_*
+  // histograms and gauges.
   out += obs::registry().expose();
 #endif
   return out;
@@ -998,20 +964,12 @@ std::string Server::tracez_text(std::size_t k) const {
 
 std::uint64_t Server::shard_slo_ok(std::size_t shard) const {
   HETSCHED_CHECK(shard < shard_count());
-#if HETSCHED_METRICS_ENABLED
   return shards_[shard]->slo_ok.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
 }
 
 std::uint64_t Server::shard_slo_breach(std::size_t shard) const {
   HETSCHED_CHECK(shard < shard_count());
-#if HETSCHED_METRICS_ENABLED
   return shards_[shard]->slo_breach.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
 }
 
 std::size_t Server::shard_resident_count(std::size_t shard) const {
@@ -1047,20 +1005,16 @@ void Server::wake_loop(Loop& lp) {
 // and departs run the controller's allocation-free paths, and the WAL
 // append encodes into a preallocated arena)
 Response Server::process_request(Shard& shard, const Request& req,
-                                 [[maybe_unused]] std::uint64_t parent_span) {
+                                 std::uint64_t parent_span) {
   Response resp;
   resp.type = req.type;
   resp.request_id = req.request_id;
-#if HETSCHED_METRICS_ENABLED
   // Warm-admit span: one clock read on entry and one on exit, paid only
-  // by traced frames while spans are armed.
-  std::uint64_t sp_t0 = 0;
-  std::uint64_t sp_id = 0;
-  if (req.trace_id != 0 && obs::span_enabled()) {
-    sp_t0 = obs::now_ns();
-    sp_id = obs::span_next_id();
-  }
-#endif
+  // by traced frames while spans are armed.  Its id is taken up front so
+  // the WAL-append span can parent to it.
+  const bool traced = obs::span_traced(req.trace_id);
+  const std::uint64_t sp_t0 = obs::span_clock_if(traced);
+  const std::uint64_t sp_id = traced ? obs::span_next_id() : 0;
   // Every branch that touches the controller logs the decision; responses
   // that never reached the controller (bad request, inactive shard) fold
   // nothing and log nothing.
@@ -1094,19 +1048,13 @@ Response Server::process_request(Shard& shard, const Request& req,
         resp.status = Status::kRejected;
       }
       if (shard.wal.is_open()) {
-#if HETSCHED_METRICS_ENABLED
-        const std::uint64_t wal_t0 = sp_id != 0 ? obs::now_ns() : 0;
-#endif
+        const std::uint64_t wal_t0 = obs::span_clock_if(sp_id != 0);
         shard.wal.append_admit(req.exec(), req.period(),
                                shard.controller.decision_seq(),
                                shard.controller.decision_checksum(),
                                req.deadline_val(), d.tier);
-#if HETSCHED_METRICS_ENABLED
-        if (sp_id != 0) {
-          obs::span_record(req.trace_id, obs::span_next_id(), sp_id,
-                           obs::SpanStage::kWalAppend, wal_t0, obs::now_ns());
-        }
-#endif
+        obs::span_close(sp_id != 0, req.trace_id, sp_id,
+                        obs::SpanStage::kWalAppend, wal_t0);
         logged = true;
       }
       break;
@@ -1117,18 +1065,12 @@ Response Server::process_request(Shard& shard, const Request& req,
       resp.status = shard.controller.depart(req.task_id()) ? Status::kDeparted
                                                            : Status::kStaleId;
       if (shard.wal.is_open()) {
-#if HETSCHED_METRICS_ENABLED
-        const std::uint64_t wal_t0 = sp_id != 0 ? obs::now_ns() : 0;
-#endif
+        const std::uint64_t wal_t0 = obs::span_clock_if(sp_id != 0);
         shard.wal.append_depart(req.task_id(),
                                 shard.controller.decision_seq(),
                                 shard.controller.decision_checksum());
-#if HETSCHED_METRICS_ENABLED
-        if (sp_id != 0) {
-          obs::span_record(req.trace_id, obs::span_next_id(), sp_id,
-                           obs::SpanStage::kWalAppend, wal_t0, obs::now_ns());
-        }
-#endif
+        obs::span_close(sp_id != 0, req.trace_id, sp_id,
+                        obs::SpanStage::kWalAppend, wal_t0);
         logged = true;
       }
       break;
@@ -1142,17 +1084,11 @@ Response Server::process_request(Shard& shard, const Request& req,
       resp.status = r.applied ? Status::kRebalanced : Status::kRebalanceSkipped;
       resp.task_id = r.migrations;
       if (shard.wal.is_open()) {
-#if HETSCHED_METRICS_ENABLED
-        const std::uint64_t wal_t0 = sp_id != 0 ? obs::now_ns() : 0;
-#endif
+        const std::uint64_t wal_t0 = obs::span_clock_if(sp_id != 0);
         shard.wal.append_rebalance(shard.controller.decision_seq(),
                                    shard.controller.decision_checksum());
-#if HETSCHED_METRICS_ENABLED
-        if (sp_id != 0) {
-          obs::span_record(req.trace_id, obs::span_next_id(), sp_id,
-                           obs::SpanStage::kWalAppend, wal_t0, obs::now_ns());
-        }
-#endif
+        obs::span_close(sp_id != 0, req.trace_id, sp_id,
+                        obs::SpanStage::kWalAppend, wal_t0);
         logged = true;
       }
       break;
@@ -1178,12 +1114,10 @@ Response Server::process_request(Shard& shard, const Request& req,
   // the shard's last-decisions ring (compiled out with the kill switch).
   HETSCHED_FLIGHT_RECORD(shard.flight, resp.type, resp.status, resp.machine,
                          resp.request_id, resp.value, req.trace_id);
-#if HETSCHED_METRICS_ENABLED
   if (sp_id != 0) {
     obs::span_record(req.trace_id, sp_id, parent_span,
                      obs::SpanStage::kWarmAdmit, sp_t0, obs::now_ns());
   }
-#endif
   return resp;
 }
 
@@ -1192,41 +1126,32 @@ void Server::count_response(const Response& resp) {
   switch (resp.status) {
     case Status::kAdmitted:
       bump(counters_.admitted);
-      HETSCHED_COUNT(g_metrics.admits);
       break;
     case Status::kRejected:
       bump(counters_.rejected);
-      HETSCHED_COUNT(g_metrics.rejects);
       break;
     case Status::kDeparted:
       bump(counters_.departed);
-      HETSCHED_COUNT(g_metrics.departs);
       break;
     case Status::kStaleId:
       bump(counters_.stale);
-      HETSCHED_COUNT(g_metrics.stale);
       break;
     case Status::kRebalanced:
     case Status::kRebalanceSkipped:
       bump(counters_.rebalances);
-      HETSCHED_COUNT(g_metrics.rebalances);
       break;
     case Status::kBadRequest:
     case Status::kBadShard:
       bump(counters_.bad);
-      HETSCHED_COUNT(g_metrics.bad);
       break;
     case Status::kRetryLater:
       bump(counters_.retried);
-      HETSCHED_COUNT(g_metrics.retries);
       break;
     case Status::kResized:
       bump(counters_.resizes);
-      HETSCHED_COUNT(g_metrics.resizes);
       break;
     case Status::kResizeFailed:
       bump(counters_.resize_failures);
-      HETSCHED_COUNT(g_metrics.resize_failures);
       break;
     case Status::kInfo:
       // Unreachable: info frames are built by handle_introspect, which
@@ -1256,7 +1181,6 @@ void Server::handle_introspect(Loop& lp,
     info.value = traces;
   }
   bump(counters_.introspect);
-  HETSCHED_COUNT(g_metrics.introspect);
   std::vector<unsigned char> frame;
   encode_info_response(info, &frame);
   send_to_connection(lp, conn, frame.data(), frame.size());
@@ -1272,7 +1196,6 @@ void Server::send_to_connection(Loop& lp,
   if (r == Connection::WriteResult::kFlushed) return;
   if (r == Connection::WriteResult::kQueued) {
     bump(counters_.partial_writes);
-    HETSCHED_COUNT(g_metrics.partial_writes);
   }
   request_write_interest(lp, conn);
 }
@@ -1331,7 +1254,6 @@ void Server::adopt_connection(Loop& lp, int fd) {
   lp.conns.emplace(fd, std::move(conn));
   lp.accepted.fetch_add(1, std::memory_order_relaxed);
   bump(counters_.connections);
-  HETSCHED_COUNT(g_metrics.connections);
   HETSCHED_GAUGE_SET(lp.conn_gauge, lp.conns.size());
 }
 
@@ -1465,7 +1387,6 @@ bool Server::resolve_forward(Request& req) {
   const bool rewritten = follow_forwards(req);
   if (rewritten) {
     bump(counters_.forwarded);
-    HETSCHED_COUNT(g_metrics.forwards);
   }
   return rewritten;
 }
@@ -1570,24 +1491,21 @@ Response Server::handle_resize(Loop& lp, const Request& req) {
     resp.status = Status::kResizeFailed;
     return resp;
   }
-#if HETSCHED_METRICS_ENABLED
-  const std::uint64_t pause_t0 = obs::now_ns();
-#endif
-  const bool quiesced =
-      quiesce_shard(lp, *src) && (dst == nullptr || quiesce_shard(lp, *dst));
-  if (quiesced) {
-    const Response r = req.type == MsgType::kSplitShard
-                           ? do_split(lp, *src)
-                           : do_merge(lp, *src, *dst);
-    resp.status = r.status;
-    resp.machine = r.machine;
-    resp.task_id = r.task_id;
+  {
+    HETSCHED_TIMED(g_metrics.resize_pause);  // quiesce through release
+    const bool quiesced = quiesce_shard(lp, *src) &&
+                          (dst == nullptr || quiesce_shard(lp, *dst));
+    if (quiesced) {
+      const Response r = req.type == MsgType::kSplitShard
+                             ? do_split(lp, *src)
+                             : do_merge(lp, *src, *dst);
+      resp.status = r.status;
+      resp.machine = r.machine;
+      resp.task_id = r.task_id;
+    }
+    release_shard(*src);
+    if (dst != nullptr) release_shard(*dst);
   }
-  release_shard(*src);
-  if (dst != nullptr) release_shard(*dst);
-#if HETSCHED_METRICS_ENABLED
-  g_metrics.resize_pause.record_ns(obs::now_ns() - pause_t0);
-#endif
   resize_busy_.store(false, std::memory_order_release);
   return resp;
 }
@@ -1705,11 +1623,10 @@ Response Server::do_split(Loop& lp, Shard& src) {
     src.has_forwards.store(true, std::memory_order_release);
   }
 
-#if HETSCHED_METRICS_ENABLED
-  ns.depth_gauge = obs::registry().gauge(
+  HETSCHED_GAUGE_REGISTER(
+      ns.depth_gauge,
       "hetsched_net_queue_depth_shard" + std::to_string(ns.index),
       "Requests queued for shard " + std::to_string(ns.index));
-#endif
   // Publish: construction is complete, so the release store makes the
   // shard routable.  It stays `moving` (kRetryLater) until its owner loop
   // adopts it — only adopted shards join the owner's WAL group commit.
@@ -1830,7 +1747,6 @@ void Server::drain_shard_queues(Loop& lp) {
       HETSCHED_GAUGE_SET(sh->depth_gauge, sh->queue.depth());
       if (n == 0) break;
       bump(counters_.batches);
-      HETSCHED_COUNT(g_metrics.batches);
       // Pass 1: decide every item, staging responses in outbuf and
       // recording per-connection runs.  Nothing is sent yet — the WAL
       // group commit below must land first.
@@ -1843,15 +1759,10 @@ void Server::drain_shard_queues(Loop& lp) {
         Shard::WorkItem& item = lp.items[i];
         Request req = item.req;
         resolve_forward(req);
-#if HETSCHED_METRICS_ENABLED
         // Queue-hop span: the frame's cross-loop (or paused-shard) queue
         // residency, parented to its decode span.
-        if (item.trace_root != 0) {
-          obs::span_record(req.trace_id, obs::span_next_id(), item.trace_root,
-                           obs::SpanStage::kQueueHop, item.trace_enq_ns,
-                           obs::now_ns());
-        }
-#endif
+        obs::span_close(item.trace_root != 0, req.trace_id, item.trace_root,
+                        obs::SpanStage::kQueueHop, item.trace_enq_ns);
         Response resp;
         bool have_resp = true;
         if (req.shard != sh->index) {
@@ -1876,13 +1787,9 @@ void Server::drain_shard_queues(Loop& lp) {
         } else {
           resp = process_request(*sh, req, item.trace_root);
         }
-#if HETSCHED_METRICS_ENABLED
         if (item.enq_ns != 0) {
-          const std::uint64_t lat = obs::now_ns() - item.enq_ns;
-          g_metrics.latency.record_ns(lat);
-          bump(lat <= options_.slo_ns ? sh->slo_ok : sh->slo_breach);
+          sh->record_latency(obs::now_ns() - item.enq_ns, options_.slo_ns);
         }
-#endif
         if (!have_resp) continue;
         count_response(resp);
         if (run_conn != nullptr && item.conn.get() != run_conn) {
@@ -1892,48 +1799,27 @@ void Server::drain_shard_queues(Loop& lp) {
         }
         if (run_conn == nullptr) run_first = i;
         run_conn = item.conn.get();
-#if HETSCHED_METRICS_ENABLED
-        const std::uint64_t enc_t0 =
-            item.trace_root != 0 ? obs::now_ns() : 0;
-#endif
+        const std::uint64_t enc_t0 = obs::span_clock_if(item.trace_root != 0);
         out_len += encode_response(resp, lp.outbuf.data() + out_len);
-#if HETSCHED_METRICS_ENABLED
-        if (item.trace_root != 0) {
-          obs::span_record(req.trace_id, obs::span_next_id(), item.trace_root,
-                           obs::SpanStage::kEncode, enc_t0, obs::now_ns());
-          lp.stage_trace(req.trace_id, item.trace_root);
-        }
-#endif
+        lp.end_encode_span(req.trace_id, item.trace_root, enc_t0);
       }
       if (run_conn != nullptr && out_len > run_off) {
         lp.runs.push_back(Loop::Run{run_first, run_off, out_len - run_off});
       }
       // Pass 2: the batch's decisions become durable (per the sync
       // policy), then — and only then — the responses go out.
-#if HETSCHED_METRICS_ENABLED
-      const std::uint64_t gc_t0 =
-          lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
+      const std::uint64_t gc_t0 = lp.batch_clock();
       commit_owned_wals(lp);
-#if HETSCHED_METRICS_ENABLED
-      const std::uint64_t gc_t1 =
-          lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
+      const std::uint64_t gc_t1 = lp.batch_clock();
       for (const Loop::Run& run : lp.runs) {
         send_to_connection(lp, lp.items[run.item].conn,
                            lp.outbuf.data() + run.off, run.len);
       }
-#if HETSCHED_METRICS_ENABLED
-      if (lp.staged_trace_count != 0) {
-        lp.record_batch_spans(gc_t0, gc_t1, obs::now_ns());
-      }
-#endif
+      lp.record_batch_spans(gc_t0, gc_t1);
       // Drop connection refs so closed peers release their fds promptly.
       for (std::size_t i = 0; i < n; ++i) lp.items[i].conn.reset();
       lp.batcher.observe(n);
-#if HETSCHED_METRICS_ENABLED
-      g_metrics.batch_frames.record_ns(n);
-#endif
+      HETSCHED_HIST_RECORD(g_metrics.batch_frames, n);
     }
   }
 }
@@ -1948,27 +1834,16 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
   const auto flush_staged = [&] {
     if (staged == 0) return;
     bump(counters_.batches);
-    HETSCHED_COUNT(g_metrics.batches);
     lp.batcher.observe(staged_frames);
-#if HETSCHED_METRICS_ENABLED
-    g_metrics.batch_frames.record_ns(staged_frames);
-    const std::uint64_t gc_t0 =
-        lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
+    HETSCHED_HIST_RECORD(g_metrics.batch_frames, staged_frames);
+    const std::uint64_t gc_t0 = lp.batch_clock();
     // WAL before reply: inline decisions staged their records in the
     // owning shards' arenas; the group commit lands them before the
     // responses can reach the wire.
     commit_owned_wals(lp);
-#if HETSCHED_METRICS_ENABLED
-    const std::uint64_t gc_t1 =
-        lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
+    const std::uint64_t gc_t1 = lp.batch_clock();
     send_to_connection(lp, conn, lp.outbuf.data(), staged);
-#if HETSCHED_METRICS_ENABLED
-    if (lp.staged_trace_count != 0) {
-      lp.record_batch_spans(gc_t0, gc_t1, obs::now_ns());
-    }
-#endif
+    lp.record_batch_spans(gc_t0, gc_t1);
     staged = 0;
     staged_frames = 0;
   };
@@ -1996,18 +1871,13 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
       std::size_t consumed = 0;
       // Decode span start: one clock read per frame while spans are
       // armed — the frame's trace id is unknown until after the decode.
-      std::uint64_t root_span = 0;
-#if HETSCHED_METRICS_ENABLED
-      std::uint64_t dec_t0 = 0;
-      if (obs::span_enabled()) dec_t0 = obs::now_ns();
-#endif
+      const std::uint64_t dec_t0 = obs::span_clock();
       const DecodeResult r = decode_request(
           conn->rbuf.data() + off, conn->rbuf_len - off, &req, &consumed);
       if (r == DecodeResult::kNeedMore) break;
       if (r == DecodeResult::kBad) {
         // A desynced byte stream cannot be re-framed; drop the peer.
         bump(counters_.bad);
-        HETSCHED_COUNT(g_metrics.bad);
         alive = false;
         break;
       }
@@ -2034,14 +1904,10 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
       // own length checks.  hetsched-lint: allow(parser-bounds)
       off += consumed;
       bump(counters_.frames_rx);
-      HETSCHED_COUNT(g_metrics.frames_rx);
-#if HETSCHED_METRICS_ENABLED
-      if (req.trace_id != 0 && dec_t0 != 0) {
-        root_span = obs::span_next_id();
-        obs::span_record(req.trace_id, root_span, 0, obs::SpanStage::kDecode,
-                         dec_t0, obs::now_ns());
-      }
-#endif
+      // The decode span roots the frame's trace (0: untraced or disarmed).
+      const bool traced = req.trace_id != 0 && dec_t0 != 0;
+      const std::uint64_t root_span = obs::span_close(
+          traced, req.trace_id, 0, obs::SpanStage::kDecode, dec_t0);
       Response resp;
       bool respond_now = false;
       if (req.type == MsgType::kGetStats || req.type == MsgType::kGetTracez) {
@@ -2082,29 +1948,20 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
           if (local && sh.queue.depth() == 0 &&
               !paused_.load(std::memory_order_acquire)) {
             // The common case: decode -> warm admit -> encode on this core,
-            // zero cross-thread hops.
-#if HETSCHED_METRICS_ENABLED
+            // zero cross-thread hops.  One frame in kLatencySamplePeriod
+            // is timed for the SLO counters.
             std::uint64_t t0 = 0;
             if ((++lp.sample_tick & (obs::kLatencySamplePeriod - 1)) == 0) {
               t0 = obs::now_ns();
             }
-#endif
             resp = process_request(sh, req, root_span);
             bump(counters_.frames_inline);
-            HETSCHED_COUNT(g_metrics.frames_inline);
-#if HETSCHED_METRICS_ENABLED
-            if (t0 != 0) {
-              const std::uint64_t lat = obs::now_ns() - t0;
-              g_metrics.latency.record_ns(lat);
-              bump(lat <= options_.slo_ns ? sh.slo_ok : sh.slo_breach);
-            }
-#endif
+            if (t0 != 0) sh.record_latency(obs::now_ns() - t0, options_.slo_ns);
             respond_now = true;
           } else {
             Shard::WorkItem item;
             item.conn = conn;
             item.req = req;
-#if HETSCHED_METRICS_ENABLED
             if ((sh.push_tick.fetch_add(1, std::memory_order_relaxed) &
                  (obs::kLatencySamplePeriod - 1)) == 0) {
               item.enq_ns = obs::now_ns();
@@ -2113,7 +1970,6 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
               item.trace_root = root_span;
               item.trace_enq_ns = obs::now_ns();
             }
-#endif
             if (!sh.queue.try_push(std::move(item))) {
               resp.type = req.type;
               resp.status = Status::kRetryLater;
@@ -2129,18 +1985,10 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
       }
       if (respond_now) {
         count_response(resp);
-#if HETSCHED_METRICS_ENABLED
-        const std::uint64_t enc_t0 = root_span != 0 ? obs::now_ns() : 0;
-#endif
+        const std::uint64_t enc_t0 = obs::span_clock_if(root_span != 0);
         staged += encode_response(resp, lp.outbuf.data() + staged);
         ++staged_frames;
-#if HETSCHED_METRICS_ENABLED
-        if (root_span != 0) {
-          obs::span_record(req.trace_id, obs::span_next_id(), root_span,
-                           obs::SpanStage::kEncode, enc_t0, obs::now_ns());
-          lp.stage_trace(req.trace_id, root_span);
-        }
-#endif
+        lp.end_encode_span(req.trace_id, root_span, enc_t0);
         if (staged_frames >= lp.batcher.limit() ||
             staged + kFrameSize > lp.outbuf.size()) {
           flush_staged();

@@ -84,13 +84,13 @@
 // handed off as the stop begins is adopted before its new loop's queues
 // close, so the frame that placed it is still decided and answered.
 //
-// Observability (compiled with -DHETSCHED_METRICS=ON): per-shard
-// queue-depth gauges, per-loop open-connection gauges, a batch-size
-// histogram (frames per drain round), admit / reject / retry / depart
-// counters, and a sampled request latency histogram; README
-// "Observability" lists the full net_* catalog.  ServerStats mirrors the
-// decision counters as plain atomics so tests and the load generator
-// work in metrics-off builds too.
+// Observability: ServerStats is the server's one per-event counter set —
+// plain atomics, exposed as hetsched_server_* in every build — and the
+// per-shard SLO burn counters (net_slo_*) move in every build too.
+// Compiled with -DHETSCHED_METRICS=ON, the server adds per-shard
+// queue-depth and per-loop open-connection gauges, batch-size, resize-
+// pause and sampled request-latency histograms, request spans and the
+// per-shard flight recorder; README "Observability" lists the catalog.
 #pragma once
 
 #include <atomic>
@@ -167,16 +167,16 @@ struct ServerOptions {
   // Snapshot a shard after this many logged decisions (0 = never mid-run;
   // recovery then replays the whole WAL).
   std::size_t snapshot_every = 65536;
-  // Per-request latency SLO: sampled request latencies at or under this
-  // land in the shard's slo_ok burn counter, the rest in slo_breach
-  // (net_slo_* in /metrics and GET_STATS).  Attribution needs the
-  // sampled latency path, so the counters move only in metrics-ON builds.
+  // Per-request latency SLO: one request in kLatencySamplePeriod (per
+  // loop, and per shard queue) is timed in every build; a sampled latency
+  // at or under this lands in the shard's slo_ok burn counter, the rest
+  // in slo_breach (net_slo_* in /metrics and GET_STATS).
   std::uint64_t slo_ns = 1'000'000;
 };
 
-// Decision counters, independent of the obs layer so they exist in
-// metrics-off builds.  Eventually consistent while threads run; exact
-// after wait().
+// The server's one per-event counter set (hetsched_server_* in the
+// exposition), independent of the obs layer so it exists in every build.
+// Eventually consistent while threads run; exact after wait().
 struct ServerStats {
   std::uint64_t connections = 0;
   std::uint64_t frames_rx = 0;
@@ -243,16 +243,17 @@ class Server {
   ServerStats stats() const;
 
   // Prometheus-style text exposition: ServerStats rendered as
-  // hetsched_net_* counters, per-shard net_slo_* burn counters, and (in
-  // metrics-ON builds) the full obs registry.  This is the body of both
-  // the GET_STATS info frame and the HTTP /metrics side port.
+  // hetsched_server_* counters, per-shard net_slo_* burn counters, and
+  // (in metrics-ON builds) span health and the full obs registry.  This
+  // is the body of both the GET_STATS info frame and the HTTP /metrics
+  // side port.
   std::string stats_text() const;
 
   // The `k` slowest reassembled traces as JSONL (the GET_TRACEZ body).
   // Empty when spans are compiled out or disabled.
   std::string tracez_text(std::size_t k) const;
 
-  // Per-shard SLO burn counters (metrics-ON builds; zero otherwise).
+  // Per-shard SLO burn counters (every build).
   std::uint64_t shard_slo_ok(std::size_t shard) const;
   std::uint64_t shard_slo_breach(std::size_t shard) const;
 

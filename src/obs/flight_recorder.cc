@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -86,8 +85,8 @@ void write_entry(int fd, const FlightEntry& e) {
   write_all(fd, b.data, b.len);
 }
 
-FlightEntry unpack(const std::atomic<std::uint64_t> (&slot)[6],
-                   std::uint64_t seq) {
+FlightEntry unpack(std::uint64_t seq,
+                   const std::atomic<std::uint64_t> (&slot)[6]) {
   FlightEntry e;
   e.seq = seq;
   e.t_ns = slot[0].load(std::memory_order_relaxed);
@@ -139,27 +138,17 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::record(std::uint8_t kind, std::uint8_t status,
                             std::uint32_t machine, std::uint64_t request_id,
                             std::uint64_t value, std::uint64_t trace_id) {
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  auto& slot = words_[head % kFlightCapacity];
-  slot[0].store(now_ns(), std::memory_order_relaxed);
-  slot[1].store((std::uint64_t{shard_} << 32) | (std::uint64_t{kind} << 8) |
-                    std::uint64_t{status},
-                std::memory_order_relaxed);
-  slot[2].store(machine, std::memory_order_relaxed);
-  slot[3].store(request_id, std::memory_order_relaxed);
-  slot[4].store(value, std::memory_order_relaxed);
-  slot[5].store(trace_id, std::memory_order_relaxed);
-  // Release so a dumper that sees the new head also sees the slot words.
-  head_.store(head + 1, std::memory_order_release);
+  const std::uint64_t packed = (std::uint64_t{shard_} << 32) |
+                               (std::uint64_t{kind} << 8) |
+                               std::uint64_t{status};
+  ring_.push({now_ns(), packed, machine, request_id, value, trace_id});
 }
 
 std::size_t FlightRecorder::collect(FlightEntry* out, std::size_t max) const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t held = std::min<std::uint64_t>(head, kFlightCapacity);
   std::size_t n = 0;
-  for (std::uint64_t i = head - held; i < head && n < max; ++i, ++n) {
-    out[n] = unpack(words_[i % kFlightCapacity], i);
-  }
+  ring_.for_each([&](std::uint64_t seq, const auto& slot) {
+    if (n < max) out[n++] = unpack(seq, slot);
+  });
   return n;
 }
 
@@ -168,12 +157,10 @@ std::size_t flight_dump_fd(int fd) {
   for (std::size_t r = 0; r < kMaxFlightRecorders; ++r) {
     const FlightRecorder* rec = g_recorders[r].load(std::memory_order_acquire);
     if (rec == nullptr) continue;
-    const std::uint64_t head = rec->head_.load(std::memory_order_acquire);
-    const std::uint64_t held = std::min<std::uint64_t>(head, kFlightCapacity);
-    for (std::uint64_t i = head - held; i < head; ++i) {
-      write_entry(fd, unpack(rec->words_[i % kFlightCapacity], i));
+    rec->ring_.for_each([&](std::uint64_t seq, const auto& slot) {
+      write_entry(fd, unpack(seq, slot));
       ++lines;
-    }
+    });
   }
   return lines;
 }

@@ -9,11 +9,12 @@
 //     SIGSEGV/SIGBUS/SIGABRT handlers that dump and re-raise), and
 //   * on demand from tests / `recover` diagnostics.
 //
-// Concurrency: each recorder has one writer (the shard's owner loop —
-// the same single-writer discipline the WAL and queue already follow).
-// Dumpers read the slot atomics relaxed from any context, including a
-// signal handler interrupting the writer, so a mid-write entry can be
-// read torn; the dump is a diagnostic of last resort, not a ledger.
+// Concurrency: each recorder is one obs/ring.h AtomicRing with one
+// writer (the shard's owner loop — the same single-writer discipline the
+// WAL and queue already follow).  Dumpers read the slot atomics relaxed
+// from any context, including a signal handler interrupting the writer,
+// so a mid-write entry can be read torn; the dump is a diagnostic of
+// last resort, not a ledger.
 //
 // Async-signal-safety: recorders register themselves in a fixed global
 // array of atomic pointers (no locks, no allocation), and the dump path
@@ -33,8 +34,8 @@
 #pragma once
 
 #include "obs/metrics.h"
+#include "obs/ring.h"
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -82,17 +83,14 @@ class FlightRecorder {
   std::size_t collect(FlightEntry* out, std::size_t max) const;
 
   // Total entries ever recorded.
-  std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recorded() const { return ring_.pushed(); }
 
  private:
   friend std::size_t flight_dump_fd(int fd);
 
   // Slot words: [t_ns, (shard<<32)|(kind<<8)|status, machine,
-  //              request_id, value, trace_id]; seq is derived from head.
-  std::atomic<std::uint64_t> words_[kFlightCapacity][6] = {};
-  std::atomic<std::uint64_t> head_{0};
+  //              request_id, value, trace_id]; seq is the ring index.
+  AtomicRing<6, kFlightCapacity> ring_;
   std::uint16_t shard_ = 0;
   int table_slot_ = -1;
 };

@@ -27,12 +27,13 @@
 // Kill switch (same pattern as partition/audit.h): unless the build
 // defines HETSCHED_METRICS (-DHETSCHED_METRICS=ON in CMake), every
 // HETSCHED_COUNT / HETSCHED_COUNT_ADD / HETSCHED_GAUGE_SET /
-// HETSCHED_TIMED / HETSCHED_TIMED_SAMPLED / HETSCHED_TRACE_EVENT use
-// compiles to an empty statement, so default Release binaries carry no
-// instrumentation at all — bench_obs_overhead proves the OFF build makes
-// bit-identical decisions at unchanged latency.  Wrap the handle
-// definitions themselves in `#if HETSCHED_METRICS_ENABLED` blocks, again
-// like the audit hooks.
+// HETSCHED_GAUGE_REGISTER / HETSCHED_HIST_RECORD / HETSCHED_TIMED /
+// HETSCHED_TIMED_SAMPLED / HETSCHED_TRACE_EVENT use compiles to an empty
+// statement, so default Release binaries carry no instrumentation at all
+// — bench_obs_overhead proves the OFF build makes bit-identical
+// decisions at unchanged latency.  Wrap the handle definitions
+// themselves in `#if HETSCHED_METRICS_ENABLED` blocks, again like the
+// audit hooks.
 //
 // Instrumentation inside HETSCHED_NOALLOC-annotated functions must pass a
 // pre-registered handle to these macros, never a by-name registry lookup;
@@ -322,6 +323,16 @@ class ScopedLatencyTimer {
 #define HETSCHED_GAUGE_ADD(handle, d) \
   ((handle).add(static_cast<std::int64_t>(d)))
 
+// Register a gauge whose name is built at runtime (a per-instance gauge
+// carrying a shard or loop index) into `handle`.  Cold code only: the
+// registration locks and allocates.
+#define HETSCHED_GAUGE_REGISTER(handle, name, help) \
+  ((handle) = ::hetsched::obs::registry().gauge((name), (help)))
+
+// Record one sample into a pre-registered LatencyHistogram handle.
+#define HETSCHED_HIST_RECORD(handle, v) \
+  ((handle).record_ns(static_cast<std::uint64_t>(v)))
+
 // Time the rest of the enclosing scope into a pre-registered
 // LatencyHistogram handle.  Every call is timed — use only where the
 // operation is long (micro-seconds+) relative to two clock reads.
@@ -354,6 +365,12 @@ class ScopedLatencyTimer {
   } while (false)
 #define HETSCHED_GAUGE_ADD(handle, d) \
   do {                                \
+  } while (false)
+#define HETSCHED_GAUGE_REGISTER(handle, name, help) \
+  do {                                              \
+  } while (false)
+#define HETSCHED_HIST_RECORD(handle, v) \
+  do {                                  \
   } while (false)
 #define HETSCHED_TIMED(handle) \
   do {                         \

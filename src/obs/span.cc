@@ -1,8 +1,9 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <mutex>
 #include <unordered_map>
+
+#include "obs/ring.h"
 
 namespace hetsched::obs {
 
@@ -31,72 +32,26 @@ namespace {
 // Ring slot: [trace_id, span_id, parent_id, t0_ns, t1_ns, stage].
 // Parent ids are full 64-bit values, so nothing packs; the slot spends
 // six words.
-struct SpanRing {
-  std::atomic<std::uint64_t> words[kSpanCapacity][6] = {};
-  std::atomic<std::uint64_t> head{0};  // total spans ever written
-};
+struct SpanCodec {
+  using Record = SpanRecord;
+  static constexpr std::size_t kWords = 6;
+  static constexpr std::size_t kCapacity = kSpanCapacity;
 
-struct SpanState {
-  std::mutex mu;
-  std::vector<SpanRing*> rings;
-  std::vector<SpanRecord> retired;  // folded rings of exited threads
-  std::uint64_t retired_dropped = 0;
-  std::atomic<std::uint64_t> next_id{1};
-};
-
-SpanState& state() {
-  static SpanState* s = new SpanState();  // leaky: outlives all threads
-  return *s;
-}
-
-SpanRecord unpack(const std::atomic<std::uint64_t> (&slot)[6]) {
-  SpanRecord r;
-  r.trace_id = slot[0].load(std::memory_order_relaxed);
-  r.span_id = slot[1].load(std::memory_order_relaxed);
-  r.parent_id = slot[2].load(std::memory_order_relaxed);
-  r.t0_ns = slot[3].load(std::memory_order_relaxed);
-  r.t1_ns = slot[4].load(std::memory_order_relaxed);
-  r.stage =
-      static_cast<SpanStage>(slot[5].load(std::memory_order_relaxed) & 0xff);
-  return r;
-}
-
-void collect_ring(const SpanRing& ring, std::vector<SpanRecord>* out,
-                  std::uint64_t* dropped) {
-  const std::uint64_t head = ring.head.load(std::memory_order_acquire);
-  const std::uint64_t held = std::min<std::uint64_t>(head, kSpanCapacity);
-  *dropped += head - held;
-  for (std::uint64_t i = head - held; i < head; ++i) {
-    out->push_back(unpack(ring.words[i % kSpanCapacity]));
+  static SpanRecord unpack(const std::atomic<std::uint64_t> (&slot)[kWords]) {
+    SpanRecord r;
+    r.trace_id = slot[0].load(std::memory_order_relaxed);
+    r.span_id = slot[1].load(std::memory_order_relaxed);
+    r.parent_id = slot[2].load(std::memory_order_relaxed);
+    r.t0_ns = slot[3].load(std::memory_order_relaxed);
+    r.t1_ns = slot[4].load(std::memory_order_relaxed);
+    r.stage =
+        static_cast<SpanStage>(slot[5].load(std::memory_order_relaxed) & 0xff);
+    return r;
   }
-}
-
-// Registers the thread's ring on first span and folds it into the
-// retired list at thread exit, so spans recorded by short-lived threads
-// (loop threads of a stopped server) survive to the next drain.
-struct SpanRingHolder {
-  SpanRingHolder() {
-    SpanState& s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.rings.push_back(&ring);
-  }
-  ~SpanRingHolder() {
-    SpanState& s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = std::find(s.rings.begin(), s.rings.end(), &ring);
-    if (it == s.rings.end()) return;
-    s.rings.erase(it);
-    collect_ring(ring, &s.retired, &s.retired_dropped);
-  }
-  SpanRingHolder(const SpanRingHolder&) = delete;
-  SpanRingHolder& operator=(const SpanRingHolder&) = delete;
-  SpanRing ring;
 };
+using SpanRings = ThreadRingSet<SpanCodec>;
 
-SpanRing& local_ring() {
-  thread_local SpanRingHolder holder;
-  return holder.ring;
-}
+constinit std::atomic<std::uint64_t> g_next_span_id{1};
 
 }  // namespace
 
@@ -109,55 +64,26 @@ void set_span_enabled(bool on) {
 }
 
 std::uint64_t span_next_id() {
-  return state().next_id.fetch_add(1, std::memory_order_relaxed);
+  return g_next_span_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 void span_record(std::uint64_t trace_id, std::uint64_t span_id,
                  std::uint64_t parent_id, SpanStage stage, std::uint64_t t0_ns,
                  std::uint64_t t1_ns) {
-  SpanRing& ring = local_ring();
-  const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-  auto& slot = ring.words[head % kSpanCapacity];
-  slot[0].store(trace_id, std::memory_order_relaxed);
-  slot[1].store(span_id, std::memory_order_relaxed);
-  slot[2].store(parent_id, std::memory_order_relaxed);
-  slot[3].store(t0_ns, std::memory_order_relaxed);
-  slot[4].store(t1_ns, std::memory_order_relaxed);
-  slot[5].store(static_cast<std::uint64_t>(stage), std::memory_order_relaxed);
-  // Release so a drainer that sees the new head also sees the slot words.
-  ring.head.store(head + 1, std::memory_order_release);
+  SpanRings::local().push({trace_id, span_id, parent_id, t0_ns, t1_ns,
+                           static_cast<std::uint64_t>(stage)});
 }
 
 std::vector<SpanRecord> span_drain(bool clear) {
-  SpanState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::vector<SpanRecord> out = s.retired;
-  std::uint64_t dropped = 0;
-  for (SpanRing* ring : s.rings) collect_ring(*ring, &out, &dropped);
+  std::vector<SpanRecord> out = SpanRings::get().drain(clear);
   std::sort(out.begin(), out.end(),
             [](const SpanRecord& a, const SpanRecord& b) {
               return a.t0_ns < b.t0_ns;
             });
-  if (clear) {
-    s.retired.clear();
-    s.retired_dropped += dropped;
-    for (SpanRing* ring : s.rings) {
-      ring->head.store(0, std::memory_order_relaxed);
-    }
-  }
   return out;
 }
 
-std::uint64_t span_dropped() {
-  SpanState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::uint64_t dropped = s.retired_dropped;
-  for (SpanRing* ring : s.rings) {
-    const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    if (head > kSpanCapacity) dropped += head - kSpanCapacity;
-  }
-  return dropped;
-}
+std::uint64_t span_dropped() { return SpanRings::get().dropped(); }
 
 std::vector<TraceSummary> slowest_traces(std::vector<SpanRecord> spans,
                                          std::size_t k) {

@@ -16,12 +16,12 @@
 // id pay the full record: six relaxed stores into the calling thread's
 // ring plus one shared fetch_add for the span id.
 //
-// Concurrency mirrors obs/trace.h exactly: one writer per ring (the
-// owning thread), drain reads live rings relaxed (torn reads possible
-// while writers run — span_drain is exact once writers are quiescent,
-// and best-effort for live `tracez` inspection), and rings of exited
-// threads are folded into a retired list under the span mutex so no
-// span is lost at thread exit.
+// The rings are obs/ring.h's ThreadRingSet, the same per-thread rings
+// the decision trace uses: one writer per ring (the owning thread), drain
+// reads live rings relaxed (torn reads possible while writers run —
+// span_drain is exact once writers are quiescent, and best-effort for
+// live `tracez` inspection), and rings of exited threads are folded into
+// a retired list so no span is lost at thread exit.
 #pragma once
 
 #include "obs/metrics.h"
@@ -95,6 +95,40 @@ std::vector<SpanRecord> span_drain(bool clear = true);
 
 // Total spans overwritten before they could be drained.
 std::uint64_t span_dropped();
+
+// Span-site helpers for the server pipeline (net/server.cc).  A site
+// stamps a start time, runs its stage, then records [t0, now]; the
+// helpers carry the gates so the sites need no #if.  With HETSCHED_METRICS
+// compiled out each is a constant 0 or an empty body, and the clock
+// reads, id allocations and gate loads fold away with it.
+
+// Whether a frame carrying `trace_id` records spans: compiled in, armed
+// at runtime, and traced (nonzero id).
+inline bool span_traced(std::uint64_t trace_id) {
+  return kMetricsCompiled && trace_id != 0 && span_enabled();
+}
+
+// Start stamp for a span whose trace id is not known yet (a frame about
+// to be decoded): now_ns() while spans are armed, else 0.
+inline std::uint64_t span_clock() {
+  return kMetricsCompiled && span_enabled() ? now_ns() : 0;
+}
+
+// Start stamp when `on` (the site's gate held), else 0.
+inline std::uint64_t span_clock_if(bool on) {
+  return kMetricsCompiled && on ? now_ns() : 0;
+}
+
+// When `on`, records [t0_ns, now] as a fresh span of `trace_id` under
+// `parent_id` and returns its id; otherwise records nothing, returns 0.
+inline std::uint64_t span_close(bool on, std::uint64_t trace_id,
+                                std::uint64_t parent_id, SpanStage stage,
+                                std::uint64_t t0_ns) {
+  if (!kMetricsCompiled || !on) return 0;
+  const std::uint64_t id = span_next_id();
+  span_record(trace_id, id, parent_id, stage, t0_ns, now_ns());
+  return id;
+}
 
 // One trace reassembled from its spans, for `tracez`-style inspection.
 struct TraceSummary {

@@ -1,7 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <mutex>
+
+#include "obs/ring.h"
 
 namespace hetsched::obs {
 
@@ -19,71 +20,27 @@ const char* to_string(TraceKind k) {
 
 namespace {
 
-// Packed ring slot: [seq, t_ns, (machine << 32) | (kind << 8) | ok, value].
-struct TraceRing {
-  std::atomic<std::uint64_t> words[kTraceCapacity][4] = {};
-  std::atomic<std::uint64_t> head{0};  // total events ever written
-};
+// Ring slot: [seq, t_ns, (machine << 32) | (kind << 8) | ok, value].
+struct TraceCodec {
+  using Record = TraceEvent;
+  static constexpr std::size_t kWords = 4;
+  static constexpr std::size_t kCapacity = kTraceCapacity;
 
-struct TraceState {
-  std::mutex mu;
-  std::vector<TraceRing*> rings;
-  std::vector<TraceEvent> retired;  // flushed rings of exited threads
-  std::uint64_t retired_dropped = 0;
-  std::atomic<std::uint64_t> seq{0};
-};
-
-TraceState& state() {
-  static TraceState* s = new TraceState();  // leaky: outlives all threads
-  return *s;
-}
-
-TraceEvent unpack(const std::atomic<std::uint64_t> (&slot)[4]) {
-  TraceEvent ev;
-  ev.seq = slot[0].load(std::memory_order_relaxed);
-  ev.t_ns = slot[1].load(std::memory_order_relaxed);
-  const std::uint64_t packed = slot[2].load(std::memory_order_relaxed);
-  ev.machine = static_cast<std::uint32_t>(packed >> 32);
-  ev.kind = static_cast<TraceKind>((packed >> 8) & 0xff);
-  ev.ok = (packed & 1) != 0;
-  ev.value = slot[3].load(std::memory_order_relaxed);
-  return ev;
-}
-
-// Oldest-to-newest readout of one ring; `dropped` accumulates overwrites.
-void collect_ring(const TraceRing& ring, std::vector<TraceEvent>* out,
-                  std::uint64_t* dropped) {
-  const std::uint64_t head = ring.head.load(std::memory_order_acquire);
-  const std::uint64_t held = std::min<std::uint64_t>(head, kTraceCapacity);
-  *dropped += head - held;
-  for (std::uint64_t i = head - held; i < head; ++i) {
-    out->push_back(unpack(ring.words[i % kTraceCapacity]));
+  static TraceEvent unpack(const std::atomic<std::uint64_t> (&slot)[kWords]) {
+    TraceEvent ev;
+    ev.seq = slot[0].load(std::memory_order_relaxed);
+    ev.t_ns = slot[1].load(std::memory_order_relaxed);
+    const std::uint64_t packed = slot[2].load(std::memory_order_relaxed);
+    ev.machine = static_cast<std::uint32_t>(packed >> 32);
+    ev.kind = static_cast<TraceKind>((packed >> 8) & 0xff);
+    ev.ok = (packed & 1) != 0;
+    ev.value = slot[3].load(std::memory_order_relaxed);
+    return ev;
   }
-}
-
-struct TraceRingHolder {
-  TraceRingHolder() {
-    TraceState& s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.rings.push_back(&ring);
-  }
-  ~TraceRingHolder() {
-    TraceState& s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = std::find(s.rings.begin(), s.rings.end(), &ring);
-    if (it == s.rings.end()) return;
-    s.rings.erase(it);
-    collect_ring(ring, &s.retired, &s.retired_dropped);
-  }
-  TraceRingHolder(const TraceRingHolder&) = delete;
-  TraceRingHolder& operator=(const TraceRingHolder&) = delete;
-  TraceRing ring;
 };
+using TraceRings = ThreadRingSet<TraceCodec>;
 
-TraceRing& local_ring() {
-  thread_local TraceRingHolder holder;
-  return holder.ring;
-}
+constinit std::atomic<std::uint64_t> g_seq{0};
 
 }  // namespace
 
@@ -97,51 +54,22 @@ void set_trace_enabled(bool on) {
 
 void trace_record(TraceKind kind, bool ok, std::uint32_t machine,
                   std::uint64_t value) {
-  TraceState& s = state();
-  TraceRing& ring = local_ring();
-  const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-  auto& slot = ring.words[head % kTraceCapacity];
-  slot[0].store(s.seq.fetch_add(1, std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  slot[1].store(now_ns(), std::memory_order_relaxed);
-  slot[2].store((std::uint64_t{machine} << 32) |
-                    (std::uint64_t{static_cast<std::uint8_t>(kind)} << 8) |
-                    (ok ? 1u : 0u),
-                std::memory_order_relaxed);
-  slot[3].store(value, std::memory_order_relaxed);
-  // Release so a drainer that sees the new head also sees the slot words.
-  ring.head.store(head + 1, std::memory_order_release);
+  const std::uint64_t seq = g_seq.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t packed =
+      (std::uint64_t{machine} << 32) |
+      (std::uint64_t{static_cast<std::uint8_t>(kind)} << 8) | (ok ? 1u : 0u);
+  TraceRings::local().push({seq, now_ns(), packed, value});
 }
 
 std::vector<TraceEvent> trace_drain(bool clear) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::vector<TraceEvent> out = s.retired;
-  std::uint64_t dropped = 0;
-  for (TraceRing* ring : s.rings) collect_ring(*ring, &out, &dropped);
+  std::vector<TraceEvent> out = TraceRings::get().drain(clear);
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.seq < b.seq;
             });
-  if (clear) {
-    s.retired.clear();
-    s.retired_dropped += dropped;
-    for (TraceRing* ring : s.rings) {
-      ring->head.store(0, std::memory_order_relaxed);
-    }
-  }
   return out;
 }
 
-std::uint64_t trace_dropped() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::uint64_t dropped = s.retired_dropped;
-  for (TraceRing* ring : s.rings) {
-    const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    if (head > kTraceCapacity) dropped += head - kTraceCapacity;
-  }
-  return dropped;
-}
+std::uint64_t trace_dropped() { return TraceRings::get().dropped(); }
 
 }  // namespace hetsched::obs

@@ -9,12 +9,11 @@
 // shared fetch_add for the global sequence number — no locks, no
 // allocation (the rings are embedded arrays).
 //
-// Concurrency: each ring has a single writer (its owning thread).  The
-// drainer reads rings of live threads with relaxed loads, so an event
-// being overwritten concurrently can be read torn; drain() is meant for
-// end-of-run or paused-process inspection, where writers are quiescent
-// and every read is exact.  Rings of exited threads are flushed into a
-// retired list under the trace mutex, losing nothing.
+// The rings are obs/ring.h's ThreadRingSet, shared with the span rings:
+// one writer per ring (its owning thread), relaxed reads that can be torn
+// while writers run — drain() is meant for end-of-run or paused-process
+// inspection, where every read is exact — and rings of exited threads
+// folded into a retired list, losing nothing.
 //
 // Capacity: each ring holds kTraceCapacity most-recent events; older
 // events are overwritten and counted in trace_dropped().

@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace hetsched::net {
@@ -251,6 +254,87 @@ TEST(IntrospectLoopback, GetStatsAnswersPrometheusText) {
 
   server.request_stop();
   server.wait();
+}
+
+// One exposition never carries a family twice: every `# TYPE` name in the
+// GET_STATS text appears exactly once, in both build modes (the ON build
+// appends the obs registry to the server's own families).
+TEST(IntrospectLoopback, EveryFamilyAppearsOnce) {
+  const Platform pf = geometric_platform(4, 1.5);
+  ServerOptions opts;
+  opts.shards = 2;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client client;
+  ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+  Response r;
+  ASSERT_TRUE(client.call(Request::admit(1, 1, 1, 10), &r, 2000));
+  InfoResponse info;
+  ASSERT_TRUE(client.call_info(Request::get_stats(2), &info, 2000))
+      << client.last_error();
+  server.request_stop();
+  server.wait();
+
+  std::map<std::string, int> types;
+  std::istringstream in(info.text);
+  std::string line;
+  const std::string kType = "# TYPE ";
+  while (std::getline(in, line)) {
+    if (line.rfind(kType, 0) != 0) continue;
+    const std::size_t end = line.find(' ', kType.size());
+    ++types[line.substr(kType.size(), end - kType.size())];
+  }
+  EXPECT_GT(types.count("hetsched_server_frames_rx_total"), 0u);
+  for (const auto& [name, n] : types) EXPECT_EQ(n, 1) << name;
+}
+
+// The SLO burn counters move in every build: each loop times one inline
+// frame in kLatencySamplePeriod, so a one-loop server that decided N
+// frames inline sampled exactly N / 1024 of them, and none breaches an
+// SLO no request can miss.
+TEST(IntrospectLoopback, SloCountersMoveInEveryBuild) {
+  static_assert(obs::kLatencySamplePeriod == 1024);
+  const Platform pf = geometric_platform(4, 1.5);
+  ServerOptions opts;
+  opts.shards = 1;
+  opts.loops = 1;
+  opts.slo_ns = std::uint64_t{1} << 62;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client client;
+  ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+  constexpr std::uint64_t kFrames = 5000;
+  constexpr std::uint64_t kWindow = 250;  // pipelined admits per flush
+  Response r;
+  for (std::uint64_t sent = 0; sent < kFrames; sent += kWindow) {
+    for (std::uint64_t i = sent; i < sent + kWindow; ++i) {
+      client.queue_request(Request::admit(0, i, 1, 1'000'000));
+    }
+    ASSERT_TRUE(client.flush(2000)) << client.last_error();
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+      ASSERT_TRUE(client.recv_response(&r, 2000)) << client.last_error();
+      ASSERT_EQ(r.status, Status::kAdmitted);
+    }
+  }
+  // Every admit was sampled (or not) before its answer left, so the
+  // exposition already shows the final counts.
+  InfoResponse info;
+  ASSERT_TRUE(client.call_info(Request::get_stats(kFrames), &info, 2000))
+      << client.last_error();
+  EXPECT_NE(info.text.find("hetsched_net_slo_ok_total{shard=\"0\"} 4\n"),
+            std::string::npos);
+  EXPECT_NE(info.text.find("hetsched_net_slo_breach_total{shard=\"0\"} 0\n"),
+            std::string::npos);
+  server.request_stop();
+  server.wait();
+
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.frames_inline, kFrames);
+  EXPECT_EQ(server.shard_slo_ok(0) + server.shard_slo_breach(0),
+            st.frames_inline / 1024);
+  EXPECT_EQ(server.shard_slo_breach(0), 0u);
 }
 
 TEST(IntrospectLoopback, GetTracezAnswersSlowestTracesAsJsonl) {

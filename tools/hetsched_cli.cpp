@@ -69,11 +69,12 @@
 //       --tracing arms span recording so traced frames (protocol minor
 //       2) are sampled into `tracez`; --slo-us N sets the per-shard
 //       latency SLO for the net_slo_ok/net_slo_breach burn counters
-//       (default 1000).  SIGUSR1 dumps the per-shard flight recorder to
-//       --flight-dump PATH (default <wal-dir>/flight.jsonl, or
-//       ./flight.jsonl without a WAL dir) and keeps serving; the same
-//       dump fires from a fatal-signal handler on SIGSEGV/SIGBUS/
-//       SIGABRT before the process dies.
+//       (default 1000), which count one request in 1024 in every build.
+//       SIGUSR1 dumps the per-shard flight recorder to --flight-dump
+//       PATH (default <wal-dir>/flight.jsonl, or ./flight.jsonl without
+//       a WAL dir) and keeps serving; the same dump fires from a
+//       fatal-signal handler on SIGSEGV/SIGBUS/SIGABRT before the
+//       process dies.
 //   hetsched_cli stats <host:port> [--timeout-ms N]
 //       Fetch and print the live metrics exposition from a running
 //       serve --listen instance over the binary protocol (kGetStats).

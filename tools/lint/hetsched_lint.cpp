@@ -27,7 +27,8 @@
 //                     arena growth is suppressed per line with
 //                     `hetsched-lint: allow(noalloc)`.
 //   [metric-handle]   HETSCHED_COUNT/HETSCHED_TIMED/HETSCHED_GAUGE_*/
-//                     HETSCHED_SPAN_RECORD/HETSCHED_FLIGHT_RECORD uses
+//                     HETSCHED_HIST_RECORD/HETSCHED_SPAN_RECORD/
+//                     HETSCHED_FLIGHT_RECORD uses
 //                     inside a HETSCHED_NOALLOC or HETSCHED_OWNER_LOOP
 //                     function must pass pre-registered handles and plain
 //                     values: a string literal or a registry() call in the
@@ -832,9 +833,11 @@ void check_noalloc(const FileText& file, const std::vector<Scope>& scopes,
 bool metric_macro_at(const std::string& line, std::size_t* pos,
                      std::size_t* name_end, std::size_t start) {
   static const std::vector<std::string> kMacros = {
-      "HETSCHED_COUNT_ADD",    "HETSCHED_COUNT",     "HETSCHED_TIMED_SAMPLED",
-      "HETSCHED_TIMED",        "HETSCHED_GAUGE_SET", "HETSCHED_GAUGE_ADD",
-      "HETSCHED_SPAN_RECORD",  "HETSCHED_FLIGHT_RECORD"};
+      "HETSCHED_COUNT_ADD",      "HETSCHED_COUNT",
+      "HETSCHED_TIMED_SAMPLED",  "HETSCHED_TIMED",
+      "HETSCHED_GAUGE_SET",      "HETSCHED_GAUGE_ADD",
+      "HETSCHED_GAUGE_REGISTER", "HETSCHED_HIST_RECORD",
+      "HETSCHED_SPAN_RECORD",    "HETSCHED_FLIGHT_RECORD"};
   std::size_t best = std::string::npos;
   std::size_t best_end = 0;
   for (const std::string& macro : kMacros) {
