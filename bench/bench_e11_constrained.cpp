@@ -14,9 +14,9 @@
 #include <cmath>
 
 #include "bench_common.h"
-#include "dbf/demand_bound.h"
 #include "gen/platform_gen.h"
 #include "gen/taskset_gen.h"
+#include "partition/first_fit.h"
 #include "util/rng.h"
 
 namespace hetsched {
@@ -54,13 +54,13 @@ void run_tightness(Table& table, double norm_util, std::size_t trials) {
       const auto tasks = constrain(base, frac, rng);
 
       qpa_ok += first_fit_partition_constrained(
-                    tasks, platform, DbfAdmission::kExactQpa, 1.0)
+                    tasks, platform, AdmissionKind::kDbfQpa, 1.0)
                     .feasible;
       approx3_ok += first_fit_partition_constrained(
-                        tasks, platform, DbfAdmission::kApproxThreePoint, 1.0)
+                        tasks, platform, AdmissionKind::kDbfThreePoint, 1.0)
                         .feasible;
       approx_ok += first_fit_partition_constrained(
-                       tasks, platform, DbfAdmission::kApproxLinear, 1.0)
+                       tasks, platform, AdmissionKind::kDbfLinear, 1.0)
                        .feasible;
     }
     table.add_row({Table::fmt(norm_util, 2), Table::fmt(frac, 1),

@@ -32,7 +32,7 @@ namespace hetsched {
 namespace {
 
 struct TestResult {
-  admit::TestKind test = admit::TestKind::kBound;
+  AdmissionKind test = AdmissionKind::kBound;
   std::size_t arrivals = 0;
   std::size_t admitted = 0;
   std::size_t tier_counts[3] = {0, 0, 0};
@@ -47,10 +47,8 @@ struct TestResult {
 };
 
 TestResult run_test(const std::vector<admit::E14Point>& points,
-                    admit::TestKind test, int reps) {
+                    AdmissionKind test, int reps) {
   const Platform platform = admit::e14_platform();
-  admit::AdmitConfig cfg;
-  cfg.test = test;
 
   TestResult result;
   result.test = test;
@@ -62,8 +60,7 @@ TestResult run_test(const std::vector<admit::E14Point>& points,
   for (int rep = 0; rep < reps + 1; ++rep) {
     const bool counting = rep == 0;
     for (const admit::E14Point& pt : points) {
-      OnlinePartitioner controller(platform, admit::tier0_fold_kind(test),
-                                   1.0, PartitionEngine::kAuto, cfg);
+      OnlinePartitioner controller(platform, test, 1.0);
       controller.reserve(pt.tasks.size());
       for (const Task& t : pt.tasks) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -98,7 +95,7 @@ void append_json(std::string& out, const TestResult& r) {
       "\"tier2_verdicts\": %zu, "
       "\"admit_median_ns\": %.0f, \"admit_p99_ns\": %.0f, "
       "\"admit_p999_ns\": %.0f}",
-      admit::to_string(r.test).c_str(), r.arrivals, r.admitted,
+      admission_row(r.test).name, r.arrivals, r.admitted,
       r.acceptance(), r.tier_counts[0], r.tier_counts[1], r.tier_counts[2],
       r.admit_median_ns, r.admit_p99_ns, r.admit_p999_ns);
   out += buf;
@@ -127,9 +124,9 @@ int main(int argc, char** argv) {
               "arrive", "admit", "tier0", "tier1", "tier2", "admit50(ns)",
               "admit99(ns)", "admit999(ns)");
 
-  const std::vector<admit::TestKind> tests = {
-      admit::TestKind::kBound, admit::TestKind::kDbfApprox,
-      admit::TestKind::kQpa, admit::TestKind::kRta, admit::TestKind::kAuto,
+  const std::vector<AdmissionKind> tests = {
+      AdmissionKind::kBound, AdmissionKind::kDbfApprox, AdmissionKind::kQpa,
+      AdmissionKind::kRta, AdmissionKind::kAuto,
   };
   std::vector<TestResult> results;
   std::string json = "{\n  \"benchmark\": \"e14_admit\",\n  \"quick\": " +
@@ -138,7 +135,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < tests.size(); ++i) {
     const TestResult r = run_test(points, tests[i], reps);
     std::printf("%-10s %8zu %8zu %6zu %6zu %6zu %12.0f %12.0f %13.0f\n",
-                admit::to_string(r.test).c_str(), r.arrivals, r.admitted,
+                admission_row(r.test).name, r.arrivals, r.admitted,
                 r.tier_counts[0], r.tier_counts[1], r.tier_counts[2],
                 r.admit_median_ns, r.admit_p99_ns, r.admit_p999_ns);
     if (i != 0) json += ",\n";
@@ -150,9 +147,9 @@ int main(int argc, char** argv) {
   const TestResult* qpa = nullptr;
   const TestResult* autor = nullptr;
   for (const TestResult& r : results) {
-    if (r.test == admit::TestKind::kBound) bound = &r;
-    if (r.test == admit::TestKind::kQpa) qpa = &r;
-    if (r.test == admit::TestKind::kAuto) autor = &r;
+    if (r.test == AdmissionKind::kBound) bound = &r;
+    if (r.test == AdmissionKind::kQpa) qpa = &r;
+    if (r.test == AdmissionKind::kAuto) autor = &r;
   }
   const double acceptance_gap = qpa->acceptance() - autor->acceptance();
   const double latency_ratio =

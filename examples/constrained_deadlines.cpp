@@ -45,9 +45,9 @@ int main() {
                 util, density);
 
     const auto qpa = first_fit_partition_constrained(
-        tasks, platform, DbfAdmission::kExactQpa, 1.0);
+        tasks, platform, AdmissionKind::kDbfQpa, 1.0);
     const auto approx = first_fit_partition_constrained(
-        tasks, platform, DbfAdmission::kApproxLinear, 1.0);
+        tasks, platform, AdmissionKind::kDbfLinear, 1.0);
     std::printf("  exact-QPA admission:   %s\n",
                 qpa.feasible ? "FEASIBLE" : "infeasible");
     std::printf("  approx-DBF admission:  %s\n",

@@ -98,11 +98,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       hetsched::Platform::from_speeds({1.0, 1.0, 2.0});
   hetsched::OnlinePartitioner controller(platform,
                                          hetsched::AdmissionKind::kEdf, 1.0);
-  hetsched::admit::AdmitConfig tiered_cfg;
-  tiered_cfg.test = hetsched::admit::TestKind::kQpa;
-  hetsched::OnlinePartitioner tiered(platform, hetsched::AdmissionKind::kEdf,
-                                     1.0, hetsched::PartitionEngine::kAuto,
-                                     tiered_cfg);
+  hetsched::OnlinePartitioner tiered(platform, hetsched::AdmissionKind::kQpa,
+                                     1.0);
   std::size_t replayed = 0;
   for (const io::WalRecord& r : records) {
     if (++replayed > 256) break;  // smoke budget: bound per-input work

@@ -7,32 +7,14 @@
 
 namespace hetsched::admit {
 
-std::string to_string(TestKind k) {
-  switch (k) {
-    case TestKind::kLegacy:
-      return "legacy";
-    case TestKind::kBound:
-      return "bound";
-    case TestKind::kDbfApprox:
-      return "dbf-approx";
-    case TestKind::kQpa:
-      return "qpa";
-    case TestKind::kRta:
-      return "rta";
-    case TestKind::kAuto:
-      return "auto";
-  }
-  return "unknown";
+std::optional<AdmissionKind> test_from_name(std::string_view name) {
+  const std::optional<AdmissionKind> kind = find_admission(name);
+  if (kind && admission_row(*kind).tiered) return kind;
+  return std::nullopt;
 }
 
-std::optional<TestKind> test_from_name(std::string_view name) {
-  if (name == "legacy") return TestKind::kLegacy;
-  if (name == "bound") return TestKind::kBound;
-  if (name == "dbf-approx") return TestKind::kDbfApprox;
-  if (name == "qpa") return TestKind::kQpa;
-  if (name == "rta") return TestKind::kRta;
-  if (name == "auto") return TestKind::kAuto;
-  return std::nullopt;
+const char* test_name(const AdmitConfig& cfg) {
+  return cfg.test ? admission_row(*cfg.test).name : "legacy";
 }
 
 std::optional<Task> inflate(const AdmitConfig& cfg, const Task& t) {
@@ -44,55 +26,30 @@ std::optional<Task> inflate(const AdmitConfig& cfg, const Task& t) {
   return Task{*c, t.period, t.effective_deadline()};
 }
 
-AdmissionKind tier0_fold_kind(TestKind k) {
-  HETSCHED_CHECK(k != TestKind::kLegacy);
-  return k == TestKind::kRta ? AdmissionKind::kRmsLiuLayland
-                             : AdmissionKind::kEdf;
-}
-
 // HETSCHED_NOALLOC
 // HETSCHED_OWNER_LOOP
 // The incremental-DBF warm-admit path: `demand` already holds the machine's
 // inflated residents, so the deciders scan it in place; the only mutation is
 // a transient push/pop of the candidate into reserved capacity.
-TierVerdict escalate(const AdmitConfig& cfg, MachineDemand& demand,
+TierVerdict escalate(AdmissionKind kind, double band, MachineDemand& demand,
                      const Task& candidate, const Rational& speed,
                      double density_margin) {
-  HETSCHED_DCHECK(cfg.tiered());
-  if (cfg.test == TestKind::kBound) return {false, kTierBound};
-
+  const AdmissionRow& row = admission_row(kind);
+  if (!row.escalates()) return {false, kTierBound};
   demand.push(candidate);
   const std::span<const Task> with = demand.tasks();
+  // The approximate test is sound, so an approx accept short-circuits the
+  // exact test; only approx rejects pay for it.  Past `auto`'s band the
+  // approximate reject stands.
   TierVerdict v{false, kTierApprox};
-  switch (cfg.test) {
-    case TestKind::kDbfApprox:
-      v = {edf_dbf_feasible_approx(with, speed), kTierApprox};
-      break;
-    case TestKind::kQpa:
-      // The approximate test is sound, so an approx accept short-circuits
-      // the exact scan; only approx rejects pay for QPA.
-      if (edf_dbf_feasible_approx(with, speed)) {
-        v = {true, kTierApprox};
-      } else {
-        v = {edf_dbf_feasible_qpa(with, speed), kTierExact};
-      }
-      break;
-    case TestKind::kRta:
-      v = {rta_schedulable(with, speed), kTierExact};
-      break;
-    case TestKind::kAuto:
-      if (edf_dbf_feasible_approx(with, speed)) {
-        v = {true, kTierApprox};
-      } else if (density_margin <= cfg.band) {
-        v = {edf_dbf_feasible_qpa(with, speed), kTierExact};
-      } else {
-        // Far from the boundary: the approximate reject stands.
-        v = {false, kTierApprox};
-      }
-      break;
-    case TestKind::kBound:
-    case TestKind::kLegacy:
-      HETSCHED_CHECK_MSG(false, "unreachable escalation kind");
+  if (row.approx_k > 0 &&
+      edf_dbf_feasible_approx_k(with, speed, row.approx_k)) {
+    v = {true, kTierApprox};
+  } else if (row.exact == ExactTest::kQpa &&
+             (!row.band_gated || density_margin <= band)) {
+    v = {edf_dbf_feasible_qpa(with, speed), kTierExact};
+  } else if (row.exact == ExactTest::kRta) {
+    v = {rta_schedulable(with, speed), kTierExact};
   }
   demand.pop();
   return v;
@@ -102,8 +59,8 @@ TierVerdict machine_admits(const AdmitConfig& cfg,
                            std::span<const Task> residents,
                            const Task& candidate, double capacity,
                            const Rational& speed) {
-  HETSCHED_CHECK(cfg.tiered());
-  const AdmissionKind fold = tier0_fold_kind(cfg.test);
+  HETSCHED_CHECK(cfg.test.has_value());
+  const AdmissionFold fold = admission_row(*cfg.test).fold;
   double dens_sum = 0.0;
   double hyper = 1.0;
   std::size_t count = 0;
@@ -118,7 +75,7 @@ TierVerdict machine_admits(const AdmitConfig& cfg,
   MachineDemand demand;
   demand.reserve(residents.size() + 1);
   for (const Task& t : residents) demand.push(t);
-  return escalate(cfg, demand, candidate, speed, margin);
+  return escalate(*cfg.test, cfg.band, demand, candidate, speed, margin);
 }
 
 }  // namespace hetsched::admit

@@ -21,9 +21,10 @@
 //                    analysis for the fixed-priority mode.  Exact, but a
 //                    per-query cost that depends on the period spread.
 //
-// Escalation only ever runs when tier 0 *rejects*; which tiers run is the
-// TestKind, and kAuto additionally gates the exact tier behind a relative
-// density-overshoot band so far-from-boundary rejects stay cheap.
+// Escalation only ever runs when tier 0 *rejects*; which tiers run is a
+// column of the test's row in partition/admission.h, and kAuto additionally
+// gates the exact tier behind a relative density-overshoot band so
+// far-from-boundary rejects stay cheap.
 //
 // The overhead model inflates c_i with per-release/preemption costs before
 // any test sees the task, so every tier prices the same (pessimistic) WCET.
@@ -32,7 +33,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -42,25 +42,17 @@
 
 namespace hetsched::admit {
 
-enum class TestKind : std::uint8_t {
-  // The controller's legacy AdmissionKind bound; deadlines are rejected on
-  // the wire.  This is the default and keeps every pre-existing byte stream
-  // (WAL, snapshot, checksum) bit-identical.
-  kLegacy = 0,
-  kBound = 1,      // tier 0 only: density sufficient bound
-  kDbfApprox = 2,  // tiers 0-1: density filter, then linear approximate DBF
-  kQpa = 3,        // tiers 0-2: density, approx accept-filter, then QPA
-  kRta = 4,        // tiers 0,2: density-LL filter, then DM response times
-  kAuto = 5,       // tiers 0-2 with the exact tier gated by `band`
-};
-
 // Tier ids as persisted in WAL record flags and AdmitDecision::tier.
 inline constexpr std::uint8_t kTierBound = 0;
 inline constexpr std::uint8_t kTierApprox = 1;
 inline constexpr std::uint8_t kTierExact = 2;
 
 struct AdmitConfig {
-  TestKind test = TestKind::kLegacy;
+  // The tiered test that decides in place of the controller's kind.  Empty
+  // (the default, "legacy") keeps the kind: the paper's implicit-deadline
+  // test, which rejects deadlines on the wire and keeps every pre-existing
+  // byte stream (WAL, snapshot, checksum) bit-identical.
+  std::optional<AdmissionKind> test;
   // kAuto: escalate to the exact tier only while the relative density
   // overshoot (density_sum_with_candidate - capacity) / capacity is within
   // this band; beyond it the approximate verdict stands.
@@ -70,27 +62,21 @@ struct AdmitConfig {
   std::int64_t release_overhead = 0;
   std::int64_t preempt_overhead = 0;
 
-  bool tiered() const { return test != TestKind::kLegacy; }
-  bool fixed_priority() const { return test == TestKind::kRta; }
-
   friend bool operator==(const AdmitConfig&, const AdmitConfig&) = default;
 };
 
-// "auto" | "bound" | "dbf-approx" | "qpa" | "rta" (and "legacy").
-std::string to_string(TestKind k);
-std::optional<TestKind> test_from_name(std::string_view name);
+// The tiered test named "auto" | "bound" | "dbf-approx" | "qpa" | "rta";
+// nullopt for any other name ("legacy" included).
+std::optional<AdmissionKind> test_from_name(std::string_view name);
+
+// The configured test's name, "legacy" when the kind decides.
+const char* test_name(const AdmitConfig& cfg);
 
 // Overhead inflation: c' = c + release + 2 * preempt, or nullopt when that
 // sum overflows int64 — callers facing client input reject such a task
 // instead of admitting it.  The period is untouched and the deadline made
 // explicit (d == p for implicit tasks) — overhead is work, not urgency.
 std::optional<Task> inflate(const AdmitConfig& cfg, const Task& t);
-
-// The AdmissionKind whose exact-FP slack fold tier 0 runs over *densities*:
-// kEdf for the EDF family (density bound), kRmsLiuLayland for kRta (LL over
-// densities is sufficient for DM: shrinking periods to deadlines only adds
-// demand and turns DM order into RM order).  Aborts for kLegacy.
-AdmissionKind tier0_fold_kind(TestKind k);
 
 struct TierVerdict {
   bool accept = false;
@@ -127,19 +113,21 @@ class MachineDemand {
   std::vector<Task> tasks_;
 };
 
-// Escalation: decide `candidate` on a machine whose tier-0 density test
-// REJECTED it.  `demand` is pushed/tested/popped transiently and is
-// unchanged on return; `speed` is the machine's exact augmented speed;
-// `density_margin` is the relative overshoot kAuto's band gates on.
-// Allocation-free when `demand` has spare capacity (warm).
-TierVerdict escalate(const AdmitConfig& cfg, MachineDemand& demand,
+// Escalation: decide `candidate` on a machine whose tier-0 fold REJECTED
+// it, through the escalation of `kind`'s row.  `demand` is
+// pushed/tested/popped transiently and is unchanged on return; `speed` is
+// the machine's exact augmented speed; `density_margin` is the relative
+// overshoot the band gates on.  Allocation-free when `demand` has spare
+// capacity (warm).
+TierVerdict escalate(AdmissionKind kind, double band, MachineDemand& demand,
                      const Task& candidate, const Rational& speed,
                      double density_margin);
 
-// Batch oracle for tests and benchmarks: replays the tier-0 fold over
-// `residents` (in admission order) and decides `candidate` exactly as the
-// online controller would on a machine of double capacity `capacity` and
-// exact speed `speed`.  Allocates; not for the hot path.
+// Batch oracle for tests and benchmarks: replays the tier-0 fold of
+// `cfg.test` (which must be set) over `residents` (in admission order) and
+// decides `candidate` exactly as the online controller would on a machine
+// of double capacity `capacity` and exact speed `speed`.  Allocates; not
+// for the hot path.
 TierVerdict machine_admits(const AdmitConfig& cfg,
                            std::span<const Task> residents,
                            const Task& candidate, double capacity,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/int_time.h"
 #include "util/check.h"
@@ -286,70 +288,6 @@ bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
     }
   }
   return true;
-}
-
-ConstrainedPartitionResult first_fit_partition_constrained(
-    std::span<const Task> tasks, const Platform& platform,
-    DbfAdmission admission, double alpha) {
-  HETSCHED_CHECK(platform.size() >= 1);
-  HETSCHED_CHECK(alpha >= 1.0);
-  ConstrainedPartitionResult out;
-  out.assignment.assign(tasks.size(), platform.size());
-  out.tasks_per_machine.resize(platform.size());
-
-  // Densest first (exact comparison), mirroring the paper's ordering.
-  std::vector<std::size_t> order(tasks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&tasks](std::size_t a, std::size_t b) {
-                     const int128 lhs = static_cast<int128>(tasks[a].exec) *
-                                        tasks[b].effective_deadline();
-                     const int128 rhs = static_cast<int128>(tasks[b].exec) *
-                                        tasks[a].effective_deadline();
-                     return lhs > rhs;
-                   });
-
-  std::vector<Rational> capacity;
-  capacity.reserve(platform.size());
-  const Rational ar = rational_from_double(alpha, 1'000'000);
-  for (std::size_t j = 0; j < platform.size(); ++j) {
-    capacity.push_back(platform.speed_exact(j) * ar);
-  }
-
-  auto feasible_on = [&](const std::vector<Task>& set,
-                         const Rational& speed) {
-    switch (admission) {
-      case DbfAdmission::kExactQpa:
-        return edf_dbf_feasible_qpa(set, speed);
-      case DbfAdmission::kApproxLinear:
-        return edf_dbf_feasible_approx(set, speed);
-      case DbfAdmission::kApproxThreePoint:
-        return edf_dbf_feasible_approx_k(set, speed, 3);
-    }
-    HETSCHED_CHECK_MSG(false, "unreachable admission");
-    return false;
-  };
-
-  for (const std::size_t i : order) {
-    bool placed = false;
-    for (std::size_t j = 0; j < platform.size(); ++j) {
-      std::vector<Task> with = out.tasks_per_machine[j];
-      with.push_back(tasks[i]);
-      if (feasible_on(with, capacity[j])) {
-        out.tasks_per_machine[j] = std::move(with);
-        out.assignment[i] = j;
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      out.feasible = false;
-      out.failed_task = i;
-      return out;
-    }
-  }
-  out.feasible = true;
-  return out;
 }
 
 }  // namespace hetsched

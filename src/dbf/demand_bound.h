@@ -20,8 +20,8 @@
 //     dbf*_i(t) = c_i + u_i (t - d_i) for t >= d_i — a sufficient test
 //     whose error is bounded; it sums all n tasks at each task's first
 //     deadline, O(n^2) per query (O(n^2 k) with k retained steps).
-// A first-fit partitioner over these tests extends the paper's algorithm
-// to the constrained-deadline setting.
+// The constrained first fit (partition/first_fit.h) runs the paper's
+// algorithm over these tests, one row of partition/admission.h each.
 //
 // The bound, QPA and the approximate DBF run in exact integer time over
 // the speed's numerator (core/int_time.h), never in Rational arithmetic;
@@ -33,9 +33,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
-#include "core/platform.h"
 #include "core/task.h"
 #include "util/rational.h"
 
@@ -84,22 +82,5 @@ bool edf_dbf_feasible_approx(std::span<const Task> tasks,
 // k and converges to the exact test.
 bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
                                const Rational& speed, std::size_t k);
-
-// Which per-machine DBF test the constrained partitioner admits with.
-enum class DbfAdmission { kExactQpa, kApproxLinear, kApproxThreePoint };
-
-struct ConstrainedPartitionResult {
-  bool feasible = false;
-  // task index -> machine index (platform sorted order).
-  std::vector<std::size_t> assignment;
-  std::vector<std::vector<Task>> tasks_per_machine;
-  std::optional<std::size_t> failed_task;
-};
-
-// First-fit, decreasing *density*, machines slowest-first — the paper's
-// algorithm transplanted to the constrained-deadline model.
-ConstrainedPartitionResult first_fit_partition_constrained(
-    std::span<const Task> tasks, const Platform& platform,
-    DbfAdmission admission, double alpha);
 
 }  // namespace hetsched

@@ -51,7 +51,7 @@ class Searcher {
   // must fit within the k largest residual capacities.  (Valid because every
   // task consumes capacity on exactly one machine.)
   bool edf_bound_cuts(std::size_t depth) const {
-    if (kind_ != AdmissionKind::kEdf) return false;
+    if (admission_row(kind_).fold != AdmissionFold::kEdf) return false;
     std::vector<double> residual(loads_.size());
     for (std::size_t j = 0; j < loads_.size(); ++j) {
       residual[j] = loads_[j].capacity() - loads_[j].utilization();

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "admit/admission_test.h"
-#include "dbf/demand_bound.h"
 #include "obs/metrics.h"
 #include "online/online_partitioner.h"
 #include "partition/first_fit.h"
@@ -52,7 +51,7 @@ ChurnResult run_churn(const Platform& platform, const ChurnTrace& trace,
   OnlinePartitioner controller(platform, options.kind, options.alpha,
                                options.engine, options.admit);
   controller.reserve(trace.arrivals);
-  const bool tiered = options.admit.tiered();
+  const bool tiered = controller.tiered();
 
   // Online side: trace task number -> live controller id.
   std::unordered_map<std::uint64_t, OnlineTaskId> online_ids;
@@ -80,8 +79,8 @@ ChurnResult run_churn(const Platform& platform, const ChurnTrace& trace,
       bool clair_ok;
       if (tiered) {
         // Constrained model: score the baseline with the exact (QPA)
-        // batch partitioner over the inflated tasks, so the clairvoyant
-        // is the strongest admitter the tiers converge to.
+        // constrained first fit over the inflated tasks, so the
+        // clairvoyant is the strongest admitter the tiers converge to.
         std::vector<Task> cts;
         cts.reserve(clair_tasks.size());
         for (const Task& t : clair_tasks) {
@@ -90,7 +89,7 @@ ChurnResult run_churn(const Platform& platform, const ChurnTrace& trace,
           cts.push_back(*ct);
         }
         clair_ok = first_fit_partition_constrained(
-                       cts, platform, DbfAdmission::kExactQpa, options.alpha)
+                       cts, platform, AdmissionKind::kDbfQpa, options.alpha)
                        .feasible;
       } else {
         clair_ok =

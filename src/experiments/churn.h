@@ -36,8 +36,8 @@ struct ChurnOptions {
   PartitionEngine engine = PartitionEngine::kAuto;
   // Call rebalance() after every this many arrivals; 0 disables.
   std::size_t rebalance_every = 0;
-  // Tiered admission test (src/admit).  kLegacy keeps the implicit-
-  // deadline harness; a tiered kind admits constrained-deadline arrivals
+  // Tiered admission test (src/admit).  An empty test keeps the implicit-
+  // deadline harness; a tiered test admits constrained-deadline arrivals
   // and scores the clairvoyant with the exact constrained partitioner.
   admit::AdmitConfig admit;
 };

@@ -12,27 +12,11 @@
 
 #include "util/crc32.h"
 #include "util/eintr.h"
+#include "util/little_endian.h"
 
 namespace hetsched::io {
 
 namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xFF);
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xFF);
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 std::string shard_prefix(std::uint32_t shard) {
   char buf[32];
@@ -92,22 +76,22 @@ std::string write_snapshot_file(const std::string& dir,
                                 std::string* error) {
   std::vector<std::uint8_t> bytes;
   bytes.reserve(64 + meta.forwards.size() * 20 + payload.size());
-  put_u32(bytes, kSnapshotMagic);
-  put_u32(bytes, kSnapshotVersion);
-  put_u32(bytes, meta.shard);
-  put_u32(bytes, meta.epoch);
-  put_u64(bytes, meta.decision_seq);
-  put_u64(bytes, meta.decision_checksum);
+  put_le<std::uint32_t>(bytes, kSnapshotMagic);
+  put_le<std::uint32_t>(bytes, kSnapshotVersion);
+  put_le<std::uint32_t>(bytes, meta.shard);
+  put_le<std::uint32_t>(bytes, meta.epoch);
+  put_le<std::uint64_t>(bytes, meta.decision_seq);
+  put_le<std::uint64_t>(bytes, meta.decision_checksum);
   bytes.push_back(meta.active ? 1 : 0);
-  put_u32(bytes, static_cast<std::uint32_t>(meta.forwards.size()));
+  put_le(bytes, static_cast<std::uint32_t>(meta.forwards.size()));
   for (const SnapshotForward& f : meta.forwards) {
-    put_u64(bytes, f.old_id);
-    put_u32(bytes, f.peer_shard);
-    put_u64(bytes, f.new_id);
+    put_le<std::uint64_t>(bytes, f.old_id);
+    put_le<std::uint32_t>(bytes, f.peer_shard);
+    put_le<std::uint64_t>(bytes, f.new_id);
   }
-  put_u32(bytes, static_cast<std::uint32_t>(payload.size()));
+  put_le(bytes, static_cast<std::uint32_t>(payload.size()));
   bytes.insert(bytes.end(), payload.begin(), payload.end());
-  put_u32(bytes, crc32(bytes.data(), bytes.size()));
+  put_le<std::uint32_t>(bytes, crc32(bytes.data(), bytes.size()));
 
   const std::string final_path =
       snapshot_path(dir, meta.shard, meta.decision_seq);

@@ -11,6 +11,7 @@
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/eintr.h"
+#include "util/little_endian.h"
 
 namespace hetsched::io {
 
@@ -45,30 +46,6 @@ constexpr std::size_t kWalHeaderBytes = 24;  // type..checksum
 constexpr std::size_t kWalMovedTaskBytes = 32;
 // Constrained move entries (kWalFlagConstrainedMoves) append a deadline.
 constexpr std::size_t kWalMovedTaskConstrainedBytes = 40;
-
-void put_u16_at(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v & 0xFF);
-  p[1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
-}
-void put_u32_at(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xFF;
-}
-void put_u64_at(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = (v >> (8 * i)) & 0xFF;
-}
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 }  // namespace
 
@@ -194,15 +171,15 @@ void WalWriter::put_header(std::size_t payload_len, WalRecordType type,
                            std::uint8_t flags, std::uint64_t seq,
                            std::uint64_t checksum) {
   std::uint8_t* p = buf_.data() + used_;
-  put_u32_at(p, static_cast<std::uint32_t>(payload_len));
+  put_u32(p, static_cast<std::uint32_t>(payload_len));
   // CRC patched after the payload is fully encoded (append_* fills it).
-  put_u32_at(p + 4, 0);
+  put_u32(p + 4, 0);
   p[8] = static_cast<std::uint8_t>(type);
   p[9] = flags;
-  put_u16_at(p + 10, 0);
-  put_u32_at(p + 12, epoch_);
-  put_u64_at(p + 16, seq);
-  put_u64_at(p + 24, checksum);
+  put_u16(p + 10, 0);
+  put_u32(p + 12, epoch_);
+  put_u64(p + 16, seq);
+  put_u64(p + 24, checksum);
 }
 
 // HETSCHED_NOALLOC
@@ -217,10 +194,10 @@ void WalWriter::append_admit(std::int64_t exec, std::int64_t period,
   reserve_for(payload + 8);
   put_header(payload, WalRecordType::kAdmit, flags, seq, checksum);
   std::uint8_t* p = buf_.data() + used_;
-  put_u64_at(p + 32, static_cast<std::uint64_t>(exec));
-  put_u64_at(p + 40, static_cast<std::uint64_t>(period));
-  if (constrained) put_u64_at(p + 48, static_cast<std::uint64_t>(deadline));
-  put_u32_at(p + 4, crc32(p + 8, payload));
+  put_u64(p + 32, static_cast<std::uint64_t>(exec));
+  put_u64(p + 40, static_cast<std::uint64_t>(period));
+  if (constrained) put_u64(p + 48, static_cast<std::uint64_t>(deadline));
+  put_u32(p + 4, crc32(p + 8, payload));
   used_ += payload + 8;
   ++records_;
   HETSCHED_COUNT(g_wal_metrics.records);
@@ -234,8 +211,8 @@ void WalWriter::append_depart(std::uint64_t task_id, std::uint64_t seq,
   reserve_for(payload + 8);
   put_header(payload, WalRecordType::kDepart, 0, seq, checksum);
   std::uint8_t* p = buf_.data() + used_;
-  put_u64_at(p + 32, task_id);
-  put_u32_at(p + 4, crc32(p + 8, payload));
+  put_u64(p + 32, task_id);
+  put_u32(p + 4, crc32(p + 8, payload));
   used_ += payload + 8;
   ++records_;
   HETSCHED_COUNT(g_wal_metrics.records);
@@ -248,7 +225,7 @@ void WalWriter::append_rebalance(std::uint64_t seq, std::uint64_t checksum) {
   reserve_for(payload + 8);
   put_header(payload, WalRecordType::kRebalance, 0, seq, checksum);
   std::uint8_t* p = buf_.data() + used_;
-  put_u32_at(p + 4, crc32(p + 8, payload));
+  put_u32(p + 4, crc32(p + 8, payload));
   used_ += payload + 8;
   ++records_;
   HETSCHED_COUNT(g_wal_metrics.records);
@@ -275,21 +252,21 @@ void WalWriter::append_move(WalRecordType type, std::uint16_t peer,
   reserve_for(payload + 8);
   put_header(payload, type, flags, seq, checksum);
   std::uint8_t* p = buf_.data() + used_;
-  put_u16_at(p + 32, peer);
-  put_u16_at(p + 34, 0);
-  put_u32_at(p + 36, static_cast<std::uint32_t>(moved.size()));
+  put_u16(p + 32, peer);
+  put_u16(p + 34, 0);
+  put_u32(p + 36, static_cast<std::uint32_t>(moved.size()));
   std::size_t off = 40;
   for (const WalMovedTask& mt : moved) {
-    put_u64_at(p + off, mt.old_id);
-    put_u64_at(p + off + 8, mt.new_id);
-    put_u64_at(p + off + 16, static_cast<std::uint64_t>(mt.exec));
-    put_u64_at(p + off + 24, static_cast<std::uint64_t>(mt.period));
+    put_u64(p + off, mt.old_id);
+    put_u64(p + off + 8, mt.new_id);
+    put_u64(p + off + 16, static_cast<std::uint64_t>(mt.exec));
+    put_u64(p + off + 24, static_cast<std::uint64_t>(mt.period));
     if (constrained) {
-      put_u64_at(p + off + 32, static_cast<std::uint64_t>(mt.deadline));
+      put_u64(p + off + 32, static_cast<std::uint64_t>(mt.deadline));
     }
     off += entry_bytes;
   }
-  put_u32_at(p + 4, crc32(p + 8, payload));
+  put_u32(p + 4, crc32(p + 8, payload));
   used_ += payload + 8;
   ++records_;
   HETSCHED_COUNT(g_wal_metrics.records);

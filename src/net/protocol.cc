@@ -3,51 +3,11 @@
 #include <algorithm>
 #include <bit>
 
+#include "util/little_endian.h"
+
 namespace hetsched::net {
 
 namespace {
-
-// Little-endian field helpers.  Byte-at-a-time stores keep the layout
-// identical on any host endianness and alignment.
-// HETSCHED_NOALLOC
-void put_u16(unsigned char* p, std::uint16_t v) {
-  p[0] = static_cast<unsigned char>(v & 0xFF);
-  p[1] = static_cast<unsigned char>((v >> 8) & 0xFF);
-}
-
-// HETSCHED_NOALLOC
-void put_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-// HETSCHED_NOALLOC
-void put_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-// HETSCHED_NOALLOC
-std::uint16_t get_u16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
-}
-
-// HETSCHED_NOALLOC
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-// HETSCHED_NOALLOC
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 bool known_request_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(MsgType::kAdmit) &&

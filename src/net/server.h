@@ -132,10 +132,11 @@ struct ServerOptions {
   AdmissionKind kind = AdmissionKind::kEdf;
   double alpha = 1.0;
   PartitionEngine engine = PartitionEngine::kAuto;
-  // Tiered admission-test subsystem (src/admit).  kLegacy keeps the
-  // implicit-deadline utilization bound and answers deadline-bearing
-  // frames kBadRequest; any tiered TestKind accepts constrained-deadline
-  // admits (protocol minor 3) and persists the deciding tier in the WAL.
+  // Tiered admission-test subsystem (src/admit).  An empty test keeps
+  // `kind`, the implicit-deadline utilization bound, and answers
+  // deadline-bearing frames kBadRequest; a tiered test accepts
+  // constrained-deadline admits (protocol minor 3) and persists the
+  // deciding tier in the WAL.
   admit::AdmitConfig admit;
   std::size_t queue_depth = 1024;  // bounded per-shard request queue
   std::size_t batch = 64;          // adaptive batch upper bound (frames)

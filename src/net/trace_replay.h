@@ -45,8 +45,8 @@ inline constexpr std::uint64_t kFnv1aSeed = kFnv1aOffsetBasis;
 
 // Replays the trace through a local OnlinePartitioner and returns the
 // decision checksum — the reference value a served replay must reproduce.
-// `admit_cfg` selects the tiered admission test (src/admit); the default
-// kLegacy matches a server started without --admission-test.
+// `admit_cfg` selects the tiered admission test (src/admit); the default,
+// with no test, matches a server started without --admission-test.
 std::uint64_t offline_decision_checksum(
     const Platform& platform, const ChurnTrace& trace, AdmissionKind kind,
     double alpha, PartitionEngine engine = PartitionEngine::kAuto,

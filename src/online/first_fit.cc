@@ -1,9 +1,10 @@
 // Implementation of the batch first-fit API (partition/first_fit.h).
 //
-// Since the online re-layering, the full-result batch path is a thin
-// wrapper over OnlinePartitioner: construct a controller and admit the
-// tasks in canonical (utilization-descending) order, so the batch and
-// online paths share one admission code path and stay bit-identical
+// Since the online re-layering, the full-result batch paths are thin
+// wrappers over OnlinePartitioner: construct a controller and admit the
+// tasks in canonical order (utilization-descending, or density-descending
+// for the constrained partitioner), so the batch and online paths share
+// one admission code path and stay bit-identical
 // (tests/online_equivalence_test.cpp).  The decision-only accept path and
 // the alpha bisection keep their allocation-free PartitionScratch engine —
 // the same admission arithmetic (admission.h), without the controller's
@@ -13,12 +14,15 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "online/online_partitioner.h"
 #include "partition/audit.h"
 #include "util/check.h"
+#include "util/int128.h"
 
 #if HETSCHED_AUDIT_ENABLED
 #include <limits>
@@ -35,7 +39,9 @@ namespace {
 // permutation TaskSet::order_by_utilization_desc produces, so every engine
 // consumes tasks in the same sequence.
 // HETSCHED_NOALLOC (scratch warm-up; allocation-free once warm)
-void prepare_order(const TaskSet& tasks, PartitionScratch& s) {
+void prepare_order(const TaskSet& tasks, AdmissionKind kind,
+                   PartitionScratch& s) {
+  HETSCHED_CHECK(!admission_row(kind).tiered);
   tasks.order_by_utilization_desc(s.order, s.utils);
   double total = 0.0;
   for (const double w : s.utils) total += w;
@@ -95,7 +101,8 @@ std::optional<bool> load_bound_verdict(const Platform& platform,
   if (s.utils.size() > kLoadBoundMaxSize || m > kLoadBoundMaxSize) {
     return std::nullopt;
   }
-  const double f = kind == AdmissionKind::kEdf ? 1.0 : kRmsLoadFactor;
+  const double f =
+      admission_row(kind).fold == AdmissionFold::kEdf ? 1.0 : kRmsLoadFactor;
   double capacity = 0.0;
   double failed_load = 0.0;  // the least load a failed pass leaves
   for (std::size_t j = 0; j < m; ++j) {
@@ -111,7 +118,7 @@ std::optional<bool> load_bound_verdict(const Platform& platform,
 // Resets the per-machine state (capacity, sums, slacks) for one run.
 // Capacity is computed exactly as MachineLoad's constructor computes it.
 // HETSCHED_NOALLOC (scratch warm-up; allocation-free once warm)
-void reset_machines(const Platform& platform, AdmissionKind kind, double alpha,
+void reset_machines(const Platform& platform, AdmissionFold fold, double alpha,
                     PartitionScratch& s) {
   const std::size_t m = platform.size();
   s.capacity.resize(m);
@@ -124,7 +131,7 @@ void reset_machines(const Platform& platform, AdmissionKind kind, double alpha,
     s.util_sum[j] = 0.0;
     s.hyper[j] = 1.0;
     s.count[j] = 0;
-    s.slack[j] = admission_slack(kind, s.capacity[j], 0.0, 0, 1.0);
+    s.slack[j] = admission_slack(fold, s.capacity[j], 0.0, 0, 1.0);
   }
 }
 
@@ -143,7 +150,7 @@ void reset_machines(const Platform& platform, AdmissionKind kind, double alpha,
 // (w <= slack) == admission_admits(w), both engines make the same
 // comparisons and place every task on the same machine.
 // HETSCHED_NOALLOC
-std::size_t run_slack_engine(AdmissionKind kind, PartitionEngine resolved,
+std::size_t run_slack_engine(AdmissionFold fold, PartitionEngine resolved,
                              PartitionScratch& s) {
   const std::size_t n = s.utils.size();
   const std::size_t m = s.slack.size();
@@ -153,7 +160,7 @@ std::size_t run_slack_engine(AdmissionKind kind, PartitionEngine resolved,
       std::size_t j = 0;
       while (j < m && !(w <= s.slack[j])) ++j;
       if (j == m) return pos;
-      admission_fold_step(kind, w, s.capacity[j], s.util_sum[j], s.hyper[j],
+      admission_fold_step(fold, w, s.capacity[j], s.util_sum[j], s.hyper[j],
                           s.count[j], s.slack[j]);
     }
     return n;
@@ -169,14 +176,14 @@ std::size_t run_slack_engine(AdmissionKind kind, PartitionEngine resolved,
     const double w = s.utils[pos];
     if (j != SlackTree::npos) {
       if (left_max < w &&
-          admission_admits(kind, w, capacity, util_sum, count, hyper)) {
+          admission_admits(fold, w, capacity, util_sum, count, hyper)) {
         admission_accumulate(w, capacity, util_sum, hyper, count);
         continue;
       }
       s.util_sum[j] = util_sum;
       s.hyper[j] = hyper;
       s.count[j] = count;
-      s.slack[j] = admission_slack(kind, capacity, util_sum, count, hyper);
+      s.slack[j] = admission_slack(fold, capacity, util_sum, count, hyper);
       s.tree.update(j, s.slack[j]);
     }
     j = s.tree.find_first_at_least(w, left_max);
@@ -190,43 +197,63 @@ std::size_t run_slack_engine(AdmissionKind kind, PartitionEngine resolved,
   return n;
 }
 
-// Decision-only scan for kinds without a slack form (kRmsResponseTime):
-// MachineLoad-based, allocates, but skips all result construction.
-bool naive_accepts_only(const TaskSet& tasks, const Platform& platform,
-                        AdmissionKind kind, double alpha) {
-  std::vector<MachineLoad> loads;
-  loads.reserve(platform.size());
-  for (std::size_t j = 0; j < platform.size(); ++j) {
-    loads.emplace_back(kind, platform.speed_exact(j), alpha);
-  }
-  for (const std::size_t i : tasks.order_by_utilization_desc()) {
-    const Task& t = tasks[i];
-    bool placed = false;
-    for (std::size_t j = 0; j < loads.size(); ++j) {
-      if (loads[j].can_admit(t)) {
-        loads[j].admit(t);
-        placed = true;
-        break;
-      }
+// First fit through a fresh controller, offering tasks[i] for each i of
+// `order` in turn: the full-result batch path of every test, and the
+// accept probe of the tests without a fold.
+PartitionResult controller_partition(std::span<const Task> tasks,
+                                     std::span<const std::size_t> order,
+                                     const Platform& platform,
+                                     AdmissionKind kind, double alpha,
+                                     PartitionEngine engine) {
+  HETSCHED_CHECK(platform.size() >= 1);
+  HETSCHED_CHECK(alpha >= 1.0);
+  PartitionResult out;
+  out.kind = kind;
+  out.alpha = alpha;
+  out.assignment.assign(tasks.size(), platform.size());
+
+  OnlinePartitioner controller(platform, kind, alpha, engine);
+  controller.reserve(tasks.size());
+  for (const std::size_t i : order) {
+    const AdmitDecision d = controller.admit(tasks[i]);
+    if (!d.admitted) {
+      out.failed_task = i;
+      out.failed_utilization = d.utilization;
+      break;
     }
-    if (!placed) return false;
+    out.assignment[i] = d.machine;
   }
-  return true;
+  out.feasible = !out.failed_task.has_value();
+
+  // Expose the (possibly partial) loads: the proofs reason about exactly
+  // this state.
+  out.machine_utilization.resize(platform.size());
+  out.tasks_per_machine.resize(platform.size());
+  for (std::size_t j = 0; j < platform.size(); ++j) {
+    out.machine_utilization[j] = controller.machine_utilization(j);
+    out.tasks_per_machine[j] = controller.machine_tasks(j);
+  }
+  return out;
 }
 
 // Accept probe assuming the scratch is prepared for `tasks` by
 // prepare_order (the bisection hoists the ordering out of the loop).  The
 // tree engine first tries the load bounds; kNaive always runs the pass.
-// HETSCHED_NOALLOC (slack-form kinds; the RTA fallback allocates)
+// A test without a fold (kRmsResponseTime) runs its pass on the
+// controller.
+// HETSCHED_NOALLOC (tests with a fold; the controller pass allocates)
 bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
                       AdmissionKind kind, double alpha, PartitionScratch& s,
                       PartitionEngine engine) {
+  const AdmissionFold fold = admission_row(kind).fold;
+  const PartitionEngine resolved = resolve_engine(engine, kind);
   bool verdict;
-  if (!admission_has_slack_form(kind)) {
+  if (fold == AdmissionFold::kNone) {
     ++s.first_fit_passes;
-    verdict = naive_accepts_only(tasks, platform, kind, alpha);
+    verdict = controller_partition(tasks.tasks(), s.order, platform, kind,
+                                   alpha, engine)
+                  .feasible;
   } else {
-    const PartitionEngine resolved = resolve_engine(engine, kind);
     const std::optional<bool> bound =
         resolved == PartitionEngine::kSegmentTree
             ? load_bound_verdict(platform, kind, alpha, s)
@@ -235,8 +262,8 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
       verdict = *bound;
     } else {
       ++s.first_fit_passes;
-      reset_machines(platform, kind, alpha, s);
-      verdict = run_slack_engine(kind, resolved, s) == tasks.size();
+      reset_machines(platform, fold, alpha, s);
+      verdict = run_slack_engine(fold, resolved, s) == tasks.size();
     }
   }
   // Shadow oracle: the decision-only scratch verdict, whether a pass or a
@@ -247,16 +274,16 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
           first_fit_partition(tasks, platform, kind, alpha, engine).feasible;
       HETSCHED_CHECK_MSG(verdict == oracle,
                          "audit: scratch verdict diverged from batch oracle");
-      if (admission_has_slack_form(kind)) {
+      if (fold != AdmissionFold::kNone) {
         const PartitionEngine other =
-            resolve_engine(engine, kind) == PartitionEngine::kSegmentTree
+            resolved == PartitionEngine::kSegmentTree
                 ? PartitionEngine::kNaive
                 : PartitionEngine::kSegmentTree;
         PartitionScratch fresh;
-        prepare_order(tasks, fresh);
-        reset_machines(platform, kind, alpha, fresh);
+        prepare_order(tasks, kind, fresh);
+        reset_machines(platform, fold, alpha, fresh);
         const bool cross =
-            run_slack_engine(kind, other, fresh) == tasks.size();
+            run_slack_engine(fold, other, fresh) == tasks.size();
         HETSCHED_CHECK_MSG(verdict == cross,
                            "audit: engines disagree on accept verdict");
       });
@@ -294,35 +321,31 @@ PartitionResult first_fit_partition(const TaskSet& tasks,
                                     const Platform& platform,
                                     AdmissionKind kind, double alpha,
                                     PartitionEngine engine) {
-  HETSCHED_CHECK(platform.size() >= 1);
-  HETSCHED_CHECK(alpha >= 1.0);
-  PartitionResult out;
-  out.kind = kind;
-  out.alpha = alpha;
-  out.assignment.assign(tasks.size(), platform.size());
+  HETSCHED_CHECK(!admission_row(kind).tiered);
+  return controller_partition(tasks.tasks(),
+                              tasks.order_by_utilization_desc(), platform,
+                              kind, alpha, engine);
+}
 
-  OnlinePartitioner controller(platform, kind, alpha, engine);
-  controller.reserve(tasks.size());
-  for (const std::size_t i : tasks.order_by_utilization_desc()) {
-    const AdmitDecision d = controller.admit(tasks[i]);
-    if (!d.admitted) {
-      out.failed_task = i;
-      out.failed_utilization = d.utilization;
-      break;
-    }
-    out.assignment[i] = d.machine;
-  }
-  out.feasible = !out.failed_task.has_value();
-
-  // Expose the (possibly partial) loads: the proofs reason about exactly
-  // this state.
-  out.machine_utilization.resize(platform.size());
-  out.tasks_per_machine.resize(platform.size());
-  for (std::size_t j = 0; j < platform.size(); ++j) {
-    out.machine_utilization[j] = controller.machine_utilization(j);
-    out.tasks_per_machine[j] = controller.machine_tasks(j);
-  }
-  return out;
+PartitionResult first_fit_partition_constrained(std::span<const Task> tasks,
+                                                const Platform& platform,
+                                                AdmissionKind kind,
+                                                double alpha) {
+  HETSCHED_CHECK(admission_row(kind).tiered);
+  // Densest first (exact comparison, stable), mirroring the paper's
+  // ordering.
+  std::vector<std::size_t> order(tasks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&tasks](std::size_t a, std::size_t b) {
+                     const int128 lhs = static_cast<int128>(tasks[a].exec) *
+                                        tasks[b].effective_deadline();
+                     const int128 rhs = static_cast<int128>(tasks[b].exec) *
+                                        tasks[a].effective_deadline();
+                     return lhs > rhs;
+                   });
+  return controller_partition(tasks, order, platform, kind, alpha,
+                              PartitionEngine::kAuto);
 }
 
 bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
@@ -331,17 +354,14 @@ bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
   return first_fit_accepts(tasks, platform, kind, alpha, scratch);
 }
 
-// HETSCHED_NOALLOC (slack-form kinds, warm scratch; RTA fallback allocates)
+// HETSCHED_NOALLOC (tests with a fold, warm scratch; the RTA pass
+// allocates)
 bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
                        AdmissionKind kind, double alpha,
                        PartitionScratch& scratch, PartitionEngine engine) {
   HETSCHED_CHECK(platform.size() >= 1);
   HETSCHED_CHECK(alpha >= 1.0);
-  if (!admission_has_slack_form(kind)) {
-    ++scratch.first_fit_passes;
-    return naive_accepts_only(tasks, platform, kind, alpha);
-  }
-  prepare_order(tasks, scratch);
+  prepare_order(tasks, kind, scratch);
   return accepts_prepared(tasks, platform, kind, alpha, scratch, engine);
 }
 
@@ -362,7 +382,7 @@ std::optional<double> min_feasible_alpha(const TaskSet& tasks,
   HETSCHED_CHECK(platform.size() >= 1);
   HETSCHED_CHECK(alpha_hi >= 1.0);
   HETSCHED_CHECK(tol > 0);
-  prepare_order(tasks, scratch);
+  prepare_order(tasks, kind, scratch);
 #if HETSCHED_AUDIT_ENABLED
   // Audit builds record every (alpha, verdict) the bisection observes and
   // assert at the end that the samples are consistent with acceptance

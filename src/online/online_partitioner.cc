@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "partition/audit.h"
 #include "util/check.h"
+#include "util/little_endian.h"
 
 #if HETSCHED_AUDIT_ENABLED
 #include "partition/first_fit.h"
@@ -63,22 +64,14 @@ OnlinePartitioner::OnlinePartitioner(const Platform& platform,
                                      AdmissionKind kind, double alpha,
                                      PartitionEngine engine,
                                      const admit::AdmitConfig& admit_cfg)
-    : platform_(platform), kind_(kind), alpha_(alpha), admit_cfg_(admit_cfg) {
+    : platform_(platform),
+      kind_(admit_cfg.test.value_or(kind)),
+      alpha_(alpha) {
   HETSCHED_CHECK(platform_.size() >= 1);
   HETSCHED_CHECK(alpha_ >= 1.0);
-  // Resolve the per-machine test once.  A tiered test folds densities under
-  // its tier-0 kind, which replaces `kind`, and escalates as configured.
-  // The paper's kinds inflate nothing and escalate only for
-  // kRmsResponseTime, whose never-admitting fold hands every decision to
-  // the RTA escalation.
-  if (admit_cfg_.tiered()) {
-    kind_ = admit::tier0_fold_kind(admit_cfg_.test);
-    escalation_ = admit_cfg_;
-  } else {
-    escalation_.test = kind_ == AdmissionKind::kRmsResponseTime
-                           ? admit::TestKind::kRta
-                           : admit::TestKind::kBound;
-  }
+  // The band and overheads are the tiered tests' knobs; the paper's tests
+  // keep the defaults (no inflation).
+  if (tiered()) admit_cfg_ = admit_cfg;
   use_tree_ =
       resolve_engine(engine, kind_) == PartitionEngine::kSegmentTree;
   const std::size_t m = platform_.size();
@@ -87,12 +80,11 @@ OnlinePartitioner::OnlinePartitioner(const Platform& platform,
     capacity_[j] = platform_.speed(j) * alpha_;
   }
   st_.residents.resize(m);
-  st_.fold.reset(kind_, capacity_);
+  st_.fold.reset(fold(), capacity_);
   if (escalates()) {
     demand_.resize(m);
     speed_exact_.reserve(m);
-    // The same alpha quantization MachineLoad and the constrained batch
-    // partitioner use.
+    // The same alpha quantization MachineLoad uses.
     const Rational ar = rational_from_double(alpha_, 1'000'000);
     for (std::size_t j = 0; j < m; ++j) {
       speed_exact_.push_back(platform_.speed_exact(j) * ar);
@@ -101,7 +93,7 @@ OnlinePartitioner::OnlinePartitioner(const Platform& platform,
   if (use_tree_) tree_.build(st_.fold.slack);
 }
 
-void OnlinePartitioner::Folds::reset(AdmissionKind kind,
+void OnlinePartitioner::Folds::reset(AdmissionFold fold,
                                      const std::vector<double>& capacity) {
   const std::size_t m = capacity.size();
   util_sum.assign(m, 0.0);
@@ -109,19 +101,19 @@ void OnlinePartitioner::Folds::reset(AdmissionKind kind,
   count.assign(m, 0);
   slack.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
-    slack[j] = admission_slack(kind, capacity[j], 0.0, 0, 1.0);
+    slack[j] = admission_slack(fold, capacity[j], 0.0, 0, 1.0);
   }
 }
 
 Task OnlinePartitioner::inflated(const Task& t) const {
-  const std::optional<Task> ct = admit::inflate(escalation_, t);
+  const std::optional<Task> ct = admit::inflate(admit_cfg_, t);
   HETSCHED_CHECK_MSG(ct.has_value(), "overhead inflation overflow");
   return *ct;
 }
 
 bool OnlinePartitioner::accepts_input(const Task& t) const {
   return t.valid() && (tiered() || t.implicit_deadline()) &&
-         admit::inflate(escalation_, t).has_value();
+         admit::inflate(admit_cfg_, t).has_value();
 }
 
 void OnlinePartitioner::rebuild_demand() {
@@ -164,8 +156,8 @@ std::size_t OnlinePartitioner::find_machine(const Task& ct, double w,
   for (std::size_t j = 0; j < limit; ++j) {
     const double margin =
         (st_.fold.util_sum[j] + w - capacity_[j]) / capacity_[j];
-    const admit::TierVerdict v =
-        admit::escalate(escalation_, demand_[j], ct, speed_exact_[j], margin);
+    const admit::TierVerdict v = admit::escalate(
+        kind_, admit_cfg_.band, demand_[j], ct, speed_exact_[j], margin);
     if (v.accept) {
       tier = v.tier;
       return j;
@@ -232,7 +224,7 @@ AdmitDecision OnlinePartitioner::admit_impl(const Task& t,
     return d;
   }
 
-  st_.fold.step(kind_, j, w, capacity_[j]);
+  st_.fold.step(fold(), j, w, capacity_[j]);
   if (use_tree_) tree_.update(j, st_.fold.slack[j]);
   if (escalates()) demand_[j].push(ct);
   std::uint32_t slot;
@@ -279,7 +271,7 @@ void OnlinePartitioner::recompute_machine(std::size_t j) {
   f.hyper[j] = hyper;
   f.count[j] = st_.residents[j].size();
   f.slack[j] =
-      admission_slack(kind_, capacity_[j], util_sum, f.count[j], hyper);
+      admission_slack(fold(), capacity_[j], util_sum, f.count[j], hyper);
   if (use_tree_) tree_.update(j, f.slack[j]);
 }
 
@@ -371,7 +363,7 @@ MigrationPlan OnlinePartitioner::migration_plan() {
   // demand mirrors), so a re-pack stays feasible for sets only the
   // escalation admitted.
   const std::size_t m = platform_.size();
-  rb_fold_.reset(kind_, capacity_);
+  rb_fold_.reset(fold(), capacity_);
   if (escalates()) {
     rb_demand_.resize(m);
     for (admit::MachineDemand& dm : rb_demand_) dm.clear();
@@ -389,7 +381,8 @@ MigrationPlan OnlinePartitioner::migration_plan() {
         const double margin =
             (rb_fold_.util_sum[j] + s.util - capacity_[j]) / capacity_[j];
         const admit::TierVerdict v = admit::escalate(
-            escalation_, rb_demand_[j], ct, speed_exact_[j], margin);
+            kind_, admit_cfg_.band, rb_demand_[j], ct, speed_exact_[j],
+            margin);
         if (v.accept) placed = j;
       }
     }
@@ -397,7 +390,7 @@ MigrationPlan OnlinePartitioner::migration_plan() {
       plan.moves.clear();
       return plan;
     }
-    rb_fold_.step(kind_, placed, s.util, capacity_[placed]);
+    rb_fold_.step(fold(), placed, s.util, capacity_[placed]);
     if (escalates()) rb_demand_[placed].push(ct);
     MigrationPlan::Move mv;
     mv.id = make_id(idx, s.gen);
@@ -436,11 +429,11 @@ RebalanceReport OnlinePartitioner::apply_plan(const MigrationPlan& plan) {
   // FP operations in the same order, so the committed state is
   // bit-identical to what the plan computed), then rebuild the resident
   // lists in canonical admission order.
-  rb_fold_.reset(kind_, capacity_);
+  rb_fold_.reset(fold(), capacity_);
   for (std::vector<std::uint32_t>& res : st_.residents) res.clear();
   for (const MigrationPlan::Move& mv : plan.moves) {
     const auto slot = static_cast<std::uint32_t>(mv.id & 0xffffffffu);
-    rb_fold_.step(kind_, mv.to, mv.util, capacity_[mv.to]);
+    rb_fold_.step(fold(), mv.to, mv.util, capacity_[mv.to]);
     if (st_.slots[slot].machine != mv.to) ++rep.migrations;
     st_.slots[slot].machine = mv.to;
     st_.residents[mv.to].push_back(slot);
@@ -495,48 +488,28 @@ bool OnlinePartitioner::restore(const Snapshot& snap) {
 
 namespace {
 
-// Little-endian byte helpers for the snapshot payload.
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xFF);
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xFF);
-}
-
+// Sequential reads over the snapshot payload: a read past the end yields 0
+// and clears ok.
 struct ByteCursor {
   const std::uint8_t* p;
   std::size_t left;
   bool ok = true;
+  template <typename T>
+  T take(std::size_t n, T (*get)(const std::uint8_t*)) {
+    if (left < n) {
+      ok = false;
+      return 0;
+    }
+    const T v = get(p);
+    p += n;
+    left -= n;
+    return v;
+  }
   std::uint8_t u8() {
-    if (left < 1) {
-      ok = false;
-      return 0;
-    }
-    --left;
-    return *p++;
+    return take<std::uint8_t>(1, [](const std::uint8_t* q) { return *q; });
   }
-  std::uint32_t u32() {
-    if (left < 4) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (left < 8) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return v;
-  }
+  std::uint32_t u32() { return take(4, get_u32); }
+  std::uint64_t u64() { return take(8, get_u64); }
 };
 
 constexpr std::uint32_t kSnapshotPayloadMagic = 0x53504F48;  // "HOPS"
@@ -566,17 +539,19 @@ struct SnapshotHeader {
 };
 
 SnapshotHeader header_of(const OnlinePartitioner& c) {
+  const AdmissionRow& row = admission_row(c.kind());
   SnapshotHeader h;
-  h.kind = static_cast<std::uint32_t>(c.kind());
   h.machines = static_cast<std::uint32_t>(c.machine_count());
   h.alpha = std::bit_cast<std::uint64_t>(c.alpha());
-  if (!c.tiered()) {
+  if (!row.tiered) {
     h.version = kSnapshotPayloadVersion;
+    h.kind = row.id;
     return h;
   }
   const admit::AdmitConfig& cfg = c.admit_config();
   h.version = kSnapshotPayloadVersionTiered;
-  h.test = static_cast<std::uint32_t>(cfg.test);
+  h.kind = static_cast<std::uint32_t>(row.fold);
+  h.test = row.id;
   h.band = std::bit_cast<std::uint64_t>(cfg.band);
   h.release_overhead = static_cast<std::uint64_t>(cfg.release_overhead);
   h.preempt_overhead = static_cast<std::uint64_t>(cfg.preempt_overhead);
@@ -584,16 +559,16 @@ SnapshotHeader header_of(const OnlinePartitioner& c) {
 }
 
 void put_header(std::vector<std::uint8_t>& out, const SnapshotHeader& h) {
-  put_u32(out, kSnapshotPayloadMagic);
-  put_u32(out, h.version);
-  put_u32(out, h.kind);
-  put_u32(out, h.machines);
-  put_u64(out, h.alpha);
+  put_le(out, kSnapshotPayloadMagic);
+  put_le(out, h.version);
+  put_le(out, h.kind);
+  put_le(out, h.machines);
+  put_le(out, h.alpha);
   if (h.version == kSnapshotPayloadVersionTiered) {
-    put_u32(out, h.test);
-    put_u64(out, h.band);
-    put_u64(out, h.release_overhead);
-    put_u64(out, h.preempt_overhead);
+    put_le(out, h.test);
+    put_le(out, h.band);
+    put_le(out, h.release_overhead);
+    put_le(out, h.preempt_overhead);
   }
 }
 
@@ -625,25 +600,25 @@ std::vector<std::uint8_t> OnlinePartitioner::serialize_snapshot() const {
   out.reserve(64 + st_.slots.size() * 29 + st_.free_slots.size() * 4 +
               (st_.resident + platform_.size()) * 4);
   put_header(out, header_of(*this));
-  put_u64(out, st_.next_seq);
-  put_u64(out, st_.decision_seq);
-  put_u64(out, st_.decision_checksum);
-  put_u64(out, static_cast<std::uint64_t>(st_.resident));
-  put_u32(out, static_cast<std::uint32_t>(st_.slots.size()));
+  put_le(out, st_.next_seq);
+  put_le(out, st_.decision_seq);
+  put_le(out, st_.decision_checksum);
+  put_le<std::uint64_t>(out, st_.resident);
+  put_le(out, static_cast<std::uint32_t>(st_.slots.size()));
   for (const Slot& s : st_.slots) {
     out.push_back(s.live ? 1 : 0);
-    put_u32(out, s.gen);
-    put_u32(out, s.machine);
-    put_u64(out, s.seq);
-    put_u64(out, static_cast<std::uint64_t>(s.task.exec));
-    put_u64(out, static_cast<std::uint64_t>(s.task.period));
-    if (tiered()) put_u64(out, static_cast<std::uint64_t>(s.task.deadline));
+    put_le(out, s.gen);
+    put_le(out, s.machine);
+    put_le(out, s.seq);
+    put_le(out, static_cast<std::uint64_t>(s.task.exec));
+    put_le(out, static_cast<std::uint64_t>(s.task.period));
+    if (tiered()) put_le(out, static_cast<std::uint64_t>(s.task.deadline));
   }
-  put_u32(out, static_cast<std::uint32_t>(st_.free_slots.size()));
-  for (const std::uint32_t idx : st_.free_slots) put_u32(out, idx);
+  put_le(out, static_cast<std::uint32_t>(st_.free_slots.size()));
+  for (const std::uint32_t idx : st_.free_slots) put_le(out, idx);
   for (const auto& res : st_.residents) {
-    put_u32(out, static_cast<std::uint32_t>(res.size()));
-    for (const std::uint32_t idx : res) put_u32(out, idx);
+    put_le(out, static_cast<std::uint32_t>(res.size()));
+    for (const std::uint32_t idx : res) put_le(out, idx);
   }
   return out;
 }
@@ -717,7 +692,7 @@ bool OnlinePartitioner::restore_bytes(const std::uint8_t* data,
   // the canonical left fold over each resident list — bit-identical to the
   // incrementally maintained values (the audit layer proves this), so no
   // floating-point accumulator ever round-trips through the file.
-  ns.fold.reset(kind_, capacity_);
+  ns.fold.reset(fold(), capacity_);
   st_ = std::move(ns);
   for (std::size_t j = 0; j < m; ++j) recompute_machine(j);
   rebuild_demand();
@@ -820,8 +795,8 @@ void OnlinePartitioner::audit_verify_machine(std::size_t j) const {
     hyper *= s.util / capacity_[j] + 1.0;
   }
   const double slack =
-      admission_slack(kind_, capacity_[j], util_sum, st_.residents[j].size(),
-                      hyper);
+      admission_slack(fold(), capacity_[j], util_sum,
+                      st_.residents[j].size(), hyper);
   // hetsched-lint: allow(float-compare) — bit-identity is the contract.
   HETSCHED_CHECK_MSG(util_sum == f.util_sum[j],
                      "audit: util_sum fold diverged from recomputation");
@@ -872,7 +847,7 @@ void OnlinePartitioner::audit_verify_decision(const Task& ct, double w,
       const double margin =
           (st_.fold.util_sum[j] + w - capacity_[j]) / capacity_[j];
       const admit::TierVerdict v = admit::escalate(
-          escalation_, demand_[j], ct, speed_exact_[j], margin);
+          kind_, admit_cfg_.band, demand_[j], ct, speed_exact_[j], margin);
       HETSCHED_CHECK_MSG(!v.accept,
                          "audit: first fit skipped an escalation accept");
     }
@@ -891,7 +866,7 @@ void OnlinePartitioner::audit_verify_decision(const Task& ct, double w,
       ++count;
     }
     const double pre_slack =
-        admission_slack(kind_, capacity_[chosen], util_sum, count, hyper);
+        admission_slack(fold(), capacity_[chosen], util_sum, count, hyper);
     HETSCHED_CHECK_MSG(w <= pre_slack,
                        "audit: first fit placed on a rejecting machine");
   }

@@ -26,22 +26,22 @@
 //                   what-if probing (e.g. "would this batch of five tasks
 //                   fit?" — snapshot, admit all five, restore).
 //
-// first_fit_partition is a thin wrapper over this class (construct a
-// controller, admit in canonical order), so the batch and online paths
-// share one admission code path and stay bit-identical — the property
-// tests/online_equivalence_test.cpp asserts over 500 seeded instances.
+// first_fit_partition and first_fit_partition_constrained are thin
+// wrappers over this class (construct a controller, admit in canonical
+// order), so the batch and online paths share one admission code path and
+// stay bit-identical — the property tests/online_equivalence_test.cpp
+// asserts over 500 seeded instances.
 //
-// Every admission kind and admission test runs through ONE per-machine
-// test, resolved once by the constructor: a tier-0 slack fold (EDF,
-// Liu-Layland or hyperbolic, over utilizations for the paper's kinds and
-// over overhead-inflated densities for the tiered tests of src/admit),
-// plus an optional escalation that decides on machines whose fold
-// rejected the task (approximate DBF, QPA, auto, or response-time
-// analysis).  kRmsResponseTime is a fold whose slack never admits,
-// followed by the RTA escalation.  After warm-up (every internal vector
-// has reached its high-water mark) admit performs no heap allocation for
-// any kind or test; tests/online_alloc_test.cpp counts global operator
-// new to prove it.
+// Every admission test runs through ONE per-machine test, its row of
+// partition/admission.h: a tier-0 slack fold (EDF, Liu-Layland or
+// hyperbolic, over utilizations for the paper's tests and over
+// overhead-inflated densities for the tiered tests of src/admit), plus
+// the row's escalation, which decides on machines whose fold rejected the
+// task (approximate DBF, QPA, auto, or response-time analysis).
+// kRmsResponseTime is a fold whose slack never admits, followed by the RTA
+// escalation.  After warm-up (every internal vector has reached its
+// high-water mark) admit performs no heap allocation for any test;
+// tests/online_alloc_test.cpp counts global operator new to prove it.
 //
 // Thread safety: none.  A controller is a single-writer object; shard
 // controllers per partition of the machine pool to scale out.
@@ -119,16 +119,15 @@ class OnlinePartitioner {
 
   // The platform is copied and fixed for the controller's lifetime.
   // alpha >= 1; engine as in first_fit_partition (kAuto picks the segment
-  // tree whenever the kind has a slack form).
+  // tree whenever the test has a fold).
   //
-  // A tiered `admit_cfg` (test != kLegacy) switches the controller to the
-  // constrained-deadline admission subsystem (src/admit): the per-machine
-  // fold runs over inflated task *densities* under tier0_fold_kind(cfg.test)
-  // — which replaces `kind` — and a tier-0 density reject escalates through
-  // the configured DBF/RTA tiers before the first-fit verdict.  For implicit
-  // tasks density == utilization, so the tier-0 path makes bit-identical
-  // decisions to the kEdf controller.  With kLegacy the paper's `kind`
-  // decides, and the band and overhead knobs are ignored.
+  // The controller runs the test admit_cfg.test, or `kind` when that is
+  // empty (the "legacy" config).  A tiered test (partition/admission.h)
+  // folds overhead-inflated task *densities* at tier 0 and escalates a
+  // tier-0 reject through its DBF/RTA tiers before the first-fit verdict;
+  // for implicit tasks density == utilization, so `bound` makes
+  // bit-identical decisions to kEdf.  The band and overhead knobs apply
+  // to tiered tests only.
   OnlinePartitioner(const Platform& platform, AdmissionKind kind, double alpha,
                     PartitionEngine engine = PartitionEngine::kAuto,
                     const admit::AdmitConfig& admit_cfg = {});
@@ -208,10 +207,14 @@ class OnlinePartitioner {
 
   // --- observers -----------------------------------------------------
   const Platform& platform() const { return platform_; }
+  // The test that decides, its row resolved from the constructor's kind
+  // and config.
   AdmissionKind kind() const { return kind_; }
   double alpha() const { return alpha_; }
+  // The band and overheads in force: as configured for a tiered test,
+  // the defaults otherwise.
   const admit::AdmitConfig& admit_config() const { return admit_cfg_; }
-  bool tiered() const { return admit_cfg_.tiered(); }
+  bool tiered() const { return admission_row(kind_).tiered; }
   std::size_t machine_count() const { return platform_.size(); }
   std::size_t resident_count() const { return st_.resident; }
 
@@ -264,10 +267,10 @@ class OnlinePartitioner {
     std::vector<std::size_t> count;
     std::vector<double> slack;
     // m empty machines.
-    void reset(AdmissionKind kind, const std::vector<double>& capacity);
+    void reset(AdmissionFold fold, const std::vector<double>& capacity);
     // HETSCHED_NOALLOC
-    void step(AdmissionKind kind, std::size_t j, double w, double capacity) {
-      admission_fold_step(kind, w, capacity, util_sum[j], hyper[j], count[j],
+    void step(AdmissionFold fold, std::size_t j, double w, double capacity) {
+      admission_fold_step(fold, w, capacity, util_sum[j], hyper[j], count[j],
                           slack[j]);
     }
   };
@@ -288,9 +291,8 @@ class OnlinePartitioner {
 
   // The task every tier sees: overhead-inflated, deadline explicit.
   Task inflated(const Task& t) const;
-  bool escalates() const {
-    return escalation_.test != admit::TestKind::kBound;
-  }
+  AdmissionFold fold() const { return admission_row(kind_).fold; }
+  bool escalates() const { return admission_row(kind_).escalates(); }
   // First fit over the resolved test: the engine answers the tier-0 slack
   // query; machines left of its answer are offered to the escalation in
   // index order.  Sets `tier` to the tier that decided (on reject: the
@@ -319,13 +321,9 @@ class OnlinePartitioner {
   }
 
   Platform platform_;
-  // The resolved per-machine test: the tier-0 fold (kRmsResponseTime's
-  // slack never admits) and the escalation, whose config also carries the
-  // overhead inflation (kBound: no escalation).
-  AdmissionKind kind_;
-  admit::AdmitConfig escalation_;
+  AdmissionKind kind_;  // the resolved test (its row decides everything)
   double alpha_ = 1.0;
-  admit::AdmitConfig admit_cfg_;       // as configured
+  admit::AdmitConfig admit_cfg_;       // band and overheads in force
   bool use_tree_ = true;               // resolved engine is the segment tree
   std::vector<double> capacity_;       // per machine: alpha * s_j (fixed)
   std::vector<Rational> speed_exact_;  // per machine: alpha * s_j, exact

@@ -78,53 +78,44 @@ double exact_admission_threshold(double estimate, const Pred& pred) {
 
 }  // namespace
 
-std::string to_string(AdmissionKind k) {
-  switch (k) {
-    case AdmissionKind::kEdf:
-      return "EDF";
-    case AdmissionKind::kRmsLiuLayland:
-      return "RMS-LL";
-    case AdmissionKind::kRmsHyperbolic:
-      return "RMS-HB";
-    case AdmissionKind::kRmsResponseTime:
-      return "RMS-RTA";
+std::string to_string(AdmissionKind k) { return admission_row(k).label; }
+
+std::optional<AdmissionKind> find_admission(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kAdmissionRows); ++i) {
+    const char* row_name = kAdmissionRows[i].name;
+    if (row_name != nullptr && name == row_name) {
+      return static_cast<AdmissionKind>(i);
+    }
   }
-  return "?";
+  return std::nullopt;
 }
 
-bool is_rms(AdmissionKind k) { return k != AdmissionKind::kEdf; }
-
-bool admission_has_slack_form(AdmissionKind k) {
-  return k != AdmissionKind::kRmsResponseTime;
-}
-
-double admission_slack(AdmissionKind kind, double capacity, double util_sum,
+double admission_slack(AdmissionFold fold, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product) {
-  // Each predicate is admission_admits at a literal kind, so its switch
+  // Each predicate is admission_admits at a literal fold, so its switch
   // folds away outside the search.  Liu–Layland's comparison is EDF's
   // against the count-aware limit, as in admission_admits; the limit is
   // computed once here rather than on every probe.
-  switch (kind) {
-    case AdmissionKind::kEdf:
+  switch (fold) {
+    case AdmissionFold::kEdf:
       return exact_admission_threshold(capacity - util_sum, [&](double w) {
-        return admission_admits(AdmissionKind::kEdf, w, capacity, util_sum,
+        return admission_admits(AdmissionFold::kEdf, w, capacity, util_sum,
                                 task_count, hyper_product);
       });
-    case AdmissionKind::kRmsLiuLayland: {
+    case AdmissionFold::kLiuLayland: {
       const double limit = rms_liu_layland_bound(task_count + 1) * capacity;
       return exact_admission_threshold(limit - util_sum, [&](double w) {
-        return admission_admits(AdmissionKind::kEdf, w, limit, util_sum,
+        return admission_admits(AdmissionFold::kEdf, w, limit, util_sum,
                                 task_count, hyper_product);
       });
     }
-    case AdmissionKind::kRmsHyperbolic:
+    case AdmissionFold::kHyperbolic:
       return exact_admission_threshold(
           (2.0 / hyper_product - 1.0) * capacity, [&](double w) {
-            return admission_admits(AdmissionKind::kRmsHyperbolic, w,
-                                    capacity, util_sum, task_count,
-                                    hyper_product);
+            return admission_admits(AdmissionFold::kHyperbolic, w, capacity,
+                                    util_sum, task_count, hyper_product);
           });
-    case AdmissionKind::kRmsResponseTime:
+    case AdmissionFold::kNone:
       break;
   }
   return -1.0;
@@ -135,27 +126,21 @@ MachineLoad::MachineLoad(AdmissionKind kind, const Rational& speed,
     : kind_(kind),
       speed_exact_(speed * rational_from_double(alpha, 1'000'000)),
       capacity_(speed.to_double() * alpha) {
+  HETSCHED_CHECK(!admission_row(kind).tiered);
   HETSCHED_CHECK(speed > Rational(0));
   HETSCHED_CHECK(alpha >= 1.0);
 }
 
 bool MachineLoad::can_admit(const Task& t) const {
-  const double w = t.utilization();
-  switch (kind_) {
-    case AdmissionKind::kEdf:
-      return edf_feasible(util_sum_ + w, capacity_);
-    case AdmissionKind::kRmsLiuLayland:
-      return rms_ll_feasible(util_sum_ + w, tasks_.size() + 1, capacity_);
-    case AdmissionKind::kRmsHyperbolic:
-      return hyper_product_ * (w / capacity_ + 1.0) <= 2.0;
-    case AdmissionKind::kRmsResponseTime: {
-      std::vector<Task> with = tasks_;
-      with.push_back(t);
-      return rta_schedulable(with, speed_exact_);
-    }
+  const AdmissionRow& row = admission_row(kind_);
+  if (admission_admits(row.fold, t.utilization(), capacity_, util_sum_,
+                       tasks_.size(), hyper_product_)) {
+    return true;
   }
-  HETSCHED_CHECK_MSG(false, "unreachable admission kind");
-  return false;
+  if (row.exact != ExactTest::kRta) return false;
+  std::vector<Task> with = tasks_;
+  with.push_back(t);
+  return rta_schedulable(with, speed_exact_);
 }
 
 void MachineLoad::admit(const Task& t) {

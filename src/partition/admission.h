@@ -1,14 +1,24 @@
-// Per-machine admission tests used by the first-fit partitioner.
+// Per-machine admission tests: one table of named tests.
 //
 // The paper's algorithm admits a task onto a machine of (augmented) speed
 // alpha * s if the machine's single-processor schedulability test still
-// passes with the task added.  Admission state is incremental so the whole
-// partitioning pass is O(nm) for the analytical bounds; the exact RTA
-// admission (an extension) re-runs response-time analysis and is
-// correspondingly more expensive.
+// passes with the task added.  Every such test the repo runs is one row of
+// kAdmissionRows, in the shape of schedcat's HRT_TESTS: a tier-0 fold over
+// the machine's weights with a closed-form slack (EDF's bound, Thm II.2;
+// Liu–Layland's, Thm II.3; the hyperbolic bound; or none), then for the
+// machines whose fold rejects, an escalation: the approximate DBF at k
+// points (tier 1, dbf/demand_bound.h), then QPA or DM response-time
+// analysis (tier 2), which `auto` runs only inside a density band.  The
+// folds are incremental, so a first-fit pass over them is O(nm); the
+// escalations are correspondingly more expensive.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/platform.h"
@@ -18,59 +28,135 @@
 
 namespace hetsched {
 
+// The named tests, in table order.
 enum class AdmissionKind {
+  // The paper's tests over utilizations; implicit deadlines only.
   kEdf,              // sum w <= alpha s                  (paper, Thm II.2)
   kRmsLiuLayland,    // sum w <= (k)(2^{1/k}-1) alpha s   (paper, Thm II.3)
   kRmsHyperbolic,    // prod(w/(alpha s)+1) <= 2          (extension)
   kRmsResponseTime,  // exact RTA at speed alpha s        (extension)
+  // Tests over overhead-inflated densities; constrained deadlines.
+  kBound,      // tier 0 only: density bound
+  kDbfApprox,  // density, then the linear approximate DBF
+  kQpa,        // density, approximate DBF, then QPA
+  // Liu–Layland over densities, then DM response times.  LL over
+  // densities is sufficient for DM: shrinking periods to deadlines only
+  // adds demand and turns DM order into RM order.
+  kRta,
+  kAuto,       // as kQpa, QPA only inside the band
+  // Batch-only DBF testers of E11: no fold, no name.
+  kDbfQpa,         // QPA alone
+  kDbfThreePoint,  // the approximate DBF at k = 3
+  kDbfLinear,      // the approximate DBF at k = 1
 };
 
+// A row's tier-0 fold.  The value is the kind id version 2 snapshots
+// persist for it, the same as the paper test with that fold.
+enum class AdmissionFold : std::uint8_t {
+  kEdf = 0,
+  kLiuLayland = 1,
+  kHyperbolic = 2,
+  kNone = 3,  // the slack never admits: every decision escalates
+};
+
+// A row's exact tier.
+enum class ExactTest : std::uint8_t { kNone, kQpa, kRta };
+
+struct AdmissionRow {
+  const char* name;   // CLI spelling; nullptr for the batch-only rows
+  // Printed label (status lines, PartitionResult): the paper test's name;
+  // the other rows print their fold's, or EDF without one.
+  const char* label;
+  AdmissionFold fold;
+  std::uint8_t approx_k;  // tier 1: approximate DBF at k points, 0 = none
+  ExactTest exact;        // tier 2
+  bool band_gated;        // tier 2 runs only inside AdmitConfig::band
+  // Takes constrained deadlines and overheads, reports the deciding tier,
+  // and snapshots as version 2.
+  bool tiered;
+  bool fixed_priority;  // certifies RM/DM priorities rather than EDF
+  std::uint8_t id;      // persisted: v1 kind id, or v2 test id if tiered
+
+  // Whether a tier-0 reject is offered to tier 1 or 2 at all.
+  constexpr bool escalates() const {
+    return approx_k > 0 || exact != ExactTest::kNone;
+  }
+};
+
+inline constexpr AdmissionRow kAdmissionRows[] = {
+    // name, label, fold, approx_k, exact, band_gated, tiered,
+    // fixed_priority, id
+    {"edf", "EDF", AdmissionFold::kEdf, 0, ExactTest::kNone, false, false,
+     false, 0},
+    {"rms-ll", "RMS-LL", AdmissionFold::kLiuLayland, 0, ExactTest::kNone,
+     false, false, true, 1},
+    {"rms-hb", "RMS-HB", AdmissionFold::kHyperbolic, 0, ExactTest::kNone,
+     false, false, true, 2},
+    {"rms-rta", "RMS-RTA", AdmissionFold::kNone, 0, ExactTest::kRta, false,
+     false, true, 3},
+    {"bound", "EDF", AdmissionFold::kEdf, 0, ExactTest::kNone, false, true,
+     false, 1},
+    {"dbf-approx", "EDF", AdmissionFold::kEdf, 1, ExactTest::kNone, false,
+     true, false, 2},
+    {"qpa", "EDF", AdmissionFold::kEdf, 1, ExactTest::kQpa, false, true,
+     false, 3},
+    {"rta", "RMS-LL", AdmissionFold::kLiuLayland, 0, ExactTest::kRta, false,
+     true, true, 4},
+    {"auto", "EDF", AdmissionFold::kEdf, 1, ExactTest::kQpa, true, true,
+     false, 5},
+    {nullptr, "EDF", AdmissionFold::kNone, 0, ExactTest::kQpa, false, true,
+     false, 0},
+    {nullptr, "EDF", AdmissionFold::kNone, 3, ExactTest::kNone, false, true,
+     false, 0},
+    {nullptr, "EDF", AdmissionFold::kNone, 1, ExactTest::kNone, false, true,
+     false, 0},
+};
+static_assert(std::size(kAdmissionRows) ==
+              static_cast<std::size_t>(AdmissionKind::kDbfLinear) + 1);
+
+constexpr const AdmissionRow& admission_row(AdmissionKind k) {
+  return kAdmissionRows[static_cast<std::size_t>(k)];
+}
+
+// The row's label.
 std::string to_string(AdmissionKind k);
 
-// True for the admission kinds whose accepted partitions run under
-// rate-monotonic priorities (vs. EDF).
-bool is_rms(AdmissionKind k);
+// The row whose CLI spelling is `name`, or nullopt.
+std::optional<AdmissionKind> find_admission(std::string_view name);
 
-// True for the kinds whose admission test has a closed-form slack: the
-// machine admits a task iff w <= slack, with slack a function of the
-// machine's accumulated state only.  These are the kinds the segment-tree
-// engine (partition/engine.h) can index; kRmsResponseTime is not one.
-bool admission_has_slack_form(AdmissionKind k);
-
-// The slack-form kinds' admission comparison, verbatim as
-// MachineLoad::can_admit performs it: does a machine of capacity alpha * s
-// whose admitted tasks sum to `util_sum` (`task_count` of them, hyperbolic
-// product `hyper_product`) still pass with a task of utilization `w` added?
-// kRmsResponseTime has no such comparison and never admits here.
+// The fold's admission comparison, verbatim as MachineLoad::can_admit
+// performs it: does a machine of capacity alpha * s whose admitted weights
+// sum to `util_sum` (`task_count` of them, hyperbolic product
+// `hyper_product`) still pass with a weight `w` added?  kNone never admits.
 // HETSCHED_NOALLOC
-inline bool admission_admits(AdmissionKind kind, double w, double capacity,
+inline bool admission_admits(AdmissionFold fold, double w, double capacity,
                              double util_sum, std::size_t task_count,
                              double hyper_product) {
-  switch (kind) {
-    case AdmissionKind::kEdf:
+  switch (fold) {
+    case AdmissionFold::kEdf:
       return util_sum + w <= capacity;
-    case AdmissionKind::kRmsLiuLayland:
+    case AdmissionFold::kLiuLayland:
       // EDF's comparison against the count-aware Liu–Layland limit.
       return admission_admits(
-          AdmissionKind::kEdf, w,
+          AdmissionFold::kEdf, w,
           rms_liu_layland_bound(task_count + 1) * capacity, util_sum,
           task_count, hyper_product);
-    case AdmissionKind::kRmsHyperbolic:
+    case AdmissionFold::kHyperbolic:
       return hyper_product * (w / capacity + 1.0) <= 2.0;
-    case AdmissionKind::kRmsResponseTime:
+    case AdmissionFold::kNone:
       break;
   }
   return false;
 }
 
-// The largest task utilization the machine still admits — the EXACT
-// floating-point threshold of admission_admits, i.e. for every double
-// w >= 0, (w <= slack) == admission_admits(kind, w, ...).  The threshold
-// search evaluates admission_admits itself as its predicate, so the two
-// agree by construction.  In real arithmetic the thresholds are
-//   kEdf:            capacity - util_sum
-//   kRmsLiuLayland:  LL(task_count + 1) * capacity - util_sum
-//   kRmsHyperbolic:  (2 / hyper_product - 1) * capacity
+// The largest weight the machine still admits — the EXACT floating-point
+// threshold of admission_admits, i.e. for every double w >= 0,
+// (w <= slack) == admission_admits(fold, w, ...).  The threshold search
+// evaluates admission_admits itself as its predicate, so the two agree by
+// construction.  In real arithmetic the thresholds are
+//   kEdf:        capacity - util_sum
+//   kLiuLayland: LL(task_count + 1) * capacity - util_sum
+//   kHyperbolic: (2 / hyper_product - 1) * capacity
 // but those rearranged closed forms can be 1 ulp off at exact-fit
 // boundaries, so the implementation instead bisects the original predicate
 // over the double bit-space.  This exactness is what keeps the naive scan
@@ -78,15 +164,14 @@ inline bool admission_admits(AdmissionKind kind, double w, double capacity,
 // relies on it) and keeps boundary instances — exact bin packings like
 // {0.44, 0.40, 0.16} on a unit machine — admissible, matching the predicate
 // form the repo has always used.  `task_count` and `hyper_product` describe
-// the tasks already admitted; negative return means not even w = 0 fits.
-// kRmsResponseTime has no closed form: its slack is always negative, so a
-// fold over it never admits and every decision falls to response-time
-// analysis (the online controller's RTA escalation).
-double admission_slack(AdmissionKind kind, double capacity, double util_sum,
+// the weights already admitted; negative return means not even w = 0 fits.
+// kNone's slack is always negative, so a fold over it never admits and
+// every decision falls to the row's escalation.
+double admission_slack(AdmissionFold fold, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product);
 
-// Accumulates a task of utilization `w` into a machine's running state,
-// mirroring MachineLoad::admit's arithmetic exactly.
+// Accumulates a weight `w` into a machine's running state, mirroring
+// MachineLoad::admit's arithmetic exactly.
 // HETSCHED_NOALLOC
 inline void admission_accumulate(double w, double capacity, double& util_sum,
                                  double& hyper_product,
@@ -102,14 +187,15 @@ inline void admission_accumulate(double w, double capacity, double& util_sum,
 // (online/online_partitioner.h); keeping it in one place is what keeps the
 // two bit-identical.
 // HETSCHED_NOALLOC
-inline void admission_fold_step(AdmissionKind kind, double w, double capacity,
+inline void admission_fold_step(AdmissionFold fold, double w, double capacity,
                                 double& util_sum, double& hyper_product,
                                 std::size_t& task_count, double& slack) {
   admission_accumulate(w, capacity, util_sum, hyper_product, task_count);
-  slack = admission_slack(kind, capacity, util_sum, task_count, hyper_product);
+  slack = admission_slack(fold, capacity, util_sum, task_count, hyper_product);
 }
 
-// Incremental admission state for one machine.
+// Incremental admission state for one machine under one of the paper's
+// four tests (a row that is not tiered).
 class MachineLoad {
  public:
   // `speed` is the machine's un-augmented speed s_j; `alpha` the augmentation.

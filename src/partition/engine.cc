@@ -56,7 +56,9 @@ std::optional<PartitionEngine> engine_from_name(std::string_view name) {
 }
 
 PartitionEngine resolve_engine(PartitionEngine e, AdmissionKind kind) {
-  if (!admission_has_slack_form(kind)) return PartitionEngine::kNaive;
+  if (admission_row(kind).fold == AdmissionFold::kNone) {
+    return PartitionEngine::kNaive;
+  }
   if (e == PartitionEngine::kNaive) return PartitionEngine::kNaive;
   return PartitionEngine::kSegmentTree;
 }

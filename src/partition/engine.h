@@ -1,10 +1,10 @@
 // Fast-path partitioning engines for the paper's first-fit test.
 //
-// For the bound-based admission kinds (kEdf, kRmsLiuLayland,
-// kRmsHyperbolic) the per-machine admission test reduces to a closed-form
-// slack: machine j admits a task of utilization w iff w <= slack_j, with
-// slack_j a function of the machine's accumulated state only
-// (admission_slack() in partition/admission.h).  First fit is then
+// For the tests with a tier-0 fold (kEdf, kRmsLiuLayland, kRmsHyperbolic,
+// and the tiered tests over densities) the per-machine admission test
+// reduces to a closed-form slack: machine j admits a weight w iff
+// w <= slack_j, with slack_j a function of the machine's accumulated state
+// only (admission_slack() in partition/admission.h).  First fit is then
 // "leftmost machine with slack >= w" — the classic bin-packing query a max
 // segment tree over the m slacks answers in O(log m) — turning the
 // partition pass into O(n log n + n log m) instead of O(n log n + n m).
@@ -27,7 +27,8 @@
 // performs, so "w <= slack" and the direct predicate decide every admission
 // identically — the segment-tree engine returns bit-identical assignments
 // and verdicts to the naive scan (asserted by
-// tests/engine_equivalence_test.cpp).  kRmsResponseTime has no closed-form
+// tests/engine_equivalence_test.cpp).  The rows without a fold
+// (kRmsResponseTime and the batch-only DBF testers) have no closed-form
 // slack; every engine falls back to the naive scan there.
 #pragma once
 
@@ -44,7 +45,7 @@
 namespace hetsched {
 
 enum class PartitionEngine {
-  kAuto,         // segment tree when the kind has a slack form, else naive
+  kAuto,         // segment tree when the kind has a fold, else naive
   kNaive,        // reference linear machine scan, O(n m)
   kSegmentTree,  // slack segment tree, O(n log m)
 };
@@ -54,8 +55,8 @@ std::string to_string(PartitionEngine e);
 // "auto" | "naive" | "tree" (also accepts "segment-tree"); nullopt otherwise.
 std::optional<PartitionEngine> engine_from_name(std::string_view name);
 
-// The engine actually run for `kind` once kAuto and the kRmsResponseTime
-// fallback are resolved; returns kNaive or kSegmentTree.
+// The engine actually run for `kind` once kAuto and the fallback of the
+// rows without a fold are resolved; returns kNaive or kSegmentTree.
 PartitionEngine resolve_engine(PartitionEngine e, AdmissionKind kind);
 
 // Max segment tree over per-machine admission slack.  Storage is reused

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,16 +55,25 @@ struct PartitionResult {
   std::string to_string() const;
 };
 
-// Runs the first-fit partitioner.  alpha >= 1.  Both engines return
-// bit-identical results (see partition/engine.h); kAuto picks the segment
-// tree whenever the admission kind has a slack form.  Implemented as a
-// thin wrapper over the stateful controller
-// (online/online_partitioner.h): a fresh OnlinePartitioner admits the
-// tasks in canonical utilization-descending order, so the batch and online
-// admission paths are one code path and stay bit-identical.
+// Runs the first-fit partitioner for one of the paper's four tests (a row
+// that is not tiered).  alpha >= 1.  Both engines return bit-identical
+// results (see partition/engine.h); kAuto picks the segment tree whenever
+// the test has a fold.  Implemented as a thin wrapper over the stateful
+// controller (online/online_partitioner.h): a fresh OnlinePartitioner
+// admits the tasks in canonical utilization-descending order, so the batch
+// and online admission paths are one code path and stay bit-identical.
 PartitionResult first_fit_partition(
     const TaskSet& tasks, const Platform& platform, AdmissionKind kind,
     double alpha, PartitionEngine engine = PartitionEngine::kAuto);
+
+// The same controller wrapper for the constrained-deadline model, under a
+// tiered row (kDbfQpa, kDbfThreePoint and kDbfLinear are E11's batch-only
+// DBF testers): tasks densest first (exact comparison, stable), machines
+// slowest first.  machine_utilization reports density sums.
+PartitionResult first_fit_partition_constrained(std::span<const Task> tasks,
+                                                const Platform& platform,
+                                                AdmissionKind kind,
+                                                double alpha);
 
 // Convenience predicate.
 bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
@@ -72,7 +82,8 @@ bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
 // Decision-only fast path: same verdict as first_fit_partition(...).feasible
 // but never builds a PartitionResult, never copies Task vectors, and reuses
 // the caller's scratch buffers — allocation-free once the scratch is warm.
-// (kRmsResponseTime has no slack form and still allocates internally.)
+// (kRmsResponseTime has no fold; its pass runs on the controller and
+// allocates.)
 //
 // On the tree engine (kAuto for the slack-form kinds, or kSegmentTree), two
 // load bounds from the argument behind Theorem I.1's failure certificate

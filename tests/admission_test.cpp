@@ -110,9 +110,11 @@ TEST(Admission, KindNames) {
   EXPECT_EQ(to_string(AdmissionKind::kRmsLiuLayland), "RMS-LL");
   EXPECT_EQ(to_string(AdmissionKind::kRmsHyperbolic), "RMS-HB");
   EXPECT_EQ(to_string(AdmissionKind::kRmsResponseTime), "RMS-RTA");
-  EXPECT_FALSE(is_rms(AdmissionKind::kEdf));
-  EXPECT_TRUE(is_rms(AdmissionKind::kRmsLiuLayland));
-  EXPECT_TRUE(is_rms(AdmissionKind::kRmsResponseTime));
+  EXPECT_FALSE(admission_row(AdmissionKind::kEdf).fixed_priority);
+  EXPECT_TRUE(admission_row(AdmissionKind::kRmsLiuLayland).fixed_priority);
+  EXPECT_TRUE(admission_row(AdmissionKind::kRmsResponseTime).fixed_priority);
+  EXPECT_EQ(find_admission("rms-hb"), AdmissionKind::kRmsHyperbolic);
+  EXPECT_FALSE(find_admission("RMS-HB").has_value());
 }
 
 }  // namespace

@@ -46,7 +46,6 @@ namespace hetsched::net {
 namespace {
 
 using admit::AdmitConfig;
-using admit::TestKind;
 
 class TempDir {
  public:
@@ -66,7 +65,7 @@ std::string loopback_addr(const Server& server) {
   return "127.0.0.1:" + std::to_string(server.port());
 }
 
-AdmitConfig cfg_of(TestKind k) {
+AdmitConfig cfg_of(AdmissionKind k) {
   AdmitConfig cfg;
   cfg.test = k;
   return cfg;
@@ -175,7 +174,8 @@ TEST(DeadlineFrame, MalformedVariantsDecodeBad) {
 // admits at tier 2.
 TEST(AdmitE2E, BoundRejectsWhereAutoAdmitsViaQpa) {
   const Platform pf = Platform::from_speeds({1.0});
-  for (const TestKind kind : {TestKind::kBound, TestKind::kAuto}) {
+  for (const AdmissionKind kind :
+       {AdmissionKind::kBound, AdmissionKind::kAuto}) {
     ServerOptions opts;
     opts.shards = 1;
     opts.admit = cfg_of(kind);
@@ -187,10 +187,10 @@ TEST(AdmitE2E, BoundRejectsWhereAutoAdmitsViaQpa) {
 
     Response r;
     ASSERT_TRUE(client.call(Request::admit(0, 1, 5, 10, 5), &r, 2000));
-    ASSERT_EQ(r.status, Status::kAdmitted) << admit::to_string(kind);
+    ASSERT_EQ(r.status, Status::kAdmitted) << admission_row(kind).name;
 
     ASSERT_TRUE(client.call(Request::admit(0, 2, 4, 10, 9), &r, 2000));
-    if (kind == TestKind::kBound) {
+    if (kind == AdmissionKind::kBound) {
       EXPECT_EQ(r.status, Status::kRejected);
     } else {
       EXPECT_EQ(r.status, Status::kAdmitted);
@@ -203,7 +203,7 @@ TEST(AdmitE2E, BoundRejectsWhereAutoAdmitsViaQpa) {
 
 TEST(AdmitE2E, LegacyServerAnswersDeadlineFramesBadRequest) {
   const Platform pf = Platform::from_speeds({1.0});
-  ServerOptions opts;  // admit defaults to kLegacy
+  ServerOptions opts;  // admit defaults to no test: legacy
   Server server(pf, opts);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
@@ -223,7 +223,7 @@ TEST(AdmitE2E, LegacyServerAnswersDeadlineFramesBadRequest) {
 TEST(AdmitE2E, ServerValidatesDeadlineRange) {
   const Platform pf = Platform::from_speeds({1.0});
   ServerOptions opts;
-  opts.admit = cfg_of(TestKind::kQpa);
+  opts.admit = cfg_of(AdmissionKind::kQpa);
   Server server(pf, opts);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
@@ -247,7 +247,7 @@ TEST(AdmitE2E, ServerValidatesDeadlineRange) {
 TEST(AdmitE2E, OverheadOverflowAnswersBadRequest) {
   TempDir dir("admit-overflow");
   const Platform pf = Platform::from_speeds({1.0, 1.5});
-  AdmitConfig cfg = cfg_of(TestKind::kBound);
+  AdmitConfig cfg = cfg_of(AdmissionKind::kBound);
   cfg.release_overhead = 1;
   ServerOptions opts;
   opts.admit = cfg;
@@ -284,7 +284,7 @@ TEST(AdmitE2E, OverheadOverflowAnswersBadRequest) {
 // contract the implicit path has.
 TEST(AdmitE2E, ConstrainedTraceChecksumMatchesOffline) {
   const Platform pf = Platform::from_speeds({1.0, 1.0});
-  const AdmitConfig cfg = cfg_of(TestKind::kAuto);
+  const AdmitConfig cfg = cfg_of(AdmissionKind::kAuto);
 
   Rng rng(0xC0FFEE);
   ChurnSpec spec;
@@ -316,7 +316,7 @@ TEST(AdmitE2E, ConstrainedTraceChecksumMatchesOffline) {
   EXPECT_NE(sum.checksum,
             offline_decision_checksum(pf, trace, AdmissionKind::kEdf, 1.0,
                                       PartitionEngine::kAuto,
-                                      cfg_of(TestKind::kBound)));
+                                      cfg_of(AdmissionKind::kBound)));
   server.request_stop();
   server.wait();
 }
@@ -334,7 +334,7 @@ TEST(AdmitE2E, ConstrainedTraceChecksumMatchesOffline) {
 TEST(AdmitRecovery, KillNineRecoversConstrainedStreamBitExactly) {
   TempDir dir("admit-kill9");
   const Platform pf = Platform::from_speeds({1.0});
-  const AdmitConfig cfg = cfg_of(TestKind::kAuto);
+  const AdmitConfig cfg = cfg_of(AdmissionKind::kAuto);
 
   int pipefd[2];
   ASSERT_EQ(::pipe(pipefd), 0);
@@ -488,7 +488,7 @@ TEST(AdmitRecovery, ConfigDriftFailsVerification) {
   {
     ServerOptions opts;
     opts.shards = 1;
-    opts.admit = cfg_of(TestKind::kQpa);
+    opts.admit = cfg_of(AdmissionKind::kQpa);
     opts.wal_dir = dir.path();
     opts.wal_sync = io::WalSync::kOff;
     opts.snapshot_every = 0;  // keep every decision in the WAL tail
@@ -509,7 +509,7 @@ TEST(AdmitRecovery, ConfigDriftFailsVerification) {
   }
 
   OnlinePartitioner wrong(pf, AdmissionKind::kEdf, 1.0, PartitionEngine::kAuto,
-                          cfg_of(TestKind::kBound));
+                          cfg_of(AdmissionKind::kBound));
   OnlinePartitioner* ptr = &wrong;
   const ShardSetRecovery rec = recover_shard_set(
       dir.path(), std::span<OnlinePartitioner* const>(&ptr, 1),
@@ -520,7 +520,7 @@ TEST(AdmitRecovery, ConfigDriftFailsVerification) {
   // The matching config replays the same directory cleanly — and rotates,
   // so from here on the state lives only in the snapshot.
   OnlinePartitioner right(pf, AdmissionKind::kEdf, 1.0, PartitionEngine::kAuto,
-                          cfg_of(TestKind::kQpa));
+                          cfg_of(AdmissionKind::kQpa));
   OnlinePartitioner* rptr = &right;
   const ShardSetRecovery ok = recover_shard_set(
       dir.path(), std::span<OnlinePartitioner* const>(&rptr, 1),
@@ -533,7 +533,7 @@ TEST(AdmitRecovery, ConfigDriftFailsVerification) {
   // skipping the snapshot like a corrupt file would "recover" an empty
   // shard with exit success and silently drop both residents.
   OnlinePartitioner drifted(pf, AdmissionKind::kEdf, 1.0,
-                            PartitionEngine::kAuto, cfg_of(TestKind::kBound));
+                            PartitionEngine::kAuto, cfg_of(AdmissionKind::kBound));
   OnlinePartitioner* dptr = &drifted;
   const ShardSetRecovery snap_drift = recover_shard_set(
       dir.path(), std::span<OnlinePartitioner* const>(&dptr, 1),
@@ -545,7 +545,7 @@ TEST(AdmitRecovery, ConfigDriftFailsVerification) {
 
   // And the matching config restores from the rotated snapshot alone.
   OnlinePartitioner again(pf, AdmissionKind::kEdf, 1.0, PartitionEngine::kAuto,
-                          cfg_of(TestKind::kQpa));
+                          cfg_of(AdmissionKind::kQpa));
   OnlinePartitioner* aptr = &again;
   const ShardSetRecovery from_snap = recover_shard_set(
       dir.path(), std::span<OnlinePartitioner* const>(&aptr, 1),

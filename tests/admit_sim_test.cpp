@@ -23,14 +23,14 @@ namespace hetsched {
 namespace {
 
 using admit::AdmitConfig;
-using admit::TestKind;
 
-void replay_and_simulate(TestKind kind) {
+void replay_and_simulate(AdmissionKind kind) {
   const Platform platform = admit::e14_platform();
   AdmitConfig cfg;
   cfg.test = kind;
-  const SchedPolicy policy =
-      cfg.fixed_priority() ? SchedPolicy::kFixedPriorityRm : SchedPolicy::kEdf;
+  const SchedPolicy policy = admission_row(kind).fixed_priority
+                                 ? SchedPolicy::kFixedPriorityRm
+                                 : SchedPolicy::kEdf;
 
   std::size_t streams = 0, admitted_total = 0, simulated_machines = 0;
   for (const admit::E14Point& point : admit::e14_points(/*quick=*/true)) {
@@ -52,38 +52,38 @@ void replay_and_simulate(TestKind kind) {
       const SimOutcome out = simulate_uniproc(
           cts, platform.speed_exact(j), policy);
       EXPECT_TRUE(out.schedulable)
-          << admit::to_string(kind) << " seed " << point.seed << " density "
+          << admission_row(kind).name << " seed " << point.seed << " density "
           << point.target_density << " machine " << j << ": missed task "
           << (out.miss ? out.miss->task_index : 0u) << " at t="
           << (out.miss ? out.miss->deadline : 0);
       EXPECT_FALSE(out.horizon_exhausted)
-          << admit::to_string(kind) << " seed " << point.seed;
+          << admission_row(kind).name << " seed " << point.seed;
     }
   }
   EXPECT_GT(streams, 0u);
   // The sweep must actually admit work, or the oracle proves nothing.
-  EXPECT_GT(admitted_total, 0u) << admit::to_string(kind);
-  EXPECT_GT(simulated_machines, 0u) << admit::to_string(kind);
+  EXPECT_GT(admitted_total, 0u) << admission_row(kind).name;
+  EXPECT_GT(simulated_machines, 0u) << admission_row(kind).name;
 }
 
 TEST(AdmitSimDifferential, BoundAdmitsSimulateMissFree) {
-  replay_and_simulate(TestKind::kBound);
+  replay_and_simulate(AdmissionKind::kBound);
 }
 
 TEST(AdmitSimDifferential, DbfApproxAdmitsSimulateMissFree) {
-  replay_and_simulate(TestKind::kDbfApprox);
+  replay_and_simulate(AdmissionKind::kDbfApprox);
 }
 
 TEST(AdmitSimDifferential, QpaAdmitsSimulateMissFree) {
-  replay_and_simulate(TestKind::kQpa);
+  replay_and_simulate(AdmissionKind::kQpa);
 }
 
 TEST(AdmitSimDifferential, RtaAdmitsSimulateMissFree) {
-  replay_and_simulate(TestKind::kRta);
+  replay_and_simulate(AdmissionKind::kRta);
 }
 
 TEST(AdmitSimDifferential, AutoAdmitsSimulateMissFree) {
-  replay_and_simulate(TestKind::kAuto);
+  replay_and_simulate(AdmissionKind::kAuto);
 }
 
 // The overhead model inflates before testing, so admitted sets stay
@@ -91,7 +91,7 @@ TEST(AdmitSimDifferential, AutoAdmitsSimulateMissFree) {
 TEST(AdmitSimDifferential, OverheadInflatedAdmitsSimulateMissFree) {
   const Platform platform = admit::e14_platform();
   AdmitConfig cfg;
-  cfg.test = TestKind::kQpa;
+  cfg.test = AdmissionKind::kQpa;
   cfg.release_overhead = 1;
   cfg.preempt_overhead = 1;
   const auto points = admit::e14_points(/*quick=*/true);

@@ -20,39 +20,45 @@ namespace {
 
 using admit::AdmitConfig;
 using admit::MachineDemand;
-using admit::TestKind;
 using admit::TierVerdict;
 
-AdmitConfig cfg_of(TestKind k) {
+AdmitConfig cfg_of(AdmissionKind k) {
   AdmitConfig cfg;
   cfg.test = k;
   return cfg;
 }
 
 TEST(AdmitConfig, NamesRoundTrip) {
-  const TestKind kinds[] = {TestKind::kLegacy, TestKind::kBound,
-                            TestKind::kDbfApprox, TestKind::kQpa,
-                            TestKind::kRta, TestKind::kAuto};
-  for (TestKind k : kinds) {
-    const auto back = admit::test_from_name(admit::to_string(k));
-    ASSERT_TRUE(back.has_value()) << admit::to_string(k);
+  const AdmissionKind kinds[] = {AdmissionKind::kBound,
+                                 AdmissionKind::kDbfApprox, AdmissionKind::kQpa,
+                                 AdmissionKind::kRta, AdmissionKind::kAuto};
+  for (AdmissionKind k : kinds) {
+    const auto back = admit::test_from_name(admission_row(k).name);
+    ASSERT_TRUE(back.has_value()) << admission_row(k).name;
     EXPECT_EQ(*back, k);
+    EXPECT_STREQ(admit::test_name(cfg_of(k)), admission_row(k).name);
   }
+  EXPECT_STREQ(admit::test_name(AdmitConfig{}), "legacy");
+  EXPECT_FALSE(admit::test_from_name("legacy").has_value());
+  EXPECT_FALSE(admit::test_from_name("edf").has_value());
   EXPECT_FALSE(admit::test_from_name("").has_value());
   EXPECT_FALSE(admit::test_from_name("exact").has_value());
   EXPECT_FALSE(admit::test_from_name("QPA").has_value());
 }
 
+// Which tests take deadlines and which certify fixed priorities: columns
+// of the rows.
 TEST(AdmitConfig, TieredAndPriorityPredicates) {
-  EXPECT_FALSE(cfg_of(TestKind::kLegacy).tiered());
-  EXPECT_TRUE(cfg_of(TestKind::kBound).tiered());
-  EXPECT_TRUE(cfg_of(TestKind::kAuto).tiered());
-  EXPECT_TRUE(cfg_of(TestKind::kRta).fixed_priority());
-  EXPECT_FALSE(cfg_of(TestKind::kQpa).fixed_priority());
+  EXPECT_FALSE(admission_row(AdmissionKind::kEdf).tiered);
+  EXPECT_FALSE(admission_row(AdmissionKind::kRmsResponseTime).tiered);
+  EXPECT_TRUE(admission_row(AdmissionKind::kBound).tiered);
+  EXPECT_TRUE(admission_row(AdmissionKind::kAuto).tiered);
+  EXPECT_TRUE(admission_row(AdmissionKind::kRta).fixed_priority);
+  EXPECT_FALSE(admission_row(AdmissionKind::kQpa).fixed_priority);
 }
 
 TEST(AdmitConfig, InflateAppliesOverheadModel) {
-  AdmitConfig cfg = cfg_of(TestKind::kQpa);
+  AdmitConfig cfg = cfg_of(AdmissionKind::kQpa);
   cfg.release_overhead = 3;
   cfg.preempt_overhead = 2;
   // Explicit deadline: c' = c + release + 2 * preempt; d and p untouched.
@@ -64,16 +70,16 @@ TEST(AdmitConfig, InflateAppliesOverheadModel) {
   const Task imp = *admit::inflate(cfg, Task{10, 100});
   EXPECT_EQ(imp.deadline, 100);
   // Zero overhead is the identity.
-  const Task id = *admit::inflate(cfg_of(TestKind::kQpa), Task{7, 9, 8});
+  const Task id = *admit::inflate(cfg_of(AdmissionKind::kQpa), Task{7, 9, 8});
   EXPECT_EQ(id.exec, 7);
 }
 
 TEST(AdmitConfig, Tier0FoldKind) {
-  EXPECT_EQ(admit::tier0_fold_kind(TestKind::kBound), AdmissionKind::kEdf);
-  EXPECT_EQ(admit::tier0_fold_kind(TestKind::kQpa), AdmissionKind::kEdf);
-  EXPECT_EQ(admit::tier0_fold_kind(TestKind::kAuto), AdmissionKind::kEdf);
-  EXPECT_EQ(admit::tier0_fold_kind(TestKind::kRta),
-            AdmissionKind::kRmsLiuLayland);
+  EXPECT_EQ(admission_row(AdmissionKind::kBound).fold, AdmissionFold::kEdf);
+  EXPECT_EQ(admission_row(AdmissionKind::kQpa).fold, AdmissionFold::kEdf);
+  EXPECT_EQ(admission_row(AdmissionKind::kAuto).fold, AdmissionFold::kEdf);
+  EXPECT_EQ(admission_row(AdmissionKind::kRta).fold,
+            AdmissionFold::kLiuLayland);
 }
 
 // --- tier semantics on crafted instances --------------------------------
@@ -90,7 +96,7 @@ TEST(AdmitConfig, Tier0FoldKind) {
 
 const Rational kUnit{1};
 
-TierVerdict decide(TestKind k, const std::vector<Task>& residents,
+TierVerdict decide(AdmissionKind k, const std::vector<Task>& residents,
                    const Task& cand, double band = 0.5) {
   AdmitConfig cfg = cfg_of(k);
   cfg.band = band;
@@ -101,25 +107,26 @@ TEST(AdmitTiers, ApproxAcceptLandsAtTierOne) {
   const std::vector<Task> res = {cdp(3, 4, 20)};
   const Task cand = cdp(4, 10, 20);
   // tier 0 alone rejects ...
-  const TierVerdict bound = decide(TestKind::kBound, res, cand);
+  const TierVerdict bound = decide(AdmissionKind::kBound, res, cand);
   EXPECT_FALSE(bound.accept);
   EXPECT_EQ(bound.tier, admit::kTierBound);
   // ... every escalating kind accepts via the approximate DBF.
-  for (TestKind k : {TestKind::kDbfApprox, TestKind::kQpa, TestKind::kAuto}) {
+  for (AdmissionKind k :
+       {AdmissionKind::kDbfApprox, AdmissionKind::kQpa, AdmissionKind::kAuto}) {
     const TierVerdict v = decide(k, res, cand);
-    EXPECT_TRUE(v.accept) << admit::to_string(k);
-    EXPECT_EQ(v.tier, admit::kTierApprox) << admit::to_string(k);
+    EXPECT_TRUE(v.accept) << admission_row(k).name;
+    EXPECT_EQ(v.tier, admit::kTierApprox) << admission_row(k).name;
   }
 }
 
 TEST(AdmitTiers, QpaAcceptsWhatApproxRejects) {
   const std::vector<Task> res = {cdp(5, 5, 10)};
   const Task cand = cdp(4, 9, 10);
-  EXPECT_FALSE(decide(TestKind::kBound, res, cand).accept);
-  const TierVerdict approx = decide(TestKind::kDbfApprox, res, cand);
+  EXPECT_FALSE(decide(AdmissionKind::kBound, res, cand).accept);
+  const TierVerdict approx = decide(AdmissionKind::kDbfApprox, res, cand);
   EXPECT_FALSE(approx.accept);
   EXPECT_EQ(approx.tier, admit::kTierApprox);
-  const TierVerdict qpa = decide(TestKind::kQpa, res, cand);
+  const TierVerdict qpa = decide(AdmissionKind::kQpa, res, cand);
   EXPECT_TRUE(qpa.accept);
   EXPECT_EQ(qpa.tier, admit::kTierExact);
 }
@@ -129,11 +136,11 @@ TEST(AdmitTiers, AutoBandGatesTheExactTier) {
   const Task cand = cdp(4, 9, 10);
   // Density margin = (1.0 + 4/9 - 1) / 1 ~ 0.444.  Inside the default
   // band the exact tier runs and accepts ...
-  const TierVerdict in = decide(TestKind::kAuto, res, cand, 0.5);
+  const TierVerdict in = decide(AdmissionKind::kAuto, res, cand, 0.5);
   EXPECT_TRUE(in.accept);
   EXPECT_EQ(in.tier, admit::kTierExact);
   // ... outside it the approximate reject stands, and cheaply.
-  const TierVerdict out = decide(TestKind::kAuto, res, cand, 0.1);
+  const TierVerdict out = decide(AdmissionKind::kAuto, res, cand, 0.1);
   EXPECT_FALSE(out.accept);
   EXPECT_EQ(out.tier, admit::kTierApprox);
 }
@@ -141,11 +148,12 @@ TEST(AdmitTiers, AutoBandGatesTheExactTier) {
 TEST(AdmitTiers, DensitySlackAcceptsAtTierZero) {
   const std::vector<Task> res = {cdp(1, 4, 10)};
   const Task cand = cdp(1, 2, 10);  // densities 0.25 + 0.5 <= 1
-  for (TestKind k : {TestKind::kBound, TestKind::kDbfApprox, TestKind::kQpa,
-                     TestKind::kRta, TestKind::kAuto}) {
+  for (AdmissionKind k : {AdmissionKind::kBound, AdmissionKind::kDbfApprox,
+                          AdmissionKind::kQpa, AdmissionKind::kRta,
+                          AdmissionKind::kAuto}) {
     const TierVerdict v = decide(k, res, cand);
-    EXPECT_TRUE(v.accept) << admit::to_string(k);
-    EXPECT_EQ(v.tier, admit::kTierBound) << admit::to_string(k);
+    EXPECT_TRUE(v.accept) << admission_row(k).name;
+    EXPECT_EQ(v.tier, admit::kTierBound) << admission_row(k).name;
   }
 }
 
@@ -155,7 +163,7 @@ TEST(AdmitTiers, RtaDecidesFixedPriorityAtTierTwo) {
   // d=2 task preempts once within [0, 6]... exactly once since p1 = 8).
   const std::vector<Task> res = {cdp(2, 2, 8)};
   const Task cand = cdp(3, 6, 8);
-  const TierVerdict v = decide(TestKind::kRta, res, cand);
+  const TierVerdict v = decide(AdmissionKind::kRta, res, cand);
   EXPECT_TRUE(v.accept);
   EXPECT_EQ(v.tier, admit::kTierExact);
 }
@@ -164,9 +172,8 @@ TEST(AdmitTiers, EscalateLeavesDemandUnchanged) {
   MachineDemand demand;
   demand.reserve(4);
   demand.push(cdp(5, 5, 10));
-  const AdmitConfig cfg = cfg_of(TestKind::kQpa);
-  const TierVerdict v =
-      admit::escalate(cfg, demand, cdp(4, 9, 10), kUnit, 0.45);
+  const TierVerdict v = admit::escalate(AdmissionKind::kQpa, 0.5, demand,
+                                       cdp(4, 9, 10), kUnit, 0.45);
   EXPECT_TRUE(v.accept);
   ASSERT_EQ(demand.size(), 1u);
   EXPECT_EQ(demand.tasks()[0].exec, 5);
@@ -198,10 +205,10 @@ TEST(AdmitTiers, AcceptanceHierarchyProperty) {
     const std::int64_t d = rng.uniform_int(1, p);
     const Task cand = cdp(rng.uniform_int(1, d), d, p);
 
-    const TierVerdict b = decide(TestKind::kBound, res, cand);
-    const TierVerdict a = decide(TestKind::kDbfApprox, res, cand);
-    const TierVerdict q = decide(TestKind::kQpa, res, cand);
-    const TierVerdict au = decide(TestKind::kAuto, res, cand, 1e9);
+    const TierVerdict b = decide(AdmissionKind::kBound, res, cand);
+    const TierVerdict a = decide(AdmissionKind::kDbfApprox, res, cand);
+    const TierVerdict q = decide(AdmissionKind::kQpa, res, cand);
+    const TierVerdict au = decide(AdmissionKind::kAuto, res, cand, 1e9);
     if (b.accept) {
       EXPECT_TRUE(a.accept) << "iter " << iter;
       EXPECT_TRUE(q.accept) << "iter " << iter;
@@ -224,7 +231,7 @@ TEST(AdmitTiers, AcceptanceHierarchyProperty) {
 
 TEST(AdmitController, MatchesBatchOracleFirstFit) {
   const Platform platform = Platform::from_speeds({1.0, 1.0});
-  AdmitConfig cfg = cfg_of(TestKind::kQpa);
+  AdmitConfig cfg = cfg_of(AdmissionKind::kQpa);
   OnlinePartitioner ctl(platform, AdmissionKind::kEdf, 1.0,
                         PartitionEngine::kAuto, cfg);
   ASSERT_TRUE(ctl.tiered());
@@ -278,7 +285,7 @@ TEST(AdmitController, ImplicitStreamBitIdenticalToLegacy) {
   const Platform platform = Platform::from_speeds({1.0, 1.5, 2.0});
   OnlinePartitioner legacy(platform, AdmissionKind::kEdf, 1.0);
   OnlinePartitioner tiered(platform, AdmissionKind::kEdf, 1.0,
-                           PartitionEngine::kAuto, cfg_of(TestKind::kBound));
+                           PartitionEngine::kAuto, cfg_of(AdmissionKind::kBound));
 
   Rng rng(0xBEEF);
   std::vector<std::pair<OnlineTaskId, OnlineTaskId>> live;
@@ -312,9 +319,9 @@ TEST(AdmitController, ImplicitStreamBitIdenticalToLegacy) {
 TEST(AdmitController, ConstrainedDecisionsFoldDeadlineIntoChecksum) {
   const Platform platform = Platform::from_speeds({1.0});
   OnlinePartitioner a(platform, AdmissionKind::kEdf, 1.0,
-                      PartitionEngine::kAuto, cfg_of(TestKind::kQpa));
+                      PartitionEngine::kAuto, cfg_of(AdmissionKind::kQpa));
   OnlinePartitioner b(platform, AdmissionKind::kEdf, 1.0,
-                      PartitionEngine::kAuto, cfg_of(TestKind::kQpa));
+                      PartitionEngine::kAuto, cfg_of(AdmissionKind::kQpa));
   a.admit(Task{1, 10, 5});
   b.admit(Task{1, 10, 6});
   EXPECT_NE(a.decision_checksum(), b.decision_checksum());
@@ -322,7 +329,7 @@ TEST(AdmitController, ConstrainedDecisionsFoldDeadlineIntoChecksum) {
 
 TEST(AdmitController, TieredSnapshotRoundTrips) {
   const Platform platform = Platform::from_speeds({1.0, 1.0});
-  AdmitConfig cfg = cfg_of(TestKind::kAuto);
+  AdmitConfig cfg = cfg_of(AdmissionKind::kAuto);
   cfg.release_overhead = 1;
   OnlinePartitioner ctl(platform, AdmissionKind::kEdf, 1.0,
                         PartitionEngine::kAuto, cfg);
@@ -363,7 +370,7 @@ TEST(AdmitController, TieredSnapshotRoundTrips) {
 
   // A config-mismatched controller must refuse the snapshot.
   OnlinePartitioner other(platform, AdmissionKind::kEdf, 1.0,
-                          PartitionEngine::kAuto, cfg_of(TestKind::kQpa));
+                          PartitionEngine::kAuto, cfg_of(AdmissionKind::kQpa));
   EXPECT_FALSE(other.restore_bytes(bytes.data(), bytes.size()));
   OnlinePartitioner untiered(platform, AdmissionKind::kEdf, 1.0);
   EXPECT_FALSE(untiered.restore_bytes(bytes.data(), bytes.size()));
@@ -372,7 +379,7 @@ TEST(AdmitController, TieredSnapshotRoundTrips) {
 TEST(AdmitController, MachineUtilizationReportsDensities) {
   const Platform platform = Platform::from_speeds({1.0});
   OnlinePartitioner ctl(platform, AdmissionKind::kEdf, 1.0,
-                        PartitionEngine::kAuto, cfg_of(TestKind::kQpa));
+                        PartitionEngine::kAuto, cfg_of(AdmissionKind::kQpa));
   const AdmitDecision d = ctl.admit(Task{1, 10, 2});  // density 0.5
   ASSERT_TRUE(d.admitted);
   // The machine's fold accumulates the DENSITY (what admission spends);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "partition/first_fit.h"
 #include "sim/event_sim.h"
 #include "task_literals.h"
 #include "util/rng.h"
@@ -282,7 +283,7 @@ TEST(ConstrainedPartition, PlacesAndValidates) {
                              cdp(4, 10, 20)};
   const Platform platform = Platform::from_speeds({1.0, 1.0});
   const auto res = first_fit_partition_constrained(
-      ts, platform, DbfAdmission::kExactQpa, 1.0);
+      ts, platform, AdmissionKind::kDbfQpa, 1.0);
   ASSERT_TRUE(res.feasible);
   // Every machine's final set passes the exact test.
   for (std::size_t j = 0; j < platform.size(); ++j) {
@@ -298,10 +299,10 @@ TEST(ConstrainedPartition, ApproxAdmissionIsMoreConservative) {
     const auto ts = random_constrained(rng, 6);
     const Platform platform = Platform::from_speeds({1.0, 2.0});
     const bool qpa = first_fit_partition_constrained(
-                         ts, platform, DbfAdmission::kExactQpa, 1.0)
+                         ts, platform, AdmissionKind::kDbfQpa, 1.0)
                          .feasible;
     const bool approx = first_fit_partition_constrained(
-                            ts, platform, DbfAdmission::kApproxLinear, 1.0)
+                            ts, platform, AdmissionKind::kDbfLinear, 1.0)
                             .feasible;
     qpa_accepts += qpa;
     approx_accepts += approx;
@@ -314,19 +315,33 @@ TEST(ConstrainedPartition, FailureReportsTask) {
   const std::vector<Task> ts{cdp(5, 5, 10), cdp(5, 5, 10), cdp(5, 5, 10)};
   const Platform platform = Platform::from_speeds({1.0});
   const auto res = first_fit_partition_constrained(
-      ts, platform, DbfAdmission::kExactQpa, 1.0);
+      ts, platform, AdmissionKind::kDbfQpa, 1.0);
   EXPECT_FALSE(res.feasible);
   EXPECT_TRUE(res.failed_task.has_value());
+}
+
+// The linear row has no density fold: a density sum of exactly 1 passes
+// the fold, but the approximate DBF's conservative band rejects the pair at
+// t = 2, so the row must escalate every placement.
+TEST(ConstrainedPartition, LinearRowDecidesWithoutADensityFold) {
+  const std::vector<Task> ts{cdp(1, 2, 2), cdp(1, 2, 2)};
+  const Platform platform = Platform::from_speeds({1.0});
+  EXPECT_FALSE(first_fit_partition_constrained(ts, platform,
+                                               AdmissionKind::kDbfLinear, 1.0)
+                   .feasible);
+  EXPECT_TRUE(first_fit_partition_constrained(ts, platform,
+                                              AdmissionKind::kDbfApprox, 1.0)
+                  .feasible);
 }
 
 TEST(ConstrainedPartition, AlphaHelps) {
   const std::vector<Task> ts{cdp(5, 5, 10), cdp(5, 5, 10)};
   const Platform platform = Platform::from_speeds({1.0});
   EXPECT_FALSE(first_fit_partition_constrained(ts, platform,
-                                               DbfAdmission::kExactQpa, 1.0)
+                                               AdmissionKind::kDbfQpa, 1.0)
                    .feasible);
   EXPECT_TRUE(first_fit_partition_constrained(ts, platform,
-                                              DbfAdmission::kExactQpa, 2.0)
+                                              AdmissionKind::kDbfQpa, 2.0)
                   .feasible);
 }
 

@@ -126,8 +126,7 @@ INSTANTIATE_TEST_SUITE_P(SlackFormKinds, AllocTest,
 // that never admits, then response-time analysis) and every tiered test.
 struct EscalationCase {
   std::string name;
-  AdmissionKind kind;
-  admit::TestKind test;
+  AdmissionKind test;
 };
 
 class EscalationAllocTest : public ::testing::TestWithParam<EscalationCase> {};
@@ -148,11 +147,9 @@ std::vector<Task> dense_wave(bool constrained) {
 
 TEST_P(EscalationAllocTest, WarmAdmitAndDepartAreAllocationFree) {
   const EscalationCase& tc = GetParam();
-  admit::AdmitConfig cfg;
-  cfg.test = tc.test;
   for (const PartitionEngine engine :
        {PartitionEngine::kNaive, PartitionEngine::kSegmentTree}) {
-    OnlinePartitioner c(Platform::identical(4), tc.kind, 1.5, engine, cfg);
+    OnlinePartitioner c(Platform::identical(4), tc.test, 1.5, engine);
     const std::vector<Task> tasks = dense_wave(c.tiered());
     c.reserve(tasks.size());
     std::vector<OnlineTaskId> ids(tasks.size());
@@ -176,7 +173,7 @@ TEST_P(EscalationAllocTest, WarmAdmitAndDepartAreAllocationFree) {
     EXPECT_EQ(g_allocations.load() - before, 0u)
         << tc.name << " engine "
         << (engine == PartitionEngine::kNaive ? "naive" : "tree");
-    if (c.tiered() && tc.test != admit::TestKind::kBound) {
+    if (c.tiered() && tc.test != AdmissionKind::kBound) {
       EXPECT_GT(escalated, 0u) << "the wave never reached an escalation tier";
     }
   }
@@ -185,15 +182,12 @@ TEST_P(EscalationAllocTest, WarmAdmitAndDepartAreAllocationFree) {
 INSTANTIATE_TEST_SUITE_P(
     EscalatingTests, EscalationAllocTest,
     ::testing::Values(
-        EscalationCase{"rms_rta", AdmissionKind::kRmsResponseTime,
-                       admit::TestKind::kLegacy},
-        EscalationCase{"bound", AdmissionKind::kEdf, admit::TestKind::kBound},
-        EscalationCase{"dbf_approx", AdmissionKind::kEdf,
-                       admit::TestKind::kDbfApprox},
-        EscalationCase{"qpa", AdmissionKind::kEdf, admit::TestKind::kQpa},
-        EscalationCase{"rta", AdmissionKind::kRmsLiuLayland,
-                       admit::TestKind::kRta},
-        EscalationCase{"auto", AdmissionKind::kEdf, admit::TestKind::kAuto}),
+        EscalationCase{"rms_rta", AdmissionKind::kRmsResponseTime},
+        EscalationCase{"bound", AdmissionKind::kBound},
+        EscalationCase{"dbf_approx", AdmissionKind::kDbfApprox},
+        EscalationCase{"qpa", AdmissionKind::kQpa},
+        EscalationCase{"rta", AdmissionKind::kRta},
+        EscalationCase{"auto", AdmissionKind::kAuto}),
     [](const ::testing::TestParamInfo<EscalationCase>& p) {
       return p.param.name;
     });

@@ -56,7 +56,8 @@
 //       (loop 0 accepts everything).  Either way a connection's first
 //       shard frame moves it to the loop owning that shard.  The
 //       per-round drain budget adapts between --batch-min and --batch
-//       frames.  In this mode --stats-interval is in seconds.
+//       frames.  In this mode --stats-interval is in seconds, and each
+//       snapshot is the server's GET_STATS text (the /metrics body).
 //       SIGINT/SIGTERM drain the shard queues, flush responses and the
 //       final snapshot, and exit 0.
 //       Durability: --wal-dir DIR logs every decision to per-shard WALs
@@ -107,18 +108,24 @@
 // Instance file format: see src/io/text_format.h.
 // Trace file format: see src/io/trace_format.h (arrive lines may carry an
 // optional trailing <deadline> token for constrained-deadline tasks).
-// Admission kinds: edf (default), rms-ll, rms-hb, rms-rta.
-// Admission tests (--admission-test, replay/serve/recover): legacy
-// (default, implicit deadlines only), bound, dbf-approx, qpa, rta, auto —
-// the tiered constrained-deadline selector of src/admit/; auto escalates
-// density-bound rejects through the approximate DBF to exact QPA only
-// inside the --admit-band uncertainty band (default 0.5, auto only).
+// Admission tests are the named rows of partition/admission.h.
+// --admission takes the paper's four: edf (default), rms-ll, rms-hb,
+// rms-rta.  --admission-test (replay/serve/recover) takes legacy (default:
+// the --admission test, implicit deadlines only) or one of the five that
+// take constrained deadlines: bound, dbf-approx, qpa, rta, auto; auto
+// escalates density-bound rejects through the approximate DBF to exact QPA
+// only inside the --admit-band uncertainty band (default 0.5, auto only).
 // --release-overhead / --preempt-overhead (tiered tests only) inflate
 // every WCET by the admission-time overhead model before any test runs.
 // A tiered test decides tier 0 itself (edf, or rms-ll for rta), so an
-// explicit --admission naming another kind is an error (exit 2).
+// explicit --admission naming another fold is an error (exit 2), as are a
+// numeric flag that does not parse whole and finite and --alpha below 1.
+// `replay` refuses, with an error line, each arrival the controller
+// cannot take (a deadline under legacy, an overflowing inflated WCET).
 // Engines: auto (default), naive, tree — bit-identical results; "naive" is
 // the paper's O(n m) scan, "tree" the O(n log m) segment tree.
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -159,10 +166,18 @@ int usage() {
   return 2;
 }
 
+// A malformed flag value: report it and exit 2, like usage().  Commands
+// read their flags before acting, so nothing has happened yet.
+[[noreturn]] void flag_error(const std::string& key, const std::string& what) {
+  std::fprintf(stderr, "error: --%s %s\n", key.c_str(), what.c_str());
+  std::exit(2);
+}
+
 // Minimal --flag value parser; positional args collected separately.
 // Boolean flags never consume the next token, so "replay --stats t.trace"
 // keeps t.trace positional.  "--flag=value" and "--flag value" are
-// equivalent.
+// equivalent.  Numeric values must parse whole: an integer, or a finite
+// real.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -205,20 +220,40 @@ struct Args {
   }
   double get_double(const std::string& key, double dflt) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? dflt : std::atof(it->second.c_str());
+    if (it == flags.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v)) {
+      flag_error(key, "needs a finite number, not '" + it->second + "'");
+    }
+    return v;
   }
   long get_long(const std::string& key, long dflt) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? dflt : std::atol(it->second.c_str());
+    if (it == flags.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      flag_error(key, "needs an integer, not '" + it->second + "'");
+    }
+    return v;
+  }
+  // --alpha: the speed augmentation, at least 1 (default 1).
+  double alpha() const {
+    const double a = get_double("alpha", 1.0);
+    if (a < 1.0) flag_error("alpha", "must be at least 1");
+    return a;
   }
 };
 
-std::optional<AdmissionKind> admission_from_name(const std::string& name) {
-  if (name == "edf") return AdmissionKind::kEdf;
-  if (name == "rms-ll") return AdmissionKind::kRmsLiuLayland;
-  if (name == "rms-hb") return AdmissionKind::kRmsHyperbolic;
-  if (name == "rms-rta") return AdmissionKind::kRmsResponseTime;
-  return std::nullopt;
+// --admission: one of the paper's four tests (default edf).
+std::optional<AdmissionKind> admission_flag(const Args& args) {
+  const auto kind = find_admission(args.get("admission", "edf"));
+  if (kind && admission_row(*kind).tiered) return std::nullopt;
+  return kind;
 }
 
 std::optional<PartitionEngine> engine_flag(const Args& args) {
@@ -238,31 +273,33 @@ bool admit_config_flag(const Args& args, AdmissionKind kind,
     std::fprintf(stderr, "error: %s\n", what.c_str());
     return false;
   };
-  const auto test = admit::test_from_name(args.get("admission-test", "legacy"));
-  if (!test) {
-    return fail(
-        "--admission-test must be legacy|bound|dbf-approx|qpa|rta|auto");
+  const std::string test = args.get("admission-test", "legacy");
+  if (test != "legacy") {
+    out->test = admit::test_from_name(test);
+    if (!out->test) {
+      return fail(
+          "--admission-test must be legacy|bound|dbf-approx|qpa|rta|auto");
+    }
   }
-  out->test = *test;
   out->band = args.get_double("admit-band", out->band);
   out->release_overhead = args.get_long("release-overhead", 0);
   out->preempt_overhead = args.get_long("preempt-overhead", 0);
   if (out->band < 0 || out->release_overhead < 0 || out->preempt_overhead < 0) {
     return fail("admission-test knobs must be non-negative");
   }
-  if (out->tiered() && args.has("admission") &&
-      kind != admit::tier0_fold_kind(out->test)) {
-    return fail("--admission-test " + admit::to_string(out->test) +
-                " decides tier 0 with " +
-                to_string(admit::tier0_fold_kind(out->test)) + ", not " +
-                to_string(kind) + "; drop --admission");
+  if (out->test && args.has("admission") &&
+      admission_row(kind).fold != admission_row(*out->test).fold) {
+    return fail("--admission-test " + test + " decides tier 0 with " +
+                to_string(*out->test) + ", not " + to_string(kind) +
+                "; drop --admission");
   }
-  if (!out->tiered() &&
+  if (!out->test &&
       (args.has("release-overhead") || args.has("preempt-overhead"))) {
     return fail("--release-overhead/--preempt-overhead need a tiered "
                 "--admission-test");
   }
-  if (out->test != admit::TestKind::kAuto && args.has("admit-band")) {
+  if (!(out->test && admission_row(*out->test).band_gated) &&
+      args.has("admit-band")) {
     return fail("--admit-band needs --admission-test auto");
   }
   const auto preempt = checked_mul(std::int64_t{2}, out->preempt_overhead);
@@ -285,9 +322,9 @@ int cmd_test(const Args& args) {
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
-  const auto kind = admission_from_name(args.get("admission", "edf"));
+  const auto kind = admission_flag(args);
   if (!kind) return usage();
-  const double alpha = args.get_double("alpha", 1.0);
+  const double alpha = args.alpha();
   const auto engine = engine_flag(args);
   if (!engine) return usage();
 
@@ -356,7 +393,7 @@ int cmd_augment(const Args& args) {
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
-  const auto kind = admission_from_name(args.get("admission", "edf"));
+  const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
   if (!engine) return usage();
@@ -381,7 +418,7 @@ int cmd_simulate(const Args& args) {
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
   const std::string policy_name = args.get("policy", "edf");
-  const double alpha = args.get_double("alpha", 1.0);
+  const double alpha = args.alpha();
   const bool rm = policy_name == "rm";
   if (!rm && policy_name != "edf") return usage();
 
@@ -421,9 +458,9 @@ int cmd_sensitivity(const Args& args) {
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
-  const auto kind = admission_from_name(args.get("admission", "edf"));
+  const auto kind = admission_flag(args);
   if (!kind) return usage();
-  const double alpha = args.get_double("alpha", 1.0);
+  const double alpha = args.alpha();
 
   if (!first_fit_accepts(inst->tasks, inst->platform, *kind, alpha)) {
     std::printf("system not accepted at alpha=%.3f: no slack to report\n",
@@ -494,7 +531,7 @@ int cmd_replay(const Args& args) {
     std::fprintf(stderr, "error: %s\n", parsed.error->to_string().c_str());
     return 1;
   }
-  const auto kind = admission_from_name(args.get("admission", "edf"));
+  const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
   if (!engine) return usage();
@@ -508,15 +545,31 @@ int cmd_replay(const Args& args) {
 
   ChurnOptions options;
   options.kind = *kind;
-  options.alpha = args.get_double("alpha", 1.0);
+  options.alpha = args.alpha();
   options.rebalance_every =
       static_cast<std::size_t>(args.get_long("rebalance-every", 0));
   options.engine = *engine;
   if (!admit_config_flag(args, *kind, &options.admit)) return 2;
+  // Arrivals the controller cannot take are refused one by one, as stdin
+  // serve refuses them; a refused task's departure is then a no-op.
+  const OnlinePartitioner probe(parsed.value->platform, options.kind,
+                                options.alpha, options.engine, options.admit);
+  std::erase_if(parsed.value->trace.events, [&](const ChurnEvent& ev) {
+    if (ev.kind != ChurnEvent::Kind::kArrival ||
+        probe.accepts_input(ev.params)) {
+      return false;
+    }
+    std::printf("error: task %llu: %s\n",
+                static_cast<unsigned long long>(ev.task),
+                ev.params.deadline != 0 && !probe.tiered()
+                    ? "constrained deadline needs --admission-test != legacy"
+                    : "overhead-inflated exec overflows int64");
+    return true;
+  });
   const ChurnResult res =
       run_churn(parsed.value->platform, parsed.value->trace, options);
   std::printf("replay %s/%s alpha=%.3f: %s\n", to_string(*kind).c_str(),
-              admit::to_string(options.admit.test).c_str(), options.alpha,
+              admit::test_name(options.admit), options.alpha,
               res.to_string().c_str());
   std::printf("online acceptance %.4f vs clairvoyant %.4f\n",
               res.online_acceptance(), res.clairvoyant_acceptance());
@@ -616,7 +669,7 @@ int cmd_tracez(const Args& args) {
 
 // Network serve mode: the sharded TCP admission service of src/net/.
 int cmd_serve_net(const Args& args) {
-  const auto kind = admission_from_name(args.get("admission", "edf"));
+  const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
   if (!engine) return usage();
@@ -638,7 +691,7 @@ int cmd_serve_net(const Args& args) {
   options.listen_addr = args.get("listen", "127.0.0.1:0");
   options.shards = static_cast<std::size_t>(args.get_long("shards", 1));
   options.kind = *kind;
-  options.alpha = args.get_double("alpha", 1.0);
+  options.alpha = args.alpha();
   options.engine = *engine;
   options.loops = static_cast<std::size_t>(args.get_long("loops", 0));
   options.queue_depth =
@@ -658,12 +711,10 @@ int cmd_serve_net(const Args& args) {
       static_cast<std::uint64_t>(args.get_long("slo-us", 1000)) * 1000;
   const auto stats_interval = args.get_long("stats-interval", 0);
   const std::string trace_out = args.get("trace-out", "");
-  if ((stats_interval > 0 || !trace_out.empty() || args.has("tracing")) &&
-      !obs::kMetricsCompiled) {
+  if ((!trace_out.empty() || args.has("tracing")) && !obs::kMetricsCompiled) {
     std::fprintf(stderr,
                  "warning: this binary was built without "
-                 "-DHETSCHED_METRICS=ON; snapshots, traces and spans are "
-                 "empty\n");
+                 "-DHETSCHED_METRICS=ON; traces and spans are empty\n");
   }
   if (!trace_out.empty()) obs::set_trace_enabled(true);
   if (args.has("tracing")) obs::set_span_enabled(true);
@@ -718,7 +769,7 @@ int cmd_serve_net(const Args& args) {
   std::printf("listening on port %u: %zu shard(s) of %s/%s alpha=%.3f on %zu "
               "machines (%zu loop(s), %s, queue %zu, batch %zu-%zu)\n",
               server.port(), server.shard_count(), to_string(*kind).c_str(),
-              admit::to_string(options.admit.test).c_str(),
+              admit::test_name(options.admit),
               options.alpha, platform.size(), server.loop_count(),
               server.reuseport_active() ? "reuseport" : "single-acceptor",
               options.queue_depth, options.batch_min, options.batch);
@@ -750,7 +801,7 @@ int cmd_serve_net(const Args& args) {
       sig = sigtimedwait(&stop_set, nullptr, &ts);
       if (sig < 0 && errno == EAGAIN) {
         std::printf("--- metrics snapshot ---\n%s",
-                    obs::registry().expose().c_str());
+                    server.stats_text().c_str());
         std::fflush(stdout);
         continue;
       }
@@ -798,7 +849,7 @@ int cmd_serve_net(const Args& args) {
   }
   if (stats_interval > 0) {
     std::printf("--- metrics snapshot (final) ---\n%s",
-                obs::registry().expose().c_str());
+                server.stats_text().c_str());
   }
   const int trace_rc = flush_trace_ring(trace_out);
   std::fflush(stdout);
@@ -811,7 +862,7 @@ int cmd_serve_net(const Args& args) {
 // path (net/shard_store.h), so "recover then serve" and "serve with
 // --wal-dir" land in bit-identical states.
 int cmd_recover(const Args& args) {
-  const auto kind = admission_from_name(args.get("admission", "edf"));
+  const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
   if (!engine) return usage();
@@ -833,7 +884,7 @@ int cmd_recover(const Args& args) {
     if (m == 0 || ratio < 1.0) return usage();
     platform = geometric_platform(m, ratio);
   }
-  const double alpha = args.get_double("alpha", 1.0);
+  const double alpha = args.alpha();
   admit::AdmitConfig admit_cfg;
   if (!admit_config_flag(args, *kind, &admit_cfg)) return 2;
 
@@ -907,11 +958,11 @@ int cmd_recover(const Args& args) {
 // each line immediately — admission control as a service, minus the RPC.
 int cmd_serve(const Args& args) {
   if (args.has("listen")) return cmd_serve_net(args);
-  const auto kind = admission_from_name(args.get("admission", "edf"));
+  const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
   if (!engine) return usage();
-  const double alpha = args.get_double("alpha", 1.0);
+  const double alpha = args.alpha();
   admit::AdmitConfig admit_cfg;
   if (!admit_config_flag(args, *kind, &admit_cfg)) return 2;
   const auto stats_interval =
@@ -964,7 +1015,7 @@ int cmd_serve(const Args& args) {
                          *engine, admit_cfg);
       std::printf("serving %s/%s alpha=%.3f on %zu machines\n",
                   to_string(*kind).c_str(),
-                  admit::to_string(admit_cfg.test).c_str(), alpha,
+                  admit::test_name(admit_cfg), alpha,
                   speeds.size());
     } else if (tokens[0] == "arrive") {
       if (!controller) {
