@@ -11,8 +11,8 @@
 //     one writev, cutting the syscall count per frame by the batch size —
 //     exactly the overhead BENCH_net.json shows dominating served p50.
 //
-// AdaptiveBatch walks the budget between ServerOptions::batch_min and
-// ::batch with two rules applied after every drain round:
+// AdaptiveBatch walks the budget between kMinFrames and kMaxFrames with
+// two rules applied after every drain round:
 //
 //   grow:   a round that used its whole budget (drained >= limit) means
 //           more work was pending — double the budget immediately.  Under
@@ -33,36 +33,30 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "util/check.h"
-
 namespace hetsched::net {
 
 class AdaptiveBatch {
  public:
+  // The budget's floor (flush every decision at once) and ceiling (the
+  // frames one drain round may coalesce into a single sendmsg).
+  static constexpr std::size_t kMinFrames = 1;
+  static constexpr std::size_t kMaxFrames = 64;
   // A drain that finds at most this many frames counts as an idle round.
   static constexpr std::size_t kShrinkDepth = 1;
   // Consecutive idle rounds required before the budget halves.
   static constexpr std::size_t kShrinkPatience = 4;
 
-  AdaptiveBatch(std::size_t min_frames, std::size_t max_frames)
-      : min_(min_frames), max_(max_frames), limit_(min_frames) {
-    HETSCHED_CHECK(min_frames >= 1);
-    HETSCHED_CHECK(max_frames >= min_frames);
-  }
-
   // Current frame budget for the next drain round.
   std::size_t limit() const { return limit_; }
-  std::size_t min_limit() const { return min_; }
-  std::size_t max_limit() const { return max_; }
 
   // Feed the number of frames one drain round actually handled.
   void observe(std::size_t drained) {
     if (drained >= limit_) {
-      limit_ = std::min(limit_ * 2, max_);
+      limit_ = std::min(limit_ * 2, kMaxFrames);
       idle_rounds_ = 0;
     } else if (drained <= kShrinkDepth) {
       if (++idle_rounds_ >= kShrinkPatience) {
-        limit_ = std::max(limit_ / 2, min_);
+        limit_ = std::max(limit_ / 2, kMinFrames);
         idle_rounds_ = 0;
       }
     } else {
@@ -71,9 +65,7 @@ class AdaptiveBatch {
   }
 
  private:
-  std::size_t min_;
-  std::size_t max_;
-  std::size_t limit_;
+  std::size_t limit_ = kMinFrames;
   std::size_t idle_rounds_ = 0;
 };
 

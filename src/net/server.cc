@@ -4,7 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -24,16 +24,16 @@
 #include "obs/span.h"
 #include "util/check.h"
 
-#if defined(__linux__)
-#define HETSCHED_NET_USE_EPOLL 1
-#include <sys/epoll.h>
-#else
-#define HETSCHED_NET_USE_EPOLL 0
-#endif
-
 namespace hetsched::net {
 
 namespace {
+
+// A connection whose unsent response backlog exceeds this many bytes is
+// dropped: the slow-reader memory bound of the response path.
+constexpr std::size_t kMaxResponseBacklog = std::size_t{1} << 20;
+// How long a graceful stop waits for peers to take their parked
+// responses before it closes their sockets.
+constexpr auto kShutdownFlushTimeout = std::chrono::milliseconds(5000);
 
 #if HETSCHED_METRICS_ENABLED
 // Pre-registered histogram handles: instrumentation on the frame path
@@ -73,13 +73,14 @@ std::size_t hardware_loops() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-// Opens a non-blocking listen socket on host:port — socket, SO_REUSEADDR,
-// SO_REUSEPORT when `reuseport`, bind, listen — and stores the port it
-// bound in *bound (port 0 binds an ephemeral one).  Returns the fd, or -1
-// with *error set; an empty *error means only SO_REUSEPORT was refused.
-int open_listen_socket(const std::string& host, std::uint16_t port,
-                       [[maybe_unused]] bool reuseport, std::uint16_t* bound,
+// Opens a non-blocking listen socket on the "host:port" address —
+// socket, SO_REUSEADDR, bind, listen — and stores the port it bound in
+// *bound (port 0 binds an ephemeral one).  Returns the fd, or -1 with
+// *error set.
+int open_listen_socket(const std::string& listen_addr, std::uint16_t* bound,
                        std::string* error) {
+  HostPort addr;
+  if (!parse_host_port(listen_addr, &addr, error)) return -1;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     *error = errno_string("socket");
@@ -87,18 +88,10 @@ int open_listen_socket(const std::string& host, std::uint16_t port,
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-#if defined(SO_REUSEPORT)
-  if (reuseport &&
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    ::close(fd);
-    error->clear();
-    return -1;
-  }
-#endif
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  ::inet_pton(AF_INET, host.c_str(), &sa.sin_addr);
+  sa.sin_port = htons(addr.port);
+  ::inet_pton(AF_INET, addr.host.c_str(), &sa.sin_addr);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
       ::listen(fd, 1024) != 0 || !set_nonblocking(fd)) {
     *error = errno_string("bind/listen");
@@ -120,13 +113,12 @@ bool routes_to_shard(MsgType type) {
          type == MsgType::kRebalance;
 }
 
-// Poller: per-loop readiness multiplexer — epoll on Linux, poll(2)
-// everywhere else.  Level triggered in both flavors, so a partially
-// drained socket re-fires and the read path never needs an exhaustive
-// drain loop to stay correct.  Write interest is per-fd and toggled as
-// response backlogs appear and drain.  Single-threaded: only the owning
-// loop touches its poller; cross-loop write arming goes through the
-// loop's control queue instead.
+// Poller: per-loop epoll readiness multiplexer.  Level triggered, so a
+// partially drained socket re-fires and the read path never needs an
+// exhaustive drain loop to stay correct.  Write interest is per-fd and
+// toggled as response backlogs appear and drain.  Single-threaded: only
+// the owning loop touches its poller; cross-loop write arming goes
+// through the loop's control queue instead.
 class Poller {
  public:
   struct Ready {
@@ -137,65 +129,36 @@ class Poller {
 
   Poller() = default;
   ~Poller() {
-#if HETSCHED_NET_USE_EPOLL
     if (ep_ >= 0) ::close(ep_);
-#endif
   }
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
   bool init(std::string* error) {
-#if HETSCHED_NET_USE_EPOLL
     ep_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (ep_ < 0) {
       *error = errno_string("epoll_create1");
       return false;
     }
     events_.resize(128);
-#endif
     return true;
   }
 
   bool add(int fd, bool want_read, bool want_write) {
-#if HETSCHED_NET_USE_EPOLL
     epoll_event ev{};
     ev.events = mask(want_read, want_write);
     ev.data.fd = fd;
     return ::epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) == 0;
-#else
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, events(want_read, want_write), 0});
-    return true;
-#endif
   }
 
   void set_interest(int fd, bool want_read, bool want_write) {
-#if HETSCHED_NET_USE_EPOLL
     epoll_event ev{};
     ev.events = mask(want_read, want_write);
     ev.data.fd = fd;
     ::epoll_ctl(ep_, EPOLL_CTL_MOD, fd, &ev);
-#else
-    const auto it = index_.find(fd);
-    if (it != index_.end()) {
-      fds_[it->second].events = events(want_read, want_write);
-    }
-#endif
   }
 
-  void remove(int fd) {
-#if HETSCHED_NET_USE_EPOLL
-    ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr);
-#else
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t i = it->second;
-    index_.erase(it);
-    fds_[i] = fds_.back();
-    fds_.pop_back();
-    if (i < fds_.size()) index_[fds_[i].fd] = i;
-#endif
-  }
+  void remove(int fd) { ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
 
   // Blocks up to timeout_ms (-1 = forever) for readiness.  Fills `ready`;
   // hangups and errors surface as both readable (the read path sees EOF)
@@ -203,7 +166,6 @@ class Poller {
   // wait error other than EINTR.
   bool wait(std::vector<Ready>& ready, int timeout_ms) {
     ready.clear();
-#if HETSCHED_NET_USE_EPOLL
     const int n = ::epoll_wait(ep_, events_.data(),
                                static_cast<int>(events_.size()), timeout_ms);
     if (n < 0) return errno == EINTR;
@@ -215,36 +177,15 @@ class Poller {
       r.writable = (ev.events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0;
       ready.push_back(r);
     }
-#else
-    const int n =
-        ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (n < 0) return errno == EINTR;
-    for (const pollfd& p : fds_) {
-      Ready r;
-      r.fd = p.fd;
-      r.readable = (p.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-      r.writable = (p.revents & (POLLOUT | POLLERR | POLLHUP)) != 0;
-      if (r.readable || r.writable) ready.push_back(r);
-    }
-#endif
     return true;
   }
 
  private:
-#if HETSCHED_NET_USE_EPOLL
   static std::uint32_t mask(bool want_read, bool want_write) {
     return (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   }
   int ep_ = -1;
   std::vector<epoll_event> events_;
-#else
-  static short events(bool want_read, bool want_write) {
-    return static_cast<short>((want_read ? POLLIN : 0) |
-                              (want_write ? POLLOUT : 0));
-  }
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-#endif
 };
 
 }  // namespace
@@ -279,8 +220,7 @@ struct Server::Connection {
   // Sends backlog + [data, data+n) in order without blocking.  The
   // scatter-gather pair means a connection with a parked backlog never
   // copies fresh frames twice unless the socket is still full.
-  WriteResult write_frames(const unsigned char* data, std::size_t n,
-                           std::size_t max_backlog) {
+  WriteResult write_frames(const unsigned char* data, std::size_t n) {
     std::lock_guard<std::mutex> lock(write_mu);
     if (dead.load(std::memory_order_relaxed)) return WriteResult::kDead;
     std::size_t data_off = 0;
@@ -331,7 +271,7 @@ struct Server::Connection {
       backlog_off = 0;
     }
     backlog.insert(backlog.end(), data + data_off, data + n);
-    if (backlog.size() > max_backlog) {
+    if (backlog.size() > kMaxResponseBacklog) {
       dead.store(true, std::memory_order_relaxed);
       return WriteResult::kDead;
     }
@@ -451,10 +391,10 @@ struct Server::Shard {
 // One event-loop thread: poller, wake pipe, owned shards, accepted
 // connections, adaptive batch budget, and preallocated drain scratch.
 struct Server::Loop {
-  explicit Loop(const ServerOptions& o)
-      : items(o.batch), outbuf(o.batch * kFrameSize),
-        batcher(o.batch_min, o.batch) {
-    runs.reserve(o.batch);
+  Loop()
+      : items(AdaptiveBatch::kMaxFrames),
+        outbuf(AdaptiveBatch::kMaxFrames * kFrameSize) {
+    runs.reserve(AdaptiveBatch::kMaxFrames);
   }
   ~Loop() {
     for (int fd : {listen_fd, wake_fds[0], wake_fds[1]}) {
@@ -465,7 +405,7 @@ struct Server::Loop {
   Loop& operator=(const Loop&) = delete;
 
   std::size_t index = 0;
-  int listen_fd = -1;           // own socket (reuseport) or loop 0 only
+  int listen_fd = -1;           // loop 0 only: the one listen socket
   int wake_fds[2] = {-1, -1};   // cross-loop wakeups and request_stop
   Poller poller;
   std::thread thread;
@@ -483,7 +423,6 @@ struct Server::Loop {
   std::vector<Run> runs;
   AdaptiveBatch batcher;
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
-  std::atomic<std::uint64_t> accepted{0};
   std::atomic<bool> wake_pending{false};
   bool reading = true;  // loop-thread-only: cleared when the stop begins
 
@@ -554,45 +493,6 @@ Server::~Server() {
   wait();
 }
 
-bool Server::start_listen_sockets(std::string* error) {
-  HostPort addr;
-  if (!parse_host_port(options_.listen_addr, &addr, error)) return false;
-
-#if defined(SO_REUSEPORT)
-  reuseport_active_ = options_.reuseport && loops_.size() > 1;
-#else
-  reuseport_active_ = false;
-#endif
-  if (reuseport_active_) {
-    // One socket per loop, all on the port the first one bound.
-    std::uint16_t port = addr.port;
-    for (std::size_t i = 0; i < loops_.size(); ++i) {
-      const int fd = open_listen_socket(addr.host, port, true, &port, error);
-      if (fd < 0) {
-        if (!error->empty()) return false;
-        if (i > 0) {
-          *error = "SO_REUSEPORT failed after first bind";
-          return false;
-        }
-        // Option unsupported at runtime: fall back to the single-acceptor
-        // round-robin handoff (only reachable before any socket is bound).
-        reuseport_active_ = false;
-        break;
-      }
-      loops_[i]->listen_fd = fd;
-      port_ = port;
-    }
-  }
-  if (!reuseport_active_) {
-    // Single acceptor: loop 0 owns the only listen socket.
-    const int fd =
-        open_listen_socket(addr.host, addr.port, false, &port_, error);
-    if (fd < 0) return false;
-    loops_[0]->listen_fd = fd;
-  }
-  return true;
-}
-
 bool Server::start(std::string* error) {
   HETSCHED_CHECK(error != nullptr);
   if (running_.load(std::memory_order_acquire)) {
@@ -611,12 +511,8 @@ bool Server::start(std::string* error) {
     *error = "loops must be in [0, " + std::to_string(kMaxLoops) + "]";
     return false;
   }
-  if (options_.queue_depth < 1 || options_.batch < 1) {
-    *error = "queue_depth and batch must be >= 1";
-    return false;
-  }
-  if (options_.batch_min < 1 || options_.batch_min > options_.batch) {
-    *error = "batch_min must be in [1, batch]";
+  if (options_.queue_depth < 1) {
+    *error = "queue_depth must be >= 1";
     return false;
   }
 
@@ -646,7 +542,7 @@ bool Server::start(std::string* error) {
   loops_.clear();
   loops_.reserve(loop_count);
   for (std::size_t i = 0; i < loop_count; ++i) {
-    loops_.push_back(std::make_unique<Loop>(options_));
+    loops_.push_back(std::make_unique<Loop>());
     Loop& lp = *loops_.back();
     lp.index = i;
     if (::pipe(lp.wake_fds) != 0 || !set_nonblocking(lp.wake_fds[0]) ||
@@ -689,7 +585,11 @@ bool Server::start(std::string* error) {
     return false;
   }
 
-  if (!start_listen_sockets(error)) {
+  // Loop 0 owns the only listen socket; a connection's first shard frame
+  // moves it to the loop that owns that shard.
+  loops_[0]->listen_fd =
+      open_listen_socket(options_.listen_addr, &port_, error);
+  if (loops_[0]->listen_fd < 0) {
     loops_.clear();
     shards_.clear();
     return false;
@@ -827,11 +727,6 @@ ServerStats Server::stats() const {
   s.connection_handoffs =
       counters_.connection_handoffs.load(std::memory_order_relaxed);
   return s;
-}
-
-std::uint64_t Server::loop_connections(std::size_t i) const {
-  HETSCHED_CHECK(i < loops_.size());
-  return loops_[i]->accepted.load(std::memory_order_relaxed);
 }
 
 namespace {
@@ -1191,8 +1086,7 @@ void Server::handle_introspect(Loop& lp,
 void Server::send_to_connection(Loop& lp,
                                 const std::shared_ptr<Connection>& conn,
                                 const unsigned char* data, std::size_t len) {
-  const Connection::WriteResult r =
-      conn->write_frames(data, len, options_.max_response_backlog);
+  const Connection::WriteResult r = conn->write_frames(data, len);
   if (r == Connection::WriteResult::kFlushed) return;
   if (r == Connection::WriteResult::kQueued) {
     bump(counters_.partial_writes);
@@ -1225,8 +1119,7 @@ void Server::request_write_interest(Loop& lp,
 
 void Server::handle_writable(Loop& lp,
                              const std::shared_ptr<Connection>& conn) {
-  const Connection::WriteResult r =
-      conn->write_frames(nullptr, 0, options_.max_response_backlog);
+  const Connection::WriteResult r = conn->write_frames(nullptr, 0);
   if (r == Connection::WriteResult::kDead) {
     close_connection(lp, conn->fd);
     return;
@@ -1252,7 +1145,6 @@ void Server::adopt_connection(Loop& lp, int fd) {
   auto conn = std::make_shared<Connection>(fd, lp.index, loops_.size() == 1);
   if (!lp.poller.add(fd, true, false)) return;  // dtor closes fd
   lp.conns.emplace(fd, std::move(conn));
-  lp.accepted.fetch_add(1, std::memory_order_relaxed);
   bump(counters_.connections);
   HETSCHED_GAUGE_SET(lp.conn_gauge, lp.conns.size());
 }
@@ -2072,7 +1964,7 @@ void Server::loop_main(Loop& lp) {
 //   2. once EVERY loop stopped reading, close + drain our shard queues —
 //      no producer can race the close, so the drain answers everything,
 //   3. once every loop drained, flush response backlogs (bounded by
-//      write_timeout_ms) and close the sockets.
+//      kShutdownFlushTimeout) and close the sockets.
 void Server::stop_phase(Loop& lp) {
   if (lp.listen_fd >= 0) {
     lp.poller.remove(lp.listen_fd);
@@ -2136,8 +2028,8 @@ void Server::stop_phase(Loop& lp) {
   // Flush whatever responses are still parked, then close.  The deadline
   // bounds a peer that stopped reading; everyone else drains in a few
   // rounds.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.write_timeout_ms);
+  const auto deadline =
+      std::chrono::steady_clock::now() + kShutdownFlushTimeout;
   while (std::chrono::steady_clock::now() < deadline) {
     bool parked = false;
     for (auto& [fd, conn] : lp.conns) {

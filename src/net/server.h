@@ -5,21 +5,17 @@
 //
 //   clients ──► loop 0 ─ epoll ─ owns shards 0, N, 2N, ... ──► sockets
 //               loop 1 ─ epoll ─ owns shards 1, N+1, ...   ──► sockets
-//               ...          (every loop also accepts: SO_REUSEPORT)
+//               ...          (loop 0 also accepts every connection)
 //
-//   * Each loop binds the listen address with SO_REUSEPORT, so the kernel
-//     spreads incoming connections across loops with no shared acceptor
-//     lock.  Where SO_REUSEPORT is unavailable (or disabled via
-//     ServerOptions::reuseport), loop 0 owns the only listen socket and
-//     adopts every accepted fd itself.
+//   * Loop 0 owns the only listen socket and adopts every accepted fd.
 //   * Tenant shards are statically owned by loops (shard s belongs to
-//     loop s % loops).  The kernel's (or loop 0's) pick is only a first
-//     home: a connection's first shard-addressed frame places it.  If
-//     another loop owns that shard, the accepting loop hands the
-//     connection over once, at a point where nothing of it is in flight
-//     (its staged answers are flushed and none of its frames was ever
-//     queued); the owner adopts the fd, the undecoded bytes and any
-//     parked response backlog, and decodes them before it next polls.
+//     loop s % loops).  Loop 0 is only a first home: a connection's first
+//     shard-addressed frame places it.  If another loop owns that shard,
+//     loop 0 hands the connection over once, at a point where nothing of
+//     it is in flight (its staged answers are flushed and none of its
+//     frames was ever queued); the owner adopts the fd, the undecoded
+//     bytes and any parked response backlog, and decodes them before it
+//     next polls.
 //     From then on a frame naming the connection's shard runs connection
 //     → decode → warm admit → WAL append → encode → sendmsg entirely on
 //     that loop, with zero cross-thread queue hops.  The bounded MPSC
@@ -29,16 +25,16 @@
 //     kRetryLater immediately — explicit backpressure, never unbounded
 //     buffering.
 //   * Batch sizes adapt to load (net/adaptive_batch.h): each loop drains
-//     up to `batch` frames per round but shrinks its budget toward
-//     `batch_min` when rounds come up near-empty (cutting p50) and grows
-//     it back under sustained depth (cutting syscalls per frame).
+//     up to 64 frames per round but shrinks its budget toward one frame
+//     when rounds come up near-empty (cutting p50) and grows it back
+//     under sustained depth (cutting syscalls per frame).
 //   * Responses for a drain round coalesce into one writev/sendmsg per
 //     connection.  Writes never block an event loop: a short write parks
 //     the unsent tail in the connection's backlog buffer and resumes via
 //     EPOLLOUT (scatter-gathering backlog + fresh frames in one call)
-//     when the socket drains.  A peer whose backlog exceeds
-//     max_response_backlog is declared dead — a slow reader costs bounded
-//     memory and never wedges a loop.
+//     when the socket drains.  A peer whose backlog exceeds 1 MiB is
+//     declared dead — a slow reader costs bounded memory and never wedges
+//     a loop.
 //
 // The decision stream per shard is still processed single-threaded (by
 // the owning loop) in arrival order, so served decisions remain
@@ -79,7 +75,7 @@
 // Shutdown (request_stop or SIGTERM via the CLI): every loop stops
 // accepting and reading, then — once all loops have stopped producing —
 // drains its shards' queues, answers everything queued, flushes response
-// backlogs (bounded by write_timeout_ms), and exits.  A clean stop
+// backlogs (bounded by a 5 s deadline), and exits.  A clean stop
 // answers everything it has accepted responsibility for: a connection
 // handed off as the stop begins is adopted before its new loop's queues
 // close, so the frame that placed it is still decided and answered.
@@ -116,8 +112,8 @@ namespace hetsched::net {
 // Per-shard queue-depth gauges are registered up front, so the shard count
 // is capped well below the obs registry's gauge capacity.
 inline constexpr std::size_t kMaxShards = 32;
-// Event-loop threads (acceptors).  More loops than cores never helps, and
-// the cap keeps the per-loop connection gauges within registry capacity.
+// Event-loop threads.  More loops than cores never helps, and the cap
+// keeps the per-loop connection gauges within registry capacity.
 inline constexpr std::size_t kMaxLoops = 8;
 
 struct ServerOptions {
@@ -139,18 +135,6 @@ struct ServerOptions {
   // deciding tier in the WAL.
   admit::AdmitConfig admit;
   std::size_t queue_depth = 1024;  // bounded per-shard request queue
-  std::size_t batch = 64;          // adaptive batch upper bound (frames)
-  std::size_t batch_min = 1;       // adaptive batch lower bound (frames)
-  // One listen socket per loop via SO_REUSEPORT (kernel load-balances
-  // accepts).  false — or an OS without the option — falls back to a
-  // single acceptor on loop 0.  Either way a connection's first
-  // shard-addressed frame moves it to the loop that owns that shard.
-  bool reuseport = true;
-  int write_timeout_ms = 5000;  // no-progress budget for a blocked peer
-                                // (shutdown flush deadline)
-  // A connection whose unsent response backlog exceeds this many bytes is
-  // dropped: the slow-reader memory bound of the response path.
-  std::size_t max_response_backlog = std::size_t{1} << 20;
   // Test hook: SO_SNDBUF for accepted sockets (0 = kernel default).  Tiny
   // values force short writes, exercising the backlog/EPOLLOUT path.
   int sndbuf_bytes = 0;
@@ -224,13 +208,6 @@ class Server {
 
   // Resolved loop count (after start).
   std::size_t loop_count() const { return loops_.size(); }
-  // Whether the listen sockets actually use SO_REUSEPORT (after start) —
-  // false when disabled by options or unsupported by the OS.
-  bool reuseport_active() const { return reuseport_active_; }
-  // Connections accepted by loop `i` — the reuseport distribution probe
-  // (accepts, not placements: a handed-off connection counts where it
-  // was accepted).
-  std::uint64_t loop_connections(std::size_t i) const;
 
   // Releases shards started with ServerOptions::start_paused.
   void resume_shards();
@@ -321,7 +298,6 @@ class Server {
   // frames are rare and never enter a shard queue.
   void handle_introspect(Loop& lp, const std::shared_ptr<Connection>& conn,
                          const Request& req);
-  bool start_listen_sockets(std::string* error);
   void stop_phase(Loop& lp);
 
   // Durability plane.
@@ -349,7 +325,6 @@ class Server {
   ServerOptions options_;
 
   std::uint16_t port_ = 0;
-  bool reuseport_active_ = false;
 
   // shards_ is reserved to kMaxShards at start and only ever grows (by
   // push_back from a resize coordinator), so element addresses are stable

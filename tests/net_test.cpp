@@ -6,10 +6,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -271,7 +273,7 @@ TEST(BoundedQueue, TryPopBatchDoesNotBlock) {
 // ---------------------------------------------------------------------
 
 TEST(AdaptiveBatch, GrowsWhenRoundsUseTheFullBudget) {
-  AdaptiveBatch b(1, 64);
+  AdaptiveBatch b;
   EXPECT_EQ(b.limit(), 1u);  // starts at the latency-optimal floor
   b.observe(1);              // a full round doubles immediately
   EXPECT_EQ(b.limit(), 2u);
@@ -287,7 +289,7 @@ TEST(AdaptiveBatch, GrowsWhenRoundsUseTheFullBudget) {
 }
 
 TEST(AdaptiveBatch, ShrinksOnlyAfterSustainedIdleRounds) {
-  AdaptiveBatch b(2, 64);
+  AdaptiveBatch b;
   while (b.limit() < 64) b.observe(b.limit());
   // Idle rounds (depth <= kShrinkDepth) must persist for kShrinkPatience
   // consecutive rounds before the budget halves.
@@ -302,12 +304,12 @@ TEST(AdaptiveBatch, ShrinksOnlyAfterSustainedIdleRounds) {
       b.observe(0);
     }
   }
-  EXPECT_EQ(b.limit(), b.min_limit());
-  EXPECT_EQ(b.limit(), 2u);
+  EXPECT_EQ(b.limit(), AdaptiveBatch::kMinFrames);
+  EXPECT_EQ(b.limit(), 1u);
 }
 
 TEST(AdaptiveBatch, PartialRoundsResetShrinkPatience) {
-  AdaptiveBatch b(1, 64);
+  AdaptiveBatch b;
   while (b.limit() < 64) b.observe(b.limit());
   // One idle gap short of patience, then a healthy partial round: the
   // budget must hold (a busy stream with occasional gaps keeps its
@@ -606,54 +608,11 @@ TEST(NetServer, StartRejectsBadOptions) {
     Server server(pf, opts);
     EXPECT_FALSE(server.start(&err));
   }
-  {
-    ServerOptions opts;
-    opts.batch_min = 0;
-    Server server(pf, opts);
-    EXPECT_FALSE(server.start(&err));
-  }
-  {
-    ServerOptions opts;
-    opts.batch = 8;
-    opts.batch_min = 16;  // floor above ceiling
-    Server server(pf, opts);
-    EXPECT_FALSE(server.start(&err));
-  }
 }
 
 // ---------------------------------------------------------------------
-// thread-per-core: acceptor distribution, cross-loop routing, backlogs
+// thread-per-core: cross-loop routing, backlogs
 // ---------------------------------------------------------------------
-
-TEST(NetLoopback, ReuseportSpreadsConnectionsAcrossLoops) {
-  const Platform pf = geometric_platform(2, 1.5);
-  ServerOptions opts;
-  opts.shards = 4;
-  opts.loops = 4;
-  Server server(pf, opts);
-  std::string err;
-  ASSERT_TRUE(server.start(&err)) << err;
-  if (!server.reuseport_active()) GTEST_SKIP() << "no SO_REUSEPORT here";
-  ASSERT_EQ(server.loop_count(), 4u);
-
-  constexpr std::size_t kClients = 64;
-  std::vector<Client> clients(kClients);
-  for (Client& c : clients) {
-    ASSERT_TRUE(c.connect(loopback_addr(server), 2000, &err)) << err;
-  }
-  ASSERT_TRUE(eventually([&] {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < server.loop_count(); ++i) {
-      total += server.loop_connections(i);
-    }
-    return total == kClients;
-  }));
-  // The kernel hashes 64 distinct source ports over 4 listen sockets:
-  // every loop must end up accepting at least one connection.
-  for (std::size_t i = 0; i < server.loop_count(); ++i) {
-    EXPECT_GE(server.loop_connections(i), 1u) << "loop " << i;
-  }
-}
 
 // Cross-loop parity: each connection is first pinned to one loop by a
 // frame that cannot change any decision (a depart of an id no slot can
@@ -672,11 +631,9 @@ TEST(NetLoopback, FallbackAcceptorRoutesAcrossLoops) {
   ServerOptions opts;
   opts.shards = 2;
   opts.loops = 2;
-  opts.reuseport = false;
   Server server(pf, opts);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
-  EXPECT_FALSE(server.reuseport_active());
 
   // Client i's first shard frame names shard i, which places it on loop i.
   constexpr std::uint64_t kNoSuchTask = ~std::uint64_t{0};
@@ -714,10 +671,10 @@ TEST(NetLoopback, FallbackAcceptorRoutesAcrossLoops) {
   EXPECT_EQ(s.frames_rx, s.enqueued + 2);
 }
 
-// The correctness anchor in thread-per-core mode: with 4 loops accepting
-// via SO_REUSEPORT, concurrent per-shard replays stay bit-identical to
-// offline no matter which loop each connection lands on (its first frame
-// moves it to the loop that owns its shard).
+// The correctness anchor in thread-per-core mode: with 4 loops,
+// concurrent per-shard replays stay bit-identical to offline (loop 0
+// accepts each connection and its first frame moves it to the loop that
+// owns its shard).
 TEST(NetLoopback, MultiLoopServeMatchesOfflineChecksums) {
   constexpr int kShards = 4;
   const Platform pf = geometric_platform(4, 1.5);
@@ -837,13 +794,80 @@ TEST(NetLoopback, TinySndbufPartialWritesResumeInOrder) {
   EXPECT_EQ(server.stats().frames_rx, kRequests);
 }
 
+// The slow-reader bound: a peer that sends and never reads parks its
+// answers in the server's response backlog until that passes 1 MiB, and
+// the server then drops it instead of buffering the whole stream.
+TEST(NetLoopback, PeerThatNeverReadsIsDropped) {
+  const Platform pf = geometric_platform(2, 1.5);
+  ServerOptions opts;
+  opts.sndbuf_bytes = 4096;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcv = 2048;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcv, sizeof(rcv)), 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)),
+            0);
+
+  // 64k stale departs are answered with 2.3 MB, over twice the bound, so
+  // the server drops the peer part-way and resets the rest of the send.
+  constexpr std::uint64_t kRequests = 65536;
+  constexpr std::uint64_t kNoSuchTask = ~std::uint64_t{0};
+  std::vector<unsigned char> wire(kRequests * kFrameSize);
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    encode_request(Request::depart(0, i, kNoSuchTask),
+                   wire.data() + i * kFrameSize);
+  }
+  std::size_t sent = 0;
+  while (sent < wire.size()) {
+    const ssize_t w =
+        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) break;  // reset by the server
+    sent += static_cast<std::size_t>(w);
+  }
+  // Without reading a byte, wait for the server's close to arrive.
+  const auto peer_closed = [&] {
+    tcp_info info{};
+    socklen_t len = sizeof(info);
+    return ::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len) == 0 &&
+           info.tcpi_state != TCP_ESTABLISHED;
+  };
+  ASSERT_TRUE(eventually(peer_closed, 10000));
+  // Only what the socket buffers held before the close ever arrives.
+  unsigned char chunk[4096];
+  std::size_t got = 0;
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    got += static_cast<std::size_t>(n);
+  }
+  EXPECT_TRUE(n == 0 || errno == ECONNRESET) << std::strerror(errno);
+  EXPECT_LT(got / kFrameSize, kRequests / 16);
+  ::close(fd);
+  EXPECT_GE(server.stats().partial_writes, 1u);
+
+  Client client;
+  ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+  Response r;
+  ASSERT_TRUE(client.call(Request::admit(0, 1, 1, 1000), &r, 2000))
+      << client.last_error();
+  EXPECT_EQ(r.status, Status::kAdmitted);
+}
+
 // ---------------------------------------------------------------------
 // connection placement: the first shard-addressed frame picks the loop
 // ---------------------------------------------------------------------
 
-// Whatever loop the kernel hands each connection to, its first frame
-// moves it to the loop that owns its shard: every frame runs inline.
-TEST(NetLoopback, ReuseportConnectionsServeOnTheirShardsLoop) {
+// Loop 0 accepts every connection and its first frame moves it to the
+// loop that owns its shard: every frame runs inline.
+TEST(NetLoopback, ConnectionsServeOnTheirShardsLoop) {
   constexpr int kConns = 16;
   const Platform pf = geometric_platform(4, 1.5);
   ChurnTrace traces[kConns];
@@ -890,7 +914,8 @@ TEST(NetLoopback, ReuseportConnectionsServeOnTheirShardsLoop) {
   EXPECT_EQ(s.frames_rx, requests);
   EXPECT_EQ(s.enqueued, 0u);
   EXPECT_EQ(s.frames_inline, s.frames_rx);
-  EXPECT_LE(s.connection_handoffs, static_cast<std::uint64_t>(kConns));
+  // Loop 0 keeps the four connections whose shards it owns.
+  EXPECT_EQ(s.connection_handoffs, 12u);
 }
 
 // The single acceptor no longer deals fds round-robin: loop 0 takes
@@ -907,19 +932,15 @@ TEST(NetLoopback, SingleAcceptorHandsOffOnFirstFrame) {
   ServerOptions opts;
   opts.shards = 2;
   opts.loops = 2;
-  opts.reuseport = false;
   Server server(pf, opts);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
-  ASSERT_FALSE(server.reuseport_active());
 
   Client clients[2];
   for (Client& c : clients) {
     ASSERT_TRUE(c.connect(loopback_addr(server), 2000, &err)) << err;
   }
   ASSERT_TRUE(eventually([&] { return server.stats().connections == 2; }));
-  EXPECT_EQ(server.loop_connections(0), 2u);
-  EXPECT_EQ(server.loop_connections(1), 0u);
   EXPECT_EQ(server.stats().connection_handoffs, 0u);  // nothing sent yet
 
   ReplaySummary sums[2];
@@ -1035,7 +1056,6 @@ TEST(NetLoopback, AlternatingShardsQueueOnlyTheOtherLoopsFrames) {
   ServerOptions opts;
   opts.shards = 2;
   opts.loops = 2;
-  opts.reuseport = false;  // accepted by loop 0, which owns shard 0
   Server server(pf, opts);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
@@ -1086,7 +1106,6 @@ TEST(NetLoopback, StatsAnsweredBeforeHandoffStayInOrder) {
   ServerOptions opts;
   opts.shards = 2;
   opts.loops = 2;
-  opts.reuseport = false;
   opts.sndbuf_bytes = 4096;
   Server server(pf, opts);
   std::string err;
@@ -1174,7 +1193,6 @@ TEST(NetLoopback, HandoffRacingStopAnswersWhatItDecoded) {
     ServerOptions opts;
     opts.shards = 2;
     opts.loops = 2;
-    opts.reuseport = false;
     Server server(pf, opts);
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;

@@ -41,7 +41,6 @@
 //       process exits 0.
 //   hetsched_cli serve --listen <host:port> [--shards N] [--loops L]
 //       [--admission KIND] [--alpha X] [--engine E] [--queue-depth D]
-//       [--batch K] [--batch-min K] [--no-reuseport]
 //       [--machines M] [--ratio R | --platform FILE] [--port-file FILE]
 //       [--stats-interval SECONDS] [--trace-out FILE] [--admission-test T]
 //       [--admit-band X] [--release-overhead N] [--preempt-overhead N]
@@ -50,14 +49,12 @@
 //       --port-file for scripts).  Each shard serves an independent copy
 //       of the platform (--platform takes an instance file; otherwise a
 //       geometric platform of --machines M and --ratio R).  --loops sets
-//       the event-loop (acceptor) thread count; 0 = one per core, capped
-//       by the shard count.  Each loop normally has its own SO_REUSEPORT
-//       listen socket; --no-reuseport forces the single-acceptor fallback
-//       (loop 0 accepts everything).  Either way a connection's first
-//       shard frame moves it to the loop owning that shard.  The
-//       per-round drain budget adapts between --batch-min and --batch
-//       frames.  In this mode --stats-interval is in seconds, and each
-//       snapshot is the server's GET_STATS text (the /metrics body).
+//       the event-loop thread count; 0 = one per core, capped by the
+//       shard count.  Loop 0 accepts every connection, and a
+//       connection's first shard frame moves it to the loop owning that
+//       shard.  --no-reuseport is accepted and has no effect.  In this
+//       mode --stats-interval is in seconds, and each snapshot is the
+//       server's GET_STATS text (the /metrics body).
 //       SIGINT/SIGTERM drain the shard queues, flush responses and the
 //       final snapshot, and exit 0.
 //       Durability: --wal-dir DIR logs every decision to per-shard WALs
@@ -119,7 +116,8 @@
 // every WCET by the admission-time overhead model before any test runs.
 // A tiered test decides tier 0 itself (edf, or rms-ll for rta), so an
 // explicit --admission naming another fold is an error (exit 2), as are a
-// numeric flag that does not parse whole and finite and --alpha below 1.
+// numeric flag that does not parse whole and finite, a negative count,
+// and --alpha below 1 or above 1e6.
 // `replay` refuses, with an error line, each arrival the controller
 // cannot take (a deadline under legacy, an overflowing inflated WCET).
 // Engines: auto (default), naive, tree — bit-identical results; "naive" is
@@ -241,10 +239,24 @@ struct Args {
     }
     return v;
   }
-  // --alpha: the speed augmentation, at least 1 (default 1).
+  // A count, size or duration: an integer that is not negative.
+  std::size_t get_unsigned(const std::string& key, std::size_t dflt) const {
+    const long v = get_long(key, static_cast<long>(dflt));
+    if (v < 0) {
+      flag_error(key,
+                 "needs a non-negative integer, not '" + get(key, "") + "'");
+    }
+    return static_cast<std::size_t>(v);
+  }
+  // --alpha: the speed augmentation, in [1, 1e6] (default 1).  The
+  // ceiling is far above any augmentation the paper (<= 3.34) or `augment`
+  // (<= 32) uses, and keeps the exact augmented speeds the escalating
+  // tests build (alpha as a rational times each machine speed) within
+  // int64 for ordinary speeds.
   double alpha() const {
     const double a = get_double("alpha", 1.0);
     if (a < 1.0) flag_error("alpha", "must be at least 1");
+    if (a > 1e6) flag_error("alpha", "must be at most 1e6");
     return a;
   }
 };
@@ -483,8 +495,8 @@ int cmd_sensitivity(const Args& args) {
 }
 
 int cmd_generate(const Args& args) {
-  const auto n = static_cast<std::size_t>(args.get_long("n", 16));
-  const auto m = static_cast<std::size_t>(args.get_long("m", 4));
+  const std::size_t n = args.get_unsigned("n", 16);
+  const std::size_t m = args.get_unsigned("m", 4);
   const double norm_util = args.get_double("util", 0.7);
   const double ratio = args.get_double("ratio", 1.5);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
@@ -506,8 +518,8 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_generate_trace(const Args& args) {
-  const auto arrivals = static_cast<std::size_t>(args.get_long("arrivals", 64));
-  const auto m = static_cast<std::size_t>(args.get_long("m", 4));
+  const std::size_t arrivals = args.get_unsigned("arrivals", 64);
+  const std::size_t m = args.get_unsigned("m", 4);
   const double rate = args.get_double("rate", 1.0);
   const double ratio = args.get_double("ratio", 1.5);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
@@ -546,8 +558,7 @@ int cmd_replay(const Args& args) {
   ChurnOptions options;
   options.kind = *kind;
   options.alpha = args.alpha();
-  options.rebalance_every =
-      static_cast<std::size_t>(args.get_long("rebalance-every", 0));
+  options.rebalance_every = args.get_unsigned("rebalance-every", 0);
   options.engine = *engine;
   if (!admit_config_flag(args, *kind, &options.admit)) return 2;
   // Arrivals the controller cannot take are refused one by one, as stdin
@@ -646,8 +657,7 @@ int cmd_stats(const Args& args) {
 
 int cmd_tracez(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto slowest =
-      static_cast<std::uint64_t>(args.get_long("slowest", 10));
+  const std::uint64_t slowest = args.get_unsigned("slowest", 10);
   const int timeout = static_cast<int>(args.get_long("timeout-ms", 5000));
   net::Client client;
   std::string error;
@@ -681,7 +691,7 @@ int cmd_serve_net(const Args& args) {
     if (!inst) return 1;
     platform = inst->platform;
   } else {
-    const auto m = static_cast<std::size_t>(args.get_long("machines", 4));
+    const std::size_t m = args.get_unsigned("machines", 4);
     const double ratio = args.get_double("ratio", 1.5);
     if (m == 0 || ratio < 1.0) return usage();
     platform = geometric_platform(m, ratio);
@@ -689,27 +699,21 @@ int cmd_serve_net(const Args& args) {
 
   net::ServerOptions options;
   options.listen_addr = args.get("listen", "127.0.0.1:0");
-  options.shards = static_cast<std::size_t>(args.get_long("shards", 1));
+  options.shards = args.get_unsigned("shards", 1);
   options.kind = *kind;
   options.alpha = args.alpha();
   options.engine = *engine;
-  options.loops = static_cast<std::size_t>(args.get_long("loops", 0));
-  options.queue_depth =
-      static_cast<std::size_t>(args.get_long("queue-depth", 1024));
-  options.batch = static_cast<std::size_t>(args.get_long("batch", 64));
-  options.batch_min = static_cast<std::size_t>(args.get_long("batch-min", 1));
-  options.reuseport = !args.has("no-reuseport");
+  options.loops = args.get_unsigned("loops", 0);
+  options.queue_depth = args.get_unsigned("queue-depth", 1024);
   options.wal_dir = args.get("wal-dir", "");
   if (!io::parse_wal_sync(args.get("wal-sync", "batch"), &options.wal_sync)) {
     std::fprintf(stderr, "error: --wal-sync must be always|batch|off\n");
     return 2;
   }
-  options.snapshot_every =
-      static_cast<std::size_t>(args.get_long("snapshot-every", 65536));
+  options.snapshot_every = args.get_unsigned("snapshot-every", 65536);
   if (!admit_config_flag(args, *kind, &options.admit)) return 2;
-  options.slo_ns =
-      static_cast<std::uint64_t>(args.get_long("slo-us", 1000)) * 1000;
-  const auto stats_interval = args.get_long("stats-interval", 0);
+  options.slo_ns = std::uint64_t{args.get_unsigned("slo-us", 1000)} * 1000;
+  const std::size_t stats_interval = args.get_unsigned("stats-interval", 0);
   const std::string trace_out = args.get("trace-out", "");
   if ((!trace_out.empty() || args.has("tracing")) && !obs::kMetricsCompiled) {
     std::fprintf(stderr,
@@ -767,12 +771,10 @@ int cmd_serve_net(const Args& args) {
     }
   }
   std::printf("listening on port %u: %zu shard(s) of %s/%s alpha=%.3f on %zu "
-              "machines (%zu loop(s), %s, queue %zu, batch %zu-%zu)\n",
+              "machines (%zu loop(s), queue %zu)\n",
               server.port(), server.shard_count(), to_string(*kind).c_str(),
-              admit::test_name(options.admit),
-              options.alpha, platform.size(), server.loop_count(),
-              server.reuseport_active() ? "reuseport" : "single-acceptor",
-              options.queue_depth, options.batch_min, options.batch);
+              admit::test_name(options.admit), options.alpha, platform.size(),
+              server.loop_count(), options.queue_depth);
   if (!options.wal_dir.empty()) {
     const net::ServerStats rs = server.stats();
     std::printf("durability: wal-dir %s, sync %s, snapshot every %zu "
@@ -879,7 +881,7 @@ int cmd_recover(const Args& args) {
     if (!inst) return 1;
     platform = inst->platform;
   } else {
-    const auto m = static_cast<std::size_t>(args.get_long("machines", 4));
+    const std::size_t m = args.get_unsigned("machines", 4);
     const double ratio = args.get_double("ratio", 1.5);
     if (m == 0 || ratio < 1.0) return usage();
     platform = geometric_platform(m, ratio);
@@ -888,8 +890,7 @@ int cmd_recover(const Args& args) {
   admit::AdmitConfig admit_cfg;
   if (!admit_config_flag(args, *kind, &admit_cfg)) return 2;
 
-  std::size_t shard_count =
-      static_cast<std::size_t>(args.get_long("shards", 0));
+  std::size_t shard_count = args.get_unsigned("shards", 0);
   const std::size_t discovered = io::discover_shard_count(dir);
   if (discovered > shard_count) shard_count = discovered;
   if (shard_count == 0) {
@@ -965,8 +966,7 @@ int cmd_serve(const Args& args) {
   const double alpha = args.alpha();
   admit::AdmitConfig admit_cfg;
   if (!admit_config_flag(args, *kind, &admit_cfg)) return 2;
-  const auto stats_interval =
-      static_cast<std::size_t>(args.get_long("stats-interval", 0));
+  const std::size_t stats_interval = args.get_unsigned("stats-interval", 0);
   const std::string trace_out = args.get("trace-out", "");
   if ((stats_interval > 0 || !trace_out.empty()) && !obs::kMetricsCompiled) {
     std::fprintf(stderr,
