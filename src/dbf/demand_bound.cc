@@ -18,7 +18,7 @@ namespace {
 std::optional<std::int64_t> dbf_checked(const Task& task, std::int64_t t) {
   const std::int64_t d = task.effective_deadline();
   if (t < d) return 0;
-  return checked_mul((t - d) / task.period + 1, task.exec);
+  return checked_mul(divmod_nonneg(t - d, task.period).quot + 1, task.exec);
 }
 
 // sum_i dbf_i(t), or nullopt when it overflows int64.  The deciders sum
@@ -72,24 +72,42 @@ long double total_utilization_ld(std::span<const Task> tasks) {
   return u;
 }
 
+// What the bound and QPA read off a set once it passes U <= s: La's
+// numerator sum (p_i - d_i) u_i, summed in index order, and the smallest
+// and largest relative deadline.
+struct Deadlines {
+  long double slack = 0;
+  std::int64_t dmin = std::numeric_limits<std::int64_t>::max();
+  std::int64_t dmax = 0;
+};
+
+Deadlines deadlines_of(std::span<const Task> tasks) {
+  Deadlines set;
+  for (const Task& t : tasks) {
+    const std::int64_t d = t.effective_deadline();
+    set.slack += static_cast<long double>(t.period - d) *
+                 static_cast<long double>(t.exec) /
+                 static_cast<long double>(t.period);
+    set.dmin = std::min(set.dmin, d);
+    set.dmax = std::max(set.dmax, d);
+  }
+  return set;
+}
+
 long double speed_ld(const Rational& speed) {
   return static_cast<long double>(speed.num()) /
          static_cast<long double>(speed.den());
 }
 
 // La = sum (p_i - d_i) u_i / (s - U): beyond it, dbf(t) <= s t follows from
-// U <= s alone.  Needs U < s; computed in long double and inflated
-// slightly — any upper bound on La is a valid check bound.  nullopt when
-// it does not fit int64 (the busy period alone then bounds the scan).
-std::optional<std::int64_t> la_bound(std::span<const Task> tasks,
-                                     long double u, long double s) {
-  long double num = 0;
-  for (const Task& t : tasks) {
-    num += static_cast<long double>(t.period - t.effective_deadline()) *
-           static_cast<long double>(t.exec) /
-           static_cast<long double>(t.period);
-  }
-  const long double la = num / (s - u) * (1 + 1e-9L) + 1;
+// U <= s alone.  Used only when U lies below s by more than the band;
+// computed in long double and inflated slightly — any upper bound on La is
+// a valid check bound.  nullopt otherwise, or when La does not fit int64
+// (the busy period alone then bounds the scan).
+std::optional<std::int64_t> la_bound(long double slack, long double u,
+                                     long double s) {
+  if (!(u < s - kUtilBand)) return std::nullopt;
+  const long double la = slack / (s - u) * (1 + 1e-9L) + 1;
   if (!(la < 0x1p63L)) return std::nullopt;
   return static_cast<std::int64_t>(la);
 }
@@ -138,10 +156,84 @@ std::optional<std::int64_t> max_deadline_at_most(std::span<const Task> tasks,
   for (const Task& task : tasks) {
     const std::int64_t d = task.effective_deadline();
     if (d > t) continue;
-    const std::int64_t candidate = t - (t - d) % task.period;
+    const std::int64_t candidate = t - divmod_nonneg(t - d, task.period).rem;
     if (!best || candidate > *best) best = candidate;
   }
   return best;
+}
+
+// min(busy period, La) — the busy-period scan stops at La — and never
+// below d_max: the first job of each task must be checked at least once.
+// HETSCHED_NOALLOC
+std::optional<std::int64_t> check_bound(std::span<const Task> tasks,
+                                        const Rational& speed,
+                                        std::optional<std::int64_t> la,
+                                        std::int64_t dmax) {
+  std::optional<std::int64_t> bound = busy_period(tasks, speed, la);
+  if (!bound) bound = la;
+  if (!bound) return std::nullopt;
+  return std::max(*bound, dmax);
+}
+
+// How a QPA scan ended, and the instant (in ticks) it ended at.
+enum class ScanEnd : std::uint8_t {
+  kVerified,   // no instant at or below the start misses
+  kViolation,  // a miss at `at`
+  kOverflow,   // the demand at `at` exceeds int64
+  kBudget,     // out of visits; the scan would go on at `at`
+};
+
+struct Scan {
+  ScanEnd end;
+  int128 at;
+};
+
+// No visit budget.
+constexpr std::int64_t kUnbounded = std::numeric_limits<std::int64_t>::max();
+
+// Visits the scan down from max(La, d_max) may spend before the bound
+// takes over.
+constexpr std::int64_t kLaScanBudget = 64;
+
+// QPA's downward scan (Zhang & Burns 2009) from instant `t`, in ticks
+// (core/int_time.h: a deadline d is instant_ticks(d), and the time demand
+// D takes is work_ticks(D)).  A visit computes D = dbf(t).  D / s > t is a
+// miss; otherwise no instant in [D / s, t] misses, so the scan jumps to
+// D / s, or, when D / s == t, to the largest deadline below t.  It is done
+// once it reaches the verified prefix [0, `verified`] or D / s falls to
+// `safe` (the smallest deadline, below which nothing is demanded).  Demand
+// only shrinks as the scan descends, so an overflow can only come at the
+// first visit.
+// HETSCHED_NOALLOC
+Scan qpa_scan(std::span<const Task> tasks, const Rational& speed, int128 t,
+              int128 verified, int128 safe, std::int64_t budget) {
+  for (std::int64_t visits = 0;; ++visits) {
+    if (t <= verified) return {ScanEnd::kVerified, t};
+    if (visits == budget) return {ScanEnd::kBudget, t};
+    const auto demand = total_dbf_checked(tasks, floor_instant(t, speed));
+    if (!demand) return {ScanEnd::kOverflow, t};
+    const int128 need = work_ticks(*demand, speed);
+    if (need > t) return {ScanEnd::kViolation, t};
+    if (need <= safe) return {ScanEnd::kVerified, t};
+    if (need < t) {
+      t = need;
+      continue;
+    }
+    const auto next = max_deadline_at_most(tasks, floor_instant(t - 1, speed));
+    if (!next) return {ScanEnd::kVerified, t};
+    t = instant_ticks(*next, speed);
+  }
+}
+
+// qpa_scan from the largest deadline at or before instant `top`.
+// HETSCHED_NOALLOC
+Scan qpa_scan_from(std::span<const Task> tasks, const Rational& speed,
+                   std::int64_t top, int128 verified, int128 safe,
+                   std::int64_t budget) {
+  const auto start = max_deadline_at_most(tasks, top);
+  if (!start) return {ScanEnd::kVerified, 0};
+  return qpa_scan(tasks, speed, instant_ticks(*start, speed), verified, safe,
+                  budget);
 }
 
 }  // namespace
@@ -154,18 +246,8 @@ std::optional<std::int64_t> dbf_check_bound(
   const long double u = total_utilization_ld(tasks);
   const long double s = speed_ld(speed);
   if (u > s + kUtilBand) return std::nullopt;  // trivially infeasible
-
-  // The bound is min(busy period, La); the busy-period scan stops at La.
-  const std::optional<std::int64_t> la =
-      u < s - kUtilBand ? la_bound(tasks, u, s) : std::nullopt;
-  std::optional<std::int64_t> bound = busy_period(tasks, speed, la);
-  if (!bound) bound = la;
-  if (!bound) return std::nullopt;
-  // Also never below the largest relative deadline (the first job of each
-  // task must be checked at least once).
-  std::int64_t dmax = 0;
-  for (const Task& t : tasks) dmax = std::max(dmax, t.effective_deadline());
-  return std::max(*bound, dmax);
+  const Deadlines set = deadlines_of(tasks);
+  return check_bound(tasks, speed, la_bound(set.slack, u, s), set.dmax);
 }
 
 bool edf_dbf_feasible_exact(std::span<const Task> tasks,
@@ -192,39 +274,60 @@ bool edf_dbf_feasible_exact(std::span<const Task> tasks,
 }
 
 // HETSCHED_NOALLOC
+QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
+                               const Rational& speed) {
+  if (tasks.empty()) return {true, QpaStage::kUtilization};
+  HETSCHED_CHECK(speed > Rational(0));
+  const long double u = total_utilization_ld(tasks);
+  const long double s = speed_ld(speed);
+  if (u > s + kUtilBand) return {false, QpaStage::kUtilization};
+  const Deadlines set = deadlines_of(tasks);
+  const std::optional<std::int64_t> la = la_bound(set.slack, u, s);
+  const int128 safe = instant_ticks(set.dmin, speed);
+
+  // Stage 1: the prefix [0, B], B = 2 d_max capped at max(La, d_max).
+  // An overflow at its top verifies nothing: that instant may lie beyond
+  // the bound, where the demand need not fit.
+  std::int64_t prefix = checked_add(set.dmax, set.dmax)
+                            .value_or(std::numeric_limits<std::int64_t>::max());
+  if (la) prefix = std::min(prefix, std::max(*la, set.dmax));
+  const Scan first =
+      qpa_scan_from(tasks, speed, prefix, -1, safe, kUnbounded);
+  if (first.end == ScanEnd::kViolation) return {false, QpaStage::kPrefix};
+  const bool prefix_ok = first.end == ScanEnd::kVerified;
+  const int128 verified = prefix_ok ? instant_ticks(prefix, speed) : -1;
+
+  // Stage 2: down from max(La, d_max), which bounds every instant the
+  // bound below could name, to B, within a budget.  Its start is at or
+  // above stage 1's, so after an overflow there it would overflow too.
+  std::optional<int128> resume;
+  if (la && prefix_ok) {
+    const std::int64_t top = std::max(*la, set.dmax);
+    if (top <= prefix) return {true, QpaStage::kPrefix};
+    const Scan second =
+        qpa_scan_from(tasks, speed, top, verified, safe, kLaScanBudget);
+    if (second.end == ScanEnd::kVerified) return {true, QpaStage::kLa};
+    if (second.end == ScanEnd::kViolation) return {false, QpaStage::kLa};
+    if (second.end == ScanEnd::kBudget) resume = second.at;
+  }
+
+  // Stage 3: the busy-period bound, as dbf_check_bound computes it, down
+  // to B — or on from where stage 2 stopped, if that is lower.  Here an
+  // overflow rejects.
+  const auto bound = check_bound(tasks, speed, la, set.dmax);
+  if (!bound) return {false, QpaStage::kBusyPeriod};
+  const auto start = max_deadline_at_most(tasks, *bound);
+  if (!start) return {true, QpaStage::kBusyPeriod};
+  int128 t = instant_ticks(*start, speed);
+  if (resume) t = std::min(t, *resume);
+  const Scan last = qpa_scan(tasks, speed, t, verified, safe, kUnbounded);
+  return {last.end == ScanEnd::kVerified, QpaStage::kBusyPeriod};
+}
+
+// HETSCHED_NOALLOC
 bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
                           const Rational& speed) {
-  if (tasks.empty()) return true;
-  const auto bound = dbf_check_bound(tasks, speed);
-  if (!bound) return false;
-
-  std::int64_t dmin = std::numeric_limits<std::int64_t>::max();
-  for (const Task& t : tasks) dmin = std::min(dmin, t.effective_deadline());
-  const int128 safe = instant_ticks(dmin, speed);
-
-  // The scan point t is kept in ticks (core/int_time.h): a deadline d is
-  // instant_ticks(d), and the time demand D takes is work_ticks(D).
-  const auto start = max_deadline_at_most(tasks, *bound);
-  if (!start) return true;  // no deadline in range: nothing can miss
-  int128 t = instant_ticks(*start, speed);
-  for (;;) {
-    const auto demand = total_dbf_checked(tasks, floor_instant(t, speed));
-    if (!demand) return false;  // demand beyond int64: reject
-    const int128 need = work_ticks(*demand, speed);
-    if (need > t) return false;  // miss at t
-    if (need <= safe) {
-      return true;  // scanned down into the trivially-safe region
-    }
-    if (need < t) {
-      t = need;
-    } else {
-      // The largest deadline strictly before t.
-      const auto next =
-          max_deadline_at_most(tasks, floor_instant(t - 1, speed));
-      if (!next) return true;
-      t = instant_ticks(*next, speed);
-    }
-  }
+  return edf_dbf_qpa_verdict(tasks, speed).feasible;
 }
 
 bool edf_dbf_feasible_approx(std::span<const Task> tasks,

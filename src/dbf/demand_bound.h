@@ -15,7 +15,8 @@
 // Three deciders are provided, cross-validated in the tests:
 //   * exact enumeration of deadline check-points up to the bound,
 //   * QPA (Zhang & Burns 2009): a backwards fixed-point scan that visits
-//     only a handful of points in practice,
+//     only a handful of points in practice, run violation-first in three
+//     stages (edf_dbf_qpa_verdict below),
 //   * the linear approximate DBF (Albers & Slomka / ref [7] style):
 //     dbf*_i(t) = c_i + u_i (t - d_i) for t >= d_i — a sufficient test
 //     whose error is bounded; it sums all n tasks at each task's first
@@ -63,8 +64,41 @@ bool edf_dbf_feasible_exact(std::span<const Task> tasks,
                             const Rational& speed);
 
 // QPA: same verdict as the exact test, typically visiting far fewer points.
+// QPA's verdict holds for any valid check bound, so the order in which it
+// visits instants is free; it looks first where misses are found.  With
+// d_max the largest relative deadline and La as in dbf_check_bound, one
+// downward scan runs in up to three stages, each stopping at the instants
+// an earlier one verified:
+//   1. the prefix [0, B], B = 2 d_max, capped at max(La, d_max) when La
+//      exists, where misses tend to lie (within the first few deadlines
+//      of some task).  A demand beyond int64 at its top verifies nothing
+//      and falls through, since that instant may lie past every bound;
+//   2. when La exists: from max(La, d_max) down to B, at most 64 visits.
+//      Done, it covers every instant the busy-period bound could name;
+//   3. otherwise: from dbf_check_bound (or from where stage 2 stopped, if
+//      lower) down to B.  Here a missing bound or an overflow rejects.
+// A miss found anywhere is a miss, stage 2 spans a superset of the bound's
+// range and stage 3 is the classic scan, so every verdict equals the
+// classic scan's from dbf_check_bound.
 bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
                           const Rational& speed);
+
+// The stage of edf_dbf_feasible_qpa that reached its verdict.
+enum class QpaStage : std::uint8_t {
+  kUtilization,  // no scan: U > s rejects, an empty set is feasible
+  kPrefix,       // stage 1 (also when B reached max(La, d_max))
+  kLa,           // stage 2
+  kBusyPeriod,   // stage 3
+};
+
+struct QpaVerdict {
+  bool feasible;
+  QpaStage stage;
+};
+
+// edf_dbf_feasible_qpa with the stage that decided.
+QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
+                               const Rational& speed);
 
 // Sufficient test via the linear approximate DBF: never accepts an
 // infeasible set; may reject feasible ones (bounded pessimism).

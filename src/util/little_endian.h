@@ -1,13 +1,17 @@
 // The little-endian integer codec of every byte format the repo writes:
 // wire frames (net/protocol), WAL records (io/wal), snapshot files
 // (io/snapshot_format) and controller snapshot payloads
-// (online/online_partitioner).  Byte-at-a-time access keeps the layout
-// identical on any host endianness and alignment.  Reads keep the get_u*
-// names, which lint's [parser-bounds] rule looks for in parsers.
+// (online/online_partitioner).  On a little-endian host a field is one
+// memcpy, which compilers lower to a single unaligned load or store; other
+// hosts assemble it a byte at a time.  Either way the layout is the same
+// and no alignment is assumed.  Reads keep the get_u* names, which lint's
+// [parser-bounds] rule looks for in parsers.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -18,8 +22,12 @@ namespace le_detail {
 // HETSCHED_NOALLOC
 template <typename T>
 void store(std::uint8_t* p, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
   }
 }
 
@@ -27,8 +35,12 @@ void store(std::uint8_t* p, T v) {
 template <typename T>
 T load(const std::uint8_t* p) {
   T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v = static_cast<T>(v | static_cast<T>(static_cast<T>(p[i]) << (8 * i)));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(v | static_cast<T>(static_cast<T>(p[i]) << (8 * i)));
+    }
   }
   return v;
 }

@@ -7,6 +7,9 @@
 // real denominators, U == s (the busy period's iteration limit) and U just
 // below s (the busy period stopping at La).  Those property tests cannot
 // see a bound bug: edf_dbf_feasible_exact shares dbf_check_bound with QPA.
+// The narrow-division fast paths of core/int_time.h are checked against
+// plain int128 arithmetic at the edges where they switch width: operands
+// 2^32 - 1, 2^32 and 2^32 + 1, and ticks at INT64_MAX and INT64_MAX + 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +18,11 @@
 #include <limits>
 #include <vector>
 
+#include "core/int_time.h"
 #include "core/rta.h"
 #include "dbf/demand_bound.h"
 #include "gen/platform_gen.h"
+#include "qpa_reference.h"
 #include "rational_reference.h"
 #include "task_literals.h"
 #include "util/rng.h"
@@ -309,6 +314,211 @@ TEST(IntegerTime, ApproxAtKOneReadsTheBoundOnlyInsideTheBand) {
   EXPECT_FALSE(dbf_check_bound(out_of_band, one).has_value());
   EXPECT_TRUE(edf_dbf_feasible_approx_k(out_of_band, one, 1));
   EXPECT_TRUE(edf_dbf_feasible_approx(out_of_band, one));
+}
+
+constexpr std::int64_t kTwo32 = std::int64_t{1} << 32;
+constexpr std::int64_t kMax64 = std::numeric_limits<std::int64_t>::max();
+
+// Operands on both sides of each width switch.
+constexpr std::int64_t kEdges[] = {0,          1,          2,
+                                   3,          7,          kTwo32 - 1,
+                                   kTwo32,     kTwo32 + 1, 2 * kTwo32 + 1,
+                                   kMax64 - 1, kMax64};
+
+int128 ceil_div128(int128 a, int128 b) { return (a + b - 1) / b; }
+
+TEST(IntegerTime, DivModMatchesInt128AtTheWidthEdges) {
+  for (const std::int64_t a : kEdges) {
+    for (const std::int64_t b : kEdges) {
+      if (b == 0) continue;
+      const DivMod q = divmod_nonneg(a, b);
+      EXPECT_EQ(q.quot, static_cast<int128>(a) / b) << a << " / " << b;
+      EXPECT_EQ(q.rem, static_cast<int128>(a) % b) << a << " % " << b;
+    }
+  }
+}
+
+TEST(IntegerTime, InstantRoundingMatchesInt128AroundInt64Max) {
+  const int128 max = kMax64;
+  const int128 ticks[] = {0,          1,       kTwo32 - 1, kTwo32,
+                          kTwo32 + 1, max - 1, max,        max + 1,
+                          max + 2,    3 * max};
+  for (const std::int64_t num : {std::int64_t{1}, std::int64_t{3},
+                                 kTwo32 - 1, kTwo32, kTwo32 + 1}) {
+    const Rational speed(num);
+    for (const int128 t : ticks) {
+      SCOPED_TRACE("num=" + std::to_string(num) + " ticks=" +
+                   std::to_string(static_cast<double>(t)));
+      if (t / num <= max) {
+        EXPECT_EQ(floor_instant(t, speed), t / num);
+      }
+      const int128 up = ceil_div128(t, num);
+      const auto got = ceil_instant(t, speed);
+      if (up <= max) {
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(*got, up);
+      } else {
+        EXPECT_FALSE(got.has_value());
+      }
+    }
+  }
+}
+
+// next_work in plain int128: c0 + sum_j ceil(ceil(W den / num) / p_j) c_j
+// over every task, nullopt past int64.
+std::optional<std::int64_t> plain_next_work(std::span<const Task> tasks,
+                                            std::int64_t c0,
+                                            std::int64_t work,
+                                            const Rational& speed) {
+  const int128 elapsed =
+      ceil_div128(static_cast<int128>(work) * speed.den(), speed.num());
+  if (elapsed > kMax64) return std::nullopt;
+  int128 sum = c0;
+  for (const Task& t : tasks) {
+    sum += ceil_div128(elapsed, t.period) * t.exec;
+    if (sum > kMax64) return std::nullopt;
+  }
+  return static_cast<std::int64_t>(sum);
+}
+
+TEST(IntegerTime, NextWorkMatchesInt128AtTheWidthEdges) {
+  const std::vector<Task> tasks{{3, kTwo32 - 1}, {5, kTwo32}, {7, kTwo32 + 1}};
+  const auto all = [](std::size_t) { return true; };
+  // Unit speed: the elapsed time is the work itself.
+  for (const std::int64_t work : kEdges) {
+    for (const std::int64_t c0 : {std::int64_t{0}, std::int64_t{11}}) {
+      EXPECT_EQ(next_work(tasks, all, c0, work, Rational(1)),
+                plain_next_work(tasks, c0, work, Rational(1)))
+          << "work " << work << " c0 " << c0;
+    }
+  }
+  // Work whose ticks W den are INT64_MAX (speed 9/7) and INT64_MAX + 1
+  // (speed 3/2), around each.
+  const std::int64_t at_max = kMax64 / 7;  // 7 divides 2^63 - 1
+  const std::int64_t past_max = std::int64_t{1} << 62;
+  for (const auto& [speed, work] :
+       {std::pair{Rational(9, 7), at_max}, std::pair{Rational(3, 2), past_max}}) {
+    for (const std::int64_t w : {work - 1, work}) {
+      EXPECT_EQ(next_work(tasks, all, 0, w, speed),
+                plain_next_work(tasks, 0, w, speed))
+          << "speed " << speed.to_string() << " work " << w;
+    }
+  }
+  // Demand past int64 is nullopt on both paths.
+  const std::vector<Task> heavy{{kMax64 / 2, kTwo32}};
+  EXPECT_FALSE(next_work(heavy, all, 0, 2 * kTwo32 + 1, Rational(1)));
+  EXPECT_FALSE(plain_next_work(heavy, 0, 2 * kTwo32 + 1, Rational(1)));
+}
+
+TEST(IntegerTime, TotalDbfMatchesInt128AtTheWidthEdges) {
+  const std::vector<Task> tasks{cdp(3, kTwo32 - 2, kTwo32 - 1),
+                                cdp(5, kTwo32 - 1, kTwo32),
+                                cdp(7, kTwo32, kTwo32 + 1), cdp(1, 1, 2)};
+  std::vector<std::int64_t> instants(std::begin(kEdges), std::end(kEdges));
+  for (const std::int64_t t : {kTwo32 - 2, 2 * kTwo32 - 1, 2 * kTwo32,
+                               2 * kTwo32 + 2, 3 * kTwo32}) {
+    instants.push_back(t);
+  }
+  for (const std::int64_t t : instants) {
+    int128 want = 0;
+    for (const Task& task : tasks) {
+      const std::int64_t d = task.effective_deadline();
+      if (t >= d) want += ((t - d) / static_cast<int128>(task.period) + 1) *
+                          task.exec;
+    }
+    EXPECT_EQ(total_dbf(tasks, t), want) << "t " << t;
+  }
+}
+
+// Three tasks with periods 2^32 - 1, 2^32 and 2^32 + 1 (or half that),
+// deadlines in [p / 2, p], and utilization near `target`.
+std::vector<Task> tasks_at_the_edge(Rng& rng, double target) {
+  std::vector<Task> tasks;
+  for (const std::int64_t p : {kTwo32 - 1, kTwo32, kTwo32 + 1}) {
+    const std::int64_t period = rng.bernoulli(0.5) ? p : p / 2;
+    const auto c = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(target / 3 * rng.uniform(0.8, 1.2) *
+                                     static_cast<double>(period)));
+    const auto d = static_cast<std::int64_t>(rng.uniform(0.5, 1.0) *
+                                             static_cast<double>(period));
+    tasks.push_back(cdp(std::min(c, period), std::clamp(d, c, period),
+                        period));
+  }
+  return tasks;
+}
+
+TEST(IntegerTime, QpaMatchesInt128AtTheWidthEdges) {
+  // Speed numerators straddle 2^32 too, so instant t takes t * num ticks
+  // that cross INT64_MAX for t near 2^31.
+  Rng rng(1405);
+  int accepts = 0, rejects = 0;
+  for (const Rational& speed :
+       {Rational(1), Rational(3, 2), Rational(kTwo32 + 1, kTwo32),
+        Rational(kTwo32 - 1, std::int64_t{1} << 31),
+        Rational(kTwo32, kTwo32 - 1)}) {
+    for (int rep = 0; rep < 40; ++rep) {
+      const auto tasks =
+          tasks_at_the_edge(rng, rng.uniform(0.6, 1.05) * speed.to_double());
+      SCOPED_TRACE("speed " + speed.to_string() + " rep " +
+                   std::to_string(rep));
+      EXPECT_EQ(dbf_check_bound(tasks, speed),
+                qpa_reference::dbf_check_bound(tasks, speed));
+      const bool qpa = edf_dbf_feasible_qpa(tasks, speed);
+      EXPECT_EQ(qpa, qpa_reference::edf_dbf_feasible_qpa(tasks, speed));
+      (qpa ? accepts : rejects) += 1;
+    }
+  }
+  EXPECT_GT(accepts, 0);
+  EXPECT_GT(rejects, 0);
+}
+
+// The response time of task i in plain int128: the least fixed point of
+// W = c_i + sum over higher priority j of ceil(ceil(W den / num) / p_j)
+// c_j, nullopt once W / s passes d_i.
+std::optional<Rational> plain_response_time(std::span<const Task> tasks,
+                                            std::size_t i,
+                                            const Rational& speed) {
+  const std::int64_t di = tasks[i].effective_deadline();
+  const int128 limit = static_cast<int128>(di) * speed.num();
+  int128 work = tasks[i].exec;
+  for (;;) {
+    if (work * speed.den() > limit) return std::nullopt;
+    const int128 elapsed = ceil_div128(work * speed.den(), speed.num());
+    int128 next = tasks[i].exec;
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      const std::int64_t dj = tasks[j].effective_deadline();
+      if (dj < di || (dj == di && j < i)) {
+        next += ceil_div128(elapsed, tasks[j].period) * tasks[j].exec;
+      }
+    }
+    if (next == work) {
+      return Rational(static_cast<std::int64_t>(work)) / speed;
+    }
+    work = next;
+  }
+}
+
+TEST(IntegerTime, ResponseTimeMatchesInt128AtTheWidthEdges) {
+  // Small speed numerators: a response time W / s with W near 2^32 must
+  // stay a representable Rational.  The elapsed time still crosses 2^32.
+  Rng rng(1406);
+  int bounded = 0, missed = 0;
+  for (const Rational& speed :
+       {Rational(1), Rational(3, 2), Rational(9, 4), Rational(7, 3)}) {
+    for (int rep = 0; rep < 40; ++rep) {
+      const auto tasks =
+          tasks_at_the_edge(rng, rng.uniform(0.4, 1.0) * speed.to_double());
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const auto want = plain_response_time(tasks, i, speed);
+        EXPECT_EQ(response_time(tasks, i, speed), want)
+            << "speed " << speed.to_string() << " rep " << rep << " task "
+            << i;
+        (want ? bounded : missed) += 1;
+      }
+    }
+  }
+  EXPECT_GT(bounded, 0);
+  EXPECT_GT(missed, 0);
 }
 
 }  // namespace

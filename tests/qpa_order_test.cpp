@@ -1,0 +1,235 @@
+// Differential test of the violation-first QPA (dbf/demand_bound.h)
+// against the single downward scan from dbf_check_bound it replaced
+// (qpa_reference.h).  QPA's verdict holds for any valid check bound, so
+// reordering its visits may not move a verdict: 10^5 seeded sets over
+// four period ranges, two utilization bands and five speeds must agree
+// exactly.  One pinned set per stage path shows each path is reached, and
+// guards the two places where a stage must not decide: a stage-2 scan
+// that runs out of visits, and a stage-1 demand that overflows int64.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "dbf/demand_bound.h"
+#include "qpa_reference.h"
+#include "task_literals.h"
+#include "util/rng.h"
+
+namespace hetsched {
+namespace {
+
+struct PeriodRange {
+  const char* name;
+  std::int64_t lo;
+  std::int64_t hi;
+};
+
+constexpr std::int64_t kTwo32 = std::int64_t{1} << 32;
+
+// Around 2^32 the narrow divisions of core/int_time.h switch width.
+constexpr PeriodRange kPeriodRanges[] = {
+    {"Tens", 10, 1000},
+    {"Thousands", 1000, 100000},
+    {"AroundTwo32", kTwo32 - (1 << 20), kTwo32 + (1 << 20)},
+    {"TwoFortyToFortyFive", std::int64_t{1} << 40, std::int64_t{1} << 45},
+};
+
+struct UtilBand {
+  double lo;
+  double hi;
+};
+
+// U / s in [0.9, 1), and [0.999, 1.0001]: the U ~ s tail.
+constexpr UtilBand kUtilBands[] = {{0.9, 1.0}, {0.999, 1.0001}};
+
+const Rational kSpeeds[] = {Rational(1), Rational(3, 2), Rational(9, 4),
+                            Rational(27, 8), Rational(7, 3)};
+
+constexpr int kSetsPerCell = 2500;  // 4 ranges x 2 bands x 5 speeds: 10^5
+
+// A random constrained set with periods in `range` and utilization near
+// `target`: shares split at random, the widest task topped up toward the
+// target, and three in four deadlines drawn in [0.3 p, p] (never below
+// the exec).
+std::vector<Task> random_set(Rng& rng, const PeriodRange& range,
+                             double target) {
+  const auto fewest = std::max<std::int64_t>(
+      2, static_cast<std::int64_t>(std::ceil(target * 1.25)));
+  const std::int64_t n = rng.uniform_int(fewest, fewest + 8);
+  std::vector<double> weights;
+  double sum = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    weights.push_back(rng.uniform(0.1, 1.0));
+    sum += weights.back();
+  }
+  std::vector<Task> tasks;
+  long double u = 0;
+  std::size_t widest = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const std::int64_t p = rng.uniform_int(range.lo, range.hi);
+    const double share = std::min(1.0, target * weights[i] / sum);
+    const auto c = std::clamp<std::int64_t>(
+        std::llround(share * static_cast<double>(p)), 1, p);
+    tasks.push_back(cdp(c, p, p));
+    u += static_cast<long double>(c) / static_cast<long double>(p);
+    if (p > tasks[widest].period) widest = i;
+  }
+  Task& top = tasks[widest];
+  const long double fix =
+      (target - u) * static_cast<long double>(top.period);
+  top.exec = std::clamp<std::int64_t>(top.exec + std::llround(fix), 1,
+                                      top.period);
+  for (Task& t : tasks) {
+    if (rng.bernoulli(0.25)) continue;
+    const double ratio = rng.uniform(0.3, 1.0);
+    t.deadline = std::clamp<std::int64_t>(
+        std::llround(ratio * static_cast<double>(t.period)), t.exec,
+        t.period);
+  }
+  return tasks;
+}
+
+std::string describe(const std::vector<Task>& tasks, const Rational& speed) {
+  std::ostringstream out;
+  out << "speed " << speed.to_string() << ":";
+  for (const Task& t : tasks) {
+    out << " cdp(" << t.exec << ", " << t.effective_deadline() << ", "
+        << t.period << ")";
+  }
+  return out.str();
+}
+
+void PrintTo(const PeriodRange& range, std::ostream* out) {
+  *out << range.name;
+}
+
+class QpaOrder : public ::testing::TestWithParam<PeriodRange> {};
+
+TEST_P(QpaOrder, VerdictsMatchTheSingleScan) {
+  const PeriodRange& range = GetParam();
+  Rng rng(20261017 + static_cast<std::uint64_t>(range.lo));
+  // decided[stage][feasible]
+  int decided[4][2] = {};
+  int mismatches = 0;
+  for (const UtilBand& band : kUtilBands) {
+    for (const Rational& speed : kSpeeds) {
+      for (int i = 0; i < kSetsPerCell; ++i) {
+        const double target =
+            rng.uniform(band.lo, band.hi) * speed.to_double();
+        const auto tasks = random_set(rng, range, target);
+        const QpaVerdict got = edf_dbf_qpa_verdict(tasks, speed);
+        const bool want = qpa_reference::edf_dbf_feasible_qpa(tasks, speed);
+        ++decided[static_cast<int>(got.stage)][got.feasible ? 1 : 0];
+        if (got.feasible != want && ++mismatches <= 5) {
+          ADD_FAILURE() << "verdict " << got.feasible << " at stage "
+                        << static_cast<int>(got.stage) << ", single scan "
+                        << want << ": " << describe(tasks, speed);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Each stage decides some of the sets, and both verdicts occur.
+  for (const QpaStage stage :
+       {QpaStage::kPrefix, QpaStage::kLa, QpaStage::kBusyPeriod}) {
+    const auto s = static_cast<int>(stage);
+    EXPECT_GT(decided[s][0] + decided[s][1], 0) << "stage " << s;
+  }
+  int accepts = 0, rejects = 0;
+  for (const auto& row : decided) {
+    rejects += row[0];
+    accepts += row[1];
+  }
+  EXPECT_GT(accepts, kSetsPerCell);
+  EXPECT_GT(rejects, kSetsPerCell);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Periods, QpaOrder, ::testing::ValuesIn(kPeriodRanges),
+    [](const ::testing::TestParamInfo<PeriodRange>& param) {
+      return std::string(param.param.name);
+    });
+
+void expect_verdict(const std::vector<Task>& tasks, const Rational& speed,
+                    bool feasible, QpaStage stage) {
+  SCOPED_TRACE(describe(tasks, speed));
+  const QpaVerdict got = edf_dbf_qpa_verdict(tasks, speed);
+  EXPECT_EQ(got.feasible, feasible);
+  EXPECT_EQ(got.stage, stage);
+  EXPECT_EQ(edf_dbf_feasible_qpa(tasks, speed), feasible);
+  EXPECT_EQ(qpa_reference::edf_dbf_feasible_qpa(tasks, speed), feasible);
+}
+
+TEST(QpaOrderPinned, MissInsideThePrefix) {
+  // dbf(3) = 4 > 3, at the first deadlines; the prefix [0, 6] finds it.
+  expect_verdict({cdp(2, 3, 4), cdp(2, 3, 6)}, Rational(1), false,
+                 QpaStage::kPrefix);
+}
+
+TEST(QpaOrderPinned, PrefixCappedBySmallLa) {
+  // Speed 27/8 with T = 2^59: A = (25 T / 8, T, T) and B = (17 T / 32,
+  // 4 T, 17 T / 2), U = 25/8 + 1/16.  La = (p_B - d_B) u_B / (s - U) =
+  // 4.5 T lies between d_max = 4 T and 2 d_max, so stage 1 scans [0, La]
+  // and covers everything: stage 2 has nothing left.  Past La, from
+  // A's fifth deadline on, the demand exceeds int64; an uncapped prefix
+  // of 2 d_max = 8 T would start there and leave the verdict to stage 3.
+  const std::int64_t t = std::int64_t{1} << 59;
+  const std::vector<Task> tasks{cdp(25 * (t / 8), t, t),
+                                cdp(17 * (t / 32), 4 * t, 17 * (t / 2))};
+  expect_verdict(tasks, Rational(27, 8), true, QpaStage::kPrefix);
+  EXPECT_EQ(dbf_check_bound(tasks, Rational(27, 8)), 4 * t);
+}
+
+TEST(QpaOrderPinned, LaScanRunsOutOfBudget) {
+  // U = 0.9995 on a unit machine.  La ~ 3.8e5 lies far above 2 d_max =
+  // 1416, and the scan down from it spends its 64 visits long before
+  // reaching the prefix; the busy-period bound then finds the miss.  A
+  // spent budget verifies nothing: accepting here would be wrong.
+  const std::vector<Task> tasks{cdp(78, 556, 556), cdp(201, 500, 696),
+                                cdp(173, 294, 574), cdp(172, 708, 898),
+                                cdp(21, 127, 271)};
+  expect_verdict(tasks, Rational(1), false, QpaStage::kBusyPeriod);
+}
+
+TEST(QpaOrderPinned, NoLaWhenUtilizationEqualsSpeed) {
+  // U == s: no La, so a clean prefix [0, 2 d_max] decides nothing and
+  // the busy period bounds the scan.  Here it is 4, inside the prefix.
+  expect_verdict({cdp(1, 1, 2), cdp(2, 4, 4)}, Rational(1), true,
+                 QpaStage::kBusyPeriod);
+  // (1, 2) beside (h + 1, 2 h + 2), h = 2^39: U == 1 and the prefix is
+  // clean, but the busy period passes its 2^40 cap, so the set is
+  // rejected exactly as the single scan rejects it.
+  const std::int64_t h = std::int64_t{1} << 39;
+  expect_verdict({{1, 2}, {h + 1, 2 * (h + 1)}}, Rational(1), false,
+                 QpaStage::kBusyPeriod);
+}
+
+TEST(QpaOrderPinned, PrefixOverflowFallsThrough) {
+  // Speed 3 * 2^22, T = 2^20, P = 2^39: A = (2^43, T, T) and B = (c_B,
+  // P - 2^19, P).  The busy period ends at about P, but the prefix top
+  // 2 d_max = 2 P - 2^20 is A's deadline where the demand, about
+  // 2^63 - 2^43 + 2^61, exceeds int64.  That overflow lies beyond the
+  // bound and verifies nothing; stage 3 scans from the bound and accepts.
+  // Rejecting on it would be wrong.
+  const std::int64_t t = std::int64_t{1} << 20;
+  const std::int64_t p = std::int64_t{1} << 39;
+  const Rational speed(3 * (std::int64_t{1} << 22));
+  // U == s: no La, stage 2 does not apply.
+  expect_verdict({cdp(std::int64_t{1} << 43, t, t),
+                  cdp(std::int64_t{1} << 61, p - (1 << 19), p)},
+                 speed, true, QpaStage::kBusyPeriod);
+  // U == s - 1: La ~ 2^41 exists, but stage 2 would start above the
+  // overflowing instant, so it falls through as well.
+  expect_verdict({cdp(std::int64_t{1} << 43, t, t),
+                  cdp((std::int64_t{1} << 61) - p, p - (1 << 19), p)},
+                 speed, true, QpaStage::kBusyPeriod);
+}
+
+}  // namespace
+}  // namespace hetsched

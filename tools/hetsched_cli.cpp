@@ -117,11 +117,13 @@
 // A tiered test decides tier 0 itself (edf, or rms-ll for rta), so an
 // explicit --admission naming another fold is an error (exit 2), as are a
 // numeric flag that does not parse whole and finite, a negative count,
-// and --alpha below 1 or above 1e6.
+// --alpha below 1 or above 1e6, and any flag the subcommand does not read
+// ("error: unknown flag --X for <cmd>").
 // `replay` refuses, with an error line, each arrival the controller
 // cannot take (a deadline under legacy, an overflowing inflated WCET).
 // Engines: auto (default), naive, tree — bit-identical results; "naive" is
 // the paper's O(n m) scan, "tree" the O(n log m) segment tree.
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -130,10 +132,13 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hetsched/hetsched.h"
@@ -171,18 +176,23 @@ int usage() {
   std::exit(2);
 }
 
+// The flags admit_config_flag reads, shared by replay, serve and recover.
+constexpr std::string_view kAdmitTestFlags[] = {
+    "admission-test", "admit-band", "release-overhead", "preempt-overhead"};
+
 // Minimal --flag value parser; positional args collected separately.
 // Boolean flags never consume the next token, so "replay --stats t.trace"
 // keeps t.trace positional.  "--flag=value" and "--flag value" are
 // equivalent.  Numeric values must parse whole: an integer, or a finite
-// real.
+// real.  Each command names the flags it reads (only()); any other flag
+// is a usage error, so a misspelt or retired flag cannot fall back to its
+// default unseen.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
 
   static bool boolean_flag(const std::string& key) {
-    return key == "stats" || key == "quick" || key == "no-reuseport" ||
-           key == "tracing";
+    return key == "stats" || key == "no-reuseport" || key == "tracing";
   }
 
   static Args parse(int argc, char** argv, int from) {
@@ -208,6 +218,22 @@ struct Args {
       }
     }
     return a;
+  }
+
+  // Exits 2 on the first flag `cmd` does not read: neither in `own` nor in
+  // `shared`.
+  void only(const char* cmd, std::initializer_list<std::string_view> own,
+            std::span<const std::string_view> shared = {}) const {
+    for (const auto& [key, value] : flags) {
+      const auto named = [&key](std::string_view f) { return f == key; };
+      if (std::any_of(own.begin(), own.end(), named) ||
+          std::any_of(shared.begin(), shared.end(), named)) {
+        continue;
+      }
+      std::fprintf(stderr, "error: unknown flag --%s for %s\n", key.c_str(),
+                   cmd);
+      std::exit(2);
+    }
   }
 
   bool has(const std::string& key) const { return flags.count(key) > 0; }
@@ -331,6 +357,7 @@ std::optional<Instance> load_or_complain(const std::string& path) {
 }
 
 int cmd_test(const Args& args) {
+  args.only("test", {"admission", "alpha", "engine"});
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
@@ -355,6 +382,7 @@ int cmd_test(const Args& args) {
 }
 
 int cmd_certify(const Args& args) {
+  args.only("certify", {});
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
@@ -402,6 +430,7 @@ int cmd_certify(const Args& args) {
 }
 
 int cmd_augment(const Args& args) {
+  args.only("augment", {"admission", "engine"});
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
@@ -426,6 +455,7 @@ int cmd_augment(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
+  args.only("simulate", {"policy", "alpha"});
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
@@ -467,6 +497,7 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_sensitivity(const Args& args) {
+  args.only("sensitivity", {"admission", "alpha"});
   if (args.positional.empty()) return usage();
   const auto inst = load_or_complain(args.positional[0]);
   if (!inst) return 1;
@@ -495,6 +526,7 @@ int cmd_sensitivity(const Args& args) {
 }
 
 int cmd_generate(const Args& args) {
+  args.only("generate", {"n", "m", "util", "ratio", "seed"});
   const std::size_t n = args.get_unsigned("n", 16);
   const std::size_t m = args.get_unsigned("m", 4);
   const double norm_util = args.get_double("util", 0.7);
@@ -518,6 +550,7 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_generate_trace(const Args& args) {
+  args.only("generate-trace", {"arrivals", "m", "rate", "ratio", "seed"});
   const std::size_t arrivals = args.get_unsigned("arrivals", 64);
   const std::size_t m = args.get_unsigned("m", 4);
   const double rate = args.get_double("rate", 1.0);
@@ -537,6 +570,10 @@ int cmd_generate_trace(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
+  args.only("replay",
+            {"admission", "alpha", "engine", "rebalance-every", "stats",
+             "trace-out"},
+            kAdmitTestFlags);
   if (args.positional.empty()) return usage();
   auto parsed = load_trace(args.positional[0]);
   if (!parsed.ok()) {
@@ -638,6 +675,7 @@ int flush_trace_ring(const std::string& trace_out) {
 // Live-introspection clients (protocol minor 2): one synchronous info
 // call against a running `serve --listen` instance, body to stdout.
 int cmd_stats(const Args& args) {
+  args.only("stats", {"timeout-ms"});
   if (args.positional.empty()) return usage();
   const int timeout = static_cast<int>(args.get_long("timeout-ms", 5000));
   net::Client client;
@@ -656,6 +694,7 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_tracez(const Args& args) {
+  args.only("tracez", {"slowest", "timeout-ms"});
   if (args.positional.empty()) return usage();
   const std::uint64_t slowest = args.get_unsigned("slowest", 10);
   const int timeout = static_cast<int>(args.get_long("timeout-ms", 5000));
@@ -679,6 +718,15 @@ int cmd_tracez(const Args& args) {
 
 // Network serve mode: the sharded TCP admission service of src/net/.
 int cmd_serve_net(const Args& args) {
+  // --no-reuseport is read by nothing and stays accepted: the end-to-end
+  // benchmark passes it.
+  args.only("serve --listen",
+            {"listen", "shards", "loops", "port-file", "machines", "ratio",
+             "platform", "no-reuseport", "wal-dir", "wal-sync",
+             "snapshot-every", "queue-depth", "admission", "alpha", "engine",
+             "stats-interval", "trace-out", "tracing", "flight-dump", "http",
+             "http-port-file", "slo-us"},
+            kAdmitTestFlags);
   const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
@@ -864,6 +912,10 @@ int cmd_serve_net(const Args& args) {
 // path (net/shard_store.h), so "recover then serve" and "serve with
 // --wal-dir" land in bit-identical states.
 int cmd_recover(const Args& args) {
+  args.only("recover",
+            {"wal-dir", "shards", "machines", "ratio", "platform",
+             "admission", "alpha", "engine"},
+            kAdmitTestFlags);
   const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
@@ -959,6 +1011,9 @@ int cmd_recover(const Args& args) {
 // each line immediately — admission control as a service, minus the RPC.
 int cmd_serve(const Args& args) {
   if (args.has("listen")) return cmd_serve_net(args);
+  args.only("serve",
+            {"admission", "alpha", "engine", "stats-interval", "trace-out"},
+            kAdmitTestFlags);
   const auto kind = admission_flag(args);
   if (!kind) return usage();
   const auto engine = engine_flag(args);
