@@ -14,12 +14,17 @@
 //                    escalation tiers accept (dbf_i(t) <= (c_i/d_i) t for
 //                    t >= d_i), so tier 0 never needs double-checking.
 //   tier 1 (approx)  linear approximate DBF (dbf/demand_bound.h): n probe
-//                    points, each summing n tasks, O(n^2) per query (plus
-//                    the busy-period bound when U is within 1e-12 of the
-//                    speed).  Sufficient, bounded pessimism.
+//                    points over the residents kept in deadline order,
+//                    whose terms one pass sums, O(n) per query and
+//                    bit-identical to summing n tasks at each point.
+//                    O(n^2 k) at k > 1 and when U is within 1e-12 of the
+//                    speed (which adds the busy-period bound).
+//                    Sufficient, bounded pessimism.
 //   tier 2 (exact)   QPA for EDF modes; deadline-monotonic response-time
 //                    analysis for the fixed-priority mode.  Exact, but a
-//                    per-query cost that depends on the period spread.
+//                    per-query cost that depends on the period spread;
+//                    QPA's scan down from La races the busy period, so it
+//                    costs a constant factor of the cheaper bound.
 //
 // Escalation only ever runs when tier 0 *rejects*; which tiers run is a
 // column of the test's row in partition/admission.h, and kAuto additionally
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "core/task.h"
+#include "dbf/demand_bound.h"
 #include "partition/admission.h"
 #include "util/rational.h"
 
@@ -85,40 +91,50 @@ struct TierVerdict {
 
 // Incremental per-machine demand state: the machine's resident tasks,
 // inflated, index-aligned with the controller's per-machine resident list
-// (same push / swap-remove discipline).  Keeping it resident is what makes
-// a warm escalation allocation-free — the deciders scan this span in place
-// instead of rebuilding it from slots.
+// (same push / ordered-erase discipline), and the same residents in
+// deadline order (ties by index) with the terms tier 1 sums
+// (dbf/demand_bound.h DeadlineTerm).  Keeping both resident is what makes
+// a warm escalation allocation-free and tier 1 linear — the deciders scan
+// them in place instead of rebuilding them from slots.
 class MachineDemand {
  public:
-  void reserve(std::size_t n) { tasks_.reserve(n); }
-  // HETSCHED_NOALLOC (warm path: capacity is reserved up front)
-  void push(const Task& t) {
-    // hetsched-lint: allow(noalloc) amortized growth, reserved when warm
-    tasks_.push_back(t);
+  void reserve(std::size_t n) {
+    tasks_.reserve(n);
+    order_.reserve(n);
   }
-  // HETSCHED_NOALLOC
-  void pop() { tasks_.pop_back(); }
+  // O(n): an insert into the deadline order.
+  // HETSCHED_NOALLOC (warm path: capacity is reserved up front)
+  void push(const Task& t);
   // Ordered erase, NOT swap-remove: the deciders sum demand in element
   // order, and bit-identical recovery requires a recovered mirror (rebuilt
   // in resident-list order) to evaluate the same floating-point sums.
+  // O(n): the deadline order renumbers the indices past i.
   // HETSCHED_NOALLOC
-  void remove_at(std::size_t i) {
-    tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(i));
+  void remove_at(std::size_t i);
+  void clear() {
+    tasks_.clear();
+    order_.clear();
   }
-  void clear() { tasks_.clear(); }
   std::size_t size() const { return tasks_.size(); }
   std::span<const Task> tasks() const { return tasks_; }
+  std::span<const DeadlineTerm> by_deadline() const { return order_; }
 
  private:
+  // Appends the candidate to the index-ordered mirror only, for the span
+  // of one escalation.
+  friend TierVerdict escalate(AdmissionKind, double, MachineDemand&,
+                              const Task&, const Rational&, double);
+
   std::vector<Task> tasks_;
+  std::vector<DeadlineTerm> order_;
 };
 
 // Escalation: decide `candidate` on a machine whose tier-0 fold REJECTED
 // it, through the escalation of `kind`'s row.  `demand` is
 // pushed/tested/popped transiently and is unchanged on return; `speed` is
 // the machine's exact augmented speed; `density_margin` is the relative
-// overshoot the band gates on.  Allocation-free when `demand` has spare
-// capacity (warm).
+// overshoot the band gates on.  U is summed once, for both tiers.
+// Allocation-free when `demand` has spare capacity (warm).
 TierVerdict escalate(AdmissionKind kind, double band, MachineDemand& demand,
                      const Task& candidate, const Rational& speed,
                      double density_margin);

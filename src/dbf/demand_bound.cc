@@ -64,14 +64,6 @@ namespace {
 // (never toward wrongly rejecting or accepting).
 constexpr long double kUtilBand = 1e-12L;
 
-long double total_utilization_ld(std::span<const Task> tasks) {
-  long double u = 0;
-  for (const Task& t : tasks) {
-    u += static_cast<long double>(t.exec) / static_cast<long double>(t.period);
-  }
-  return u;
-}
-
 // What the bound and QPA read off a set once it passes U <= s: La's
 // numerator sum (p_i - d_i) u_i, summed in index order, and the smallest
 // and largest relative deadline.
@@ -112,6 +104,27 @@ std::optional<std::int64_t> la_bound(long double slack, long double u,
   return static_cast<std::int64_t>(la);
 }
 
+// The work of every task's first job, the busy period's first iterate;
+// nullopt when it overflows int64.
+// HETSCHED_NOALLOC
+std::optional<std::int64_t> first_jobs(std::span<const Task> tasks) {
+  std::int64_t work = 0;
+  for (const Task& t : tasks) {
+    const auto next = checked_add(work, t.exec);
+    if (!next) return std::nullopt;
+    work = *next;
+  }
+  return work;
+}
+
+// One step of the busy-period recurrence W' = sum_i ceil(W / (s p_i)) c_i.
+// HETSCHED_NOALLOC
+std::optional<std::int64_t> busy_step(std::span<const Task> tasks,
+                                      const Rational& speed,
+                                      std::int64_t work) {
+  return next_work(tasks, [](std::size_t) { return true; }, 0, work, speed);
+}
+
 // Synchronous busy-period length at speed s — the least fixed point of
 //   L = (sum_i ceil(L / p_i) * c_i) / s,
 // seeded with the total first-job demand — rounded up to an integer
@@ -124,20 +137,16 @@ std::optional<std::int64_t> la_bound(long double slack, long double u,
 std::optional<std::int64_t> busy_period(std::span<const Task> tasks,
                                         const Rational& speed,
                                         std::optional<std::int64_t> stop) {
-  std::int64_t work = 0;
-  for (const Task& t : tasks) {
-    const auto next = checked_add(work, t.exec);
-    if (!next) return std::nullopt;
-    work = *next;
-  }
+  const std::optional<std::int64_t> first = first_jobs(tasks);
+  if (!first) return std::nullopt;
+  std::int64_t work = *first;
   constexpr int kMaxIters = 100000;
   const int128 cap = instant_ticks(std::int64_t{1} << 40, speed);
-  const auto all = [](std::size_t) { return true; };
   for (int iter = 0; iter < kMaxIters; ++iter) {
     if (stop && work_ticks(work, speed) >= instant_ticks(*stop, speed)) {
       return stop;
     }
-    const auto next = next_work(tasks, all, 0, work, speed);
+    const auto next = busy_step(tasks, speed, work);
     if (!next) return std::nullopt;
     if (*next == work) return ceil_instant(work_ticks(work, speed), speed);
     if (work_ticks(*next, speed) > cap) return std::nullopt;
@@ -175,75 +184,162 @@ std::optional<std::int64_t> check_bound(std::span<const Task> tasks,
   return std::max(*bound, dmax);
 }
 
-// How a QPA scan ended, and the instant (in ticks) it ended at.
+// How a QPA scan ended.
 enum class ScanEnd : std::uint8_t {
   kVerified,   // no instant at or below the start misses
-  kViolation,  // a miss at `at`
-  kOverflow,   // the demand at `at` exceeds int64
-  kBudget,     // out of visits; the scan would go on at `at`
+  kViolation,  // a miss
+  kOverflow,   // a demand exceeds int64
 };
 
-struct Scan {
-  ScanEnd end;
-  int128 at;
-};
-
-// No visit budget.
-constexpr std::int64_t kUnbounded = std::numeric_limits<std::int64_t>::max();
-
-// Visits the scan down from max(La, d_max) may spend before the bound
-// takes over.
-constexpr std::int64_t kLaScanBudget = 64;
-
-// QPA's downward scan (Zhang & Burns 2009) from instant `t`, in ticks
-// (core/int_time.h: a deadline d is instant_ticks(d), and the time demand
-// D takes is work_ticks(D)).  A visit computes D = dbf(t).  D / s > t is a
-// miss; otherwise no instant in [D / s, t] misses, so the scan jumps to
-// D / s, or, when D / s == t, to the largest deadline below t.  It is done
-// once it reaches the verified prefix [0, `verified`] or D / s falls to
-// `safe` (the smallest deadline, below which nothing is demanded).  Demand
-// only shrinks as the scan descends, so an overflow can only come at the
-// first visit.
+// One visit of QPA's downward scan (Zhang & Burns 2009) at instant `t`, in
+// ticks (core/int_time.h: a deadline d is instant_ticks(d), and the time
+// demand D takes is work_ticks(D)).  A visit computes D = dbf(t).
+// D / s > t is a miss; otherwise no instant in [D / s, t] misses, so the
+// scan jumps to D / s, or, when D / s == t, to the largest deadline below
+// t.  It is done once it reaches the verified prefix [0, `verified`] or
+// D / s falls to `safe` (the smallest deadline, below which nothing is
+// demanded).  Demand only shrinks as the scan descends, so an overflow can
+// only come at a scan's first visit.  Returns how the scan ended, or
+// nullopt with `t` moved down to the next instant to visit.
 // HETSCHED_NOALLOC
-Scan qpa_scan(std::span<const Task> tasks, const Rational& speed, int128 t,
-              int128 verified, int128 safe, std::int64_t budget) {
-  for (std::int64_t visits = 0;; ++visits) {
-    if (t <= verified) return {ScanEnd::kVerified, t};
-    if (visits == budget) return {ScanEnd::kBudget, t};
-    const auto demand = total_dbf_checked(tasks, floor_instant(t, speed));
-    if (!demand) return {ScanEnd::kOverflow, t};
-    const int128 need = work_ticks(*demand, speed);
-    if (need > t) return {ScanEnd::kViolation, t};
-    if (need <= safe) return {ScanEnd::kVerified, t};
-    if (need < t) {
-      t = need;
-      continue;
+std::optional<ScanEnd> qpa_visit(std::span<const Task> tasks,
+                                 const Rational& speed, int128& t,
+                                 int128 verified, int128 safe,
+                                 std::int64_t& visits) {
+  if (t <= verified) return ScanEnd::kVerified;
+  ++visits;
+  const auto demand = total_dbf_checked(tasks, floor_instant(t, speed));
+  if (!demand) return ScanEnd::kOverflow;
+  const int128 need = work_ticks(*demand, speed);
+  if (need > t) return ScanEnd::kViolation;
+  if (need <= safe) return ScanEnd::kVerified;
+  if (need < t) {
+    t = need;
+    return std::nullopt;
+  }
+  const auto next = max_deadline_at_most(tasks, floor_instant(t - 1, speed));
+  if (!next) return ScanEnd::kVerified;
+  t = instant_ticks(*next, speed);
+  return std::nullopt;
+}
+
+// QPA's scan from the largest deadline at or before instant `top`.
+// HETSCHED_NOALLOC
+ScanEnd qpa_scan_from(std::span<const Task> tasks, const Rational& speed,
+                      std::int64_t top, int128 verified, int128 safe,
+                      std::int64_t& visits) {
+  const auto start = max_deadline_at_most(tasks, top);
+  if (!start) return ScanEnd::kVerified;
+  int128 t = instant_ticks(*start, speed);
+  for (;;) {
+    if (const auto end = qpa_visit(tasks, speed, t, verified, safe, visits)) {
+      return *end;
     }
-    const auto next = max_deadline_at_most(tasks, floor_instant(t - 1, speed));
-    if (!next) return {ScanEnd::kVerified, t};
-    t = instant_ticks(*next, speed);
   }
 }
 
-// qpa_scan from the largest deadline at or before instant `top`.
+// Stage 2 takes one busy-period step per this many scan visits.
+//
+// Any ratio gives the same verdict: the scan is QPA from max(La, d_max),
+// a valid bound, and the busy period only ever lowers it to another valid
+// bound, max(L, d_max) with L the converged fixed point; no instant it
+// skips lies at or below both bounds.  The ratio sets the cost.  With V
+// the visits the scan alone needs from max(La, d_max) to B, and K the
+// steps the busy period needs to converge or to reach the scan, the race
+// makes at most min(V, 8 K) visits and min(V / 8, K) steps before the
+// busy period settles, each visit and step O(n); what follows is the scan
+// from at most max(L, d_max), which the classic bound pays too.  So the
+// race costs at most 1 + 1/8 times the scan alone, and at most 9 times
+// the busy period plus that shared tail.  A step costs about what a visit
+// does.  On svc-deadline-auto the scan settles first in every race, and
+// the busy period's steps take about 1.5% of a replay of its traces.
+constexpr std::int64_t kRaceRatio = 8;
+
+// Stage 2: QPA's scan from the largest deadline at or before `top` =
+// max(La, d_max) down to the verified prefix, raced against the busy
+// period.  Its iterates W only grow and L >= W / s: once W / s reaches the
+// scan the busy period cannot lower it and stops; once it converges, every
+// instant past max(L, d_max) is safe and the scan drops to the largest
+// deadline at or before that.  The busy period needs no cap or iteration
+// limit here: the scan bounds its iterates and outlasts it.
 // HETSCHED_NOALLOC
-Scan qpa_scan_from(std::span<const Task> tasks, const Rational& speed,
-                   std::int64_t top, int128 verified, int128 safe,
-                   std::int64_t budget) {
+ScanEnd qpa_race(std::span<const Task> tasks, const Rational& speed,
+                 std::int64_t top, std::int64_t dmax, int128 verified,
+                 int128 safe, std::int64_t& visits) {
   const auto start = max_deadline_at_most(tasks, top);
-  if (!start) return {ScanEnd::kVerified, 0};
-  return qpa_scan(tasks, speed, instant_ticks(*start, speed), verified, safe,
-                  budget);
+  if (!start) return ScanEnd::kVerified;
+  int128 t = instant_ticks(*start, speed);
+  const std::optional<std::int64_t> first = first_jobs(tasks);
+  bool racing = first.has_value();
+  std::int64_t work = first.value_or(0);
+  for (std::int64_t visit = 1;; ++visit) {
+    if (const auto end = qpa_visit(tasks, speed, t, verified, safe, visits)) {
+      return *end;
+    }
+    if (!racing || visit % kRaceRatio != 0) continue;
+    const auto next = work_ticks(work, speed) < t
+                          ? busy_step(tasks, speed, work)
+                          : std::nullopt;
+    if (next && *next != work) {
+      work = *next;
+      continue;
+    }
+    racing = false;  // reached the scan, overflowed, or converged
+    if (!next) continue;
+    // Converged below the scan, so L = ceil(W / s) fits int64.
+    const std::int64_t bound =
+        std::max(*ceil_instant(work_ticks(work, speed), speed), dmax);
+    if (instant_ticks(bound, speed) < t) {
+      t = instant_ticks(*max_deadline_at_most(tasks, bound), speed);
+    }
+  }
+}
+
+// The k-point approximate demand at `t`: every task's dbf*, summed in
+// index order in long double.
+// HETSCHED_NOALLOC
+long double approx_demand(std::span<const Task> tasks, std::size_t k,
+                          long double t) {
+  auto dbf_star = [k](const Task& task, long double at) {
+    const long double d = static_cast<long double>(task.effective_deadline());
+    if (at < d) return 0.0L;
+    const long double p = static_cast<long double>(task.period);
+    const long double c = static_cast<long double>(task.exec);
+    const long double kink = d + static_cast<long double>(k - 1) * p;
+    if (at < kink) {
+      return (std::floor((at - d) / p) + 1) * c;
+    }
+    return static_cast<long double>(k) * c + c / p * (at - kink);
+  };
+  long double demand = 0;
+  for (const Task& task : tasks) demand += dbf_star(task, t);
+  return demand;
+}
+
+// What the approximate demand at `t` may reach on a speed-s machine.  The
+// comparison keeps a conservative band so the test stays *sound* — a
+// borderline value is rejected, never accepted.
+long double approx_threshold(long double s, long double t) {
+  return s * t * (1 - kUtilBand);
 }
 
 }  // namespace
+
+// HETSCHED_NOALLOC
+long double utilization_ld(std::span<const Task> tasks) {
+  long double u = 0;
+  for (const Task& t : tasks) {
+    u += static_cast<long double>(t.exec) / static_cast<long double>(t.period);
+  }
+  return u;
+}
 
 // HETSCHED_NOALLOC
 std::optional<std::int64_t> dbf_check_bound(
     std::span<const Task> tasks, const Rational& speed) {
   HETSCHED_CHECK(speed > Rational(0));
   if (tasks.empty()) return 0;
-  const long double u = total_utilization_ld(tasks);
+  const long double u = utilization_ld(tasks);
   const long double s = speed_ld(speed);
   if (u > s + kUtilBand) return std::nullopt;  // trivially infeasible
   const Deadlines set = deadlines_of(tasks);
@@ -276,13 +372,19 @@ bool edf_dbf_feasible_exact(std::span<const Task> tasks,
 // HETSCHED_NOALLOC
 QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
                                const Rational& speed) {
-  if (tasks.empty()) return {true, QpaStage::kUtilization};
+  return edf_dbf_qpa_verdict(tasks, speed, utilization_ld(tasks));
+}
+
+// HETSCHED_NOALLOC
+QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
+                               const Rational& speed, long double util) {
+  std::int64_t visits = 0;
+  if (tasks.empty()) return {true, QpaStage::kUtilization, visits};
   HETSCHED_CHECK(speed > Rational(0));
-  const long double u = total_utilization_ld(tasks);
   const long double s = speed_ld(speed);
-  if (u > s + kUtilBand) return {false, QpaStage::kUtilization};
+  if (util > s + kUtilBand) return {false, QpaStage::kUtilization, visits};
   const Deadlines set = deadlines_of(tasks);
-  const std::optional<std::int64_t> la = la_bound(set.slack, u, s);
+  const std::optional<std::int64_t> la = la_bound(set.slack, util, s);
   const int128 safe = instant_ticks(set.dmin, speed);
 
   // Stage 1: the prefix [0, B], B = 2 d_max capped at max(La, d_max).
@@ -291,37 +393,36 @@ QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
   std::int64_t prefix = checked_add(set.dmax, set.dmax)
                             .value_or(std::numeric_limits<std::int64_t>::max());
   if (la) prefix = std::min(prefix, std::max(*la, set.dmax));
-  const Scan first =
-      qpa_scan_from(tasks, speed, prefix, -1, safe, kUnbounded);
-  if (first.end == ScanEnd::kViolation) return {false, QpaStage::kPrefix};
-  const bool prefix_ok = first.end == ScanEnd::kVerified;
+  const ScanEnd first =
+      qpa_scan_from(tasks, speed, prefix, -1, safe, visits);
+  if (first == ScanEnd::kViolation) {
+    return {false, QpaStage::kPrefix, visits};
+  }
+  const bool prefix_ok = first == ScanEnd::kVerified;
   const int128 verified = prefix_ok ? instant_ticks(prefix, speed) : -1;
 
   // Stage 2: down from max(La, d_max), which bounds every instant the
-  // bound below could name, to B, within a budget.  Its start is at or
-  // above stage 1's, so after an overflow there it would overflow too.
-  std::optional<int128> resume;
+  // bound below could name, to B, raced against the busy period.  Its
+  // start is at or above stage 1's, so after an overflow there it would
+  // overflow too; an overflow at its own start leaves the verdict to the
+  // bound.
   if (la && prefix_ok) {
     const std::int64_t top = std::max(*la, set.dmax);
-    if (top <= prefix) return {true, QpaStage::kPrefix};
-    const Scan second =
-        qpa_scan_from(tasks, speed, top, verified, safe, kLaScanBudget);
-    if (second.end == ScanEnd::kVerified) return {true, QpaStage::kLa};
-    if (second.end == ScanEnd::kViolation) return {false, QpaStage::kLa};
-    if (second.end == ScanEnd::kBudget) resume = second.at;
+    if (top <= prefix) return {true, QpaStage::kPrefix, visits};
+    const ScanEnd second =
+        qpa_race(tasks, speed, top, set.dmax, verified, safe, visits);
+    if (second != ScanEnd::kOverflow) {
+      return {second == ScanEnd::kVerified, QpaStage::kLa, visits};
+    }
   }
 
   // Stage 3: the busy-period bound, as dbf_check_bound computes it, down
-  // to B — or on from where stage 2 stopped, if that is lower.  Here an
-  // overflow rejects.
+  // to B.  Here an overflow rejects.
   const auto bound = check_bound(tasks, speed, la, set.dmax);
-  if (!bound) return {false, QpaStage::kBusyPeriod};
-  const auto start = max_deadline_at_most(tasks, *bound);
-  if (!start) return {true, QpaStage::kBusyPeriod};
-  int128 t = instant_ticks(*start, speed);
-  if (resume) t = std::min(t, *resume);
-  const Scan last = qpa_scan(tasks, speed, t, verified, safe, kUnbounded);
-  return {last.end == ScanEnd::kVerified, QpaStage::kBusyPeriod};
+  if (!bound) return {false, QpaStage::kBusyPeriod, visits};
+  const ScanEnd last =
+      qpa_scan_from(tasks, speed, *bound, verified, safe, visits);
+  return {last == ScanEnd::kVerified, QpaStage::kBusyPeriod, visits};
 }
 
 // HETSCHED_NOALLOC
@@ -338,10 +439,17 @@ bool edf_dbf_feasible_approx(std::span<const Task> tasks,
 // HETSCHED_NOALLOC
 bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
                                const Rational& speed, std::size_t k) {
+  return edf_dbf_feasible_approx_k(tasks, speed, k, utilization_ld(tasks));
+}
+
+// HETSCHED_NOALLOC
+bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
+                               const Rational& speed, std::size_t k,
+                               long double util) {
   HETSCHED_CHECK(k >= 1);
   if (tasks.empty()) return true;
   const long double s = speed_ld(speed);
-  const long double u = total_utilization_ld(tasks);
+  const long double u = util;
   if (u > s + kUtilBand) return false;
   // Check points beyond the La/busy-period bound are always safe: each
   // dbf*_i lies below its tangent line u_i t + (c_i - u_i d_i), and past
@@ -353,7 +461,9 @@ bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
   // busy period rejects.
   std::int64_t limit = std::numeric_limits<std::int64_t>::max();
   if (k > 1 || u >= s - kUtilBand) {
-    const auto bound = dbf_check_bound(tasks, speed);
+    const Deadlines set = deadlines_of(tasks);
+    const auto bound =
+        check_bound(tasks, speed, la_bound(set.slack, u, s), set.dmax);
     if (!bound) return false;
     limit = *bound;
   }
@@ -364,33 +474,115 @@ bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
   // so the difference dbf*(t) - s t attains its maxima right at the jump
   // points: checking those O(nk) instants (plus the U <= s tail condition
   // above) decides the whole axis.  Sums are long double (rational lcm
-  // denominators overflow); the comparison keeps a conservative band so
-  // the test stays *sound* — a borderline value is rejected, never
-  // accepted.
-  auto dbf_star = [k](const Task& task, long double t) {
-    const long double d = static_cast<long double>(task.effective_deadline());
-    if (t < d) return 0.0L;
-    const long double p = static_cast<long double>(task.period);
-    const long double c = static_cast<long double>(task.exec);
-    const long double kink = d + static_cast<long double>(k - 1) * p;
-    if (t < kink) {
-      return (std::floor((t - d) / p) + 1) * c;
-    }
-    return static_cast<long double>(k) * c + c / p * (t - kink);
-  };
-
+  // denominators overflow).
   for (const Task& probe : tasks) {
     for (std::size_t j = 0; j < k; ++j) {
       const long double t =
           static_cast<long double>(probe.effective_deadline()) +
           static_cast<long double>(j) * static_cast<long double>(probe.period);
       if (t > static_cast<long double>(limit)) break;
-      long double demand = 0;
-      for (const Task& task : tasks) demand += dbf_star(task, t);
-      if (demand > s * t * (1 - kUtilBand)) return false;
+      if (approx_demand(tasks, k, t) > approx_threshold(s, t)) return false;
     }
   }
   return true;
+}
+
+DeadlineTerm deadline_term(const Task& task, std::uint32_t index) {
+  constexpr std::int64_t kExactInDouble = std::int64_t{1} << 53;
+  DeadlineTerm term;
+  term.deadline = task.effective_deadline();
+  term.index = index;
+  term.exact = std::max(task.exec, task.period) < kExactInDouble;
+  term.c_term = static_cast<double>(task.exec);
+  term.u_term = term.c_term / static_cast<double>(task.period);
+  term.a_term =
+      term.c_term - term.u_term * static_cast<double>(term.deadline);
+  return term;
+}
+
+// The rounding bound.  Let eps = 2^-53, N = tasks.size(), and at a probe
+// t = D let C, U and A be the exact sums of c_j, u_j = c_j / p_j and
+// c_j - u_j d_j over the tasks with d_j <= D, and M = C + D U.  Every c_j,
+// p_j and D is below 2^53, so exact in double, and 0 <= A <= C because
+// d_j <= p_j.
+//   * Each double u_j carries one rounding, c_j - u_j d_j three, whose
+//     error is at most 3.01 eps c_j since u_j d_j <= c_j; a sequential sum
+//     of m <= N terms adds gamma_m = m eps / (1 - m eps) of the sum of
+//     their magnitudes (Higham, Accuracy and Stability, 4.2).  With one
+//     rounding each for D U and the final add, the double demand
+//     A + D U is within (N + 4) eps M of the exact A + D U, to first order.
+//   * The O(n^2) test sums c + (c / p)(t - d) per task in long double:
+//     t - d is exact, each term carries three roundings and the sum N - 1
+//     more, all of nonnegative terms, so it is within (N + 3) 2^-64 M of
+//     the exact demand.
+//   * Both then meet the very same long-double threshold, and the gap
+//     between the double demand and it is taken in long double, which
+//     errs by 2^-64 of the gap itself.
+// So the two demands differ by at most (1 + 2^-11)(N + 4) eps M, to first
+// order, since 2^-64 = 2^-11 eps.  The bound below is 2 (N + 8) eps times
+// M as computed in double, which lies within (N + 3) eps of M relative:
+// the factor 2 covers that and every second-order term while N eps <
+// 2^-20, which N < 2^32 ensures.  A probe whose gap to the threshold
+// exceeds the bound has the O(n^2) test's verdict; a probe within it is
+// recomputed exactly as that test computes it.  A fused multiply-add only
+// drops roundings, so the bound holds with or without contraction.
+// HETSCHED_NOALLOC
+std::optional<LinearApprox> edf_dbf_approx_linear(
+    std::span<const Task> tasks, std::span<const DeadlineTerm> order,
+    const Rational& speed, long double util) {
+  HETSCHED_DCHECK(order.size() + 1 == tasks.size());
+  const long double s = speed_ld(speed);
+  if (util > s + kUtilBand) return LinearApprox{false, 0};
+  if (util >= s - kUtilBand) return std::nullopt;
+  constexpr std::size_t kMaxTasks = std::size_t{1} << 32;
+  const DeadlineTerm cand =
+      deadline_term(tasks.back(), static_cast<std::uint32_t>(order.size()));
+  if (!cand.exact || tasks.size() >= kMaxTasks) return std::nullopt;
+
+  const double scale = static_cast<double>(tasks.size() + 8) * 0x1p-52;
+  LinearApprox verdict{true, 0};
+  double c = 0, u = 0, a = 0;  // the residents summed so far
+  // Whether the probe at deadline `d` rejects: the sums so far are every
+  // resident with a deadline at most d, plus the candidate if `with_cand`.
+  const auto rejects = [&](std::int64_t d, bool with_cand) {
+    const double cs = with_cand ? c + cand.c_term : c;
+    const double us = with_cand ? u + cand.u_term : u;
+    const double as = with_cand ? a + cand.a_term : a;
+    const auto at = static_cast<double>(d);
+    const long double t = static_cast<long double>(d);
+    const long double threshold = approx_threshold(s, t);
+    const long double gap = static_cast<long double>(as + at * us) - threshold;
+    const auto bound = static_cast<long double>(scale * (cs + at * us));
+    if (gap > bound) return true;
+    if (gap < -bound) return false;
+    ++verdict.exact_probes;
+    return approx_demand(tasks, 1, t) > threshold;
+  };
+
+  // One probe per distinct deadline, after the last task of each run of
+  // equal deadlines, with the candidate's term from its own deadline on.
+  bool cand_in = false;
+  bool rejected = false;
+  for (std::size_t i = 0; i < order.size() && !rejected; ++i) {
+    const DeadlineTerm& e = order[i];
+    if (!cand_in && cand.deadline < e.deadline) {
+      cand_in = true;
+      rejected = rejects(cand.deadline, true);
+      if (rejected) break;
+    }
+    if (!e.exact) return std::nullopt;
+    c += e.c_term;
+    u += e.u_term;
+    a += e.a_term;
+    if (i + 1 < order.size() && order[i + 1].deadline == e.deadline) {
+      continue;
+    }
+    cand_in = cand_in || cand.deadline == e.deadline;
+    rejected = rejects(e.deadline, cand_in);
+  }
+  if (!rejected && !cand_in) rejected = rejects(cand.deadline, true);
+  verdict.feasible = !rejected;
+  return verdict;
 }
 
 }  // namespace hetsched

@@ -19,8 +19,10 @@
 //     stages (edf_dbf_qpa_verdict below),
 //   * the linear approximate DBF (Albers & Slomka / ref [7] style):
 //     dbf*_i(t) = c_i + u_i (t - d_i) for t >= d_i — a sufficient test
-//     whose error is bounded; it sums all n tasks at each task's first
-//     deadline, O(n^2) per query (O(n^2 k) with k retained steps).
+//     whose error is bounded.  It sums all n tasks at each task's first
+//     deadline, O(n^2) per query (O(n^2 k) with k retained steps); over
+//     a set kept in deadline order, k = 1 takes O(n)
+//     (edf_dbf_approx_linear below) and answers bit-identically.
 // The constrained first fit (partition/first_fit.h) runs the paper's
 // algorithm over these tests, one row of partition/admission.h each.
 //
@@ -31,6 +33,7 @@
 // enumeration below keeps Rational: it is the tests' oracle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -63,6 +66,12 @@ std::optional<std::int64_t> dbf_check_bound(
 bool edf_dbf_feasible_exact(std::span<const Task> tasks,
                             const Rational& speed);
 
+// U = sum c_i / p_i, summed in index order in long double: every EDF
+// decider compares it with the speed before anything else.  An
+// escalation sums it once per machine and hands it to both tiers through
+// the overloads that take `util`; the others sum it first.
+long double utilization_ld(std::span<const Task> tasks);
+
 // QPA: same verdict as the exact test, typically visiting far fewer points.
 // QPA's verdict holds for any valid check bound, so the order in which it
 // visits instants is free; it looks first where misses are found.  With
@@ -73,13 +82,18 @@ bool edf_dbf_feasible_exact(std::span<const Task> tasks,
 //      exists, where misses tend to lie (within the first few deadlines
 //      of some task).  A demand beyond int64 at its top verifies nothing
 //      and falls through, since that instant may lie past every bound;
-//   2. when La exists: from max(La, d_max) down to B, at most 64 visits.
-//      Done, it covers every instant the busy-period bound could name;
-//   3. otherwise: from dbf_check_bound (or from where stage 2 stopped, if
-//      lower) down to B.  Here a missing bound or an overflow rejects.
-// A miss found anywhere is a miss, stage 2 spans a superset of the bound's
-// range and stage 3 is the classic scan, so every verdict equals the
-// classic scan's from dbf_check_bound.
+//   2. when La exists: from max(La, d_max) down to B, raced against the
+//      busy period, which takes one step every 8 visits.  Once its
+//      iterate reaches the scan it stops; once it converges to L below
+//      the scan, the scan drops to the largest deadline at or before
+//      max(L, d_max).  Its cost stays within a constant factor of the
+//      cheaper of the two bounds;
+//   3. otherwise (no La, or a demand beyond int64 at the top of stage 1
+//      or 2): from dbf_check_bound down to B.  Here a missing bound or an
+//      overflow rejects.
+// A miss found anywhere is a miss, stage 2 never skips an instant at or
+// below both La and the busy period, and stage 3 is the classic scan, so
+// every verdict equals the classic scan's from dbf_check_bound.
 bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
                           const Rational& speed);
 
@@ -94,11 +108,14 @@ enum class QpaStage : std::uint8_t {
 struct QpaVerdict {
   bool feasible;
   QpaStage stage;
+  std::int64_t visits;  // demand evaluations over every stage's scan
 };
 
 // edf_dbf_feasible_qpa with the stage that decided.
 QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
                                const Rational& speed);
+QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
+                               const Rational& speed, long double util);
 
 // Sufficient test via the linear approximate DBF: never accepts an
 // infeasible set; may reject feasible ones (bounded pessimism).
@@ -116,5 +133,43 @@ bool edf_dbf_feasible_approx(std::span<const Task> tasks,
 // k and converges to the exact test.
 bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
                                const Rational& speed, std::size_t k);
+bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
+                               const Rational& speed, std::size_t k,
+                               long double util);
+
+// One task of a set kept in deadline order for the linear tier 1: its
+// deadline and index, and its terms of the k = 1 approximate demand
+//     dbf*(t) = sum over d_j <= t of c_j + u_j (t - d_j) = A(t) + t U(t),
+// with U(t) the sum of u_j = c_j / p_j and A(t) the sum of c_j - u_j d_j.
+struct DeadlineTerm {
+  std::int64_t deadline = 0;
+  std::uint32_t index = 0;  // the task's position in index order
+  bool exact = true;        // c_j and p_j below 2^53, so exact in double
+  double c_term = 0;        // c_j
+  double u_term = 0;        // u_j
+  double a_term = 0;        // c_j - u_j d_j
+};
+
+// The terms of `task`, which sits at `index` in index order.
+DeadlineTerm deadline_term(const Task& task, std::uint32_t index);
+
+struct LinearApprox {
+  bool feasible;
+  std::uint32_t exact_probes;  // probes recomputed in index order
+};
+
+// edf_dbf_feasible_approx_k at k = 1 in O(n), with the same verdict.
+// `tasks` is the set in index order, the candidate last; `order` holds
+// the deadline_term of every task but the candidate, by deadline (ties by
+// index).  The demand is evaluated as A(t) + t U(t) at each distinct
+// deadline, summing the terms in that order as it goes; a probe whose
+// double sum lies within a proven rounding bound of the threshold is
+// recomputed exactly as the O(n^2) test computes it.  nullopt where that
+// test needs more than first-deadline probes or the bound does not hold:
+// U within 1e-12 of the speed (the busy-period limit decides there), or
+// an exec or period of 2^53 or more among the tasks a probe sums.
+std::optional<LinearApprox> edf_dbf_approx_linear(
+    std::span<const Task> tasks, std::span<const DeadlineTerm> order,
+    const Rational& speed, long double util);
 
 }  // namespace hetsched

@@ -824,6 +824,31 @@ void OnlinePartitioner::audit_verify_machine(std::size_t j) const {
           mirror[k] == inflated(st_.slots[st_.residents[j][k]].task),
           "audit: demand mirror diverged from resident list");
     }
+    // Tier 1's view: the mirror by deadline, ties by index, with each
+    // task's terms re-derived from scratch; the kept ones must match bit
+    // for bit.
+    std::vector<DeadlineTerm> order;
+    for (std::size_t k = 0; k < mirror.size(); ++k) {
+      order.push_back(deadline_term(mirror[k], static_cast<std::uint32_t>(k)));
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const DeadlineTerm& a, const DeadlineTerm& b) {
+                       return a.deadline < b.deadline;
+                     });
+    const std::span<const DeadlineTerm> kept = demand_[j].by_deadline();
+    HETSCHED_CHECK_MSG(kept.size() == order.size(),
+                       "audit: deadline order size diverged from mirror");
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const DeadlineTerm& x = kept[k];
+      const DeadlineTerm& y = order[k];
+      // hetsched-lint: allow(float-compare) — bit-identity is the contract.
+      const bool terms = x.c_term == y.c_term && x.u_term == y.u_term;
+      // hetsched-lint: allow(float-compare)
+      const bool line = x.a_term == y.a_term;
+      HETSCHED_CHECK_MSG(x.deadline == y.deadline && x.index == y.index &&
+                             x.exact == y.exact && terms && line,
+                         "audit: deadline order diverged from the mirror");
+    }
   }
 }
 

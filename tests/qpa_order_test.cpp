@@ -4,13 +4,15 @@
 // reordering its visits may not move a verdict: 10^5 seeded sets over
 // four period ranges, two utilization bands and five speeds must agree
 // exactly.  One pinned set per stage path shows each path is reached, and
-// guards the two places where a stage must not decide: a stage-2 scan
-// that runs out of visits, and a stage-1 demand that overflows int64.
+// guards the places where a stage must not decide or must stay cheap: a
+// stage-2 scan that the busy period cuts short, a stage-2 scan that finds
+// its miss first, and a stage-1 demand that overflows int64.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "dbf/demand_bound.h"
 #include "qpa_reference.h"
 #include "task_literals.h"
+#include "util/int128.h"
 #include "util/rng.h"
 
 namespace hetsched {
@@ -105,6 +108,38 @@ std::string describe(const std::vector<Task>& tasks, const Rational& speed) {
   return out.str();
 }
 
+// Whether stage 2 runs to a verdict: La exists, as dbf_check_bound
+// decides it (U, summed in index order in long double, lies below s by
+// more than 1e-12, and La fits int64), and the demand at max(La, d_max),
+// where the race starts, fits int64.
+bool race_decides(const std::vector<Task>& tasks, const Rational& speed) {
+  long double u = 0;
+  long double slack = 0;
+  std::int64_t dmax = 0;
+  for (const Task& t : tasks) {
+    const auto c = static_cast<long double>(t.exec);
+    const auto p = static_cast<long double>(t.period);
+    const std::int64_t d = t.effective_deadline();
+    u += c / p;
+    slack += static_cast<long double>(t.period - d) * c / p;
+    dmax = std::max(dmax, d);
+  }
+  const long double s = static_cast<long double>(speed.num()) /
+                        static_cast<long double>(speed.den());
+  if (!(u < s - 1e-12L)) return false;
+  const long double la = slack / (s - u) * (1 + 1e-9L) + 1;
+  if (!(la < 0x1p63L)) return false;
+  const std::int64_t top = std::max(static_cast<std::int64_t>(la), dmax);
+  int128 demand = 0;
+  for (const Task& t : tasks) {
+    const std::int64_t d = t.effective_deadline();
+    if (top >= d) {
+      demand += static_cast<int128>((top - d) / t.period + 1) * t.exec;
+    }
+  }
+  return demand <= std::numeric_limits<std::int64_t>::max();
+}
+
 void PrintTo(const PeriodRange& range, std::ostream* out) {
   *out << range.name;
 }
@@ -117,6 +152,7 @@ TEST_P(QpaOrder, VerdictsMatchTheSingleScan) {
   // decided[stage][feasible]
   int decided[4][2] = {};
   int mismatches = 0;
+  int busy_despite_race = 0;
   for (const UtilBand& band : kUtilBands) {
     for (const Rational& speed : kSpeeds) {
       for (int i = 0; i < kSetsPerCell; ++i) {
@@ -126,6 +162,9 @@ TEST_P(QpaOrder, VerdictsMatchTheSingleScan) {
         const QpaVerdict got = edf_dbf_qpa_verdict(tasks, speed);
         const bool want = qpa_reference::edf_dbf_feasible_qpa(tasks, speed);
         ++decided[static_cast<int>(got.stage)][got.feasible ? 1 : 0];
+        if (got.stage == QpaStage::kBusyPeriod && race_decides(tasks, speed)) {
+          ++busy_despite_race;
+        }
         if (got.feasible != want && ++mismatches <= 5) {
           ADD_FAILURE() << "verdict " << got.feasible << " at stage "
                         << static_cast<int>(got.stage) << ", single scan "
@@ -135,12 +174,16 @@ TEST_P(QpaOrder, VerdictsMatchTheSingleScan) {
     }
   }
   EXPECT_EQ(mismatches, 0);
-  // Each stage decides some of the sets, and both verdicts occur.
-  for (const QpaStage stage :
-       {QpaStage::kPrefix, QpaStage::kLa, QpaStage::kBusyPeriod}) {
+  // Stages 1 and 2 decide some of the sets, and both verdicts occur.
+  for (const QpaStage stage : {QpaStage::kPrefix, QpaStage::kLa}) {
     const auto s = static_cast<int>(stage);
     EXPECT_GT(decided[s][0] + decided[s][1], 0) << "stage " << s;
   }
+  // Stage 3 decides only where stage 2 cannot: without La (U within 1e-12
+  // of s, or La past int64), or with a demand past int64 where the race
+  // would start.  Stage 2's race always finishes otherwise.  The pinned
+  // sets below reach stage 3.
+  EXPECT_EQ(busy_despite_race, 0);
   int accepts = 0, rejects = 0;
   for (const auto& row : decided) {
     rejects += row[0];
@@ -186,15 +229,34 @@ TEST(QpaOrderPinned, PrefixCappedBySmallLa) {
   EXPECT_EQ(dbf_check_bound(tasks, Rational(27, 8)), 4 * t);
 }
 
-TEST(QpaOrderPinned, LaScanRunsOutOfBudget) {
+TEST(QpaOrderPinned, LaScanFindsTheMissFirst) {
   // U = 0.9995 on a unit machine.  La ~ 3.8e5 lies far above 2 d_max =
-  // 1416, and the scan down from it spends its 64 visits long before
-  // reaching the prefix; the busy-period bound then finds the miss.  A
-  // spent budget verifies nothing: accepting here would be wrong.
+  // 1416.  Stage 1 verifies the prefix in 9 visits; the scan down from La
+  // reaches a miss at 241374 after 474 more, while the busy period (L =
+  // 105024) would need 346 steps, 2768 visits at one step per 8, to
+  // converge.  The miss decides at stage 2, and the race never visits
+  // more than the scan alone.
   const std::vector<Task> tasks{cdp(78, 556, 556), cdp(201, 500, 696),
                                 cdp(173, 294, 574), cdp(172, 708, 898),
                                 cdp(21, 127, 271)};
-  expect_verdict(tasks, Rational(1), false, QpaStage::kBusyPeriod);
+  expect_verdict(tasks, Rational(1), false, QpaStage::kLa);
+  EXPECT_LE(edf_dbf_qpa_verdict(tasks, Rational(1)).visits, 9 + 474);
+}
+
+TEST(QpaOrderPinned, ShortBusyPeriodUnderLargeLa) {
+  // Harmonic periods P, 2P, 4P, 8P with P = 2^20 and U = 1 - 2^-23: La =
+  // (P / 8)(1 / 8) / 2^-23 ~ 2^37, while the busy period converges in 4
+  // steps, W = 5P - 1, 7P - 1, 7.75P - 1, 8P - 1, 8P - 1, to L = 8P - 1,
+  // under the prefix 2 d_max = 16P that stage 1 verifies in 6 visits.  So
+  // the race drops its scan after 4 x 8 visits and accepts.  The scan
+  // from La alone would take 49147 visits.
+  const std::int64_t p = std::int64_t{1} << 20;
+  const std::vector<Task> tasks{cdp(p / 4, p, p),
+                                cdp(p / 4, 2 * p - p / 8, 2 * p),
+                                cdp(p / 2, 4 * p, 4 * p),
+                                cdp(4 * p - 1, 8 * p, 8 * p)};
+  expect_verdict(tasks, Rational(1), true, QpaStage::kLa);
+  EXPECT_LE(edf_dbf_qpa_verdict(tasks, Rational(1)).visits, 6 + 4 * 8);
 }
 
 TEST(QpaOrderPinned, NoLaWhenUtilizationEqualsSpeed) {
