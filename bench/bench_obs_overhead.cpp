@@ -51,6 +51,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "online/online_partitioner.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -77,28 +78,20 @@ TaskSet make_tasks(std::size_t n) {
   return generate_taskset(rng, spec);
 }
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 // Deterministic decision replay over admit / depart / rebalance; the
 // resulting checksum must be identical across ON and OFF builds (the
 // instrumentation may observe, never steer).
 std::uint64_t decision_checksum(const TaskSet& tasks, const Platform& pf) {
   OnlinePartitioner ctl(pf, AdmissionKind::kEdf, 2.0);
   ctl.reserve(tasks.size());
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnv1aOffsetBasis;
   std::vector<OnlineTaskId> ids;
   std::vector<Task> admitted;
   for (const Task& t : tasks) {
     const AdmitDecision d = ctl.admit(t);
-    h = fnv1a(h, d.admitted ? 1 : 0);
-    h = fnv1a(h, d.admitted ? d.machine : 0);
-    h = fnv1a(h, std::bit_cast<std::uint64_t>(d.utilization));
+    h = fnv1a_u64(h, d.admitted ? 1 : 0);
+    h = fnv1a_u64(h, d.admitted ? d.machine : 0);
+    h = fnv1a_u64(h, std::bit_cast<std::uint64_t>(d.utilization));
     if (d.admitted) {
       ids.push_back(d.id);
       admitted.push_back(t);
@@ -107,19 +100,19 @@ std::uint64_t decision_checksum(const TaskSet& tasks, const Platform& pf) {
   // Depart every other resident, rebalance, re-admit them (warm slots),
   // then fold the final state into the checksum.
   for (std::size_t i = 0; i < ids.size(); i += 2) {
-    h = fnv1a(h, ctl.depart(ids[i]) ? 1 : 0);
+    h = fnv1a_u64(h, ctl.depart(ids[i]) ? 1 : 0);
   }
   const RebalanceReport r1 = ctl.rebalance();
-  h = fnv1a(h, (std::uint64_t{r1.applied} << 32) | r1.migrations);
+  h = fnv1a_u64(h, (std::uint64_t{r1.applied} << 32) | r1.migrations);
   for (std::size_t i = 0; i < ids.size(); i += 2) {
     const AdmitDecision d = ctl.admit(admitted[i]);
-    h = fnv1a(h, d.admitted ? 1 : 0);
-    h = fnv1a(h, d.admitted ? d.machine : 0);
+    h = fnv1a_u64(h, d.admitted ? 1 : 0);
+    h = fnv1a_u64(h, d.admitted ? d.machine : 0);
   }
-  h = fnv1a(h, ctl.resident_count());
+  h = fnv1a_u64(h, ctl.resident_count());
   for (std::size_t j = 0; j < ctl.machine_count(); ++j) {
-    h = fnv1a(h, ctl.machine_task_count(j));
-    h = fnv1a(h, std::bit_cast<std::uint64_t>(ctl.machine_utilization(j)));
+    h = fnv1a_u64(h, ctl.machine_task_count(j));
+    h = fnv1a_u64(h, std::bit_cast<std::uint64_t>(ctl.machine_utilization(j)));
   }
   return h;
 }

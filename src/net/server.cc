@@ -55,8 +55,12 @@ struct NetMetrics {
 const NetMetrics g_metrics;
 #endif  // HETSCHED_METRICS_ENABLED
 
+// One event on a counter only the calling thread writes (its loop's
+// Counters block): a relaxed load and store compile to a plain add, not a
+// lock-prefixed read-modify-write, and readers on other threads still see
+// whole values.
 void bump(std::atomic<std::uint64_t>& c) {
-  c.fetch_add(1, std::memory_order_relaxed);
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
 bool set_nonblocking(int fd) {
@@ -384,7 +388,8 @@ struct Server::Shard {
   // the request-latency histogram in metrics-ON builds.
   void record_latency(std::uint64_t lat_ns, std::uint64_t slo_ns) {
     HETSCHED_HIST_RECORD(g_metrics.latency, lat_ns);
-    bump(lat_ns <= slo_ns ? slo_ok : slo_breach);
+    std::atomic<std::uint64_t>& burn = lat_ns <= slo_ns ? slo_ok : slo_breach;
+    burn.fetch_add(1, std::memory_order_relaxed);
   }
 };
 
@@ -439,6 +444,8 @@ struct Server::Loop {
 
   obs::Gauge conn_gauge;  // registered in metrics-ON builds only
   std::uint32_t sample_tick = 0;  // loop-thread-only (inline sampling)
+  // This loop's ServerStats cells; no other thread writes them.
+  Counters counters;
 
   // Traced frames staged in the current response batch.  Group commit and
   // sendmsg are batch-level work, so every traced frame in the batch
@@ -702,30 +709,33 @@ void Server::wait() {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections = counters_.connections.load(std::memory_order_relaxed);
-  s.frames_rx = counters_.frames_rx.load(std::memory_order_relaxed);
-  s.enqueued = counters_.enqueued.load(std::memory_order_relaxed);
-  s.frames_inline = counters_.frames_inline.load(std::memory_order_relaxed);
-  s.admitted = counters_.admitted.load(std::memory_order_relaxed);
-  s.rejected = counters_.rejected.load(std::memory_order_relaxed);
-  s.retried = counters_.retried.load(std::memory_order_relaxed);
-  s.departed = counters_.departed.load(std::memory_order_relaxed);
-  s.stale = counters_.stale.load(std::memory_order_relaxed);
-  s.rebalances = counters_.rebalances.load(std::memory_order_relaxed);
-  s.bad = counters_.bad.load(std::memory_order_relaxed);
-  s.batches = counters_.batches.load(std::memory_order_relaxed);
-  s.partial_writes = counters_.partial_writes.load(std::memory_order_relaxed);
-  s.resizes = counters_.resizes.load(std::memory_order_relaxed);
-  s.resize_failures =
-      counters_.resize_failures.load(std::memory_order_relaxed);
-  s.forwarded = counters_.forwarded.load(std::memory_order_relaxed);
-  s.wal_records = counters_.wal_records.load(std::memory_order_relaxed);
-  s.wal_commits = counters_.wal_commits.load(std::memory_order_relaxed);
-  s.snapshots = counters_.snapshots.load(std::memory_order_relaxed);
-  s.recovered = counters_.recovered.load(std::memory_order_relaxed);
-  s.introspect = counters_.introspect.load(std::memory_order_relaxed);
-  s.connection_handoffs =
-      counters_.connection_handoffs.load(std::memory_order_relaxed);
+  const auto add = [&s](const Counters& c) {
+    constexpr auto r = std::memory_order_relaxed;
+    s.connections += c.connections.load(r);
+    s.frames_rx += c.frames_rx.load(r);
+    s.enqueued += c.enqueued.load(r);
+    s.frames_inline += c.frames_inline.load(r);
+    s.admitted += c.admitted.load(r);
+    s.rejected += c.rejected.load(r);
+    s.retried += c.retried.load(r);
+    s.departed += c.departed.load(r);
+    s.stale += c.stale.load(r);
+    s.rebalances += c.rebalances.load(r);
+    s.bad += c.bad.load(r);
+    s.batches += c.batches.load(r);
+    s.partial_writes += c.partial_writes.load(r);
+    s.resizes += c.resizes.load(r);
+    s.resize_failures += c.resize_failures.load(r);
+    s.forwarded += c.forwarded.load(r);
+    s.wal_records += c.wal_records.load(r);
+    s.wal_commits += c.wal_commits.load(r);
+    s.snapshots += c.snapshots.load(r);
+    s.recovered += c.recovered.load(r);
+    s.introspect += c.introspect.load(r);
+    s.connection_handoffs += c.connection_handoffs.load(r);
+  };
+  add(counters_);
+  for (const auto& lp : loops_) add(lp->counters);
   return s;
 }
 
@@ -899,7 +909,7 @@ void Server::wake_loop(Loop& lp) {
 // HETSCHED_NOALLOC (per-frame decision on the loop hot path: warm admits
 // and departs run the controller's allocation-free paths, and the WAL
 // append encodes into a preallocated arena)
-Response Server::process_request(Shard& shard, const Request& req,
+Response Server::process_request(Loop& lp, Shard& shard, const Request& req,
                                  std::uint64_t parent_span) {
   Response resp;
   resp.type = req.type;
@@ -1003,7 +1013,7 @@ Response Server::process_request(Shard& shard, const Request& req,
   }
   if (logged) {
     ++shard.ops_since_snapshot;
-    bump(counters_.wal_records);
+    bump(lp.counters.wal_records);
   }
   // Flight recorder: every answered frame lands one fixed-size record in
   // the shard's last-decisions ring (compiled out with the kill switch).
@@ -1017,36 +1027,36 @@ Response Server::process_request(Shard& shard, const Request& req,
 }
 
 // Decision counter bookkeeping, shared by the inline and queued paths.
-void Server::count_response(const Response& resp) {
+void Server::count_response(Loop& lp, const Response& resp) {
   switch (resp.status) {
     case Status::kAdmitted:
-      bump(counters_.admitted);
+      bump(lp.counters.admitted);
       break;
     case Status::kRejected:
-      bump(counters_.rejected);
+      bump(lp.counters.rejected);
       break;
     case Status::kDeparted:
-      bump(counters_.departed);
+      bump(lp.counters.departed);
       break;
     case Status::kStaleId:
-      bump(counters_.stale);
+      bump(lp.counters.stale);
       break;
     case Status::kRebalanced:
     case Status::kRebalanceSkipped:
-      bump(counters_.rebalances);
+      bump(lp.counters.rebalances);
       break;
     case Status::kBadRequest:
     case Status::kBadShard:
-      bump(counters_.bad);
+      bump(lp.counters.bad);
       break;
     case Status::kRetryLater:
-      bump(counters_.retried);
+      bump(lp.counters.retried);
       break;
     case Status::kResized:
-      bump(counters_.resizes);
+      bump(lp.counters.resizes);
       break;
     case Status::kResizeFailed:
-      bump(counters_.resize_failures);
+      bump(lp.counters.resize_failures);
       break;
     case Status::kInfo:
       // Unreachable: info frames are built by handle_introspect, which
@@ -1075,7 +1085,7 @@ void Server::handle_introspect(Loop& lp,
     for (const char c : info.text) traces += c == '\n' ? 1 : 0;
     info.value = traces;
   }
-  bump(counters_.introspect);
+  bump(lp.counters.introspect);
   std::vector<unsigned char> frame;
   encode_info_response(info, &frame);
   send_to_connection(lp, conn, frame.data(), frame.size());
@@ -1089,7 +1099,7 @@ void Server::send_to_connection(Loop& lp,
   const Connection::WriteResult r = conn->write_frames(data, len);
   if (r == Connection::WriteResult::kFlushed) return;
   if (r == Connection::WriteResult::kQueued) {
-    bump(counters_.partial_writes);
+    bump(lp.counters.partial_writes);
   }
   request_write_interest(lp, conn);
 }
@@ -1145,7 +1155,7 @@ void Server::adopt_connection(Loop& lp, int fd) {
   auto conn = std::make_shared<Connection>(fd, lp.index, loops_.size() == 1);
   if (!lp.poller.add(fd, true, false)) return;  // dtor closes fd
   lp.conns.emplace(fd, std::move(conn));
-  bump(counters_.connections);
+  bump(lp.counters.connections);
   HETSCHED_GAUGE_SET(lp.conn_gauge, lp.conns.size());
 }
 
@@ -1180,7 +1190,7 @@ void Server::hand_off_connection(Loop& lp,
     dst.pending_conns.push_back(conn);
   }
   wake_loop(dst);
-  bump(counters_.connection_handoffs);
+  bump(lp.counters.connection_handoffs);
 }
 
 // Decodes the inherited frames before this loop next polls.  A loop
@@ -1275,10 +1285,10 @@ std::size_t Server::placement_loop(const Request& req) const {
   return shards_[target.shard]->owner_loop;
 }
 
-bool Server::resolve_forward(Request& req) {
+bool Server::resolve_forward(Loop& lp, Request& req) {
   const bool rewritten = follow_forwards(req);
   if (rewritten) {
-    bump(counters_.forwarded);
+    bump(lp.counters.forwarded);
   }
   return rewritten;
 }
@@ -1295,7 +1305,7 @@ void Server::commit_owned_wals(Loop& lp) {
     if (sh->moving.load(std::memory_order_acquire)) continue;  // coordinator's
     if (sh->wal.dirty()) {
       sh->wal.commit();
-      bump(counters_.wal_commits);
+      bump(lp.counters.wal_commits);
     }
   }
 }
@@ -1309,7 +1319,7 @@ void Server::maybe_snapshot_shards(Loop& lp) {
     if (sh->moving.load(std::memory_order_acquire)) continue;
     if (!sh->wal.is_open()) continue;
     if (sh->ops_since_snapshot < options_.snapshot_every) continue;
-    write_shard_snapshot(*sh);
+    write_shard_snapshot(lp, *sh);
   }
 }
 
@@ -1323,7 +1333,7 @@ void Server::maybe_snapshot_shards(Loop& lp) {
 // throughput (megabytes of unsynced kOff/kBatch log per threshold).
 // On any failure the shard simply keeps replay-from-WAL as its recovery
 // story and tries again a threshold later.
-void Server::write_shard_snapshot(Shard& sh) {
+void Server::write_shard_snapshot(Loop& lp, Shard& sh) {
   sh.ops_since_snapshot = 0;
   if (!sh.wal.commit()) return;
   io::SnapshotFileMeta meta;
@@ -1344,7 +1354,7 @@ void Server::write_shard_snapshot(Shard& sh) {
   if (!io::write_snapshot_file(options_.wal_dir, meta, payload, /*keep=*/2,
                                /*durable=*/false, &err)
            .empty()) {
-    bump(counters_.snapshots);
+    bump(lp.counters.snapshots);
   }
 }
 
@@ -1552,7 +1562,6 @@ Response Server::do_split(Loop& lp, Shard& src) {
 // carry kWalFlagDeactivate so recovery deactivates src even when only the
 // first record landed.
 Response Server::do_merge(Loop& lp, Shard& src, Shard& dst) {
-  (void)lp;
   Response resp;
   resp.status = Status::kResizeFailed;
   const std::vector<std::pair<OnlineTaskId, Task>> movers =
@@ -1601,7 +1610,7 @@ Response Server::do_merge(Loop& lp, Shard& src, Shard& dst) {
       // Zero residents: nothing moves, so src's deactivation rides the
       // next snapshot instead of a WAL record (an empty move would carry
       // no sequence step for replay to anchor on).
-      write_shard_snapshot(src);
+      write_shard_snapshot(lp, src);
     }
   }
   if (!moved.empty()) {
@@ -1638,7 +1647,7 @@ void Server::drain_shard_queues(Loop& lp) {
           sh->queue.try_pop_batch(lp.items.data(), lp.batcher.limit());
       HETSCHED_GAUGE_SET(sh->depth_gauge, sh->queue.depth());
       if (n == 0) break;
-      bump(counters_.batches);
+      bump(lp.counters.batches);
       // Pass 1: decide every item, staging responses in outbuf and
       // recording per-connection runs.  Nothing is sent yet — the WAL
       // group commit below must land first.
@@ -1650,7 +1659,7 @@ void Server::drain_shard_queues(Loop& lp) {
       for (std::size_t i = 0; i < n; ++i) {
         Shard::WorkItem& item = lp.items[i];
         Request req = item.req;
-        resolve_forward(req);
+        resolve_forward(lp, req);
         // Queue-hop span: the frame's cross-loop (or paused-shard) queue
         // residency, parented to its decode span.
         obs::span_close(item.trace_root != 0, req.trace_id, item.trace_root,
@@ -1664,11 +1673,11 @@ void Server::drain_shard_queues(Loop& lp) {
           Shard& th = *shards_[req.shard];
           if (th.owner_loop == lp.index &&
               !th.moving.load(std::memory_order_acquire)) {
-            resp = process_request(th, req, item.trace_root);
+            resp = process_request(lp, th, req, item.trace_root);
           } else if (th.queue.try_push(Shard::WorkItem{
                          item.conn, req, 0, item.trace_enq_ns,
                          item.trace_root})) {
-            bump(counters_.enqueued);
+            bump(lp.counters.enqueued);
             if (th.owner_loop != lp.index) wake_loop(*loops_[th.owner_loop]);
             have_resp = false;  // the target shard's drain answers it
           } else {
@@ -1677,13 +1686,13 @@ void Server::drain_shard_queues(Loop& lp) {
             resp.request_id = req.request_id;
           }
         } else {
-          resp = process_request(*sh, req, item.trace_root);
+          resp = process_request(lp, *sh, req, item.trace_root);
         }
         if (item.enq_ns != 0) {
           sh->record_latency(obs::now_ns() - item.enq_ns, options_.slo_ns);
         }
         if (!have_resp) continue;
-        count_response(resp);
+        count_response(lp, resp);
         if (run_conn != nullptr && item.conn.get() != run_conn) {
           lp.runs.push_back(Loop::Run{run_first, run_off, out_len - run_off});
           run_off = out_len;
@@ -1725,7 +1734,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
   bool alive = true;
   const auto flush_staged = [&] {
     if (staged == 0) return;
-    bump(counters_.batches);
+    bump(lp.counters.batches);
     lp.batcher.observe(staged_frames);
     HETSCHED_HIST_RECORD(g_metrics.batch_frames, staged_frames);
     const std::uint64_t gc_t0 = lp.batch_clock();
@@ -1769,7 +1778,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
       if (r == DecodeResult::kNeedMore) break;
       if (r == DecodeResult::kBad) {
         // A desynced byte stream cannot be re-framed; drop the peer.
-        bump(counters_.bad);
+        bump(lp.counters.bad);
         alive = false;
         break;
       }
@@ -1795,7 +1804,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
       // decoder was handed, so the advance is bounded by decode_request's
       // own length checks.  hetsched-lint: allow(parser-bounds)
       off += consumed;
-      bump(counters_.frames_rx);
+      bump(lp.counters.frames_rx);
       // The decode span roots the frame's trace (0: untraced or disarmed).
       const bool traced = req.trace_id != 0 && dec_t0 != 0;
       const std::uint64_t root_span = obs::span_close(
@@ -1820,7 +1829,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
         flush_staged();
         resp = handle_resize(lp, req);
         respond_now = true;
-      } else if (resolve_forward(req);
+      } else if (resolve_forward(lp, req);
                  req.shard >= shard_count_.load(std::memory_order_acquire)) {
         resp.type = req.type;
         resp.status = Status::kBadShard;
@@ -1846,8 +1855,8 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
             if ((++lp.sample_tick & (obs::kLatencySamplePeriod - 1)) == 0) {
               t0 = obs::now_ns();
             }
-            resp = process_request(sh, req, root_span);
-            bump(counters_.frames_inline);
+            resp = process_request(lp, sh, req, root_span);
+            bump(lp.counters.frames_inline);
             if (t0 != 0) sh.record_latency(obs::now_ns() - t0, options_.slo_ns);
             respond_now = true;
           } else {
@@ -1868,7 +1877,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
               resp.request_id = req.request_id;
               respond_now = true;
             } else {
-              bump(counters_.enqueued);
+              bump(lp.counters.enqueued);
               HETSCHED_GAUGE_SET(sh.depth_gauge, sh.queue.depth());
               if (!local) wake_loop(*loops_[sh.owner_loop]);
             }
@@ -1876,7 +1885,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
         }
       }
       if (respond_now) {
-        count_response(resp);
+        count_response(lp, resp);
         const std::uint64_t enc_t0 = obs::span_clock_if(root_span != 0);
         staged += encode_response(resp, lp.outbuf.data() + staged);
         ++staged_frames;

@@ -81,8 +81,9 @@
 // close, so the frame that placed it is still decided and answered.
 //
 // Observability: ServerStats is the server's one per-event counter set —
-// plain atomics, exposed as hetsched_server_* in every build — and the
-// per-shard SLO burn counters (net_slo_*) move in every build too.
+// per-loop single-writer atomics summed on read, exposed as
+// hetsched_server_* in every build — and the per-shard SLO burn counters
+// (net_slo_*) move in every build too.
 // Compiled with -DHETSCHED_METRICS=ON, the server adds per-shard
 // queue-depth and per-loop open-connection gauges, batch-size, resize-
 // pause and sampled request-latency histograms, request spans and the
@@ -161,7 +162,9 @@ struct ServerOptions {
 
 // The server's one per-event counter set (hetsched_server_* in the
 // exposition), independent of the obs layer so it exists in every build.
-// Eventually consistent while threads run; exact after wait().
+// Each event loop counts into its own cache-line-aligned cells, which only
+// that loop writes, and stats() sums the cells on read: eventually
+// consistent while threads run; exact after wait().
 struct ServerStats {
   std::uint64_t connections = 0;
   std::uint64_t frames_rx = 0;
@@ -290,9 +293,9 @@ class Server {
   void wake_loop(Loop& lp);
   // `parent_span` is the frame's decode span id (0 when the frame is
   // untraced or spans are disarmed); the warm-admit span parents to it.
-  Response process_request(Shard& shard, const Request& req,
+  Response process_request(Loop& lp, Shard& shard, const Request& req,
                            std::uint64_t parent_span = 0);
-  void count_response(const Response& resp);
+  void count_response(Loop& lp, const Response& resp);
   // Builds and sends the kInfo answer to a kGetStats/kGetTracez frame.
   // Runs inline on the decoding loop (like handle_resize): introspection
   // frames are rare and never enter a shard queue.
@@ -304,12 +307,12 @@ class Server {
   bool recover_and_open_wals(std::string* error);
   void commit_owned_wals(Loop& lp);
   void maybe_snapshot_shards(Loop& lp);
-  void write_shard_snapshot(Shard& sh);
+  void write_shard_snapshot(Loop& lp, Shard& sh);
 
   // Forwarding: rewrites a depart naming a migrated tenant to the target
   // shard's id, following chains.  Returns true if the request was
   // rewritten (counted once per request).
-  bool resolve_forward(Request& req);
+  bool resolve_forward(Loop& lp, Request& req);
   // The rewrite alone, uncounted: placement peeks at a frame's target.
   bool follow_forwards(Request& req) const;
 
@@ -356,8 +359,12 @@ class Server {
   std::atomic<int> loops_draining_{0};
   std::atomic<int> loops_alive_{0};
 
-  // ServerStats source (relaxed; summed snapshot under stats()).
-  struct Counters {
+  // ServerStats source: one cache-line-aligned block per Loop, written
+  // only by that loop's thread with a relaxed load and store (no
+  // lock-prefixed read-modify-write on the frame path), plus this shared
+  // block for writers that are not loop threads (start-up recovery's
+  // `recovered`).  stats() sums the blocks.
+  struct alignas(64) Counters {
     std::atomic<std::uint64_t> connections{0}, frames_rx{0}, enqueued{0},
         frames_inline{0}, admitted{0}, rejected{0}, retried{0}, departed{0},
         stale{0}, rebalances{0}, bad{0}, batches{0}, partial_writes{0},

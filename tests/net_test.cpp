@@ -15,6 +15,8 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1214,6 +1216,109 @@ TEST(NetLoopback, HandoffRacingStopAnswersWhatItDecoded) {
       EXPECT_EQ(r.status, Status::kAdmitted);
     }
   }
+}
+
+// ServerStats lives in per-loop cells that only their loop writes and
+// stats() sums.  Two loops each serve one connection on their own shard
+// (N admits, then N/2 departs of admitted ids): after wait() the sums are
+// exact, and a GET_STATS poller on a third connection never sees a
+// hetsched_server_* counter go back while the loops count.
+TEST(NetLoopback, PerLoopCountersSumExactlyAndNeverDecrease) {
+  constexpr std::uint64_t kN = 2000;
+  constexpr std::uint64_t kWindow = 64;
+  const Platform pf = geometric_platform(4, 1.5);
+  ServerOptions opts;
+  opts.shards = 2;
+  opts.loops = 2;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::string poll_error;
+  std::thread poller([&] {
+    Client client;
+    if (!client.connect(loopback_addr(server), 2000, &poll_error)) return;
+    std::map<std::string, std::uint64_t> last;
+    while (!done.load(std::memory_order_acquire) || polls < 2) {
+      InfoResponse info;
+      if (!client.call_info(Request::get_stats(polls), &info, 2000)) {
+        poll_error = client.last_error();
+        return;
+      }
+      ++polls;
+      std::istringstream lines(info.text);
+      std::string line;
+      while (std::getline(lines, line)) {
+        if (line.rfind("hetsched_server_", 0) != 0) continue;
+        const std::size_t space = line.find(' ');
+        const std::string name = line.substr(0, space);
+        const std::uint64_t v = std::stoull(line.substr(space + 1));
+        const auto [it, fresh] = last.emplace(name, v);
+        if (!fresh && v < it->second) {
+          poll_error = name + " went from " + std::to_string(it->second) +
+                       " to " + std::to_string(v);
+          return;
+        }
+        it->second = v;
+      }
+    }
+  });
+
+  std::string errs[2];
+  std::thread workers[2];
+  for (int w = 0; w < 2; ++w) {
+    workers[w] = std::thread([&, w] {
+      const auto shard = static_cast<std::uint16_t>(w);
+      Client client;
+      if (!client.connect(loopback_addr(server), 2000, &errs[w])) return;
+      std::vector<std::uint64_t> ids;
+      Response r;
+      for (std::uint64_t sent = 0; sent < kN; sent += kWindow) {
+        for (std::uint64_t i = sent; i < sent + kWindow && i < kN; ++i) {
+          client.queue_request(Request::admit(shard, i, 1, 1'000'000));
+        }
+        if (!client.flush(2000)) break;
+        for (std::uint64_t i = sent; i < sent + kWindow && i < kN; ++i) {
+          if (!client.recv_response(&r, 5000)) break;
+          if (r.status == Status::kAdmitted) ids.push_back(r.task_id);
+        }
+      }
+      if (ids.size() < kN / 2) {
+        errs[w] = "admitted " + std::to_string(ids.size()) + " " +
+                  client.last_error();
+        return;
+      }
+      for (std::uint64_t i = 0; i < kN / 2; ++i) {
+        client.queue_request(Request::depart(shard, kN + i, ids[i]));
+      }
+      if (!client.flush(2000)) errs[w] = client.last_error();
+      for (std::uint64_t i = 0; i < kN / 2 && errs[w].empty(); ++i) {
+        if (!client.recv_response(&r, 5000)) errs[w] = client.last_error();
+        if (r.status != Status::kDeparted) errs[w] = "depart not departed";
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  done.store(true, std::memory_order_release);
+  poller.join();
+  for (int w = 0; w < 2; ++w) EXPECT_TRUE(errs[w].empty()) << errs[w];
+  EXPECT_TRUE(poll_error.empty()) << poll_error;
+  EXPECT_GE(polls, 2u);
+
+  server.request_stop();
+  server.wait();
+  const ServerStats s = server.stats();
+  // frames_rx also counts the poller's GET_STATS frames, which no shard
+  // decides.
+  EXPECT_EQ(s.introspect, polls);
+  EXPECT_EQ(s.frames_rx - s.introspect, 3 * kN);
+  EXPECT_EQ(s.frames_inline, 3 * kN);
+  EXPECT_EQ(s.admitted + s.rejected + s.departed + s.stale, 3 * kN);
+  EXPECT_EQ(s.departed, kN);
+  EXPECT_EQ(s.enqueued, 0u);
+  EXPECT_EQ(s.connection_handoffs, 1u);  // shard 1's connection
 }
 
 TEST(NetReplay, OfflineChecksumIsDeterministic) {
