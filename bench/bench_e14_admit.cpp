@@ -6,7 +6,11 @@
 // test:
 //   * acceptance ratio over every arrival in the sweep;
 //   * per-admit latency (median, p99, p999 ns over every admit() call);
-//   * the tier histogram (how many verdicts each tier produced).
+//   * the tier histogram (how many verdicts each tier produced);
+//   * for the QPA tests, the QPA work of each call (visits plus
+//     busy-period steps, each O(n): total, p99, p999, max).  It is a
+//     count, so it repeats exactly where the ns percentiles swing with
+//     the host.
 // The timing reps interleave the five tests (rep 1 of each, then rep 2 of
 // each, ...), so host noise lands on all of them alike.
 //
@@ -23,12 +27,15 @@
 //     median admit / kBound median admit is <= 3 (an in-process relative
 //     comparison, so it holds on shared runners; skippable with
 //     --no-latency-gate for pathological hosts);
-//   * the tier-1 cells' two paths agree on every verdict.
+//   * the tier-1 cells' two paths agree on every verdict;
+//   * the first fit replayed for the QPA work places every task where the
+//     controller does.
 // Exit status is nonzero when an enforced gate fails, which is what the CI
 // bench-smoke lane asserts.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -54,6 +61,7 @@ struct TestResult {
   double admit_median_ns = 0;
   double admit_p99_ns = 0;
   double admit_p999_ns = 0;
+  std::vector<std::int64_t> qpa_work;  // per QPA call, sorted
   double acceptance() const {
     return arrivals == 0 ? 0.0
                          : static_cast<double>(admitted) /
@@ -61,24 +69,82 @@ struct TestResult {
   }
 };
 
-// Counting pass: acceptance and the tier histogram are deterministic, so
-// they come from a single replay.
-TestResult count_test(const std::vector<admit::E14Point>& points,
-                      AdmissionKind test) {
+// Appends the QPA work of each QPA call the controller makes for `t`.
+// First fit offers t to the machines in index order until one accepts,
+// and machine_admits decides each offer as the controller's escalation
+// does; an offer decided at the exact tier ran QPA, and QPA on the same
+// set repeats the same work.  Returns the machine that accepts, or
+// kNoMachine.
+std::size_t record_qpa_work(const OnlinePartitioner& controller,
+                            const admit::AdmitConfig& cfg, const Task& t,
+                            std::vector<std::int64_t>& work) {
+  const Platform& platform = controller.platform();
+  const Task ct = *admit::inflate(cfg, t);
+  for (std::size_t j = 0; j < platform.size(); ++j) {
+    std::vector<Task> with = controller.machine_tasks(j);
+    const admit::TierVerdict v = admit::machine_admits(
+        cfg, with, ct, platform.speed(j), platform.speed_exact(j));
+    if (v.tier == admit::kTierExact) {
+      with.push_back(ct);
+      const QpaVerdict q = edf_dbf_qpa_verdict(with, platform.speed_exact(j));
+      work.push_back(q.visits + q.steps);
+    }
+    if (v.accept) return j;
+  }
+  return OnlinePartitioner::kNoMachine;
+}
+
+// Counting pass: acceptance, the tier histogram and the QPA work are
+// deterministic, so they come from a single replay.  False when the
+// first fit replayed for the QPA work places a task where the
+// controller did not.
+bool count_test(const std::vector<admit::E14Point>& points, AdmissionKind test,
+                TestResult& result) {
   const Platform platform = admit::e14_platform();
-  TestResult result;
+  const bool qpa = admission_row(test).exact == ExactTest::kQpa;
+  admit::AdmitConfig cfg;
+  cfg.test = test;
   result.test = test;
+  bool same = true;
   for (const admit::E14Point& pt : points) {
     OnlinePartitioner controller(platform, test, 1.0);
     controller.reserve(pt.tasks.size());
     for (const Task& t : pt.tasks) {
+      const std::size_t j =
+          qpa ? record_qpa_work(controller, cfg, t, result.qpa_work) : 0;
       const AdmitDecision d = controller.admit(t);
+      const std::size_t placed =
+          d.admitted ? d.machine : OnlinePartitioner::kNoMachine;
+      same = same && (!qpa || j == placed);
       ++result.arrivals;
       if (d.admitted) ++result.admitted;
       ++result.tier_counts[d.tier <= 2 ? d.tier : 2];
     }
   }
-  return result;
+  std::sort(result.qpa_work.begin(), result.qpa_work.end());
+  return same;
+}
+
+// The q-quantile of a sorted sample by nearest rank, a value it holds;
+// 0 when empty.
+std::int64_t nearest_rank(const std::vector<std::int64_t>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
+
+struct QpaWork {
+  std::size_t calls;
+  std::int64_t total, p99, p999, max;
+};
+
+QpaWork qpa_work_of(const TestResult& r) {
+  const std::vector<std::int64_t>& w = r.qpa_work;
+  std::int64_t total = 0;
+  for (const std::int64_t x : w) total += x;
+  return {w.size(), total, nearest_rank(w, 0.99), nearest_rank(w, 0.999),
+          w.empty() ? 0 : w.back()};
 }
 
 // One timing rep: replays the identical streams and returns the latency
@@ -167,7 +233,8 @@ Tier1Cell time_tier1(std::size_t n, int reps) {
 }
 
 void append_json(std::string& out, const TestResult& r) {
-  char buf[512];
+  const QpaWork w = qpa_work_of(r);
+  char buf[768];
   std::snprintf(
       buf, sizeof(buf),
       "    {\"test\": \"%s\", \"arrivals\": %zu, \"admitted\": %zu, "
@@ -175,10 +242,14 @@ void append_json(std::string& out, const TestResult& r) {
       "\"tier0_verdicts\": %zu, \"tier1_verdicts\": %zu, "
       "\"tier2_verdicts\": %zu, "
       "\"admit_median_ns\": %.0f, \"admit_p99_ns\": %.0f, "
-      "\"admit_p999_ns\": %.0f}",
+      "\"admit_p999_ns\": %.0f, \"qpa_calls\": %zu, \"qpa_work\": %lld, "
+      "\"qpa_work_p99\": %lld, \"qpa_work_p999\": %lld, "
+      "\"qpa_work_max\": %lld}",
       admission_row(r.test).name, r.arrivals, r.admitted,
       r.acceptance(), r.tier_counts[0], r.tier_counts[1], r.tier_counts[2],
-      r.admit_median_ns, r.admit_p99_ns, r.admit_p999_ns);
+      r.admit_median_ns, r.admit_p99_ns, r.admit_p999_ns, w.calls,
+      static_cast<long long>(w.total), static_cast<long long>(w.p99),
+      static_cast<long long>(w.p999), static_cast<long long>(w.max));
   out += buf;
 }
 
@@ -209,9 +280,10 @@ int main(int argc, char** argv) {
       AdmissionKind::kBound, AdmissionKind::kDbfApprox, AdmissionKind::kQpa,
       AdmissionKind::kRta, AdmissionKind::kAuto,
   };
-  std::vector<TestResult> results;
-  for (const AdmissionKind test : tests) {
-    results.push_back(count_test(points, test));
+  std::vector<TestResult> results(tests.size());
+  bool replay_ok = true;
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    replay_ok = count_test(points, tests[i], results[i]) && replay_ok;
   }
   const std::size_t bound = 0;
   const std::size_t qpa = 2;
@@ -244,6 +316,17 @@ int main(int argc, char** argv) {
                 r.admit_median_ns, r.admit_p99_ns, r.admit_p999_ns);
     if (i != 0) json += ",\n";
     append_json(json, r);
+  }
+
+  std::printf("\nQPA work per call: visits plus busy-period steps\n");
+  std::printf("%-10s %6s %8s %6s %6s %6s\n", "test", "calls", "total", "p99",
+              "p999", "max");
+  for (const TestResult& r : results) {
+    const QpaWork w = qpa_work_of(r);
+    std::printf("%-10s %6zu %8lld %6lld %6lld %6lld\n",
+                admission_row(r.test).name, w.calls,
+                static_cast<long long>(w.total), static_cast<long long>(w.p99),
+                static_cast<long long>(w.p999), static_cast<long long>(w.max));
   }
 
   std::printf("\ntier 1, one unit machine, periods near 1e6\n");
@@ -301,6 +384,11 @@ int main(int argc, char** argv) {
               acceptance_gap, latency_ratio, reps, ratio.min, ratio.max,
               latency_gate ? "" : ", not enforced");
   int rc = 0;
+  if (!replay_ok) {
+    std::printf("FAILED: the first fit replayed for the QPA work disagrees "
+                "with the controller\n");
+    rc = 1;
+  }
   if (!tier1_ok) {
     std::printf("GATE FAILED: linear tier 1 disagrees with the O(n^2) test\n");
     rc = 1;

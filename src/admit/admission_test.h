@@ -23,8 +23,9 @@
 //   tier 2 (exact)   QPA for EDF modes; deadline-monotonic response-time
 //                    analysis for the fixed-priority mode.  Exact, but a
 //                    per-query cost that depends on the period spread;
-//                    QPA's scan down from La races the busy period, so it
-//                    costs a constant factor of the cheaper bound.
+//                    QPA scans up from 2 d_max in doubling segments, so
+//                    it meets the lowest miss first, and races the busy
+//                    period, which cuts the segments once it converges.
 //
 // Escalation only ever runs when tier 0 *rejects*; which tiers run is a
 // column of the test's row in partition/admission.h, and kAuto additionally

@@ -117,41 +117,95 @@ std::optional<std::int64_t> first_jobs(std::span<const Task> tasks) {
   return work;
 }
 
-// One step of the busy-period recurrence W' = sum_i ceil(W / (s p_i)) c_i.
-// HETSCHED_NOALLOC
-std::optional<std::int64_t> busy_step(std::span<const Task> tasks,
-                                      const Rational& speed,
-                                      std::int64_t work) {
-  return next_work(tasks, [](std::size_t) { return true; }, 0, work, speed);
-}
-
-// Synchronous busy-period length at speed s — the least fixed point of
+// The synchronous busy period at speed s — the least fixed point of
 //   L = (sum_i ceil(L / p_i) * c_i) / s,
-// seeded with the total first-job demand — rounded up to an integer
-// instant.  Exists whenever U <= s; a cap guards the U == s case where it
-// can reach the hyperperiod.  The iterates are integer work W with
-// L = W / s (core/int_time.h), and they only grow: once one reaches `stop`
-// the fixed point lies at or beyond it, so `stop` is returned.  nullopt
-// past the cap or the iteration limit, or when the work overflows int64.
+// seeded with the total first-job demand — one step of the recurrence at
+// a time.  The iterates are integer work W with L = W / s
+// (core/int_time.h), and they only grow, so W / s bounds L from below
+// throughout.  The fixed point exists whenever U <= s; a cap guards the
+// U == s case where it can reach the hyperperiod.  The iteration fails
+// past the cap or the step limit, or when the work overflows int64.
+// dbf_check_bound and QPA's race step through this one class, so the race
+// converges exactly where the bound does.
+class BusyPeriod {
+ public:
+  enum class State : std::uint8_t { kGrowing, kConverged, kFailed };
+
+  // HETSCHED_NOALLOC
+  BusyPeriod(std::span<const Task> tasks, const Rational& speed)
+      : tasks_(tasks),
+        speed_(speed),
+        cap_(instant_ticks(std::int64_t{1} << 40, speed)) {
+    const std::optional<std::int64_t> first = first_jobs(tasks);
+    work_ = first.value_or(0);
+    state_ = first ? State::kGrowing : State::kFailed;
+  }
+
+  State state() const { return state_; }
+  std::int64_t steps() const { return steps_; }
+
+  // Whether W / s has reached instant `t`, so that L lies at or beyond it.
+  bool reaches(std::int64_t t) const {
+    return work_ticks(work_, speed_) >= instant_ticks(t, speed_);
+  }
+
+  // ceil(W / s): L rounded up to an integer instant once converged;
+  // nullopt beyond int64.
+  std::optional<std::int64_t> length() const {
+    return ceil_instant(work_ticks(work_, speed_), speed_);
+  }
+
+  // One step W' = sum_i ceil(W / (s p_i)) c_i.
+  // HETSCHED_NOALLOC
+  State step() {
+    HETSCHED_DCHECK(state_ == State::kGrowing);
+    ++steps_;
+    const auto all = [](std::size_t) { return true; };
+    const auto next = next_work(tasks_, all, 0, work_, speed_);
+    if (next && *next == work_) {
+      state_ = State::kConverged;
+    } else if (!next || work_ticks(*next, speed_) > cap_) {
+      state_ = State::kFailed;
+    } else {
+      HETSCHED_DCHECK(*next > work_);
+      work_ = *next;
+      if (steps_ == kMaxSteps) state_ = State::kFailed;
+    }
+    return state_;
+  }
+
+ private:
+  static constexpr std::int64_t kMaxSteps = 100000;
+
+  std::span<const Task> tasks_;
+  Rational speed_;
+  int128 cap_;
+  std::int64_t work_ = 0;
+  std::int64_t steps_ = 0;
+  State state_ = State::kGrowing;
+};
+
+// L from a fresh busy period, or `stop` once an iterate reaches it: the
+// fixed point then lies at or beyond it.  nullopt where the iteration
+// fails.  Adds the steps taken to `steps`.
 // HETSCHED_NOALLOC
 std::optional<std::int64_t> busy_period(std::span<const Task> tasks,
                                         const Rational& speed,
-                                        std::optional<std::int64_t> stop) {
-  const std::optional<std::int64_t> first = first_jobs(tasks);
-  if (!first) return std::nullopt;
-  std::int64_t work = *first;
-  constexpr int kMaxIters = 100000;
-  const int128 cap = instant_ticks(std::int64_t{1} << 40, speed);
-  for (int iter = 0; iter < kMaxIters; ++iter) {
-    if (stop && work_ticks(work, speed) >= instant_ticks(*stop, speed)) {
+                                        std::optional<std::int64_t> stop,
+                                        std::int64_t& steps) {
+  BusyPeriod busy(tasks, speed);
+  while (busy.state() == BusyPeriod::State::kGrowing &&
+         !(stop && busy.reaches(*stop))) {
+    busy.step();
+  }
+  steps += busy.steps();
+  switch (busy.state()) {
+    case BusyPeriod::State::kGrowing:
       return stop;
-    }
-    const auto next = busy_step(tasks, speed, work);
-    if (!next) return std::nullopt;
-    if (*next == work) return ceil_instant(work_ticks(work, speed), speed);
-    if (work_ticks(*next, speed) > cap) return std::nullopt;
-    HETSCHED_DCHECK(*next > work);
-    work = *next;
+    case BusyPeriod::State::kConverged:
+      return busy.length();
+    case BusyPeriod::State::kFailed:
+      break;
   }
   return std::nullopt;
 }
@@ -173,12 +227,14 @@ std::optional<std::int64_t> max_deadline_at_most(std::span<const Task> tasks,
 
 // min(busy period, La) — the busy-period scan stops at La — and never
 // below d_max: the first job of each task must be checked at least once.
+// Adds the busy period's steps to `steps`.
 // HETSCHED_NOALLOC
 std::optional<std::int64_t> check_bound(std::span<const Task> tasks,
                                         const Rational& speed,
                                         std::optional<std::int64_t> la,
-                                        std::int64_t dmax) {
-  std::optional<std::int64_t> bound = busy_period(tasks, speed, la);
+                                        std::int64_t dmax,
+                                        std::int64_t& steps) {
+  std::optional<std::int64_t> bound = busy_period(tasks, speed, la, steps);
   if (!bound) bound = la;
   if (!bound) return std::nullopt;
   return std::max(*bound, dmax);
@@ -240,59 +296,76 @@ ScanEnd qpa_scan_from(std::span<const Task> tasks, const Rational& speed,
 
 // Stage 2 takes one busy-period step per this many scan visits.
 //
-// Any ratio gives the same verdict: the scan is QPA from max(La, d_max),
-// a valid bound, and the busy period only ever lowers it to another valid
-// bound, max(L, d_max) with L the converged fixed point; no instant it
-// skips lies at or below both bounds.  The ratio sets the cost.  With V
-// the visits the scan alone needs from max(La, d_max) to B, and K the
-// steps the busy period needs to converge or to reach the scan, the race
-// makes at most min(V, 8 K) visits and min(V / 8, K) steps before the
-// busy period settles, each visit and step O(n); what follows is the scan
-// from at most max(L, d_max), which the classic bound pays too.  So the
-// race costs at most 1 + 1/8 times the scan alone, and at most 9 times
-// the busy period plus that shared tail.  A step costs about what a visit
-// does.  On svc-deadline-auto the scan settles first in every race, and
-// the busy period's steps take about 1.5% of a replay of its traces.
+// No schedule moves a verdict: the race only lowers the top to
+// max(L, d_max), with L the converged fixed point, and BusyPeriod steps
+// exactly as dbf_check_bound's does, so that is dbf_check_bound's own
+// bound.  The ratio sets the cost.  With K the steps the busy period needs
+// to converge, the segments make at most 8 K visits before the top drops
+// to max(L, d_max), and at most 1/8 of their visits go to steps.
 constexpr std::int64_t kRaceRatio = 8;
 
-// Stage 2: QPA's scan from the largest deadline at or before `top` =
-// max(La, d_max) down to the verified prefix, raced against the busy
-// period.  Its iterates W only grow and L >= W / s: once W / s reaches the
-// scan the busy period cannot lower it and stops; once it converges, every
-// instant past max(L, d_max) is safe and the scan drops to the largest
-// deadline at or before that.  The busy period needs no cap or iteration
-// limit here: the scan bounds its iterates and outlasts it.
+// Stage 2: QPA over (B, top], top = max(La, d_max), bottom up.  The
+// prefix [0, B] is segment 0, and segment k scans from the largest
+// deadline at or before min(2^k B, top) down to segment k - 1's top.
+// Misses tend to lie within a few d_max, so the lowest one above B turns
+// up after a few segment starts rather than after a scan of everything
+// above it.  Where no instant misses, QPA's next instant grows with the
+// instant it leaves, so a scan from a lower start stays at or below the
+// one from `top`: segment k makes at most one visit more than the single
+// scan from `top` makes inside segment k's range.
+//
+// The busy period races across the segments, one step per kRaceRatio
+// visits.  Its iterates W only grow and L >= W / s: once W / s reaches
+// the top it cannot lower it and stops; once it converges, every instant
+// past max(L, d_max) is safe, the top drops there and the scan drops to
+// the largest deadline at or before it.
 // HETSCHED_NOALLOC
-ScanEnd qpa_race(std::span<const Task> tasks, const Rational& speed,
-                 std::int64_t top, std::int64_t dmax, int128 verified,
-                 int128 safe, std::int64_t& visits) {
-  const auto start = max_deadline_at_most(tasks, top);
-  if (!start) return ScanEnd::kVerified;
-  int128 t = instant_ticks(*start, speed);
-  const std::optional<std::int64_t> first = first_jobs(tasks);
-  bool racing = first.has_value();
-  std::int64_t work = first.value_or(0);
-  for (std::int64_t visit = 1;; ++visit) {
-    if (const auto end = qpa_visit(tasks, speed, t, verified, safe, visits)) {
-      return *end;
+ScanEnd qpa_segments(std::span<const Task> tasks, const Rational& speed,
+                     std::int64_t prefix, std::int64_t top, std::int64_t dmax,
+                     int128 safe, std::int64_t& visits, std::int64_t& steps) {
+  int128 verified = instant_ticks(prefix, speed);
+  BusyPeriod busy(tasks, speed);
+  bool racing = busy.state() == BusyPeriod::State::kGrowing;
+  const std::int64_t raced_from = visits;
+  for (std::int64_t seg_top = prefix; seg_top < top;) {
+    seg_top = seg_top <= top / 2 ? 2 * seg_top : top;
+    int128 t = instant_ticks(*max_deadline_at_most(tasks, seg_top), speed);
+    for (;;) {
+      const auto end = qpa_visit(tasks, speed, t, verified, safe, visits);
+      if (end && *end != ScanEnd::kVerified) {
+        steps += busy.steps();
+        return *end;
+      }
+      if (racing && visits - raced_from >= kRaceRatio * (busy.steps() + 1)) {
+        racing = !busy.reaches(top) &&
+                 busy.step() == BusyPeriod::State::kGrowing;
+        if (busy.state() == BusyPeriod::State::kConverged) {
+          // Converged below the top, so L = ceil(W / s) fits int64.
+          top = std::min(top, std::max(*busy.length(), dmax));
+          seg_top = std::min(seg_top, top);
+          if (!end && instant_ticks(top, speed) < t) {
+            t = instant_ticks(*max_deadline_at_most(tasks, top), speed);
+          }
+        }
+      }
+      if (end) break;
     }
-    if (!racing || visit % kRaceRatio != 0) continue;
-    const auto next = work_ticks(work, speed) < t
-                          ? busy_step(tasks, speed, work)
-                          : std::nullopt;
-    if (next && *next != work) {
-      work = *next;
-      continue;
-    }
-    racing = false;  // reached the scan, overflowed, or converged
-    if (!next) continue;
-    // Converged below the scan, so L = ceil(W / s) fits int64.
-    const std::int64_t bound =
-        std::max(*ceil_instant(work_ticks(work, speed), speed), dmax);
-    if (instant_ticks(bound, speed) < t) {
-      t = instant_ticks(*max_deadline_at_most(tasks, bound), speed);
-    }
+    verified = std::max(verified, instant_ticks(seg_top, speed));
   }
+  steps += busy.steps();
+  return ScanEnd::kVerified;
+}
+
+// Whether the demand at instant `t` exceeds int64.  dbf(t) <= U t +
+// sum (p_i - d_i) u_i, so where that sum lies below 2^62 it cannot, and
+// no demand is evaluated; otherwise one visit evaluates it.
+// HETSCHED_NOALLOC
+bool demand_overflows(std::span<const Task> tasks, std::int64_t t,
+                      long double util, long double slack,
+                      std::int64_t& visits) {
+  if (util * static_cast<long double>(t) + slack < 0x1p62L) return false;
+  ++visits;
+  return !total_dbf_checked(tasks, t).has_value();
 }
 
 // The k-point approximate demand at `t`: every task's dbf*, summed in
@@ -343,7 +416,8 @@ std::optional<std::int64_t> dbf_check_bound(
   const long double s = speed_ld(speed);
   if (u > s + kUtilBand) return std::nullopt;  // trivially infeasible
   const Deadlines set = deadlines_of(tasks);
-  return check_bound(tasks, speed, la_bound(set.slack, u, s), set.dmax);
+  std::int64_t steps = 0;
+  return check_bound(tasks, speed, la_bound(set.slack, u, s), set.dmax, steps);
 }
 
 bool edf_dbf_feasible_exact(std::span<const Task> tasks,
@@ -379,10 +453,13 @@ QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
 QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
                                const Rational& speed, long double util) {
   std::int64_t visits = 0;
-  if (tasks.empty()) return {true, QpaStage::kUtilization, visits};
+  std::int64_t steps = 0;
+  if (tasks.empty()) return {true, QpaStage::kUtilization, visits, steps};
   HETSCHED_CHECK(speed > Rational(0));
   const long double s = speed_ld(speed);
-  if (util > s + kUtilBand) return {false, QpaStage::kUtilization, visits};
+  if (util > s + kUtilBand) {
+    return {false, QpaStage::kUtilization, visits, steps};
+  }
   const Deadlines set = deadlines_of(tasks);
   const std::optional<std::int64_t> la = la_bound(set.slack, util, s);
   const int128 safe = instant_ticks(set.dmin, speed);
@@ -396,33 +473,39 @@ QpaVerdict edf_dbf_qpa_verdict(std::span<const Task> tasks,
   const ScanEnd first =
       qpa_scan_from(tasks, speed, prefix, -1, safe, visits);
   if (first == ScanEnd::kViolation) {
-    return {false, QpaStage::kPrefix, visits};
+    return {false, QpaStage::kPrefix, visits, steps};
   }
   const bool prefix_ok = first == ScanEnd::kVerified;
   const int128 verified = prefix_ok ? instant_ticks(prefix, speed) : -1;
 
-  // Stage 2: down from max(La, d_max), which bounds every instant the
-  // bound below could name, to B, raced against the busy period.  Its
-  // start is at or above stage 1's, so after an overflow there it would
-  // overflow too; an overflow at its own start leaves the verdict to the
-  // bound.
+  // Stage 2: the segments from B up to max(La, d_max), which bounds every
+  // instant the bound below could name, raced against the busy period.
+  // Each segment starts at or above stage 1's start, so after an overflow
+  // there the first would overflow too.  An overflow at the top leaves the
+  // verdict to the bound.  The segments would meet it only after scanning
+  // everything below, so where the demand at the top may pass int64 it is
+  // evaluated there first; demand grows with the instant, so below a top
+  // that fits no segment overflows.
   if (la && prefix_ok) {
     const std::int64_t top = std::max(*la, set.dmax);
-    if (top <= prefix) return {true, QpaStage::kPrefix, visits};
-    const ScanEnd second =
-        qpa_race(tasks, speed, top, set.dmax, verified, safe, visits);
+    if (top <= prefix) return {true, QpaStage::kPrefix, visits, steps};
+    ScanEnd second = ScanEnd::kOverflow;
+    if (!demand_overflows(tasks, top, util, set.slack, visits)) {
+      second = qpa_segments(tasks, speed, prefix, top, set.dmax, safe, visits,
+                            steps);
+    }
     if (second != ScanEnd::kOverflow) {
-      return {second == ScanEnd::kVerified, QpaStage::kLa, visits};
+      return {second == ScanEnd::kVerified, QpaStage::kLa, visits, steps};
     }
   }
 
   // Stage 3: the busy-period bound, as dbf_check_bound computes it, down
   // to B.  Here an overflow rejects.
-  const auto bound = check_bound(tasks, speed, la, set.dmax);
-  if (!bound) return {false, QpaStage::kBusyPeriod, visits};
+  const auto bound = check_bound(tasks, speed, la, set.dmax, steps);
+  if (!bound) return {false, QpaStage::kBusyPeriod, visits, steps};
   const ScanEnd last =
       qpa_scan_from(tasks, speed, *bound, verified, safe, visits);
-  return {last == ScanEnd::kVerified, QpaStage::kBusyPeriod, visits};
+  return {last == ScanEnd::kVerified, QpaStage::kBusyPeriod, visits, steps};
 }
 
 // HETSCHED_NOALLOC
@@ -462,8 +545,9 @@ bool edf_dbf_feasible_approx_k(std::span<const Task> tasks,
   std::int64_t limit = std::numeric_limits<std::int64_t>::max();
   if (k > 1 || u >= s - kUtilBand) {
     const Deadlines set = deadlines_of(tasks);
+    std::int64_t steps = 0;
     const auto bound =
-        check_bound(tasks, speed, la_bound(set.slack, u, s), set.dmax);
+        check_bound(tasks, speed, la_bound(set.slack, u, s), set.dmax, steps);
     if (!bound) return false;
     limit = *bound;
   }

@@ -75,25 +75,30 @@ long double utilization_ld(std::span<const Task> tasks);
 // QPA: same verdict as the exact test, typically visiting far fewer points.
 // QPA's verdict holds for any valid check bound, so the order in which it
 // visits instants is free; it looks first where misses are found.  With
-// d_max the largest relative deadline and La as in dbf_check_bound, one
-// downward scan runs in up to three stages, each stopping at the instants
-// an earlier one verified:
+// d_max the largest relative deadline and La as in dbf_check_bound, it
+// runs in up to three stages, each stopping at the instants an earlier
+// one verified:
 //   1. the prefix [0, B], B = 2 d_max, capped at max(La, d_max) when La
 //      exists, where misses tend to lie (within the first few deadlines
 //      of some task).  A demand beyond int64 at its top verifies nothing
 //      and falls through, since that instant may lie past every bound;
-//   2. when La exists: from max(La, d_max) down to B, raced against the
-//      busy period, which takes one step every 8 visits.  Once its
-//      iterate reaches the scan it stops; once it converges to L below
-//      the scan, the scan drops to the largest deadline at or before
-//      max(L, d_max).  Its cost stays within a constant factor of the
-//      cheaper of the two bounds;
+//   2. when La exists: (B, max(La, d_max)] from the bottom up, in
+//      segments that double — segment k scans down from the largest
+//      deadline at or before min(2^k B, max(La, d_max)) to segment
+//      k - 1's top — so the lowest miss above B is found after a few
+//      segment starts.  The busy period races across the segments, one
+//      step every 8 visits: once its iterate reaches the top it stops;
+//      once it converges to L below the top, the top drops to
+//      max(L, d_max).  Without a miss the segments cost at most one visit
+//      per segment more than a single scan down from max(La, d_max).
+//      Where the demand at max(La, d_max) may pass int64, it is evaluated
+//      first;
 //   3. otherwise (no La, or a demand beyond int64 at the top of stage 1
 //      or 2): from dbf_check_bound down to B.  Here a missing bound or an
 //      overflow rejects.
-// A miss found anywhere is a miss, stage 2 never skips an instant at or
-// below both La and the busy period, and stage 3 is the classic scan, so
-// every verdict equals the classic scan's from dbf_check_bound.
+// A miss found anywhere is a miss, the busy period lowers stage 2's top
+// only to dbf_check_bound's own bound, and stage 3 is the classic scan,
+// so every verdict equals the classic scan's from dbf_check_bound.
 bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
                           const Rational& speed);
 
@@ -101,7 +106,7 @@ bool edf_dbf_feasible_qpa(std::span<const Task> tasks,
 enum class QpaStage : std::uint8_t {
   kUtilization,  // no scan: U > s rejects, an empty set is feasible
   kPrefix,       // stage 1 (also when B reached max(La, d_max))
-  kLa,           // stage 2
+  kLa,           // stage 2, the segments
   kBusyPeriod,   // stage 3
 };
 
@@ -109,6 +114,7 @@ struct QpaVerdict {
   bool feasible;
   QpaStage stage;
   std::int64_t visits;  // demand evaluations over every stage's scan
+  std::int64_t steps;   // busy-period steps, in the race and the bound
 };
 
 // edf_dbf_feasible_qpa with the stage that decided.

@@ -4,9 +4,10 @@
 // reordering its visits may not move a verdict: 10^5 seeded sets over
 // four period ranges, two utilization bands and five speeds must agree
 // exactly.  One pinned set per stage path shows each path is reached, and
-// guards the places where a stage must not decide or must stay cheap: a
-// stage-2 scan that the busy period cuts short, a stage-2 scan that finds
-// its miss first, and a stage-1 demand that overflows int64.
+// guards the places where a stage must not decide or must stay cheap:
+// stage-2 segments that the busy period cuts short, a miss found at a
+// segment's first visit, a U ~ s set whose miss lies far below La, and
+// demands that overflow int64 at the top of stage 1 or stage 2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -259,6 +260,49 @@ TEST(QpaOrderPinned, ShortBusyPeriodUnderLargeLa) {
   EXPECT_LE(edf_dbf_qpa_verdict(tasks, Rational(1)).visits, 6 + 4 * 8);
 }
 
+TEST(QpaOrderPinned, UtilizationNearSpeedMissBelowLa) {
+  // n = 10 at speed 9/4 with U / s = 1 - 3.6e-7: La ~ 1.7e8, and the busy
+  // period does not converge within 100 000 steps.  A scan down from La
+  // reaches a miss after 226 753 visits.  The lowest miss, at 195 750,
+  // lies in segment 8 above B = 1558, (64 B, 128 B], and the segments
+  // reach it after 798 visits.
+  const std::vector<Task> tasks{cdp(7, 80, 123), cdp(271, 468, 778),
+                                cdp(51, 568, 765), cdp(272, 779, 779),
+                                cdp(50, 274, 274), cdp(12, 98, 107),
+                                cdp(4, 13, 13), cdp(31, 79, 132),
+                                cdp(7, 15, 23), cdp(194, 675, 675)};
+  const Rational speed(9, 4);
+  expect_verdict(tasks, speed, false, QpaStage::kLa);
+  EXPECT_LE(edf_dbf_qpa_verdict(tasks, speed).visits, 2000);
+}
+
+TEST(QpaOrderPinned, MissAtASegmentTop) {
+  // U = 0.994 on a unit machine, d_max = 31, so B = 62, and La = 683.
+  // The only instant that misses is 248 = 4 B, where dbf = 249: segment 2
+  // starts on it.  The prefix takes 6 visits and segment 1, (62, 124], 8
+  // more; the scan down from La would need 43.
+  const std::vector<Task> tasks{cdp(13, 31, 31), cdp(6, 21, 28), cdp(5, 10, 14),
+                                cdp(1, 31, 276)};
+  expect_verdict(tasks, Rational(1), false, QpaStage::kLa);
+  EXPECT_EQ(edf_dbf_qpa_verdict(tasks, Rational(1)).visits, 6 + 8 + 1);
+}
+
+TEST(QpaOrderPinned, BusyPeriodCutsTheSegments) {
+  // Five tasks of period 100 with 99 units of work in all: the first jobs
+  // fit exactly at every first deadline, U = 0.99 and La = 4020, so five
+  // segments lie above B = 198.  The busy period is the first iterate,
+  // L = 99, and its one step comes after segment 1's eighth visit: the
+  // top drops below B and the set is accepted.  The prefix takes 10
+  // visits; the segments alone would take 144 more.
+  const std::vector<Task> tasks{cdp(20, 20, 100), cdp(20, 40, 100),
+                                cdp(20, 60, 100), cdp(20, 80, 100),
+                                cdp(19, 99, 100)};
+  expect_verdict(tasks, Rational(1), true, QpaStage::kLa);
+  const QpaVerdict got = edf_dbf_qpa_verdict(tasks, Rational(1));
+  EXPECT_EQ(got.visits, 10 + 8);
+  EXPECT_EQ(got.steps, 1);
+}
+
 TEST(QpaOrderPinned, NoLaWhenUtilizationEqualsSpeed) {
   // U == s: no La, so a clean prefix [0, 2 d_max] decides nothing and
   // the busy period bounds the scan.  Here it is 4, inside the prefix.
@@ -291,6 +335,22 @@ TEST(QpaOrderPinned, PrefixOverflowFallsThrough) {
   expect_verdict({cdp(std::int64_t{1} << 43, t, t),
                   cdp((std::int64_t{1} << 61) - p, p - (1 << 19), p)},
                  speed, true, QpaStage::kBusyPeriod);
+}
+
+TEST(QpaOrderPinned, TopOverflowSkipsTheSegments) {
+  // Speed 4 with P = 2^41: harmonic periods P, 2P, 4P, 8P, U = 4 - 2^-38,
+  // and A's deadline 2^24 before its period, so La ~ 2^24 / 2^-38 = 2^62
+  // and the demand there, ~ 4 La, passes int64.  The busy period, 8P - 16,
+  // lies past its 2^40 cap, so the classic scan starts at La and rejects
+  // on the overflow; stage 3 does the same.  Checking the top first skips
+  // the segments, which would climb from B = 16P to the overflow in
+  // 524 306 visits.
+  const std::int64_t p = std::int64_t{1} << 41;
+  const std::vector<Task> tasks{cdp(p, p - (std::int64_t{1} << 24), p),
+                                cdp(p, 2 * p, 2 * p), cdp(2 * p, 4 * p, 4 * p),
+                                cdp(16 * p - 64, 8 * p, 8 * p)};
+  expect_verdict(tasks, Rational(4), false, QpaStage::kBusyPeriod);
+  EXPECT_LE(edf_dbf_qpa_verdict(tasks, Rational(4)).visits, 10);
 }
 
 }  // namespace
