@@ -13,7 +13,9 @@
 // rather than being decided by the tree engine's load bounds.  CI
 // smoke-runs this binary; the committed BENCH_partition.json in the repo
 // root is the reference result (target: tree >= 3x naive at n=16384,
-// m=128, EDF).  Exit 1 if the engines disagree on any verdict or alpha.
+// m=128, EDF), and CI requires the alpha_cells' passes per search, exact
+// counts that do not depend on the reps, to equal it.  Exit 1 if the
+// engines disagree on any verdict or alpha.
 //
 // Methodology: per cell we build one deterministic workload (same generator
 // as bench_e5_runtime), warm up once, then run `reps` timed repetitions of

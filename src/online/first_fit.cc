@@ -13,7 +13,10 @@
 #include "partition/first_fit.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
+#include <limits>
+#include <numbers>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -25,7 +28,6 @@
 #include "util/int128.h"
 
 #if HETSCHED_AUDIT_ENABLED
-#include <limits>
 #include <utility>
 #include <vector>
 #endif
@@ -34,8 +36,10 @@ namespace hetsched {
 
 namespace {
 
-// Fills scratch.order, scratch.utils in that order, and the total and
-// largest utilization the load bounds read.  The order is the exact
+// Fills scratch.order, scratch.utils in that order, and what the load
+// bounds read: the total utilization and, per group of kLoadBoundGroup
+// consecutive tasks, its first (largest) utilization and the in-order sum
+// of every utilization before its last task.  The order is the exact
 // permutation TaskSet::order_by_utilization_desc produces, so every engine
 // consumes tasks in the same sequence.
 // HETSCHED_NOALLOC (scratch warm-up; allocation-free once warm)
@@ -43,10 +47,20 @@ void prepare_order(const TaskSet& tasks, AdmissionKind kind,
                    PartitionScratch& s) {
   HETSCHED_CHECK(!admission_row(kind).tiered);
   tasks.order_by_utilization_desc(s.order, s.utils);
+  const std::size_t n = s.utils.size();
+  const std::size_t groups = (n + kLoadBoundGroup - 1) / kLoadBoundGroup;
+  s.group_max.resize(groups);
+  s.group_prefix.resize(groups);
   double total = 0.0;
-  for (const double w : s.utils) total += w;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t first = g * kLoadBoundGroup;
+    const std::size_t last = std::min(first + kLoadBoundGroup, n) - 1;
+    s.group_max[g] = s.utils[first];
+    for (std::size_t k = first; k < last; ++k) total += s.utils[k];
+    s.group_prefix[g] = total;
+    total += s.utils[last];
+  }
   s.util_total = total;
-  s.util_max = s.utils.empty() ? 0.0 : s.utils.front();
 }
 
 // The load bounds below are off beyond this many tasks or machines, which
@@ -57,77 +71,136 @@ constexpr double kLoadBoundMargin = 1e-8;
 // f for the RMS kinds: a constant just below ln 2 = 0.693147...
 constexpr double kRmsLoadFactor = 0.693;
 
-// Decides a probe from two O(m) load bounds, without a first-fit pass;
-// nullopt when neither applies.  Both bounds come from the load argument
-// behind Theorem I.1's failure certificate.  W = sum of the n task
-// utilizations (the doubles first fit compares), cap_j = speed(j) * alpha
-// exactly as reset_machines computes it, w_max the largest utilization,
-// u = 2^-53 the unit roundoff, and n, m <= 2^20.
+// Decides a probe from O(m + n/G) load bounds, without a first-fit pass;
+// nullopt when none applies.  The bounds come from the load argument
+// behind Theorem I.1's failure certificate.  W = the in-order sum of the n
+// task utilizations (the doubles first fit compares), cap_j = s.capacity[j]
+// = speed(j) * alpha, w_max the largest utilization, LL(k) the computed
+// rms_liu_layland_bound(k) (within 1e-9 relative of k(2^(1/k) - 1) for
+// k <= 2^20), u = 2^-53 the unit roundoff, and n, m <= 2^20.  Every sum
+// below adds non-negative terms, so its rounding is relative: at most
+// (terms + 2)u of the exact sum.
 //
-// Reject when W > (1 + delta) * sum_j cap_j.  A pass that places every
-// task leaves each machine's exact load L_j (the real sum of its doubles)
-// at most cap_j up to rounding: EDF's last admission passed
-// fl(sum + w) <= cap_j; RMS-LL's passed the same against
-// fl(LL(k) * cap_j) with LL(k) <= LL(1) = 1; RMS-HB's product
-// prod(1 + w/cap_j) <= 2 gives sum w/cap_j <= prod - 1 <= 1.  With three
-// roundings per task that is L_j <= cap_j (1 + 6 k_j u), so
-// W <= (1 + 6nu) sum_j cap_j exactly, and the two computed sums add
-// (n + m)u more: in all less than 2^-30 < delta.  So a computed W above
-// (1 + delta) times the computed capacity rules out an accepting pass.
+// Reject when W > (1 + delta) * sum_j c_j, with c_j = cap_j except
+// c_j = LL(K_j) cap_j for RMS-LL, K_j = max(1, ceil(ln 2 cap_j / w_max))
+// clamped to n.  A pass that places every task leaves each machine's exact
+// load L_j (the real sum of its doubles) at most c_j up to rounding:
+//   * EDF's last admission passed fl(sum + w) <= cap_j;
+//   * RMS-HB's product prod(1 + w/cap_j) <= 2 gives sum w/cap_j <=
+//     prod - 1 <= 1;
+//   * RMS-LL's last admission onto a machine that ends with k tasks passed
+//     against fl(LL(k) cap_j).  If k >= K_j, LL(k) <= LL(K_j) (up to LL's
+//     1e-9); if k < K_j, then k <= K_j - 1 < ln 2 cap_j / w_max, so
+//     L_j <= k w_max < ln 2 cap_j <= LL(K_j) cap_j.  Clamping K_j to n
+//     keeps both cases, as k <= n.
+// RMS-HB keeps cap_j: its test admits {0.99, 0.001} on a unit machine,
+// more than LL(2) = 0.828.  With three roundings per task,
+// L_j <= c_j (1 + 6 k_j u + 3e-9), so W <= (1 + 6nu + 3e-9) sum_j c_j
+// exactly, and the two computed sums add (n + m + 2)u more: in all less
+// than delta.  So a computed W above (1 + delta) times the computed sum
+// rules out an accepting pass.
 //
-// Accept when W <= (1 - delta) * sum_j max(0, f cap_j - w_max).  Suppose
-// first fit fails on task t.  Then every machine j rejected t:
+// Accept when, for every group g of G = kLoadBoundGroup consecutive tasks
+// in first-fit order, with w_g its first (largest) utilization, P_g the
+// in-order sum of every utilization before its last task, and
+// a_j = fl(f cap_j) (f = 1 for EDF, 0.693 for RMS-LL and RMS-HB):
+//   0 < R_g = sum_j max(0, a_j - w_g)  and  P_g <= (1 - delta) R_g.
+// Suppose first fit fails on task t of group g.  Every machine j rejected
+// t:
 //   * EDF:    fl(U_j + w_t) > cap_j, so U_j > cap_j - w_t exactly (cap_j is
-//             a double and rounding is monotone), f = 1;
+//             a double and rounding is monotone);
 //   * RMS-LL: fl(U_j + w_t) > fl(LL(k + 1) cap_j) with LL(k) >= ln 2 for
 //             every k, computed to 1e-9 relative for k <= 2^20, so
-//             U_j > fl(f cap_j) - w_t for f = 0.693;
+//             U_j > a_j - w_t;
 //   * RMS-HB: prod over j's tasks and t of (1 + w/cap_j) > 2 up to
 //             rounding, and ln(1 + x) <= x turns it into
-//             L_j + w_t > (ln 2 - 4(n+1)u) cap_j > fl(f cap_j),
-// where U_j is j's rounded running sum, at most L_j (1 + nu).  Each
-// machine therefore holds L_j >= max(0, f cap_j - w_max) up to that
-// relative rounding, and W >= sum_j L_j + w_t with w_t > 0; the computed
-// sums again add (n + m + 1)u.  So a computed W at most (1 - delta) times
-// the computed sum rules out a failing pass.
+//             L_j + w_t > (ln 2 - 4(n+1)u) cap_j > a_j,
+// where U_j is j's rounded running sum, at most L_j (1 + nu).  Since
+// w_t <= w_g, every machine holds L_j >= max(0, a_j - w_g) up to that
+// rounding, strictly where a_j > w_g, and R_g > 0 says some machine does.
+// But the machines hold exactly the tasks before t, and t is at most g's
+// last task, so sum_j L_j <= P_g up to the rounding of P_g.  Hence
+// R_g < P_g up to (3n + m + n/G + 4)u < delta, and a computed P_g at most
+// (1 - delta) times the computed R_g rules out a failing pass.
+//
+// The machines are sorted by speed, so those with a_j > w_g are a suffix
+// [k, m) that grows as w_g falls: one sweep moves k left and carries
+// R_{g+1} = R_g + (m - k)(w_g - w_{g+1}) + the new machines' a_j - w_{g+1},
+// O(m + n/G) per probe, every term non-negative.  A running minimum of
+// a_j from the right stands in for a_j, so the suffix holds even where
+// converting the exact speeds to doubles is not monotone; it only lowers
+// R_g.  With a single group, w_g = w_max and P_g <= W: no weaker than the
+// same bound taken once over W and w_max.
 //
 // Either way the bound returns the verdict the pass would, so a
 // bisection sees the same answers and returns the same bits.
 // HETSCHED_NOALLOC
-std::optional<bool> load_bound_verdict(const Platform& platform,
-                                       AdmissionKind kind, double alpha,
+std::optional<bool> load_bound_verdict(AdmissionFold fold,
                                        const PartitionScratch& s) {
-  const std::size_t m = platform.size();
-  if (s.utils.size() > kLoadBoundMaxSize || m > kLoadBoundMaxSize) {
-    return std::nullopt;
-  }
-  const double f =
-      admission_row(kind).fold == AdmissionFold::kEdf ? 1.0 : kRmsLoadFactor;
-  double capacity = 0.0;
-  double failed_load = 0.0;  // the least load a failed pass leaves
-  for (std::size_t j = 0; j < m; ++j) {
-    const double cap = platform.speed(j) * alpha;
-    capacity += cap;
-    failed_load += std::max(0.0, f * cap - s.util_max);
+  const std::size_t n = s.utils.size();
+  const std::size_t m = s.capacity.size();
+  if (n > kLoadBoundMaxSize || m > kLoadBoundMaxSize) return std::nullopt;
+  if (n == 0) return true;
+  const double w_max = s.group_max.front();
+  double capacity = 0.0;  // the most a pass that places every task places
+  for (const double cap : s.capacity) {
+    if (fold == AdmissionFold::kLiuLayland) {
+      const double k = std::ceil(std::numbers::ln2 * cap / w_max);
+      const std::size_t tasks =
+          !(k < static_cast<double>(n))
+              ? n
+              : std::max(std::size_t{1}, static_cast<std::size_t>(k));
+      capacity += rms_liu_layland_bound(tasks) * cap;
+    } else {
+      capacity += cap;
+    }
   }
   if (s.util_total > (1.0 + kLoadBoundMargin) * capacity) return false;
-  if (s.util_total <= (1.0 - kLoadBoundMargin) * failed_load) return true;
-  return std::nullopt;
+
+  const double f = fold == AdmissionFold::kEdf ? 1.0 : kRmsLoadFactor;
+  std::size_t k = m;  // machines [k, m) have a_j > w_g
+  double edge = std::numeric_limits<double>::infinity();  // min a_j, [k, m)
+  double room = 0.0;                                       // R_g
+  double w_prev = w_max;
+  for (std::size_t g = 0; g < s.group_max.size(); ++g) {
+    const double w = s.group_max[g];
+    room += static_cast<double>(m - k) * (w_prev - w);
+    w_prev = w;
+    while (k > 0) {
+      const double a = std::min(f * s.capacity[k - 1], edge);
+      if (!(a > w)) break;
+      room += a - w;
+      edge = a;
+      --k;
+    }
+    if (!(room > 0.0) ||
+        s.group_prefix[g] > (1.0 - kLoadBoundMargin) * room) {
+      return std::nullopt;
+    }
+  }
+  return true;
 }
 
-// Resets the per-machine state (capacity, sums, slacks) for one run.
-// Capacity is computed exactly as MachineLoad's constructor computes it.
+// Sets every machine's capacity for one probe, exactly as MachineLoad's
+// constructor computes it: the load bounds and the pass both read it.
 // HETSCHED_NOALLOC (scratch warm-up; allocation-free once warm)
-void reset_machines(const Platform& platform, AdmissionFold fold, double alpha,
-                    PartitionScratch& s) {
+void set_capacity(const Platform& platform, double alpha,
+                  PartitionScratch& s) {
   const std::size_t m = platform.size();
   s.capacity.resize(m);
+  for (std::size_t j = 0; j < m; ++j) s.capacity[j] = platform.speed(j) * alpha;
+}
+
+// Resets the per-machine state (sums, slacks) for one pass over the
+// capacities set_capacity set.
+// HETSCHED_NOALLOC (scratch warm-up; allocation-free once warm)
+void reset_machines(AdmissionFold fold, PartitionScratch& s) {
+  const std::size_t m = s.capacity.size();
   s.util_sum.resize(m);
   s.hyper.resize(m);
   s.count.resize(m);
   s.slack.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
-    s.capacity[j] = platform.speed(j) * alpha;
     s.util_sum[j] = 0.0;
     s.hyper[j] = 1.0;
     s.count[j] = 0;
@@ -177,7 +250,7 @@ std::size_t run_slack_engine(AdmissionFold fold, PartitionEngine resolved,
     if (j != SlackTree::npos) {
       if (left_max < w &&
           admission_admits(fold, w, capacity, util_sum, count, hyper)) {
-        admission_accumulate(w, capacity, util_sum, hyper, count);
+        admission_accumulate(fold, w, capacity, util_sum, hyper, count);
         continue;
       }
       s.util_sum[j] = util_sum;
@@ -192,7 +265,7 @@ std::size_t run_slack_engine(AdmissionFold fold, PartitionEngine resolved,
     util_sum = s.util_sum[j];
     hyper = s.hyper[j];
     count = s.count[j];
-    admission_accumulate(w, capacity, util_sum, hyper, count);
+    admission_accumulate(fold, w, capacity, util_sum, hyper, count);
   }
   return n;
 }
@@ -254,15 +327,16 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
                                    alpha, engine)
                   .feasible;
   } else {
+    set_capacity(platform, alpha, s);
     const std::optional<bool> bound =
         resolved == PartitionEngine::kSegmentTree
-            ? load_bound_verdict(platform, kind, alpha, s)
+            ? load_bound_verdict(fold, s)
             : std::nullopt;
     if (bound) {
       verdict = *bound;
     } else {
       ++s.first_fit_passes;
-      reset_machines(platform, fold, alpha, s);
+      reset_machines(fold, s);
       verdict = run_slack_engine(fold, resolved, s) == tasks.size();
     }
   }
@@ -281,7 +355,8 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
                 : PartitionEngine::kSegmentTree;
         PartitionScratch fresh;
         prepare_order(tasks, kind, fresh);
-        reset_machines(platform, fold, alpha, fresh);
+        set_capacity(platform, alpha, fresh);
+        reset_machines(fold, fresh);
         const bool cross =
             run_slack_engine(fold, other, fresh) == tasks.size();
         HETSCHED_CHECK_MSG(verdict == cross,

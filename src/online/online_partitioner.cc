@@ -262,16 +262,15 @@ void OnlinePartitioner::recompute_machine(std::size_t j) {
   Folds& f = st_.fold;
   double util_sum = 0.0;
   double hyper = 1.0;
+  std::size_t count = 0;
   for (const std::uint32_t idx : st_.residents[j]) {
-    const double w = st_.slots[idx].util;
-    util_sum += w;
-    hyper *= w / capacity_[j] + 1.0;
+    admission_accumulate(fold(), st_.slots[idx].util, capacity_[j], util_sum,
+                         hyper, count);
   }
   f.util_sum[j] = util_sum;
   f.hyper[j] = hyper;
-  f.count[j] = st_.residents[j].size();
-  f.slack[j] =
-      admission_slack(fold(), capacity_[j], util_sum, f.count[j], hyper);
+  f.count[j] = count;
+  f.slack[j] = admission_slack(fold(), capacity_[j], util_sum, count, hyper);
   if (use_tree_) tree_.update(j, f.slack[j]);
 }
 
@@ -784,6 +783,7 @@ void OnlinePartitioner::audit_verify_machine(std::size_t j) const {
   const Folds& f = st_.fold;
   double util_sum = 0.0;
   double hyper = 1.0;
+  std::size_t count = 0;
   for (const std::uint32_t idx : st_.residents[j]) {
     const Slot& s = st_.slots[idx];
     HETSCHED_CHECK_MSG(s.live && s.machine == j,
@@ -791,12 +791,11 @@ void OnlinePartitioner::audit_verify_machine(std::size_t j) const {
     // hetsched-lint: allow(float-compare)
     HETSCHED_CHECK_MSG(s.util == inflated(s.task).density(),
                        "audit: cached slot weight is stale");
-    util_sum += s.util;
-    hyper *= s.util / capacity_[j] + 1.0;
+    admission_accumulate(fold(), s.util, capacity_[j], util_sum, hyper,
+                         count);
   }
   const double slack =
-      admission_slack(fold(), capacity_[j], util_sum,
-                      st_.residents[j].size(), hyper);
+      admission_slack(fold(), capacity_[j], util_sum, count, hyper);
   // hetsched-lint: allow(float-compare) — bit-identity is the contract.
   HETSCHED_CHECK_MSG(util_sum == f.util_sum[j],
                      "audit: util_sum fold diverged from recomputation");
@@ -885,10 +884,8 @@ void OnlinePartitioner::audit_verify_decision(const Task& ct, double w,
     std::size_t count = 0;
     const auto& res = st_.residents[chosen];
     for (std::size_t k = 0; k + 1 < res.size(); ++k) {
-      const double u = st_.slots[res[k]].util;
-      util_sum += u;
-      hyper *= u / capacity_[chosen] + 1.0;
-      ++count;
+      admission_accumulate(fold(), st_.slots[res[k]].util, capacity_[chosen],
+                           util_sum, hyper, count);
     }
     const double pre_slack =
         admission_slack(fold(), capacity_[chosen], util_sum, count, hyper);

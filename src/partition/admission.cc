@@ -144,9 +144,9 @@ bool MachineLoad::can_admit(const Task& t) const {
 }
 
 void MachineLoad::admit(const Task& t) {
-  const double w = t.utilization();
-  util_sum_ += w;
-  hyper_product_ *= w / capacity_ + 1.0;
+  std::size_t count = tasks_.size();
+  admission_accumulate(admission_row(kind_).fold, t.utilization(), capacity_,
+                       util_sum_, hyper_product_, count);
   tasks_.push_back(t);
 }
 

@@ -170,14 +170,18 @@ inline bool admission_admits(AdmissionFold fold, double w, double capacity,
 double admission_slack(AdmissionFold fold, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product);
 
-// Accumulates a weight `w` into a machine's running state, mirroring
-// MachineLoad::admit's arithmetic exactly.
+// Accumulates a weight `w` into a machine's running state under `fold`:
+// the one accumulation MachineLoad::admit, the batch scratch engine and
+// the controller (admits, and the from-scratch recomputation on a depart)
+// all perform.  Only kHyperbolic reads the product, so only it pays the
+// division; under every other fold the product stays 1.
 // HETSCHED_NOALLOC
-inline void admission_accumulate(double w, double capacity, double& util_sum,
+inline void admission_accumulate(AdmissionFold fold, double w,
+                                 double capacity, double& util_sum,
                                  double& hyper_product,
                                  std::size_t& task_count) {
   util_sum += w;
-  hyper_product *= w / capacity + 1.0;
+  if (fold == AdmissionFold::kHyperbolic) hyper_product *= w / capacity + 1.0;
   ++task_count;
 }
 
@@ -190,7 +194,8 @@ inline void admission_accumulate(double w, double capacity, double& util_sum,
 inline void admission_fold_step(AdmissionFold fold, double w, double capacity,
                                 double& util_sum, double& hyper_product,
                                 std::size_t& task_count, double& slack) {
-  admission_accumulate(w, capacity, util_sum, hyper_product, task_count);
+  admission_accumulate(fold, w, capacity, util_sum, hyper_product,
+                       task_count);
   slack = admission_slack(fold, capacity, util_sum, task_count, hyper_product);
 }
 
@@ -222,7 +227,7 @@ class MachineLoad {
   Rational speed_exact_;       // alpha-augmented speed, exact (for RTA)
   double capacity_ = 0;        // alpha * s_j
   double util_sum_ = 0;        // sum of admitted utilizations
-  double hyper_product_ = 1;   // prod (w_i / capacity + 1)
+  double hyper_product_ = 1;   // prod (w_i / capacity + 1); RMS-HB only
   std::vector<Task> tasks_;    // admitted tasks (needed by RTA; kept for all
                                // kinds so results can report assignments)
 };

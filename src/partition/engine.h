@@ -15,12 +15,13 @@
 // utilization-descending order most tasks land on the same machine as the
 // one before, so a placement costs one admission_admits comparison while
 // the cursor stays and O(log m) (one slack search, one tree update, one
-// descent) when it moves.  Before any placement, the tree engine tries two
-// O(m) load bounds (total utilization against the platform's capacity, and
-// against the load a failed pass must leave), which decide about half of
-// an alpha search's probes on overloaded inputs with the verdict the pass
-// would give (partition/first_fit.h).  The naive engine always runs the
-// pass.
+// descent) when it moves.  Before any placement, the tree engine tries
+// load bounds in O(m + n / kLoadBoundGroup): the total utilization against
+// what the platform can hold, and each group of tasks' prefix against the
+// load a pass failing in that group must leave.  They decide almost two
+// thirds of an EDF alpha search's probes on overloaded inputs, with the
+// verdict the pass would give (partition/first_fit.h).  The naive engine
+// always runs the pass.
 //
 // admission_slack() returns the EXACT floating-point threshold of
 // admission_admits(), the per-machine comparison MachineLoad::can_admit
@@ -102,6 +103,11 @@ class SlackTree {
   std::vector<double> node_;  // 1-based heap layout; node_[1] is the root
 };
 
+// The accept load bound's group size: it takes the failure certificate at
+// the largest utilization of each run of this many consecutive tasks in
+// first-fit order (partition/first_fit.h).
+inline constexpr std::size_t kLoadBoundGroup = 64;
+
 // Reusable state for the decision-only accept path.  After warm-up every
 // first_fit_accepts / min_feasible_alpha call through a scratch performs no
 // heap allocation and never copies Task vectors.  Treat the members as
@@ -111,10 +117,14 @@ struct PartitionScratch {
   std::vector<double> utils;       // w of task order[k], at position k
   std::vector<std::size_t> order;  // task indices, utilization-descending
   double util_total = 0.0;         // sum of utils, in that order
-  double util_max = 0.0;           // utils[0], or 0 with no tasks
+  // Per group g of kLoadBoundGroup consecutive positions (the last may be
+  // shorter): utils at its first position, and the in-order sum of utils
+  // before its last position.
+  std::vector<double> group_max;
+  std::vector<double> group_prefix;
   std::vector<double> capacity;    // per machine: alpha * s_j
   std::vector<double> util_sum;    // per machine: admitted utilization
-  std::vector<double> hyper;       // per machine: prod(w_i / cap + 1)
+  std::vector<double> hyper;       // per machine: prod(w_i / cap + 1), RMS-HB
   std::vector<std::size_t> count;  // per machine: admitted task count
   std::vector<double> slack;       // per machine: admission_slack(...)
   SlackTree tree;

@@ -15,8 +15,8 @@
 // the naive scan, O(n log n + n log m) with the segment tree.  The
 // decision-only accept path below places a task in O(1) while it lands on
 // the same machine as the task before it, and in O(log m) when the machine
-// changes; on the tree engine it first tries two O(m) load bounds that
-// decide many probes without placing any task.
+// changes; on the tree engine it first tries load bounds, O(m + n/64) in
+// all, that decide many probes without placing any task.
 #pragma once
 
 #include <cstddef>
@@ -85,21 +85,28 @@ bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
 // (kRmsResponseTime has no fold; its pass runs on the controller and
 // allocates.)
 //
-// On the tree engine (kAuto for the slack-form kinds, or kSegmentTree), two
+// On the tree engine (kAuto for the slack-form kinds, or kSegmentTree),
 // load bounds from the argument behind Theorem I.1's failure certificate
-// decide the probe in O(m) when they apply, and only otherwise does first
-// fit run.  With W the sum of the task utilizations, cap_j = alpha * s_j,
-// w_max the largest utilization, delta = 1e-8, and f = 1 for EDF or 0.693
-// (just below ln 2) for RMS-LL and RMS-HB:
-//   * reject when W > (1 + delta) sum_j cap_j: a pass that places every
-//     task loads no machine beyond its capacity, so it places at most
-//     sum_j cap_j;
-//   * accept when W <= (1 - delta) sum_j max(0, f cap_j - w_max): a pass
-//     that fails on task t leaves every machine j loaded beyond
-//     f cap_j - w_t, since each kind's test passes any machine loaded up to
-//     f cap_j (EDF: cap_j; RMS-LL: LL(k) cap_j >= ln 2 cap_j; RMS-HB:
-//     prod(1 + w/cap_j) <= exp(sum w/cap_j) <= 2), so W would exceed that
-//     sum.
+// decide the probe in O(m + n/G) when they apply, and only otherwise does
+// first fit run.  With W the sum of the task utilizations, cap_j =
+// alpha * s_j, w_max the largest utilization, delta = 1e-8, f = 1 for EDF
+// or 0.693 (just below ln 2) for RMS-LL and RMS-HB, and the tasks in
+// first-fit order cut into groups of G = kLoadBoundGroup
+// (partition/engine.h), each with w_g its first (largest) utilization and
+// P_g the sum of every utilization before its last task:
+//   * reject when W > (1 + delta) sum_j c_j: a pass that places every task
+//     loads machine j with at most c_j.  c_j = cap_j for EDF and RMS-HB
+//     (whose test admits {0.99, 0.001} on a unit machine, above LL(2)), and
+//     c_j = LL(K_j) cap_j for RMS-LL, K_j = max(1, ceil(ln 2 cap_j / w_max)):
+//     a machine that ends with k tasks passed its last admission against
+//     LL(k) cap_j and holds at most k w_max;
+//   * accept when every group has P_g <= (1 - delta) R_g with
+//     R_g = sum_j max(0, f cap_j - w_g) > 0: a pass that fails on task t
+//     of group g leaves every machine j loaded beyond f cap_j - w_t >=
+//     f cap_j - w_g, since each kind's test passes any machine loaded up
+//     to f cap_j (EDF: cap_j; RMS-LL: LL(k) cap_j >= ln 2 cap_j; RMS-HB:
+//     prod(1 + w/cap_j) <= exp(sum w/cap_j) <= 2), yet the machines hold
+//     only the tasks before t, at most P_g.
 // delta covers the rounding of every sum and test involved while n and m
 // are at most 2^20 (the bounds are off beyond that), so a bound fires only
 // where the pass would return the same verdict: neither can change one.
@@ -131,7 +138,7 @@ std::optional<double> min_feasible_alpha(const TaskSet& tasks,
 // returns the same bits on every engine; identical result to the overload
 // above.  This is the hot path of the augmentation studies.  On the
 // batch experiments' overloaded inputs (U/S about 1.06-1.35, n = 16384,
-// m = 128, EDF) the bounds decide about half of a search's 24 probes.
+// m = 128, EDF) the bounds decide about two thirds of a search's 24 probes.
 std::optional<double> min_feasible_alpha(
     const TaskSet& tasks, const Platform& platform, AdmissionKind kind,
     double alpha_hi, PartitionScratch& scratch,

@@ -6,12 +6,15 @@
 // where a bound could go wrong: alpha exactly on each bound's threshold
 // and one ulp either side, exact-fit packings, a task larger than every
 // machine, a single machine, n on both sides of the ordering's small-n
-// cut-over, and two instances that only the bounds' margins keep sound —
-// one for the rounding margin delta, one for the RMS load factor f < ln 2.
-// In the audit build every accept probe also replays the full partition
-// and the other engine, so these cases run through that oracle too.
+// cut-over and of the accept bound's group size, and instances that only
+// the bounds' margins keep sound — the rounding margin delta, the RMS load
+// factor f < ln 2, each group's own largest task and prefix, RMS-LL's
+// count-aware capacity, and RMS-HB's exemption from it.  In the audit
+// build every accept probe also replays the full partition and the other
+// engine, so these cases run through that oracle too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -130,6 +133,38 @@ void expect_agree_at_thresholds(const TaskSet& tasks,
   }
 }
 
+// The first alpha in (1, hi] at which the accept bound decides the probe,
+// located by bisection on the tree engine's pass count; 0 when the bound
+// accepts at 1 already or not even at hi.
+double accept_threshold(const TaskSet& tasks, const Platform& platform,
+                        AdmissionKind kind, double hi) {
+  const auto accepted_by_bound = [&](double a) {
+    const TreeProbe p = tree_probe(tasks, platform, kind, a);
+    return !p.pass_ran && p.verdict;
+  };
+  if (accepted_by_bound(1.0) || !accepted_by_bound(hi)) return 0.0;
+  return std::nextafter(boundary(1.0, hi, accepted_by_bound), hi);
+}
+
+// The accept bound as it stood before groups, taken once over the total W
+// and the largest utilization: W <= (1 - delta) sum_j max(0, f cap_j -
+// w_max).
+bool largest_task_bound_accepts(const TaskSet& tasks,
+                                const Platform& platform, AdmissionKind kind,
+                                double alpha) {
+  std::vector<std::size_t> order;
+  std::vector<double> utils;
+  tasks.order_by_utilization_desc(order, utils);
+  double total = 0.0;
+  for (const double w : utils) total += w;
+  const double f = kind == AdmissionKind::kEdf ? 1.0 : 0.693;
+  double room = 0.0;
+  for (std::size_t j = 0; j < platform.size(); ++j) {
+    room += std::max(0.0, f * (platform.speed(j) * alpha) - utils.front());
+  }
+  return total <= (1.0 - 1e-8) * room;
+}
+
 // Batch-alpha-shaped load: total utilization r times the total speed.
 TaskSet overloaded(Rng& rng, std::size_t n, const Platform& platform,
                    double r) {
@@ -202,6 +237,23 @@ TEST(LoadBounds, TaskLargerThanEveryMachine) {
   EXPECT_FALSE(tree_probe(tasks, platform, AdmissionKind::kEdf, 1.0).verdict);
 }
 
+TEST(LoadBounds, LoneTaskLargerThanEveryMachine) {
+  // One task of 3/2 on unit machines: nothing precedes it, so its group's
+  // prefix is 0, yet it fits nowhere below alpha = 3/2.  The accept bound
+  // needs some machine with room beyond the task, not just a zero prefix.
+  const TaskSet tasks({{3, 2}});
+  for (const std::size_t m : {std::size_t{1}, std::size_t{4}}) {
+    const Platform platform = Platform::identical(m);
+    for (const AdmissionKind kind : kKinds) {
+      for (const double a : {1.0, 1.4999, 1.5, 3.0}) {
+        expect_agree(tasks, platform, kind, a, "lone oversized task");
+      }
+    }
+    EXPECT_FALSE(
+        tree_probe(tasks, platform, AdmissionKind::kEdf, 1.0).verdict);
+  }
+}
+
 TEST(LoadBounds, RoundingMarginKeepsAnExactFitAccepted) {
   // Machines a, a, 1 with a = 5 * 2^-55, and tasks 1, a, a: first fit puts
   // one task on each machine, exactly full.  Summed in first-fit order the
@@ -234,6 +286,139 @@ TEST(LoadBounds, RmsLoadFactorStaysBelowLnTwo) {
       tree_probe(tasks, platform, AdmissionKind::kRmsLiuLayland, 1.0).verdict);
   EXPECT_FALSE(
       tree_probe(tasks, platform, AdmissionKind::kRmsHyperbolic, 1.0).verdict);
+}
+
+TEST(LoadBounds, GroupedAcceptThresholdOnASkewedPlatform) {
+  // batch-alpha's platform shape: 128 geometric machines, speeds about
+  // 0.016-48 at n = 16384, scaled with n.  n falls below one group, on no
+  // multiple of it, and on many whole groups.
+  g_bound_rejects = g_bound_accepts = 0;
+  Rng rng(0x6A0F);
+  for (const std::size_t n :
+       {kLoadBoundGroup - 14, 15 * kLoadBoundGroup + 40,
+        64 * kLoadBoundGroup}) {
+    const Platform platform =
+        geometric_platform(128, 1.0625, 0.05 * static_cast<double>(n));
+    const TaskSet tasks = overloaded(rng, n, platform, 1.2);
+    for (const AdmissionKind kind : kKinds) {
+      const std::string label = "skewed n=" + std::to_string(n);
+      const double a = accept_threshold(tasks, platform, kind, 64.0);
+      ASSERT_GT(a, 1.0) << label << " " << to_string(kind);
+      expect_agree_around(tasks, platform, kind, a,
+                          label + " grouped accept threshold");
+      expect_agree_at_thresholds(tasks, platform, kind, 64.0, label);
+      for (const double x : {1.0, 1.2, 1.5, 2.0}) {
+        expect_agree(tasks, platform, kind, x, label);
+      }
+    }
+  }
+  EXPECT_GT(g_bound_rejects, 0);
+  EXPECT_GT(g_bound_accepts, 0);
+}
+
+TEST(LoadBounds, GroupsDecideWhereTheLargestTaskAloneDoesNot) {
+  // One task of 1/2 and 950 of 1/100 on 16 unit machines at alpha = 1.
+  // Taken at w_max = 1/2 the certificate leaves 16 (f - 1/2), under
+  // W = 10.  Every later group's largest task is 1/100, which leaves
+  // 16 (f - 1/100) > 10 against the prefix, and the first group's prefix,
+  // 1/2 + (G - 2)/100, is under 16 (f - 1/2): the grouped bound accepts.
+  std::vector<Task> list{{1, 2}};
+  for (int i = 0; i < 950; ++i) list.push_back({1, 100});
+  const TaskSet tasks(list);
+  const Platform platform = Platform::identical(16);
+  for (const AdmissionKind kind : kKinds) {
+    EXPECT_FALSE(largest_task_bound_accepts(tasks, platform, kind, 1.0))
+        << to_string(kind);
+    const TreeProbe p = expect_agree(tasks, platform, kind, 1.0, "groups");
+    EXPECT_TRUE(p.verdict) << to_string(kind);
+    EXPECT_FALSE(p.pass_ran) << to_string(kind);
+  }
+}
+
+TEST(LoadBounds, OversizedTaskLeadsItsGroup) {
+  // A task of 3/2 and 200 of 1/100 on 4 unit machines: below alpha = 3/2
+  // the big task fits nowhere, though the rest of its group is small and
+  // the platform holds the total twice over.  The certificate must be
+  // taken at the group's first task, not its last.
+  std::vector<Task> list{{3, 2}};
+  for (int i = 0; i < 200; ++i) list.push_back({1, 100});
+  const TaskSet tasks(list);
+  const Platform platform = Platform::identical(4);
+  for (const AdmissionKind kind : kKinds) {
+    for (const double a : {1.0, 1.25, 1.4999, 1.5, 2.0}) {
+      expect_agree(tasks, platform, kind, a, "oversized leader");
+    }
+    expect_agree_at_thresholds(tasks, platform, kind, 8.0,
+                               "oversized leader");
+  }
+  EXPECT_FALSE(tree_probe(tasks, platform, AdmissionKind::kEdf, 1.0).verdict);
+}
+
+TEST(LoadBounds, GroupPrefixRunsToItsLastTask) {
+  // 2G - 1 tasks of 3/10 on one unit machine: first fit needs alpha at
+  // least their sum, 38.1.  A group's prefix summed only up to its first
+  // task would leave out the 63 tasks before its last and accept near 19.5.
+  const TaskSet tasks(
+      std::vector<Task>(2 * kLoadBoundGroup - 1, Task{3, 10}));
+  const Platform platform = Platform::identical(1);
+  for (const AdmissionKind kind : kKinds) {
+    for (const double a : {19.5, 20.0, 30.0, 38.0, 38.1, 40.0, 64.0}) {
+      expect_agree(tasks, platform, kind, a, "one machine, two groups");
+    }
+    expect_agree_at_thresholds(tasks, platform, kind, 64.0,
+                               "one machine, two groups");
+  }
+}
+
+TEST(LoadBounds, RmsLiuLaylandRejectCountsTasksPerMachine) {
+  // 100 tasks of 0.008 on one unit machine: RMS-LL needs
+  // 0.8 <= LL(100) alpha, alpha >= 1.1502.  The machine holds at least
+  // ceil(ln 2 alpha / 0.008) tasks before its limit nears ln 2, so the
+  // count-aware reject holds to within delta of that; the plain capacity
+  // bound rejects only below alpha = 0.8.
+  const TaskSet tasks(std::vector<Task>(100, Task{1, 125}));
+  const Platform platform = Platform::identical(1);
+  const auto rejected_by_bound = [&](double a) {
+    const TreeProbe p =
+        tree_probe(tasks, platform, AdmissionKind::kRmsLiuLayland, a);
+    return !p.pass_ran && !p.verdict;
+  };
+  ASSERT_TRUE(rejected_by_bound(1.0));
+  const double threshold = boundary(1.0, 2.0, rejected_by_bound);
+  EXPECT_GT(threshold, 1.15);
+  expect_agree_around(tasks, platform, AdmissionKind::kRmsLiuLayland,
+                      threshold, "count-aware reject threshold");
+  expect_agree_around(tasks, platform, AdmissionKind::kRmsLiuLayland,
+                      std::nextafter(threshold, 2.0),
+                      "count-aware reject threshold");
+  EXPECT_FALSE(
+      tree_probe(tasks, platform, AdmissionKind::kRmsLiuLayland, 1.15)
+          .verdict);
+  EXPECT_TRUE(
+      tree_probe(tasks, platform, AdmissionKind::kRmsLiuLayland, 1.1503)
+          .verdict);
+  for (const AdmissionKind kind : kKinds) {
+    expect_agree_at_thresholds(tasks, platform, kind, 8.0, "0.008 x 100");
+  }
+}
+
+TEST(LoadBounds, HyperbolicMachinesHoldMoreThanLiuLaylandCounts) {
+  // RMS-HB admits {0.99, 0.001} (1.99 * 1.001 <= 2) and {0.6, 0.24}
+  // (1.6 * 1.24 <= 2) on a unit machine: two tasks each, loads 0.991 and
+  // 0.84, both over LL(2) = 0.828, and the second with
+  // ceil(ln 2 / 0.6) = 2.  The count-aware reject is RMS-LL's alone.
+  const TaskSet witnesses[] = {TaskSet({{99, 100}, {1, 1000}}),
+                               TaskSet({{3, 5}, {6, 25}})};
+  const Platform platform = Platform::identical(1);
+  for (const TaskSet& tasks : witnesses) {
+    EXPECT_GT(tasks.total_utilization(), rms_liu_layland_bound(2));
+    const TreeProbe hb = expect_agree(
+        tasks, platform, AdmissionKind::kRmsHyperbolic, 1.0, "HB witness");
+    EXPECT_TRUE(hb.verdict);
+    EXPECT_FALSE(expect_agree(tasks, platform, AdmissionKind::kRmsLiuLayland,
+                              1.0, "HB witness")
+                     .verdict);
+  }
 }
 
 TEST(LoadBounds, MinFeasibleAlphaAgreesAcrossEngines) {
