@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -18,8 +19,7 @@
 #include "io/obs_jsonl.h"
 #include "io/snapshot_format.h"
 #include "net/addr.h"
-#include "net/shard_store.h"
-#include "obs/flight_recorder.h"
+#include "net/shard_core.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/check.h"
@@ -55,14 +55,6 @@ struct NetMetrics {
 const NetMetrics g_metrics;
 #endif  // HETSCHED_METRICS_ENABLED
 
-// One event on a counter only the calling thread writes (its loop's
-// Counters block): a relaxed load and store compile to a plain add, not a
-// lock-prefixed read-modify-write, and readers on other threads still see
-// whole values.
-void bump(std::atomic<std::uint64_t>& c) {
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-}
-
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -72,7 +64,14 @@ std::string errno_string(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+// CPUs the calling thread may run on: under `taskset -c 2` that is 1,
+// where hardware_concurrency() still counts the whole machine.
 std::size_t hardware_loops() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
@@ -107,6 +106,15 @@ int open_listen_socket(const std::string& listen_addr, std::uint16_t* bound,
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&got), &got_len);
   *bound = ntohs(got.sin_port);
   return fd;
+}
+
+// An answer that carries no decision.
+Response reply(const Request& req, Status status) {
+  Response resp;
+  resp.type = req.type;
+  resp.status = status;
+  resp.request_id = req.request_id;
+  return resp;
 }
 
 // Frame types a shard controller decides — the ones that place a
@@ -308,17 +316,17 @@ struct Server::Connection {
   std::size_t backlog_off = 0;
 };
 
-// One tenant shard: a single-threaded controller owned by one loop.  The
-// bounded queue carries the off-loop cases only (frames arriving on other
-// loops' connections, and everything while paused).
+// One tenant shard: a ShardCore (its decision state) owned by one loop,
+// plus the cross-loop plumbing.  The bounded queue carries the off-loop
+// cases only (frames arriving on other loops' connections, and everything
+// while paused).
 //
-// Concurrency of the durable/elastic state: controller, wal, and
-// ops_since_snapshot are touched only by the owner loop — except during a
-// resize, when the coordinator loop takes them over after the quiesce
-// handshake below.  The handshake uses a generation counter, not a bool:
-// the owner acks by copying quiesce_gen into quiesce_ack at a safe point
-// (a point where it holds no uncommitted WAL records), so a stale ack from
-// an earlier resize can never satisfy a later one.
+// The core is touched only by the owner loop — except during a resize,
+// when the coordinator loop takes it over after the quiesce handshake
+// below.  The handshake uses a generation counter, not a bool: the owner
+// acks by copying quiesce_gen into quiesce_ack at a safe point (a point
+// where it holds no uncommitted WAL records), so a stale ack from an
+// earlier resize can never satisfy a later one.
 struct Server::Shard {
   struct WorkItem {
     std::shared_ptr<Connection> conn;
@@ -330,51 +338,24 @@ struct Server::Shard {
     std::uint64_t trace_root = 0;
   };
 
-  // Departs naming a tenant migrated away are rewritten to this target.
-  struct Forward {
-    std::uint32_t peer = 0;     // shard the tenant moved to
-    std::uint64_t new_id = 0;   // its id there
-  };
-
-  Shard(const Platform& platform, const ServerOptions& o)
-      : controller(platform, o.kind, o.alpha, o.engine, o.admit),
-        queue(o.queue_depth) {
-    // Warm the controller arena so steady-state admits take the
-    // allocation-free path from the first request.
-    controller.reserve(o.queue_depth);
+  Shard(const Platform& platform, const ServerOptions& o, std::size_t i,
+        std::size_t owner)
+      : queue(o.queue_depth),
+        owner_loop(owner),
+        core(platform, o, static_cast<std::uint32_t>(i)) {
+    HETSCHED_GAUGE_REGISTER(depth_gauge,
+                            "hetsched_net_queue_depth_shard" +
+                                std::to_string(i),
+                            "Requests queued for shard " + std::to_string(i));
   }
 
-  OnlinePartitioner controller;
   BoundedMpscQueue<WorkItem> queue;
-  std::size_t owner_loop = 0;
-  std::uint32_t index = 0;
-
-  // Durability plane (owner loop only, or resize coordinator under
-  // quiesce).
-  io::WalWriter wal;
-  std::uint64_t ops_since_snapshot = 0;
-
-  // false once merged away: admits/rebalances answer kBadShard, departs
-  // still resolve through the forwarding table.
-  std::atomic<bool> active{true};
+  std::size_t owner_loop;
 
   // Resize quiesce handshake (see the struct comment).
   std::atomic<bool> moving{false};
   std::atomic<std::uint64_t> quiesce_gen{0};
   std::atomic<std::uint64_t> quiesce_ack{0};
-
-  // Forwarding table.  The flag makes the common case (no tenant of this
-  // shard ever migrated) one relaxed load on the depart path; the map is
-  // read under the mutex only when the flag is set.
-  std::atomic<bool> has_forwards{false};
-  std::mutex forward_mu;
-  std::unordered_map<std::uint64_t, Forward> forwards;
-
-  // Last-decisions ring (obs/flight_recorder.h): one fixed-size record
-  // per answered frame, written by the owner loop, dumped on SIGUSR1 or
-  // a fatal signal.  The member exists in every build; recording is
-  // compiled out with the metrics kill switch.
-  obs::FlightRecorder flight;
 
   obs::Gauge depth_gauge;  // registered in metrics-ON builds only
   std::atomic<std::uint32_t> push_tick{0};  // latency sampling (any loop)
@@ -391,6 +372,8 @@ struct Server::Shard {
     std::atomic<std::uint64_t>& burn = lat_ns <= slo_ns ? slo_ok : slo_breach;
     burn.fetch_add(1, std::memory_order_relaxed);
   }
+
+  ShardCore core;  // last: the queue and flags above sit by its hot head
 };
 
 // One event-loop thread: poller, wake pipe, owned shards, accepted
@@ -430,6 +413,24 @@ struct Server::Loop {
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
   std::atomic<bool> wake_pending{false};
   bool reading = true;  // loop-thread-only: cleared when the stop begins
+
+  // Empties the wake pipe; a producer that signals after this re-arms it.
+  void drain_wake() {
+    char drain[64];
+    while (::read(wake_fds[0], drain, sizeof(drain)) > 0) {
+    }
+    wake_pending.store(false, std::memory_order_release);
+  }
+  // Acks every owned shard a resize coordinator is waiting on.  Only at a
+  // point where this loop holds no uncommitted WAL records.
+  void ack_quiesce() {
+    for (Shard* sh : shards) {
+      if (sh->moving.load(std::memory_order_acquire)) {
+        sh->quiesce_ack.store(sh->quiesce_gen.load(std::memory_order_acquire),
+                              std::memory_order_release);
+      }
+    }
+  }
 
   // Cross-loop control plane, serviced on wakeup: write-interest requests
   // for connections this loop homes, connections handed to this loop by
@@ -574,40 +575,45 @@ bool Server::start(std::string* error) {
   // reallocates.
   shards_.reserve(kMaxShards);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(platform_, options_));
-    Shard& sh = *shards_.back();
-    sh.index = static_cast<std::uint32_t>(i);
-    sh.owner_loop = i % loop_count;
-    sh.flight.set_shard(static_cast<std::uint16_t>(i));
-    loops_[sh.owner_loop]->shards.push_back(&sh);
-    HETSCHED_GAUGE_REGISTER(
-        sh.depth_gauge, "hetsched_net_queue_depth_shard" + std::to_string(i),
-        "Requests queued for shard " + std::to_string(i));
+    shards_.push_back(
+        std::make_unique<Shard>(platform_, options_, i, i % loop_count));
+    loops_[i % loop_count]->shards.push_back(shards_.back().get());
   }
   shard_count_.store(shard_count, std::memory_order_release);
-
-  if (!options_.wal_dir.empty() && !recover_and_open_wals(error)) {
+  const auto abandon = [this] {
     loops_.clear();
     shards_.clear();
+    shard_count_.store(0, std::memory_order_release);
     return false;
+  };
+
+  if (!options_.wal_dir.empty()) {
+    // Pre-thread recovery: rebuild every shard core from the wal-dir,
+    // verify decision-stream parity and rotate the logs (fresh snapshot +
+    // truncated WAL at epoch+1, left open for appending).
+    std::vector<ShardCore*> cores;
+    for (auto& sh : shards_) cores.push_back(&sh->core);
+    const ShardSetRecovery rec = recover_shard_set(cores, /*rotate=*/true);
+    if (!rec.ok) {
+      *error = "recovery: " + rec.error;
+      return abandon();
+    }
+    epoch_ = rec.next_epoch;
+    std::uint64_t replayed = 0;
+    for (const ShardRecoveryInfo& info : rec.shards) replayed += info.replayed;
+    counters_.recovered.store(replayed, std::memory_order_relaxed);
   }
 
   // Loop 0 owns the only listen socket; a connection's first shard frame
   // moves it to the loop that owns that shard.
   loops_[0]->listen_fd =
       open_listen_socket(options_.listen_addr, &port_, error);
-  if (loops_[0]->listen_fd < 0) {
-    loops_.clear();
-    shards_.clear();
-    return false;
-  }
+  if (loops_[0]->listen_fd < 0) return abandon();
   for (auto& lp : loops_) {
     if (!lp->poller.add(lp->wake_fds[0], true, false) ||
         (lp->listen_fd >= 0 && !lp->poller.add(lp->listen_fd, true, false))) {
       *error = "poller registration failed";
-      loops_.clear();
-      shards_.clear();
-      return false;
+      return abandon();
     }
   }
 
@@ -641,49 +647,9 @@ void Server::pacer_main() {
     pacer_cv_.wait_for(lock, kTick);
     const std::size_t count = shard_count_.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < count; ++i) {
-      shards_[i]->wal.pace_sync();
+      shards_[i]->core.pace_sync();
     }
   }
-}
-
-// Pre-thread recovery: rebuild every controller from the wal-dir, verify
-// decision-stream parity, rotate the logs (fresh snapshot + truncated WAL
-// at epoch+1), install active flags and forwarding tables, and open the
-// WALs for appending.  Single-threaded — runs before any loop exists.
-bool Server::recover_and_open_wals(std::string* error) {
-  std::vector<OnlinePartitioner*> ctrls;
-  ctrls.reserve(shards_.size());
-  for (auto& sh : shards_) ctrls.push_back(&sh->controller);
-  const ShardSetRecovery rec = recover_shard_set(
-      options_.wal_dir, ctrls, /*rotate=*/true, options_.wal_sync);
-  if (!rec.ok) {
-    *error = "recovery: " + rec.error;
-    return false;
-  }
-  epoch_ = rec.next_epoch;
-  std::uint64_t replayed = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = *shards_[i];
-    const ShardRecoveryInfo& info = rec.shards[i];
-    sh.active.store(info.active, std::memory_order_relaxed);
-    for (const io::SnapshotForward& f : info.forwards) {
-      sh.forwards[f.old_id] = Shard::Forward{f.peer_shard, f.new_id};
-    }
-    if (!sh.forwards.empty()) {
-      sh.has_forwards.store(true, std::memory_order_relaxed);
-    }
-    replayed += info.replayed;
-    if (!sh.wal.open(io::wal_path(options_.wal_dir, sh.index), epoch_,
-                     options_.wal_sync)) {
-      *error = "cannot open WAL for shard " + std::to_string(i);
-      return false;
-    }
-    // start() spawns the pacer under kBatch, so the loops never pay the
-    // time-based fsync inline.
-    if (options_.wal_sync == io::WalSync::kBatch) sh.wal.set_paced(true);
-  }
-  counters_.recovered.store(replayed, std::memory_order_relaxed);
-  return true;
 }
 
 void Server::resume_shards() {
@@ -710,32 +676,17 @@ void Server::wait() {
 ServerStats Server::stats() const {
   ServerStats s;
   const auto add = [&s](const Counters& c) {
-    constexpr auto r = std::memory_order_relaxed;
-    s.connections += c.connections.load(r);
-    s.frames_rx += c.frames_rx.load(r);
-    s.enqueued += c.enqueued.load(r);
-    s.frames_inline += c.frames_inline.load(r);
-    s.admitted += c.admitted.load(r);
-    s.rejected += c.rejected.load(r);
-    s.retried += c.retried.load(r);
-    s.departed += c.departed.load(r);
-    s.stale += c.stale.load(r);
-    s.rebalances += c.rebalances.load(r);
-    s.bad += c.bad.load(r);
-    s.batches += c.batches.load(r);
-    s.partial_writes += c.partial_writes.load(r);
-    s.resizes += c.resizes.load(r);
-    s.resize_failures += c.resize_failures.load(r);
-    s.forwarded += c.forwarded.load(r);
-    s.wal_records += c.wal_records.load(r);
-    s.wal_commits += c.wal_commits.load(r);
-    s.snapshots += c.snapshots.load(r);
-    s.recovered += c.recovered.load(r);
-    s.introspect += c.introspect.load(r);
-    s.connection_handoffs += c.connection_handoffs.load(r);
+#define HETSCHED_STATS_SUM(name, help) \
+  s.name += c.name.load(std::memory_order_relaxed);
+    HETSCHED_SERVER_STATS(HETSCHED_STATS_SUM)
+#undef HETSCHED_STATS_SUM
   };
   add(counters_);
   for (const auto& lp : loops_) add(lp->counters);
+  for (std::size_t i = 0; i < shard_count(); ++i) {
+    s.wal_records += shards_[i]->core.wal_records();
+    s.snapshots += shards_[i]->core.snapshots();
+  }
   return s;
 }
 
@@ -772,61 +723,11 @@ std::string Server::stats_text() const {
   const ServerStats s = stats();
   std::string out;
   out.reserve(4096);
-  struct Row {
-    const char* name;
-    const char* help;
-    std::uint64_t v;
-  };
-  const Row rows[] = {
-      {"hetsched_server_connections_total", "TCP connections accepted",
-       s.connections},
-      {"hetsched_server_frames_rx_total", "Request frames decoded",
-       s.frames_rx},
-      {"hetsched_server_enqueued_total",
-       "Frames routed through a shard queue", s.enqueued},
-      {"hetsched_server_frames_inline_total",
-       "Frames decided with zero queue hops", s.frames_inline},
-      {"hetsched_server_admitted_total", "Admits answered admitted",
-       s.admitted},
-      {"hetsched_server_rejected_total", "Admits answered rejected",
-       s.rejected},
-      {"hetsched_server_retried_total", "Requests answered retry-later",
-       s.retried},
-      {"hetsched_server_departed_total", "Departs answered departed",
-       s.departed},
-      {"hetsched_server_stale_total", "Departs naming a stale id", s.stale},
-      {"hetsched_server_rebalances_total", "Rebalance requests processed",
-       s.rebalances},
-      {"hetsched_server_bad_total",
-       "Malformed frames, bad shards, and invalid parameters", s.bad},
-      {"hetsched_server_batches_total",
-       "Drain rounds that handled at least one frame", s.batches},
-      {"hetsched_server_partial_writes_total",
-       "Short response writes parked in a backlog", s.partial_writes},
-      {"hetsched_server_resizes_total", "Shard splits and merges applied",
-       s.resizes},
-      {"hetsched_server_resize_failures_total",
-       "Split/merge requests answered resize-failed", s.resize_failures},
-      {"hetsched_server_forwarded_total",
-       "Departs re-routed via a forwarding entry", s.forwarded},
-      {"hetsched_server_wal_records_total", "Decisions appended to a WAL",
-       s.wal_records},
-      {"hetsched_server_wal_commits_total",
-       "Group commits that wrote at least one record", s.wal_commits},
-      {"hetsched_server_snapshots_total", "Mid-run snapshot files written",
-       s.snapshots},
-      {"hetsched_server_recovered_total", "WAL records replayed at startup",
-       s.recovered},
-      {"hetsched_server_introspect_total",
-       "GET_STATS / GET_TRACEZ frames answered", s.introspect},
-      {"hetsched_server_connection_handoffs_total",
-       "Connections moved to the loop that owns their first frame's shard",
-       s.connection_handoffs},
-  };
-  for (const Row& r : rows) {
-    append_family(&out, r.name, "counter", r.help);
-    append_sample(&out, r.name, r.v);
-  }
+#define HETSCHED_STATS_ROW(name, help)                                     \
+  append_family(&out, "hetsched_server_" #name "_total", "counter", help); \
+  append_sample(&out, "hetsched_server_" #name "_total", s.name);
+  HETSCHED_SERVER_STATS(HETSCHED_STATS_ROW)
+#undef HETSCHED_STATS_ROW
   // Per-shard latency-SLO burn counters.  They move in every build: one
   // request in kLatencySamplePeriod is timed per loop and per shard queue.
   const std::size_t count = shard_count();
@@ -877,24 +778,9 @@ std::uint64_t Server::shard_slo_breach(std::size_t shard) const {
   return shards_[shard]->slo_breach.load(std::memory_order_relaxed);
 }
 
-std::size_t Server::shard_resident_count(std::size_t shard) const {
+const ShardCore& Server::shard_core(std::size_t shard) const {
   HETSCHED_CHECK(shard < shard_count());
-  return shards_[shard]->controller.resident_count();
-}
-
-bool Server::shard_active(std::size_t shard) const {
-  HETSCHED_CHECK(shard < shard_count());
-  return shards_[shard]->active.load(std::memory_order_acquire);
-}
-
-std::uint64_t Server::shard_decision_seq(std::size_t shard) const {
-  HETSCHED_CHECK(shard < shard_count());
-  return shards_[shard]->controller.decision_seq();
-}
-
-std::uint64_t Server::shard_decision_checksum(std::size_t shard) const {
-  HETSCHED_CHECK(shard < shard_count());
-  return shards_[shard]->controller.decision_checksum();
+  return shards_[shard]->core;
 }
 
 void Server::wake_loop(Loop& lp) {
@@ -902,128 +788,6 @@ void Server::wake_loop(Loop& lp) {
     const char b = 0;
     [[maybe_unused]] const ssize_t w = ::write(lp.wake_fds[1], &b, 1);
   }
-}
-
-// HETSCHED_OWNER_LOOP (per-frame decision: runs inline on the decoding
-// loop for same-loop shards and on the owner's drain pass otherwise)
-// HETSCHED_NOALLOC (per-frame decision on the loop hot path: warm admits
-// and departs run the controller's allocation-free paths, and the WAL
-// append encodes into a preallocated arena)
-Response Server::process_request(Loop& lp, Shard& shard, const Request& req,
-                                 std::uint64_t parent_span) {
-  Response resp;
-  resp.type = req.type;
-  resp.request_id = req.request_id;
-  // Warm-admit span: one clock read on entry and one on exit, paid only
-  // by traced frames while spans are armed.  Its id is taken up front so
-  // the WAL-append span can parent to it.
-  const bool traced = obs::span_traced(req.trace_id);
-  const std::uint64_t sp_t0 = obs::span_clock_if(traced);
-  const std::uint64_t sp_id = traced ? obs::span_next_id() : 0;
-  // Every branch that touches the controller logs the decision; responses
-  // that never reached the controller (bad request, inactive shard) fold
-  // nothing and log nothing.
-  bool logged = false;
-  switch (req.type) {
-    case MsgType::kAdmit: {
-      // Deadline validity (minor 3): a constrained deadline must lie in
-      // (0, period], and only a tiered controller knows how to test it —
-      // a legacy shard answers kBadRequest, which a deadline-aware client
-      // reads as "server not configured for constrained deadlines".  A
-      // WCET the overhead model cannot inflate within int64 is refused the
-      // same way: no decision, no WAL record, checksum untouched.
-      const Task t{req.exec(), req.period(), req.deadline_val()};
-      if ((req.deadline != 0 && !shard.controller.tiered()) ||
-          !shard.controller.accepts_input(t)) {
-        resp.status = Status::kBadRequest;
-        break;
-      }
-      if (!shard.active.load(std::memory_order_relaxed)) {
-        // Merged away: the shard no longer accepts tenants.
-        resp.status = Status::kBadShard;
-        break;
-      }
-      const AdmitDecision d = shard.controller.admit(t);
-      resp.value = std::bit_cast<std::uint64_t>(d.utilization);
-      if (d.admitted) {
-        resp.status = Status::kAdmitted;
-        resp.machine = static_cast<std::uint32_t>(d.machine);
-        resp.task_id = d.id;
-      } else {
-        resp.status = Status::kRejected;
-      }
-      if (shard.wal.is_open()) {
-        const std::uint64_t wal_t0 = obs::span_clock_if(sp_id != 0);
-        shard.wal.append_admit(req.exec(), req.period(),
-                               shard.controller.decision_seq(),
-                               shard.controller.decision_checksum(),
-                               req.deadline_val(), d.tier);
-        obs::span_close(sp_id != 0, req.trace_id, sp_id,
-                        obs::SpanStage::kWalAppend, wal_t0);
-        logged = true;
-      }
-      break;
-    }
-    case MsgType::kDepart: {
-      // Stale departs are decisions too: the outcome is checksum-folded,
-      // so they must reach the log for replay to stay bit-exact.
-      resp.status = shard.controller.depart(req.task_id()) ? Status::kDeparted
-                                                           : Status::kStaleId;
-      if (shard.wal.is_open()) {
-        const std::uint64_t wal_t0 = obs::span_clock_if(sp_id != 0);
-        shard.wal.append_depart(req.task_id(),
-                                shard.controller.decision_seq(),
-                                shard.controller.decision_checksum());
-        obs::span_close(sp_id != 0, req.trace_id, sp_id,
-                        obs::SpanStage::kWalAppend, wal_t0);
-        logged = true;
-      }
-      break;
-    }
-    case MsgType::kRebalance: {
-      if (!shard.active.load(std::memory_order_relaxed)) {
-        resp.status = Status::kBadShard;
-        break;
-      }
-      const RebalanceReport r = shard.controller.rebalance();
-      resp.status = r.applied ? Status::kRebalanced : Status::kRebalanceSkipped;
-      resp.task_id = r.migrations;
-      if (shard.wal.is_open()) {
-        const std::uint64_t wal_t0 = obs::span_clock_if(sp_id != 0);
-        shard.wal.append_rebalance(shard.controller.decision_seq(),
-                                   shard.controller.decision_checksum());
-        obs::span_close(sp_id != 0, req.trace_id, sp_id,
-                        obs::SpanStage::kWalAppend, wal_t0);
-        logged = true;
-      }
-      break;
-    }
-    case MsgType::kSplitShard:
-    case MsgType::kMergeShards:
-      // Resize frames are handled inline by handle_resize and never reach
-      // a shard controller.
-      resp.status = Status::kBadRequest;
-      break;
-    case MsgType::kGetStats:
-    case MsgType::kGetTracez:
-      // Introspection frames are handled inline by handle_introspect and
-      // never reach a shard controller.
-      resp.status = Status::kBadRequest;
-      break;
-  }
-  if (logged) {
-    ++shard.ops_since_snapshot;
-    bump(lp.counters.wal_records);
-  }
-  // Flight recorder: every answered frame lands one fixed-size record in
-  // the shard's last-decisions ring (compiled out with the kill switch).
-  HETSCHED_FLIGHT_RECORD(shard.flight, resp.type, resp.status, resp.machine,
-                         resp.request_id, resp.value, req.trace_id);
-  if (sp_id != 0) {
-    obs::span_record(req.trace_id, sp_id, parent_span,
-                     obs::SpanStage::kWarmAdmit, sp_t0, obs::now_ns());
-  }
-  return resp;
 }
 
 // Decision counter bookkeeping, shared by the inline and queued paths.
@@ -1259,21 +1023,18 @@ void Server::loop_service_control(Loop& lp) {
 // Rewrites a depart naming a migrated tenant to the shard it lives on
 // now, following chains (split then merge composes two hops).  One
 // relaxed flag load on the common no-forwards path.
-bool Server::follow_forwards(Request& req) const {
-  if (req.type != MsgType::kDepart) return false;
+void Server::follow_forwards(Request& req,
+                             std::atomic<std::uint64_t>* forwarded) const {
+  if (req.type != MsgType::kDepart) return;
   bool rewritten = false;
   const std::size_t count = shard_count_.load(std::memory_order_acquire);
-  while (req.shard < count) {
-    Shard& sh = *shards_[req.shard];
-    if (!sh.has_forwards.load(std::memory_order_acquire)) break;
-    std::lock_guard<std::mutex> lock(sh.forward_mu);
-    const auto it = sh.forwards.find(req.a);
-    if (it == sh.forwards.end()) break;
-    req.shard = static_cast<std::uint16_t>(it->second.peer);
-    req.a = it->second.new_id;
+  ShardCore::Forward to;
+  while (req.shard < count && shards_[req.shard]->core.forward(req.a, &to)) {
+    req.shard = static_cast<std::uint16_t>(to.peer);
+    req.a = to.new_id;
     rewritten = true;
   }
-  return rewritten;
+  if (rewritten && forwarded != nullptr) bump(*forwarded);
 }
 
 std::size_t Server::placement_loop(const Request& req) const {
@@ -1285,76 +1046,20 @@ std::size_t Server::placement_loop(const Request& req) const {
   return shards_[target.shard]->owner_loop;
 }
 
-bool Server::resolve_forward(Loop& lp, Request& req) {
-  const bool rewritten = follow_forwards(req);
-  if (rewritten) {
-    bump(lp.counters.forwarded);
-  }
-  return rewritten;
-}
-
 // HETSCHED_OWNER_LOOP (group commit runs on the owner loop; fsync stays
 // on the pacer thread except under the explicit --wal-sync=always opt-in,
 // where WalWriter::commit pays it cross-TU)
 // Group commit for the WALs this loop owns.  Called after a decision
 // batch is processed and before its responses are sent: the write(2) —
 // and, under --wal-sync=always, the fsync — happen once per batch, not
-// once per frame.
+// once per frame.  The commit also writes the snapshots cut in the batch.
 void Server::commit_owned_wals(Loop& lp) {
   for (Shard* sh : lp.shards) {
     if (sh->moving.load(std::memory_order_acquire)) continue;  // coordinator's
-    if (sh->wal.dirty()) {
-      sh->wal.commit();
+    if (sh->core.dirty()) {
+      sh->core.commit();
       bump(lp.counters.wal_commits);
     }
-  }
-}
-
-// Snapshots any owned shard whose logged-decision count crossed the
-// threshold.  Runs between drain rounds on the owner loop, so the
-// controller is quiescent and the WAL holds only committed records.
-void Server::maybe_snapshot_shards(Loop& lp) {
-  if (options_.snapshot_every == 0) return;
-  for (Shard* sh : lp.shards) {
-    if (sh->moving.load(std::memory_order_acquire)) continue;
-    if (!sh->wal.is_open()) continue;
-    if (sh->ops_since_snapshot < options_.snapshot_every) continue;
-    write_shard_snapshot(lp, *sh);
-  }
-}
-
-// One snapshot file at the shard's current decision cut.  The WAL commits
-// first (write(2), no forced fsync) so the log holds every decision the
-// snapshot claims at least as far as the page cache; neither the WAL nor
-// the snapshot file is fsynced here — the log is never truncated at
-// runtime, so an unsynced snapshot lost to a power cut only lengthens
-// the next replay, and a torn one fails its CRC and recovery falls back.
-// Forcing syncs on the owner loop measured ~30-40% off sustained
-// throughput (megabytes of unsynced kOff/kBatch log per threshold).
-// On any failure the shard simply keeps replay-from-WAL as its recovery
-// story and tries again a threshold later.
-void Server::write_shard_snapshot(Loop& lp, Shard& sh) {
-  sh.ops_since_snapshot = 0;
-  if (!sh.wal.commit()) return;
-  io::SnapshotFileMeta meta;
-  meta.shard = sh.index;
-  meta.epoch = epoch_;
-  meta.decision_seq = sh.controller.decision_seq();
-  meta.decision_checksum = sh.controller.decision_checksum();
-  meta.active = sh.active.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(sh.forward_mu);
-    meta.forwards.reserve(sh.forwards.size());
-    for (const auto& [old_id, f] : sh.forwards) {
-      meta.forwards.push_back({old_id, f.peer, f.new_id});
-    }
-  }
-  const std::vector<std::uint8_t> payload = sh.controller.serialize_snapshot();
-  std::string err;
-  if (!io::write_snapshot_file(options_.wal_dir, meta, payload, /*keep=*/2,
-                               /*durable=*/false, &err)
-           .empty()) {
-    bump(lp.counters.snapshots);
   }
 }
 
@@ -1365,22 +1070,19 @@ void Server::write_shard_snapshot(Loop& lp, Shard& sh) {
 // timeouts all answer kRetryLater (nothing changed — the client may
 // simply resend).
 Response Server::handle_resize(Loop& lp, const Request& req) {
-  Response resp;
-  resp.type = req.type;
-  resp.request_id = req.request_id;
-  resp.status = Status::kRetryLater;
+  Response resp = reply(req, Status::kRetryLater);
   if (stopping_.load(std::memory_order_acquire)) return resp;
   if (resize_busy_.exchange(true, std::memory_order_acq_rel)) return resp;
   const std::size_t count = shard_count_.load(std::memory_order_acquire);
   Shard* src = req.shard < count ? shards_[req.shard].get() : nullptr;
   Shard* dst = nullptr;
-  bool ok = src != nullptr && src->active.load(std::memory_order_acquire);
+  bool ok = src != nullptr && src->core.active();
   if (req.type == MsgType::kMergeShards) {
     const std::uint16_t target = req.merge_target();
     ok = ok && target < count && target != req.shard;
     if (ok) {
       dst = shards_[target].get();
-      ok = dst->active.load(std::memory_order_acquire);
+      ok = dst->core.active();
     }
   }
   if (!ok) {
@@ -1398,12 +1100,10 @@ Response Server::handle_resize(Loop& lp, const Request& req) {
     const bool quiesced = quiesce_shard(lp, *src) &&
                           (dst == nullptr || quiesce_shard(lp, *dst));
     if (quiesced) {
-      const Response r = req.type == MsgType::kSplitShard
-                             ? do_split(lp, *src)
-                             : do_merge(lp, *src, *dst);
-      resp.status = r.status;
-      resp.machine = r.machine;
-      resp.task_id = r.task_id;
+      const bool done = req.type == MsgType::kSplitShard
+                            ? do_split(lp, *src, &resp)
+                            : do_merge(*src, *dst, &resp);
+      resp.status = done ? Status::kResized : Status::kResizeFailed;
     }
     release_shard(*src);
     if (dst != nullptr) release_shard(*dst);
@@ -1444,91 +1144,27 @@ void Server::release_shard(Shard& sh) {
   wake_loop(*loops_[sh.owner_loop]);  // queued frames may be waiting
 }
 
-// Split: move every second tenant of src's canonical order (utilization
-// descending — so the halves are roughly balanced) to a brand-new shard.
-// Crash atomicity: the new shard's kMoveIn is fsynced before src's
+// Split: move every second tenant of src's canonical order to a brand-new
+// shard.  Crash atomicity: the new shard's kMoveIn is fsynced before src's
 // kMoveOut; recovery reconciles a crash between the two from the MoveIn
-// (net/shard_store.h).  Any admission failure discards the new shard
-// wholesale with src untouched.
-Response Server::do_split(Loop& lp, Shard& src) {
-  Response resp;
-  resp.status = Status::kResizeFailed;
+// (net/shard_core.h).  Any failure before the MoveIn is durable discards
+// the new shard, and its WAL, with src untouched: the new shard has no
+// other history, so the aborted split is invisible to recovery.
+bool Server::do_split(Loop& lp, Shard& src, Response* resp) {
   const std::size_t count = shard_count_.load(std::memory_order_acquire);
-  if (count >= kMaxShards) return resp;
+  if (count >= kMaxShards) return false;
 
-  // Canonical enumeration of the residents.  The migration plan's order is
-  // preferred (utilization descending); churn-stranded states the canonical
-  // re-pack cannot reproduce fall back to slot order.
-  std::vector<std::pair<OnlineTaskId, Task>> order;
-  const MigrationPlan plan = src.controller.migration_plan();
-  if (plan.feasible) {
-    order.reserve(plan.moves.size());
-    for (const MigrationPlan::Move& mv : plan.moves) {
-      order.emplace_back(mv.id, mv.task);
-    }
-  } else {
-    order = src.controller.residents();
-  }
-
-  auto holder = std::make_unique<Shard>(platform_, options_);
+  auto holder =
+      std::make_unique<Shard>(platform_, options_, count, count % loops_.size());
   Shard& ns = *holder;
-  ns.index = static_cast<std::uint32_t>(count);
-  ns.owner_loop = count % loops_.size();
-  ns.flight.set_shard(static_cast<std::uint16_t>(ns.index));
-  std::vector<io::WalMovedTask> moved;
-  moved.reserve(order.size() / 2);
-  for (std::size_t i = 1; i < order.size(); i += 2) {
-    const AdmitDecision d = ns.controller.admit_migrated(order[i].second);
-    if (!d.admitted) return resp;  // fresh shard discarded, src untouched
-    moved.push_back({order[i].first, d.id, order[i].second.exec,
-                     order[i].second.period, order[i].second.deadline});
+  std::vector<io::WalMovedTask> moved = src.core.movers(/*split=*/true);
+  if (!options_.wal_dir.empty() && !ns.core.open_wal(epoch_)) return false;
+  if (!ns.core.move_in(src.core.index(), 0, moved)) {
+    ns.core.discard_wal();
+    return false;
   }
+  HETSCHED_CHECK(src.core.move_out(ns.core.index(), 0, moved));
 
-  if (!options_.wal_dir.empty()) {
-    const std::string path = io::wal_path(options_.wal_dir, ns.index);
-    if (!ns.wal.open(path, epoch_, options_.wal_sync)) return resp;
-    if (options_.wal_sync == io::WalSync::kBatch) ns.wal.set_paced(true);
-    if (!moved.empty()) {
-      ns.wal.append_move(io::WalRecordType::kMoveIn,
-                         static_cast<std::uint16_t>(src.index), 0, moved,
-                         ns.controller.decision_seq(),
-                         ns.controller.decision_checksum());
-    }
-    // The commit point: once the MoveIn is durable the split survives any
-    // crash.  On failure the record may or may not be on disk — but the
-    // new shard has no other history, so deleting its WAL makes the
-    // aborted split invisible to recovery.
-    if (!ns.wal.commit(true)) {
-      ns.wal.close();
-      ::unlink(path.c_str());
-      return resp;
-    }
-  }
-
-  for (const io::WalMovedTask& mt : moved) {
-    HETSCHED_CHECK(src.controller.depart_migrated(mt.old_id));
-  }
-  if (src.wal.is_open() && !moved.empty()) {
-    src.wal.append_move(io::WalRecordType::kMoveOut,
-                        static_cast<std::uint16_t>(ns.index), 0, moved,
-                        src.controller.decision_seq(),
-                        src.controller.decision_checksum());
-    // Failure tolerated: recovery reconciles the missing MoveOut from the
-    // durable MoveIn.
-    src.wal.commit(true);
-  }
-  if (!moved.empty()) {
-    std::lock_guard<std::mutex> lock(src.forward_mu);
-    for (const io::WalMovedTask& mt : moved) {
-      src.forwards[mt.old_id] = Shard::Forward{ns.index, mt.new_id};
-    }
-    src.has_forwards.store(true, std::memory_order_release);
-  }
-
-  HETSCHED_GAUGE_REGISTER(
-      ns.depth_gauge,
-      "hetsched_net_queue_depth_shard" + std::to_string(ns.index),
-      "Requests queued for shard " + std::to_string(ns.index));
   // Publish: construction is complete, so the release store makes the
   // shard routable.  It stays `moving` (kRetryLater) until its owner loop
   // adopts it — only adopted shards join the owner's WAL group commit.
@@ -1548,82 +1184,26 @@ Response Server::do_split(Loop& lp, Shard& src) {
     wake_loop(owner);
   }
 
-  resp.status = Status::kResized;
-  resp.machine = pub->index;
-  resp.task_id = moved.size();
-  return resp;
+  resp->machine = ns.core.index();
+  resp->task_id = moved.size();
+  return true;
 }
 
 // Merge: move every tenant of src into dst, then take src out of service
-// (it stays addressable for forwarding, but admits answer kBadShard).
-// Rollback on rejection restores dst's snapshot rather than departing the
-// movers — departs would advance dst's decision stream with no WAL trace,
-// which replay could never reproduce.  Both the MoveIn and the MoveOut
-// carry kWalFlagDeactivate so recovery deactivates src even when only the
-// first record landed.
-Response Server::do_merge(Loop& lp, Shard& src, Shard& dst) {
-  Response resp;
-  resp.status = Status::kResizeFailed;
-  const std::vector<std::pair<OnlineTaskId, Task>> movers =
-      src.controller.residents();
-  const OnlinePartitioner::Snapshot undo = dst.controller.snapshot();
-  std::vector<io::WalMovedTask> moved;
-  moved.reserve(movers.size());
-  for (const auto& [old_id, task] : movers) {
-    const AdmitDecision d = dst.controller.admit_migrated(task);
-    if (!d.admitted) {
-      HETSCHED_CHECK(dst.controller.restore(undo));
-      return resp;
-    }
-    moved.push_back({old_id, d.id, task.exec, task.period, task.deadline});
+// (it stays addressable for forwarding, but admits answer kBadShard).  A
+// rejection or a failed MoveIn commit leaves both shards as they were.
+// Both the MoveIn and the MoveOut carry kWalFlagDeactivate so recovery
+// deactivates src even when only the first record landed.
+bool Server::do_merge(Shard& src, Shard& dst, Response* resp) {
+  std::vector<io::WalMovedTask> moved = src.core.movers(/*split=*/false);
+  if (!dst.core.move_in(src.core.index(), io::kWalFlagDeactivate, moved)) {
+    return false;
   }
-  if (dst.wal.is_open() && !moved.empty()) {
-    dst.wal.append_move(io::WalRecordType::kMoveIn,
-                        static_cast<std::uint16_t>(src.index),
-                        io::kWalFlagDeactivate, moved,
-                        dst.controller.decision_seq(),
-                        dst.controller.decision_checksum());
-    if (!dst.wal.commit(true)) {
-      // The MoveIn may already be durable while the live server rolls
-      // back.  A crash before dst's next rotation would then fail
-      // recovery loudly (decision-sequence gap) instead of silently
-      // diverging — the accepted double-fault (I/O error + crash) story.
-      HETSCHED_CHECK(dst.controller.restore(undo));
-      return resp;
-    }
-  }
-  for (const io::WalMovedTask& mt : moved) {
-    HETSCHED_CHECK(src.controller.depart_migrated(mt.old_id));
-  }
-  src.active.store(false, std::memory_order_release);
-  if (src.wal.is_open()) {
-    if (!moved.empty()) {
-      src.wal.append_move(io::WalRecordType::kMoveOut,
-                          static_cast<std::uint16_t>(dst.index),
-                          io::kWalFlagDeactivate, moved,
-                          src.controller.decision_seq(),
-                          src.controller.decision_checksum());
-      // Failure tolerated: the durable MoveIn carries the deactivate flag
-      // and recovery reconciles the rest.
-      src.wal.commit(true);
-    } else {
-      // Zero residents: nothing moves, so src's deactivation rides the
-      // next snapshot instead of a WAL record (an empty move would carry
-      // no sequence step for replay to anchor on).
-      write_shard_snapshot(lp, src);
-    }
-  }
-  if (!moved.empty()) {
-    std::lock_guard<std::mutex> lock(src.forward_mu);
-    for (const io::WalMovedTask& mt : moved) {
-      src.forwards[mt.old_id] = Shard::Forward{dst.index, mt.new_id};
-    }
-    src.has_forwards.store(true, std::memory_order_release);
-  }
-  resp.status = Status::kResized;
-  resp.machine = dst.index;
-  resp.task_id = moved.size();
-  return resp;
+  HETSCHED_CHECK(
+      src.core.move_out(dst.core.index(), io::kWalFlagDeactivate, moved));
+  resp->machine = dst.core.index();
+  resp->task_id = moved.size();
+  return true;
 }
 
 // HETSCHED_OWNER_LOOP (the per-tick drain: decode -> decide -> commit ->
@@ -1633,12 +1213,7 @@ void Server::drain_shard_queues(Loop& lp) {
   // WAL, so acking here hands the coordinator a shard with no buffered
   // state.  Moving shards are skipped below until the coordinator
   // releases them.
-  for (Shard* sh : lp.shards) {
-    if (sh->moving.load(std::memory_order_acquire)) {
-      sh->quiesce_ack.store(sh->quiesce_gen.load(std::memory_order_acquire),
-                            std::memory_order_release);
-    }
-  }
+  lp.ack_quiesce();
   if (paused_.load(std::memory_order_acquire)) return;
   for (Shard* sh : lp.shards) {
     if (sh->moving.load(std::memory_order_acquire)) continue;
@@ -1659,21 +1234,21 @@ void Server::drain_shard_queues(Loop& lp) {
       for (std::size_t i = 0; i < n; ++i) {
         Shard::WorkItem& item = lp.items[i];
         Request req = item.req;
-        resolve_forward(lp, req);
+        follow_forwards(req, &lp.counters.forwarded);
         // Queue-hop span: the frame's cross-loop (or paused-shard) queue
         // residency, parented to its decode span.
         obs::span_close(item.trace_root != 0, req.trace_id, item.trace_root,
                         obs::SpanStage::kQueueHop, item.trace_enq_ns);
         Response resp;
         bool have_resp = true;
-        if (req.shard != sh->index) {
+        if (req.shard != sh->core.index()) {
           // A forward rewrote the shard: the decision belongs to another
           // controller.  Process directly if this loop owns it and it is
           // not mid-resize; otherwise re-route through its queue.
           Shard& th = *shards_[req.shard];
           if (th.owner_loop == lp.index &&
               !th.moving.load(std::memory_order_acquire)) {
-            resp = process_request(lp, th, req, item.trace_root);
+            resp = th.core.apply(req, item.trace_root);
           } else if (th.queue.try_push(Shard::WorkItem{
                          item.conn, req, 0, item.trace_enq_ns,
                          item.trace_root})) {
@@ -1681,12 +1256,10 @@ void Server::drain_shard_queues(Loop& lp) {
             if (th.owner_loop != lp.index) wake_loop(*loops_[th.owner_loop]);
             have_resp = false;  // the target shard's drain answers it
           } else {
-            resp.type = req.type;
-            resp.status = Status::kRetryLater;
-            resp.request_id = req.request_id;
+            resp = reply(req, Status::kRetryLater);
           }
         } else {
-          resp = process_request(lp, *sh, req, item.trace_root);
+          resp = sh->core.apply(req, item.trace_root);
         }
         if (item.enq_ns != 0) {
           sh->record_latency(obs::now_ns() - item.enq_ns, options_.slo_ns);
@@ -1829,20 +1402,16 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
         flush_staged();
         resp = handle_resize(lp, req);
         respond_now = true;
-      } else if (resolve_forward(lp, req);
+      } else if (follow_forwards(req, &lp.counters.forwarded);
                  req.shard >= shard_count_.load(std::memory_order_acquire)) {
-        resp.type = req.type;
-        resp.status = Status::kBadShard;
-        resp.request_id = req.request_id;
+        resp = reply(req, Status::kBadShard);
         respond_now = true;
       } else {
         Shard& sh = *shards_[req.shard];
         if (sh.moving.load(std::memory_order_acquire)) {
           // Mid-resize: a bounded kRetryLater pause, never a silent drop
           // (and never a double-admit — the controller is untouched).
-          resp.type = req.type;
-          resp.status = Status::kRetryLater;
-          resp.request_id = req.request_id;
+          resp = reply(req, Status::kRetryLater);
           respond_now = true;
         } else {
           const bool local = sh.owner_loop == lp.index;
@@ -1855,7 +1424,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
             if ((++lp.sample_tick & (obs::kLatencySamplePeriod - 1)) == 0) {
               t0 = obs::now_ns();
             }
-            resp = process_request(lp, sh, req, root_span);
+            resp = sh.core.apply(req, root_span);
             bump(lp.counters.frames_inline);
             if (t0 != 0) sh.record_latency(obs::now_ns() - t0, options_.slo_ns);
             respond_now = true;
@@ -1872,9 +1441,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
               item.trace_enq_ns = obs::now_ns();
             }
             if (!sh.queue.try_push(std::move(item))) {
-              resp.type = req.type;
-              resp.status = Status::kRetryLater;
-              resp.request_id = req.request_id;
+              resp = reply(req, Status::kRetryLater);
               respond_now = true;
             } else {
               bump(lp.counters.enqueued);
@@ -1926,12 +1493,7 @@ void Server::loop_main(Loop& lp) {
     // Wake handling first so wake_pending is clear before queues drain —
     // a producer pushing after the drain below re-signals the pipe.
     for (const Poller::Ready& r : ready) {
-      if (r.fd == lp.wake_fds[0]) {
-        char drain[64];
-        while (::read(lp.wake_fds[0], drain, sizeof(drain)) > 0) {
-        }
-        lp.wake_pending.store(false, std::memory_order_release);
-      }
+      if (r.fd == lp.wake_fds[0]) lp.drain_wake();
     }
     loop_service_control(lp);
     // Queued work precedes fresh reads: a frame routed to a queue must be
@@ -1957,9 +1519,6 @@ void Server::loop_main(Loop& lp) {
     // Answer work our own reads just queued before sleeping (local pushes
     // do not signal the wake pipe).
     drain_shard_queues(lp);
-    // Snapshot between drain rounds: the controllers are quiescent and
-    // every acknowledged decision is committed to the WAL.
-    maybe_snapshot_shards(lp);
   }
   stop_phase(lp);
   if (loops_alive_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -1992,10 +1551,7 @@ void Server::stop_phase(Loop& lp) {
     if (!lp.poller.wait(ready, timeout_ms)) return;
     for (const Poller::Ready& r : ready) {
       if (r.fd == lp.wake_fds[0]) {
-        char drain[64];
-        while (::read(lp.wake_fds[0], drain, sizeof(drain)) > 0) {
-        }
-        lp.wake_pending.store(false, std::memory_order_release);
+        lp.drain_wake();
         continue;
       }
       const auto it = lp.conns.find(r.fd);
@@ -2009,12 +1565,7 @@ void Server::stop_phase(Loop& lp) {
     // A resize coordinator still inside its read phase may be waiting on
     // our quiesce ack; keep acking (safe here — everything this loop
     // staged is committed) so it can finish and reach its own stop phase.
-    for (Shard* sh : lp.shards) {
-      if (sh->moving.load(std::memory_order_acquire)) {
-        sh->quiesce_ack.store(sh->quiesce_gen.load(std::memory_order_acquire),
-                              std::memory_order_release);
-      }
-    }
+    lp.ack_quiesce();
     service_io(2);
   }
   // All loops are past their read phase: no resize is in flight (resizes
@@ -2028,9 +1579,7 @@ void Server::stop_phase(Loop& lp) {
   drain_shard_queues(lp);
   // Final durability point of a graceful stop: force-fsync whatever the
   // batch policy left unsynced.
-  for (Shard* sh : lp.shards) {
-    if (sh->wal.is_open()) sh->wal.commit(true);
-  }
+  for (Shard* sh : lp.shards) sh->core.commit(/*force_sync=*/true);
   loops_draining_.fetch_sub(1, std::memory_order_acq_rel);
   while (loops_draining_.load(std::memory_order_acquire) > 0) service_io(2);
 

@@ -48,16 +48,18 @@
 // shards are answered in whatever order their owning loops reach them —
 // clients match on request_id.
 //
-// Durability (ServerOptions::wal_dir): each shard appends every decision
+// Durability (ServerOptions::wal_dir): a shard's decision state is a
+// socket-less ShardCore (net/shard_core.h), which appends every decision
 // it makes — admits including rejects, departs including stale ones,
 // rebalances, and resize migrations — to a per-shard binary WAL (io/wal.h)
-// *before* the response reaches the socket, group-committing once per
-// drain batch so the warm path stays allocation-free and pays one write(2)
-// per batch.  Periodic snapshots (io/snapshot_format.h) bound replay;
-// start() recovers from the newest valid snapshot plus the WAL tail and
-// verifies bit-exact parity via the per-record decision checksum
-// (net/shard_store.h).  With wal_dir empty the serve path is bit-identical
-// to the pre-durability behavior.
+// *before* the response reaches the socket; the owner loop group-commits
+// once per drain batch, so the warm path stays allocation-free and pays
+// one write(2) per batch.  Snapshots (io/snapshot_format.h), cut wherever
+// the decision sequence passes a multiple of snapshot_every, bound
+// replay; start() recovers from the newest valid snapshot plus the WAL
+// tail through the core's own entry points and verifies bit-exact parity
+// via the per-record decision checksum.  With wal_dir empty the serve
+// path is bit-identical to the pre-durability behavior.
 //
 // Elastic resize (protocol minor 1): kSplitShard moves roughly half a
 // shard's tenants to a new shard; kMergeShards folds one shard into
@@ -110,6 +112,8 @@
 
 namespace hetsched::net {
 
+class ShardCore;
+
 // Per-shard queue-depth gauges are registered up front, so the shard count
 // is capped well below the obs registry's gauge capacity.
 inline constexpr std::size_t kMaxShards = 32;
@@ -123,8 +127,9 @@ struct ServerOptions {
   // recovered --wal-dir that holds more shards than this adopts the larger
   // count, so shards created by splits survive restarts.
   std::size_t shards = 1;
-  // Event-loop threads.  0 = auto: min(shards, hardware_concurrency,
-  // kMaxLoops).  Shard s is owned by loop s % loops.
+  // Event-loop threads.  0 = auto: min(shards, CPUs in the calling
+  // thread's affinity mask, kMaxLoops).  Shard s is owned by loop
+  // s % loops.
   std::size_t loops = 0;
   AdmissionKind kind = AdmissionKind::kEdf;
   double alpha = 1.0;
@@ -150,8 +155,9 @@ struct ServerOptions {
   // start() recovers from whatever the directory holds.
   std::string wal_dir;
   io::WalSync wal_sync = io::WalSync::kBatch;
-  // Snapshot a shard after this many logged decisions (0 = never mid-run;
-  // recovery then replays the whole WAL).
+  // Snapshot a shard at each decision that makes its decision_seq reach
+  // or pass a multiple of this (0 = never mid-run; recovery then replays
+  // the whole WAL).
   std::size_t snapshot_every = 65536;
   // Per-request latency SLO: one request in kLatencySamplePeriod (per
   // loop, and per shard queue) is timed in every build; a sampled latency
@@ -160,35 +166,41 @@ struct ServerOptions {
   std::uint64_t slo_ns = 1'000'000;
 };
 
-// The server's one per-event counter set (hetsched_server_* in the
-// exposition), independent of the obs layer so it exists in every build.
-// Each event loop counts into its own cache-line-aligned cells, which only
-// that loop writes, and stats() sums the cells on read: eventually
-// consistent while threads run; exact after wait().
+// The server's one per-event counter set, independent of the obs layer so
+// it exists in every build.  Each event loop counts into its own
+// cache-line-aligned cells, which only that loop writes, and stats() sums
+// the cells on read: eventually consistent while threads run; exact after
+// wait().  X(name, help) lists each counter once; the exposition names it
+// hetsched_server_<name>_total.
+#define HETSCHED_SERVER_STATS(X)                                             \
+  X(connections, "TCP connections accepted")                                 \
+  X(frames_rx, "Request frames decoded")                                     \
+  X(enqueued, "Frames routed through a shard queue")                         \
+  X(frames_inline, "Frames decided with zero queue hops")                    \
+  X(admitted, "Admits answered admitted")                                    \
+  X(rejected, "Admits answered rejected")                                    \
+  X(retried, "Requests answered retry-later")                                \
+  X(departed, "Departs answered departed")                                   \
+  X(stale, "Departs naming a stale id")                                      \
+  X(rebalances, "Rebalance requests processed")                              \
+  X(bad, "Malformed frames, bad shards, and invalid parameters")             \
+  X(batches, "Drain rounds that handled at least one frame")                 \
+  X(partial_writes, "Short response writes parked in a backlog")             \
+  X(resizes, "Shard splits and merges applied")                              \
+  X(resize_failures, "Split/merge requests answered resize-failed")          \
+  X(forwarded, "Departs re-routed via a forwarding entry")                   \
+  X(wal_records, "Decisions appended to a WAL")                              \
+  X(wal_commits, "Group commits that wrote at least one record")             \
+  X(snapshots, "Mid-run snapshot files written")                             \
+  X(recovered, "WAL records replayed at startup")                            \
+  X(introspect, "GET_STATS / GET_TRACEZ frames answered")                    \
+  X(connection_handoffs,                                                     \
+    "Connections moved to the loop that owns their first frame's shard")
+
 struct ServerStats {
-  std::uint64_t connections = 0;
-  std::uint64_t frames_rx = 0;
-  std::uint64_t enqueued = 0;       // frames routed through a shard queue
-  std::uint64_t frames_inline = 0;  // frames decided with zero queue hops
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t retried = 0;  // kRetryLater answers (queue full)
-  std::uint64_t departed = 0;
-  std::uint64_t stale = 0;
-  std::uint64_t rebalances = 0;
-  std::uint64_t bad = 0;      // bad frames / bad shard / bad request
-  std::uint64_t batches = 0;  // drain rounds that processed >= 1 frame
-  std::uint64_t partial_writes = 0;  // short writes parked in a backlog
-  std::uint64_t resizes = 0;         // kResized answers (splits + merges)
-  std::uint64_t resize_failures = 0;  // kResizeFailed answers
-  std::uint64_t forwarded = 0;  // departs re-routed via a forwarding entry
-  std::uint64_t wal_records = 0;   // decisions appended to a WAL
-  std::uint64_t wal_commits = 0;   // group commits that wrote >= 1 record
-  std::uint64_t snapshots = 0;     // mid-run snapshot files written
-  std::uint64_t recovered = 0;     // WAL records replayed by start()
-  std::uint64_t introspect = 0;    // kGetStats/kGetTracez frames answered
-  // Connections moved to the loop that owns their first frame's shard.
-  std::uint64_t connection_handoffs = 0;
+#define HETSCHED_STATS_FIELD(name, help) std::uint64_t name = 0;
+  HETSCHED_SERVER_STATS(HETSCHED_STATS_FIELD)
+#undef HETSCHED_STATS_FIELD
 };
 
 class Server {
@@ -246,12 +258,9 @@ class Server {
     return shard_count_.load(std::memory_order_acquire);
   }
 
-  // Shard controller observers for tests (call only while that shard is
-  // quiescent: paused, stopped, or provably idle).
-  std::size_t shard_resident_count(std::size_t shard) const;
-  bool shard_active(std::size_t shard) const;
-  std::uint64_t shard_decision_seq(std::size_t shard) const;
-  std::uint64_t shard_decision_checksum(std::size_t shard) const;
+  // A shard's decision state, for tests (read its controller only while
+  // that shard is quiescent: paused, stopped, or provably idle).
+  const ShardCore& shard_core(std::size_t shard) const;
 
  private:
   struct Connection;
@@ -291,10 +300,6 @@ class Server {
   void request_write_interest(Loop& lp,
                               const std::shared_ptr<Connection>& conn);
   void wake_loop(Loop& lp);
-  // `parent_span` is the frame's decode span id (0 when the frame is
-  // untraced or spans are disarmed); the warm-admit span parents to it.
-  Response process_request(Loop& lp, Shard& shard, const Request& req,
-                           std::uint64_t parent_span = 0);
   void count_response(Loop& lp, const Response& resp);
   // Builds and sends the kInfo answer to a kGetStats/kGetTracez frame.
   // Runs inline on the decoding loop (like handle_resize): introspection
@@ -303,26 +308,22 @@ class Server {
                          const Request& req);
   void stop_phase(Loop& lp);
 
-  // Durability plane.
-  bool recover_and_open_wals(std::string* error);
   void commit_owned_wals(Loop& lp);
-  void maybe_snapshot_shards(Loop& lp);
-  void write_shard_snapshot(Loop& lp, Shard& sh);
 
   // Forwarding: rewrites a depart naming a migrated tenant to the target
-  // shard's id, following chains.  Returns true if the request was
-  // rewritten (counted once per request).
-  bool resolve_forward(Loop& lp, Request& req);
-  // The rewrite alone, uncounted: placement peeks at a frame's target.
-  bool follow_forwards(Request& req) const;
+  // shard's id, following chains.  A rewrite is counted into `forwarded`,
+  // once per request; placement peeks at a frame's target uncounted.
+  void follow_forwards(Request& req,
+                       std::atomic<std::uint64_t>* forwarded = nullptr) const;
 
   // Elastic resize (kSplitShard / kMergeShards), run inline on the loop
   // that decoded the frame — resize frames are never queued.
   Response handle_resize(Loop& lp, const Request& req);
   bool quiesce_shard(Loop& lp, Shard& sh);
   void release_shard(Shard& sh);
-  Response do_split(Loop& lp, Shard& src);
-  Response do_merge(Loop& lp, Shard& src, Shard& dst);
+  // Fill resp's machine and task_id and return true on success.
+  bool do_split(Loop& lp, Shard& src, Response* resp);
+  bool do_merge(Shard& src, Shard& dst, Response* resp);
 
   Platform platform_;
   ServerOptions options_;
@@ -363,14 +364,13 @@ class Server {
   // only by that loop's thread with a relaxed load and store (no
   // lock-prefixed read-modify-write on the frame path), plus this shared
   // block for writers that are not loop threads (start-up recovery's
-  // `recovered`).  stats() sums the blocks.
+  // `recovered`).  stats() sums the blocks and adds wal_records and
+  // snapshots from the shard cores that count them (those two cells stay
+  // zero here).
   struct alignas(64) Counters {
-    std::atomic<std::uint64_t> connections{0}, frames_rx{0}, enqueued{0},
-        frames_inline{0}, admitted{0}, rejected{0}, retried{0}, departed{0},
-        stale{0}, rebalances{0}, bad{0}, batches{0}, partial_writes{0},
-        resizes{0}, resize_failures{0}, forwarded{0}, wal_records{0},
-        wal_commits{0}, snapshots{0}, recovered{0}, introspect{0},
-        connection_handoffs{0};
+#define HETSCHED_STATS_CELL(name, help) std::atomic<std::uint64_t> name{0};
+    HETSCHED_SERVER_STATS(HETSCHED_STATS_CELL)
+#undef HETSCHED_STATS_CELL
   };
   Counters counters_;
 };

@@ -35,7 +35,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
-#include "net/shard_store.h"
+#include "net/shard_core.h"
 #include "net/trace_replay.h"
 #include "online/online_partitioner.h"
 #include "sim/event_sim.h"
@@ -69,6 +69,21 @@ AdmitConfig cfg_of(AdmissionKind k) {
   AdmitConfig cfg;
   cfg.test = k;
   return cfg;
+}
+
+// Options for recovering a one-shard `dir` into a fresh ShardCore that
+// runs `cfg`.
+ServerOptions recovery_options(const std::string& dir, const AdmitConfig& cfg) {
+  ServerOptions opts;
+  opts.admit = cfg;
+  opts.wal_dir = dir;
+  opts.wal_sync = io::WalSync::kOff;
+  return opts;
+}
+
+ShardSetRecovery recover_one(ShardCore& core, bool rotate) {
+  ShardCore* ptr = &core;
+  return recover_shard_set(std::span<ShardCore* const>(&ptr, 1), rotate);
 }
 
 // ---------------------------------------------------------------------
@@ -274,8 +289,9 @@ TEST(AdmitE2E, OverheadOverflowAnswersBadRequest) {
   OnlinePartitioner twin(pf, AdmissionKind::kEdf, 1.0,
                          PartitionEngine::kAuto, cfg);
   twin.admit(Task{2, 10});
-  EXPECT_EQ(server.shard_decision_seq(0), 1u);
-  EXPECT_EQ(server.shard_decision_checksum(0), twin.decision_checksum());
+  EXPECT_EQ(server.shard_core(0).controller().decision_seq(), 1u);
+  EXPECT_EQ(server.shard_core(0).controller().decision_checksum(),
+            twin.decision_checksum());
   EXPECT_EQ(server.stats().wal_records, 1u);
 }
 
@@ -430,13 +446,10 @@ TEST(AdmitRecovery, KillNineRecoversConstrainedStreamBitExactly) {
 
   // Recover with the MATCHING admit config; per-record (seq, checksum,
   // tier) parity is asserted inside recover_shard_set.
-  OnlinePartitioner recovered(pf, AdmissionKind::kEdf, 1.0,
-                              PartitionEngine::kAuto, cfg);
-  OnlinePartitioner* ptr = &recovered;
-  const ShardSetRecovery rec = recover_shard_set(
-      dir.path(), std::span<OnlinePartitioner* const>(&ptr, 1),
-      /*rotate=*/false, io::WalSync::kOff);
+  ShardCore core(pf, recovery_options(dir.path(), cfg), 0);
+  const ShardSetRecovery rec = recover_one(core, /*rotate=*/false);
   ASSERT_TRUE(rec.ok) << rec.error;
+  const OnlinePartitioner& recovered = core.controller();
 
   const std::uint64_t n = recovered.decision_seq();
   ASSERT_GE(n, acked);  // WAL-before-reply: no acknowledged op is lost
@@ -508,51 +521,40 @@ TEST(AdmitRecovery, ConfigDriftFailsVerification) {
     server.wait();
   }
 
-  OnlinePartitioner wrong(pf, AdmissionKind::kEdf, 1.0, PartitionEngine::kAuto,
-                          cfg_of(AdmissionKind::kBound));
-  OnlinePartitioner* ptr = &wrong;
-  const ShardSetRecovery rec = recover_shard_set(
-      dir.path(), std::span<OnlinePartitioner* const>(&ptr, 1),
-      /*rotate=*/false, io::WalSync::kOff);
+  ShardCore wrong(pf, recovery_options(dir.path(), cfg_of(AdmissionKind::kBound)),
+                  0);
+  const ShardSetRecovery rec = recover_one(wrong, /*rotate=*/false);
   EXPECT_FALSE(rec.ok);
   EXPECT_FALSE(rec.error.empty());
 
   // The matching config replays the same directory cleanly — and rotates,
   // so from here on the state lives only in the snapshot.
-  OnlinePartitioner right(pf, AdmissionKind::kEdf, 1.0, PartitionEngine::kAuto,
-                          cfg_of(AdmissionKind::kQpa));
-  OnlinePartitioner* rptr = &right;
-  const ShardSetRecovery ok = recover_shard_set(
-      dir.path(), std::span<OnlinePartitioner* const>(&rptr, 1),
-      /*rotate=*/true, io::WalSync::kOff);
+  ShardCore right(pf, recovery_options(dir.path(), cfg_of(AdmissionKind::kQpa)),
+                  0);
+  const ShardSetRecovery ok = recover_one(right, /*rotate=*/true);
   ASSERT_TRUE(ok.ok) << ok.error;
-  EXPECT_EQ(right.resident_count(), 2u);
+  EXPECT_EQ(right.controller().resident_count(), 2u);
 
   // Post-rotation drift: the WAL is truncated and the snapshot is the
   // only copy of the state.  A mismatched config must still fail loudly —
   // skipping the snapshot like a corrupt file would "recover" an empty
   // shard with exit success and silently drop both residents.
-  OnlinePartitioner drifted(pf, AdmissionKind::kEdf, 1.0,
-                            PartitionEngine::kAuto, cfg_of(AdmissionKind::kBound));
-  OnlinePartitioner* dptr = &drifted;
-  const ShardSetRecovery snap_drift = recover_shard_set(
-      dir.path(), std::span<OnlinePartitioner* const>(&dptr, 1),
-      /*rotate=*/false, io::WalSync::kOff);
+  ShardCore drifted(
+      pf, recovery_options(dir.path(), cfg_of(AdmissionKind::kBound)), 0);
+  const ShardSetRecovery snap_drift = recover_one(drifted, /*rotate=*/false);
   EXPECT_FALSE(snap_drift.ok);
   EXPECT_NE(snap_drift.error.find("differently configured"), std::string::npos)
       << snap_drift.error;
-  EXPECT_EQ(drifted.resident_count(), 0u);
+  EXPECT_EQ(drifted.controller().resident_count(), 0u);
 
   // And the matching config restores from the rotated snapshot alone.
-  OnlinePartitioner again(pf, AdmissionKind::kEdf, 1.0, PartitionEngine::kAuto,
-                          cfg_of(AdmissionKind::kQpa));
-  OnlinePartitioner* aptr = &again;
-  const ShardSetRecovery from_snap = recover_shard_set(
-      dir.path(), std::span<OnlinePartitioner* const>(&aptr, 1),
-      /*rotate=*/false, io::WalSync::kOff);
+  ShardCore again(pf, recovery_options(dir.path(), cfg_of(AdmissionKind::kQpa)),
+                  0);
+  const ShardSetRecovery from_snap = recover_one(again, /*rotate=*/false);
   ASSERT_TRUE(from_snap.ok) << from_snap.error;
-  EXPECT_EQ(again.resident_count(), 2u);
-  EXPECT_EQ(again.decision_checksum(), right.decision_checksum());
+  EXPECT_EQ(again.controller().resident_count(), 2u);
+  EXPECT_EQ(again.controller().decision_checksum(),
+            right.controller().decision_checksum());
 }
 
 }  // namespace

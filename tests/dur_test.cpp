@@ -1,7 +1,7 @@
 // Tests for the durability plane: WAL framing and torn-tail truncation,
 // snapshot files with corrupt-newest fallback, controller snapshot
 // round-trips under churn (both engines), crash recovery via
-// recover_shard_set — including a fork+SIGKILL crash whose recovered
+// recover_shard_set into fresh ShardCores — including a fork+SIGKILL crash whose recovered
 // state is checked bit-exactly against a twin replay — and the live
 // split/merge resize protocol.  `ctest -L dur` is the CI gate.
 #include <gtest/gtest.h>
@@ -13,10 +13,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -30,7 +33,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
-#include "net/shard_store.h"
+#include "net/shard_core.h"
 #include "net/trace_replay.h"
 #include "online/online_partitioner.h"
 #include "util/rng.h"
@@ -63,6 +66,21 @@ ChurnTrace make_trace(std::uint64_t seed, std::size_t arrivals) {
   ChurnSpec spec;
   spec.arrivals = arrivals;
   return generate_churn_trace(rng, spec);
+}
+
+// Options for a one-shard recovery of `dir` into a fresh ShardCore: the
+// EDF controller the servers below run, the WAL left closed.
+ServerOptions recovery_options(const std::string& dir) {
+  ServerOptions opts;
+  opts.wal_dir = dir;
+  opts.wal_sync = io::WalSync::kOff;
+  return opts;
+}
+
+ShardSetRecovery recover_one(ShardCore& core) {
+  ShardCore* ptr = &core;
+  return recover_shard_set(std::span<ShardCore* const>(&ptr, 1),
+                           /*rotate=*/false);
 }
 
 // Applies a churn trace to a controller the way the server does: admit on
@@ -549,8 +567,8 @@ TEST(Resize, MergeRetiresSourceShard) {
 
   server.request_stop();
   server.wait();
-  EXPECT_FALSE(server.shard_active(1));
-  EXPECT_TRUE(server.shard_active(0));
+  EXPECT_FALSE(server.shard_core(1).active());
+  EXPECT_TRUE(server.shard_core(0).active());
   EXPECT_EQ(server.stats().resizes, 1u);
 }
 
@@ -559,7 +577,7 @@ TEST(Resize, MergeRetiresSourceShard) {
 // ---------------------------------------------------------------------
 
 // Served churn + a split + a merge, graceful stop, then recover_shard_set
-// into fresh controllers: every shard's (seq, checksum, active) must equal
+// into fresh shard cores: every shard's (seq, checksum, active) must equal
 // the live server's final state — through mid-run snapshots (tiny
 // snapshot_every) AND WAL tail replay.
 TEST(Recovery, GracefulStopRecoversBitExactState) {
@@ -598,26 +616,27 @@ TEST(Recovery, GracefulStopRecoversBitExactState) {
   const std::size_t n = server.shard_count();
   ASSERT_EQ(n, 3u);
 
-  std::vector<std::unique_ptr<OnlinePartitioner>> fresh;
-  std::vector<OnlinePartitioner*> ptrs;
+  std::vector<std::unique_ptr<ShardCore>> fresh;
+  std::vector<ShardCore*> ptrs;
   for (std::size_t i = 0; i < n; ++i) {
-    fresh.push_back(std::make_unique<OnlinePartitioner>(
-        pf, AdmissionKind::kEdf, 1.0));
+    fresh.push_back(
+        std::make_unique<ShardCore>(pf, opts, static_cast<std::uint32_t>(i)));
     ptrs.push_back(fresh.back().get());
   }
-  const ShardSetRecovery rec =
-      recover_shard_set(dir.path(), ptrs, /*rotate=*/false,
-                        io::WalSync::kOff);
+  const ShardSetRecovery rec = recover_shard_set(ptrs, /*rotate=*/false);
   ASSERT_TRUE(rec.ok) << rec.error;
   ASSERT_EQ(rec.shards.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(fresh[i]->decision_seq(), server.shard_decision_seq(i))
+    const ShardCore& live = server.shard_core(i);
+    EXPECT_EQ(fresh[i]->controller().decision_seq(),
+              live.controller().decision_seq())
         << "shard " << i;
-    EXPECT_EQ(fresh[i]->decision_checksum(),
-              server.shard_decision_checksum(i))
+    EXPECT_EQ(fresh[i]->controller().decision_checksum(),
+              live.controller().decision_checksum())
         << "shard " << i;
-    EXPECT_EQ(rec.shards[i].active, server.shard_active(i)) << "shard " << i;
-    EXPECT_EQ(fresh[i]->resident_count(), server.shard_resident_count(i))
+    EXPECT_EQ(fresh[i]->active(), live.active()) << "shard " << i;
+    EXPECT_EQ(fresh[i]->controller().resident_count(),
+              live.controller().resident_count())
         << "shard " << i;
   }
   // Mid-run snapshots actually happened: some shard recovered from a
@@ -766,12 +785,10 @@ TEST(Recovery, KillNineRecoversAcknowledgedPrefixBitExactly) {
 
   // Recover.  recover_shard_set asserts per-record (seq, checksum) parity
   // internally; ok=true already proves the replay was bit-exact.
-  OnlinePartitioner recovered(pf, AdmissionKind::kEdf, 1.0);
-  OnlinePartitioner* ptr = &recovered;
-  const ShardSetRecovery rec = recover_shard_set(
-      dir.path(), std::span<OnlinePartitioner* const>(&ptr, 1),
-      /*rotate=*/false, io::WalSync::kOff);
+  ShardCore core(pf, recovery_options(dir.path()), 0);
+  const ShardSetRecovery rec = recover_one(core);
   ASSERT_TRUE(rec.ok) << rec.error;
+  const OnlinePartitioner& recovered = core.controller();
 
   // WAL-before-reply: nothing acknowledged may be lost.
   const std::uint64_t n = recovered.decision_seq();
@@ -803,6 +820,99 @@ TEST(Recovery, KillNineRecoversAcknowledgedPrefixBitExactly) {
   }
 }
 
+// Snapshot cuts are a function of the decision stream.  One fixed frame
+// stream — admits to two shards, and departs of the ids a twin controller
+// per shard assigns — is served once with one frame per write and once
+// with ten, each write waiting for its answers.  Both runs must leave the
+// same WAL bytes and the same snapshot files, names and bytes, on every
+// shard.
+TEST(Recovery, SnapshotCutsIgnoreFrameBatching) {
+  const Platform pf = geometric_platform(4, 1.5);
+  std::vector<Request> frames;
+  std::vector<Response> expected;  // status and task id, by request id
+  {
+    OnlinePartitioner twin0(pf, AdmissionKind::kEdf, 1.0);
+    OnlinePartitioner twin1(pf, AdmissionKind::kEdf, 1.0);
+    OnlinePartitioner* twins[2] = {&twin0, &twin1};
+    std::vector<OnlineTaskId> live[2];
+    Rng rng(0x5EED);
+    for (std::uint64_t i = 0; i < 600; ++i) {
+      const std::uint16_t shard = static_cast<std::uint16_t>(i % 2);
+      Response want;
+      if (!live[shard].empty() && rng.next_u64() % 4 == 0) {
+        const std::size_t k = rng.next_u64() % live[shard].size();
+        const OnlineTaskId id = live[shard][k];
+        live[shard].erase(live[shard].begin() +
+                          static_cast<std::ptrdiff_t>(k));
+        ASSERT_TRUE(twins[shard]->depart(id));
+        frames.push_back(Request::depart(shard, i, id));
+        want.status = Status::kDeparted;
+      } else {
+        const std::int64_t period = rng.uniform_int(16, 400);
+        const std::int64_t exec = rng.uniform_int(1, period / 8);
+        const AdmitDecision d = twins[shard]->admit(Task{exec, period});
+        if (d.admitted) live[shard].push_back(d.id);
+        frames.push_back(Request::admit(shard, i, exec, period));
+        want.status = d.admitted ? Status::kAdmitted : Status::kRejected;
+        want.task_id = d.admitted ? d.id : 0;
+      }
+      expected.push_back(want);
+    }
+  }
+
+  const auto serve = [&](const std::string& dir, std::size_t per_write) {
+    ServerOptions opts;
+    opts.shards = 2;
+    opts.wal_dir = dir;
+    opts.wal_sync = io::WalSync::kOff;
+    opts.snapshot_every = 32;
+    Server server(pf, opts);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    Client client;
+    ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+    for (std::size_t i = 0; i < frames.size(); i += per_write) {
+      const std::size_t end = std::min(frames.size(), i + per_write);
+      for (std::size_t j = i; j < end; ++j) client.queue_request(frames[j]);
+      ASSERT_TRUE(client.flush(5000)) << client.last_error();
+      for (std::size_t j = i; j < end; ++j) {
+        Response r;
+        ASSERT_TRUE(client.recv_response(&r, 5000)) << client.last_error();
+        ASSERT_LT(r.request_id, expected.size());
+        EXPECT_EQ(r.status, expected[r.request_id].status);
+        EXPECT_EQ(r.task_id, expected[r.request_id].task_id);
+      }
+    }
+    server.request_stop();
+    server.wait();
+  };
+  TempDir one("durtest-cuts-one");
+  TempDir ten("durtest-cuts-ten");
+  serve(one.path(), 1);
+  serve(ten.path(), 10);
+
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    const std::vector<char> wal = bytes(io::wal_path(one.path(), shard));
+    EXPECT_FALSE(wal.empty());
+    EXPECT_EQ(wal, bytes(io::wal_path(ten.path(), shard)));
+    const std::vector<std::string> a = io::list_snapshots(one.path(), shard);
+    const std::vector<std::string> b = io::list_snapshots(ten.path(), shard);
+    ASSERT_FALSE(a.empty());
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::filesystem::path(a[i]).filename(),
+                std::filesystem::path(b[i]).filename());
+      EXPECT_EQ(bytes(a[i]), bytes(b[i])) << a[i];
+    }
+  }
+}
+
 // A corrupt newest snapshot falls back to the previous one; the WAL tail
 // from the older cut replays the difference.
 TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
@@ -831,12 +941,10 @@ TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
   ASSERT_GE(snaps.size(), 2u);
 
   // Recover once, cleanly, to fix the expected end state.
-  OnlinePartitioner clean(pf, AdmissionKind::kEdf, 1.0);
-  OnlinePartitioner* cptr = &clean;
-  ShardSetRecovery rec = recover_shard_set(
-      dir.path(), std::span<OnlinePartitioner* const>(&cptr, 1), false,
-      io::WalSync::kOff);
+  ShardCore clean_core(pf, recovery_options(dir.path()), 0);
+  ShardSetRecovery rec = recover_one(clean_core);
   ASSERT_TRUE(rec.ok) << rec.error;
+  const OnlinePartitioner& clean = clean_core.controller();
 
   // Corrupt the newest snapshot's interior.
   {
@@ -849,12 +957,10 @@ TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
     ::close(fd);
   }
 
-  OnlinePartitioner fallback(pf, AdmissionKind::kEdf, 1.0);
-  OnlinePartitioner* fptr = &fallback;
-  rec = recover_shard_set(dir.path(),
-                          std::span<OnlinePartitioner* const>(&fptr, 1),
-                          false, io::WalSync::kOff);
+  ShardCore fallback_core(pf, recovery_options(dir.path()), 0);
+  rec = recover_one(fallback_core);
   ASSERT_TRUE(rec.ok) << rec.error;
+  const OnlinePartitioner& fallback = fallback_core.controller();
   EXPECT_GT(rec.shards[0].replayed, 0u);  // older cut -> longer replay
   EXPECT_EQ(fallback.decision_seq(), clean.decision_seq());
   EXPECT_EQ(fallback.decision_checksum(), clean.decision_checksum());

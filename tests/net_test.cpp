@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -387,6 +388,37 @@ TEST(NetLoopback, ServedChecksumMatchesOfflineReplay) {
   EXPECT_EQ(s.rejected, sum.rejected);
   EXPECT_EQ(s.departed, sum.departed);
   EXPECT_EQ(s.retried, 0u);
+}
+
+// With loops = 0 the server sizes its loop count from the CPUs the
+// starting thread may run on, not from the machine's: pinned to one CPU,
+// a four-shard server runs one loop.
+TEST(NetLoopback, DefaultLoopCountFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  constexpr std::size_t kCpus = CPU_SETSIZE;
+  std::size_t cpu = 0;
+  while (cpu < kCpus && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, kCpus);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+
+  ServerOptions opts;
+  opts.shards = 4;
+  opts.loops = 0;
+  Server server(geometric_platform(4, 1.5), opts);
+  std::string err;
+  const bool started = server.start(&err);
+  // The loop threads inherit the one-CPU mask; this thread gets its own
+  // back before anything can fail.
+  ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
+  ASSERT_TRUE(started) << err;
+  EXPECT_EQ(server.loop_count(), 1u);
+  server.request_stop();
+  server.wait();
 }
 
 TEST(NetLoopback, ChecksumMatchesForRmsKindToo) {

@@ -49,8 +49,8 @@
 //       --port-file for scripts).  Each shard serves an independent copy
 //       of the platform (--platform takes an instance file; otherwise a
 //       geometric platform of --machines M and --ratio R).  --loops sets
-//       the event-loop thread count; 0 = one per core, capped by the
-//       shard count.  Loop 0 accepts every connection, and a
+//       the event-loop thread count; 0 = one per CPU the process may
+//       run on (its affinity mask), capped by the shard count.  Loop 0 accepts every connection, and a
 //       connection's first shard frame moves it to the loop owning that
 //       shard.  --no-reuseport is accepted and has no effect.  In this
 //       mode --stats-interval is in seconds, and each snapshot is the
@@ -150,7 +150,7 @@
 #include "net/client.h"
 #include "net/http_introspect.h"
 #include "net/server.h"
-#include "net/shard_store.h"
+#include "net/shard_core.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -909,7 +909,7 @@ int cmd_serve_net(const Args& args) {
 // Offline crash recovery (recover-then-exit): rebuild every shard found
 // in --wal-dir, verify the decision stream record by record, rotate the
 // logs, and summarize.  Shares the recovery engine with serve's startup
-// path (net/shard_store.h), so "recover then serve" and "serve with
+// path (net/shard_core.h), so "recover then serve" and "serve with
 // --wal-dir" land in bit-identical states.
 int cmd_recover(const Args& args) {
   args.only("recover",
@@ -938,9 +938,12 @@ int cmd_recover(const Args& args) {
     if (m == 0 || ratio < 1.0) return usage();
     platform = geometric_platform(m, ratio);
   }
-  const double alpha = args.alpha();
-  admit::AdmitConfig admit_cfg;
-  if (!admit_config_flag(args, *kind, &admit_cfg)) return 2;
+  net::ServerOptions opts;
+  opts.kind = *kind;
+  opts.alpha = args.alpha();
+  opts.engine = *engine;
+  opts.wal_dir = dir;
+  if (!admit_config_flag(args, *kind, &opts.admit)) return 2;
 
   std::size_t shard_count = args.get_unsigned("shards", 0);
   const std::size_t discovered = io::discover_shard_count(dir);
@@ -950,17 +953,15 @@ int cmd_recover(const Args& args) {
     return 0;
   }
 
-  std::vector<std::unique_ptr<OnlinePartitioner>> controllers;
-  std::vector<OnlinePartitioner*> ptrs;
-  controllers.reserve(shard_count);
-  ptrs.reserve(shard_count);
+  std::vector<std::unique_ptr<net::ShardCore>> cores;
+  std::vector<net::ShardCore*> ptrs;
   for (std::size_t i = 0; i < shard_count; ++i) {
-    controllers.push_back(std::make_unique<OnlinePartitioner>(
-        platform, *kind, alpha, *engine, admit_cfg));
-    ptrs.push_back(controllers.back().get());
+    cores.push_back(std::make_unique<net::ShardCore>(
+        platform, opts, static_cast<std::uint32_t>(i)));
+    ptrs.push_back(cores.back().get());
   }
-  const net::ShardSetRecovery rec = net::recover_shard_set(
-      dir, ptrs, /*rotate=*/true, io::WalSync::kBatch);
+  const net::ShardSetRecovery rec =
+      net::recover_shard_set(ptrs, /*rotate=*/true);
   if (!rec.ok) {
     std::fprintf(stderr, "recover: FAILED: %s\n", rec.error.c_str());
     return 1;
@@ -969,18 +970,18 @@ int cmd_recover(const Args& args) {
               dir.c_str(), rec.next_epoch);
   for (std::size_t i = 0; i < rec.shards.size(); ++i) {
     const net::ShardRecoveryInfo& info = rec.shards[i];
+    const OnlinePartitioner& c = cores[i]->controller();
     std::printf(
         "  shard %zu: %s, %zu resident, seq %llu, checksum %016llx "
         "(snapshot cut %llu, %llu replayed, %llu reconciled, %llu "
         "forward(s)%s)\n",
-        i, info.active ? "active" : "merged-away",
-        controllers[i]->resident_count(),
-        static_cast<unsigned long long>(info.decision_seq),
-        static_cast<unsigned long long>(info.decision_checksum),
+        i, cores[i]->active() ? "active" : "merged-away", c.resident_count(),
+        static_cast<unsigned long long>(c.decision_seq()),
+        static_cast<unsigned long long>(c.decision_checksum()),
         static_cast<unsigned long long>(info.snapshot_seq),
         static_cast<unsigned long long>(info.replayed),
         static_cast<unsigned long long>(info.reconciled),
-        static_cast<unsigned long long>(info.forwards.size()),
+        static_cast<unsigned long long>(cores[i]->forward_count()),
         info.truncated_bytes > 0 ? ", torn tail truncated" : "");
   }
 

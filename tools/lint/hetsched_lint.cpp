@@ -36,8 +36,9 @@
 //                     name (which locks and allocates on first hit).
 //   [owner-loop-blocking]
 //                     Functions annotated `// HETSCHED_OWNER_LOOP` run on
-//                     a thread-per-core owner loop (src/net/server.cc) or
-//                     the online warm path and must never block: fsync/
+//                     a thread-per-core owner loop (src/net/server.cc,
+//                     ShardCore::apply in src/net/shard_core.cc) or the
+//                     online warm path and must never block: fsync/
 //                     fdatasync, every sleep flavor, condition-variable
 //                     timed waits, blocking connect(), and system()/popen()
 //                     are banned, as is any write/send loop with no
