@@ -1,8 +1,13 @@
 // Adaptive batch sizing for the thread-per-core network plane (server.h).
 //
-// Every event-loop drain round — a readable socket's frame run or a shard
-// queue pop — is bounded by a frame budget.  The right budget depends on
-// load, and the two ends of the trade-off pull in opposite directions:
+// A shard queue pop, and a readable socket's frame run while the loop
+// keeps reading that one connection, are bounded by a frame budget: each
+// budget's worth of answers is group-committed and sent before the next
+// frame is decided.  (A read on a different connection from the loop's
+// previous read ignores the budget and flushes once at its end, or when
+// the staging buffer fills: there an early flush only delays the other
+// connection.)  The right budget depends on load, and the two ends of the
+// trade-off pull in opposite directions:
 //
 //   * idle / trickle traffic: a budget of 1 means every decision is
 //     encoded and flushed immediately — minimum added latency, and the

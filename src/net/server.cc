@@ -229,10 +229,12 @@ struct Server::Connection {
     kDead      // socket error or backlog cap blown — drop the peer
   };
 
-  // Sends backlog + [data, data+n) in order without blocking.  The
+  // Sends backlog + [data, data+n) in order without blocking, counting
+  // each sendmsg into `sendmsg_calls`, the calling loop's own cell.  The
   // scatter-gather pair means a connection with a parked backlog never
   // copies fresh frames twice unless the socket is still full.
-  WriteResult write_frames(const unsigned char* data, std::size_t n) {
+  WriteResult write_frames(const unsigned char* data, std::size_t n,
+                           std::atomic<std::uint64_t>& sendmsg_calls) {
     std::lock_guard<std::mutex> lock(write_mu);
     if (dead.load(std::memory_order_relaxed)) return WriteResult::kDead;
     std::size_t data_off = 0;
@@ -254,6 +256,7 @@ struct Server::Connection {
       msg.msg_iov = iov;
       msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
       const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+      bump(sendmsg_calls);
       if (w < 0 && errno == EINTR) continue;
       if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (w <= 0) {
@@ -357,6 +360,16 @@ struct Server::Shard {
   std::atomic<std::uint64_t> quiesce_gen{0};
   std::atomic<std::uint64_t> quiesce_ack{0};
 
+  // True from the owner's ack of the current quiesce until the release:
+  // the coordinator holds the core.  Before the ack the owner still does,
+  // so it still commits what it decided.  Owner-loop-only: the ack is
+  // written by the owner, or by a coordinator that is the owner.
+  bool held_by_coordinator() const {
+    return moving.load(std::memory_order_acquire) &&
+           quiesce_ack.load(std::memory_order_acquire) >=
+               quiesce_gen.load(std::memory_order_acquire);
+  }
+
   obs::Gauge depth_gauge;  // registered in metrics-ON builds only
   std::atomic<std::uint32_t> push_tick{0};  // latency sampling (any loop)
   // Latency-SLO burn counters, fed by the sampled-latency sites in every
@@ -379,9 +392,13 @@ struct Server::Shard {
 // One event-loop thread: poller, wake pipe, owned shards, accepted
 // connections, adaptive batch budget, and preallocated drain scratch.
 struct Server::Loop {
+  // Answers one full read can stage: every request frame is at least
+  // kFrameSize bytes and is answered by one kFrameSize response.
+  static constexpr std::size_t kStagedFrames =
+      Connection::kReadBufSize / kFrameSize + 1;
+
   Loop()
-      : items(AdaptiveBatch::kMaxFrames),
-        outbuf(AdaptiveBatch::kMaxFrames * kFrameSize) {
+      : items(AdaptiveBatch::kMaxFrames), outbuf(kStagedFrames * kFrameSize) {
     runs.reserve(AdaptiveBatch::kMaxFrames);
   }
   ~Loop() {
@@ -399,7 +416,15 @@ struct Server::Loop {
   std::thread thread;
   std::vector<Shard*> shards;   // shards this loop owns
   std::vector<Shard::WorkItem> items;   // queue drain destination
-  std::vector<unsigned char> outbuf;    // response staging, one drain round
+  // Response staging: a queue round's answers, or a read's up to its
+  // flush.  A loop that keeps reading one connection flushes every
+  // AdaptiveBatch budget (at most 64 frames); a read on a different
+  // connection from the previous one flushes once, at its end, so this
+  // holds one full read's answers (about 16 KB).
+  std::vector<unsigned char> outbuf;
+  // The connection of this loop's previous read (identity only, never
+  // dereferenced: it may be closed by now).  Loop-thread-only.
+  const Connection* last_read = nullptr;
   // Per-connection response runs of one queue-drain batch, recorded in
   // pass 1 and sent in pass 2 — after the batch's WAL group commit, so no
   // response escapes before its decision is logged.
@@ -450,15 +475,15 @@ struct Server::Loop {
 
   // Traced frames staged in the current response batch.  Group commit and
   // sendmsg are batch-level work, so every traced frame in the batch
-  // records the same [t0, t1] window for those stages.  Fixed capacity:
-  // overflow drops span records, never frames.  Loop-thread-only, and
-  // never written when metrics are compiled out.
+  // records the same [t0, t1] window for those stages.  One entry per
+  // frame outbuf holds (about 7 KB), so every traced frame of a flush
+  // keeps its batch spans.  Loop-thread-only, and never written when
+  // metrics are compiled out.
   struct StagedTrace {
     std::uint64_t trace_id = 0;
     std::uint64_t parent = 0;  // the frame's decode span
   };
-  static constexpr std::size_t kMaxStagedTraces = 16;
-  StagedTrace staged_traces[kMaxStagedTraces];
+  StagedTrace staged_traces[kStagedFrames];
   std::size_t staged_trace_count = 0;
 
   // Closes a frame's encode span when the frame is traced (`root`, its
@@ -467,7 +492,7 @@ struct Server::Loop {
                        std::uint64_t t0) {
     const std::uint64_t id = obs::span_close(root != 0, trace_id, root,
                                              obs::SpanStage::kEncode, t0);
-    if (id != 0 && staged_trace_count < kMaxStagedTraces) {
+    if (id != 0 && staged_trace_count < kStagedFrames) {
       staged_traces[staged_trace_count++] = StagedTrace{trace_id, root};
     }
   }
@@ -860,7 +885,8 @@ void Server::handle_introspect(Loop& lp,
 void Server::send_to_connection(Loop& lp,
                                 const std::shared_ptr<Connection>& conn,
                                 const unsigned char* data, std::size_t len) {
-  const Connection::WriteResult r = conn->write_frames(data, len);
+  const Connection::WriteResult r =
+      conn->write_frames(data, len, lp.counters.sendmsg_calls);
   if (r == Connection::WriteResult::kFlushed) return;
   if (r == Connection::WriteResult::kQueued) {
     bump(lp.counters.partial_writes);
@@ -893,7 +919,8 @@ void Server::request_write_interest(Loop& lp,
 
 void Server::handle_writable(Loop& lp,
                              const std::shared_ptr<Connection>& conn) {
-  const Connection::WriteResult r = conn->write_frames(nullptr, 0);
+  const Connection::WriteResult r =
+      conn->write_frames(nullptr, 0, lp.counters.sendmsg_calls);
   if (r == Connection::WriteResult::kDead) {
     close_connection(lp, conn->fd);
     return;
@@ -1053,9 +1080,12 @@ std::size_t Server::placement_loop(const Request& req) const {
 // batch is processed and before its responses are sent: the write(2) —
 // and, under --wal-sync=always, the fsync — happen once per batch, not
 // once per frame.  The commit also writes the snapshots cut in the batch.
+// A shard a coordinator started to quiesce is still committed until this
+// loop acks: a frame decided just before `moving` was set must be logged
+// before its answer leaves, and the ack promises no uncommitted record.
 void Server::commit_owned_wals(Loop& lp) {
   for (Shard* sh : lp.shards) {
-    if (sh->moving.load(std::memory_order_acquire)) continue;  // coordinator's
+    if (sh->held_by_coordinator()) continue;
     if (sh->core.dirty()) {
       sh->core.commit();
       bump(lp.counters.wal_commits);
@@ -1130,6 +1160,10 @@ bool Server::quiesce_shard(Loop& lp, Shard& sh) {
   while (sh.quiesce_ack.load(std::memory_order_acquire) < gen) {
     if (stopping_.load(std::memory_order_acquire)) return false;
     if (std::chrono::steady_clock::now() > deadline) return false;
+    // An owner opens a freshly split shard (clears `moving`) when it
+    // adopts it, which may come after this quiesce began: mark it again,
+    // or the owner never acks and the resize waits out the deadline.
+    sh.moving.store(true, std::memory_order_release);
     wake_loop(*loops_[sh.owner_loop]);
     // Bounded 50µs poll under a 5s deadline while the coordinator waits
     // for the owner's quiesce ack; see DESIGN.md invariant #15.
@@ -1302,6 +1336,14 @@ void Server::drain_shard_queues(Loop& lp) {
 bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
                             bool inherited) {
   if (conn->dead.load(std::memory_order_relaxed)) return false;
+  // A read on a different connection from this loop's previous one is
+  // staged whole: it flushes at its end or when outbuf fills.  Flushing
+  // early helps only a loop serving one connection, whose client refills
+  // its window while the loop finishes the read; a loop alternating
+  // between connections would only delay the other one.
+  const bool whole_read =
+      lp.last_read != nullptr && lp.last_read != conn.get();
+  lp.last_read = conn.get();
   std::size_t staged = 0;        // response bytes staged for this conn
   std::size_t staged_frames = 0;
   bool alive = true;
@@ -1328,6 +1370,7 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
       if (!conn->read_enabled) break;  // adopted mid-stop: inherited only
       space = conn->rbuf.size() - conn->rbuf_len;
       n = ::recv(conn->fd, conn->rbuf.data() + conn->rbuf_len, space, 0);
+      bump(lp.counters.recv_calls);
       if (n == 0) {
         alive = false;  // orderly EOF
         break;
@@ -1457,7 +1500,9 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn,
         staged += encode_response(resp, lp.outbuf.data() + staged);
         ++staged_frames;
         lp.end_encode_span(req.trace_id, root_span, enc_t0);
-        if (staged_frames >= lp.batcher.limit() ||
+        // Budget first, so the rule is read only at the budget: reading
+        // it on every frame measured about 1% slower on svc-deadline-auto.
+        if ((staged_frames >= lp.batcher.limit() && !whole_read) ||
             staged + kFrameSize > lp.outbuf.size()) {
           flush_staged();
         }

@@ -24,15 +24,21 @@
 //     ServerOptions::start_paused.  A full queue still answers
 //     kRetryLater immediately — explicit backpressure, never unbounded
 //     buffering.
-//   * Batch sizes adapt to load (net/adaptive_batch.h): each loop drains
-//     up to 64 frames per round but shrinks its budget toward one frame
-//     when rounds come up near-empty (cutting p50) and grows it back
-//     under sustained depth (cutting syscalls per frame).
-//   * Responses for a drain round coalesce into one writev/sendmsg per
-//     connection.  Writes never block an event loop: a short write parks
-//     the unsent tail in the connection's backlog buffer and resumes via
-//     EPOLLOUT (scatter-gathering backlog + fresh frames in one call)
-//     when the socket drains.  A peer whose backlog exceeds 1 MiB is
+//   * Batch sizes adapt to load (net/adaptive_batch.h) while a loop keeps
+//     reading one connection: it flushes (group commit, then sendmsg)
+//     every budget's worth of up to 64 frames, so the client can refill
+//     its window while the loop finishes the read, and the budget shrinks
+//     toward one frame when rounds come up near-empty (cutting p50) and
+//     grows back under sustained depth (cutting syscalls per frame).  A
+//     read on a different connection from the loop's previous read
+//     flushes only at its end or when the staging buffer (one full read's
+//     answers) fills: an early flush there would only delay the other
+//     connection.  Shard-queue rounds keep the budget.
+//   * Responses for a flush coalesce into one sendmsg per connection.
+//     Writes never block an event loop: a short write parks the unsent
+//     tail in the connection's backlog buffer and resumes via EPOLLOUT
+//     (scatter-gathering backlog + fresh frames in one call) when the
+//     socket drains.  A peer whose backlog exceeds 1 MiB is
 //     declared dead — a slow reader costs bounded memory and never wedges
 //     a loop.
 //
@@ -185,6 +191,8 @@ struct ServerOptions {
   X(rebalances, "Rebalance requests processed")                              \
   X(bad, "Malformed frames, bad shards, and invalid parameters")             \
   X(batches, "Drain rounds that handled at least one frame")                 \
+  X(recv_calls, "recv(2) calls on client sockets")                           \
+  X(sendmsg_calls, "sendmsg(2) calls on client sockets")                     \
   X(partial_writes, "Short response writes parked in a backlog")             \
   X(resizes, "Shard splits and merges applied")                              \
   X(resize_failures, "Split/merge requests answered resize-failed")          \

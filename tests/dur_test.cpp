@@ -14,6 +14,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -570,6 +573,115 @@ TEST(Resize, MergeRetiresSourceShard) {
   EXPECT_FALSE(server.shard_core(1).active());
   EXPECT_TRUE(server.shard_core(0).active());
   EXPECT_EQ(server.stats().resizes, 1u);
+}
+
+// An owner loop logs every frame it decided before a coordinator on
+// another loop quiesced the shard, before those frames' answers leave.
+// Loop 0 serves a stream of admits to its shard 0 while a connection on
+// loop 1 splits shard 0 and merges the new shard back, over and over;
+// at every answered admit the shard's log must hold a 48-byte record per
+// admit answered so far.  The admits are all rejected (utilization 100),
+// so the shard stays empty, its splits and merges move nobody and log
+// nothing there, and the log ends exactly one record per answer long.
+TEST(Resize, QuiescedShardLogsItsDecisionsBeforeTheirAnswers) {
+  constexpr std::uint64_t kWindow = 256;
+  constexpr std::uint64_t kAdmitRecordBytes = 48;
+  TempDir dir("durtest-quiesce");
+  const Platform pf = geometric_platform(4, 1.5);
+  ServerOptions opts;
+  opts.shards = 2;
+  opts.loops = 2;
+  opts.wal_dir = dir.path();
+  opts.wal_sync = io::WalSync::kOff;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  const std::string wal = dir.path() + "/shard-000.wal";
+
+  std::atomic<bool> resizing{true};
+  std::string resize_error;
+  std::uint64_t resize_cycles = 0;
+  std::thread resizer([&] {
+    Client c;
+    Response r;
+    // A stale depart for shard 1 places the connection on loop 1, which
+    // then coordinates every resize it sends.
+    if (!c.connect(loopback_addr(server), 2000, &resize_error) ||
+        !c.call(Request::depart(1, 0, 12345), &r, 2000)) {
+      resize_error += c.last_error();
+      resizing.store(false, std::memory_order_release);
+      return;
+    }
+    // Each split adds a shard.  A resize answered retry-later (a quiesce
+    // that timed out) is resent, a bounded number of times.
+    std::uint64_t rid = 1;
+    const auto resize = [&](const Request& req) {
+      for (int tries = 0; tries < 10; ++tries) {
+        if (!c.call(req, &r, 10000)) return false;
+        if (r.status != Status::kRetryLater) {
+          return r.status == Status::kResized;
+        }
+      }
+      return false;
+    };
+    while (resize_error.empty() && server.shard_count() < kMaxShards) {
+      if (!resize(Request::split(0, rid++))) {
+        resize_error = "split failed " + c.last_error();
+      } else if (!resize(Request::merge(static_cast<std::uint16_t>(r.machine),
+                                        0, rid++))) {
+        resize_error = "merge failed " + c.last_error();
+      } else {
+        ++resize_cycles;
+      }
+    }
+    resizing.store(false, std::memory_order_release);
+  });
+
+  // Admit windows until the resizes are done (at most kMaxWindows); the
+  // first failed check ends the stream (the resizer must still be joined).
+  constexpr std::uint64_t kMaxWindows = 1024;
+  std::string admit_error;
+  std::uint64_t answered = 0;
+  Client client;
+  if (!client.connect(loopback_addr(server), 2000, &admit_error)) {
+    admit_error = "connect: " + admit_error;
+  }
+  for (std::uint64_t rid = 0; admit_error.empty() &&
+                              resizing.load(std::memory_order_acquire) &&
+                              rid < kMaxWindows * kWindow;) {
+    for (std::uint64_t k = 0; k < kWindow; ++k) {
+      client.queue_request(Request::admit(0, rid++, 100, 1));
+    }
+    if (!client.flush(2000)) admit_error = client.last_error();
+    for (std::uint64_t k = 0; k < kWindow && admit_error.empty(); ++k) {
+      Response r;
+      struct stat st {};
+      if (!client.recv_response(&r, 5000)) {
+        admit_error = client.last_error();
+      } else if (r.status == Status::kRetryLater) {
+        continue;  // shard 0 was mid-resize: not decided, not logged
+      } else if (r.status != Status::kRejected) {
+        admit_error = "admit " + std::to_string(r.request_id) + " answered " +
+                      std::to_string(static_cast<int>(r.status));
+      } else if (::stat(wal.c_str(), &st) != 0) {
+        admit_error = "stat " + wal + ": " + std::strerror(errno);
+      } else if (static_cast<std::uint64_t>(st.st_size) <
+                 kAdmitRecordBytes * ++answered) {
+        admit_error = "admit " + std::to_string(r.request_id) +
+                      " answered with " + std::to_string(st.st_size) +
+                      " log bytes for " + std::to_string(answered) +
+                      " answered admits";
+      }
+    }
+  }
+  resizer.join();
+  server.request_stop();
+  server.wait();
+  EXPECT_TRUE(resize_error.empty()) << resize_error;
+  EXPECT_TRUE(admit_error.empty()) << admit_error;
+  EXPECT_EQ(resize_cycles, kMaxShards - 2);
+  EXPECT_GT(answered, 0u);
+  EXPECT_EQ(std::filesystem::file_size(wal), kAdmitRecordBytes * answered);
 }
 
 // ---------------------------------------------------------------------

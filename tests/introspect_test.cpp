@@ -213,6 +213,56 @@ TEST(IntrospectLoopback, TracedAndUntracedFramesInterleave) {
 #endif
 }
 
+// Group commit and sendmsg are batch-level spans, recorded for every
+// traced frame of a flush however many it holds: 100 traced admits
+// written at once leave exactly one of each per trace.
+TEST(IntrospectLoopback, EveryTracedFrameOfAFlushKeepsItsBatchSpans) {
+  constexpr std::uint64_t kFrames = 100;
+  constexpr std::uint64_t kFirstTrace = 0xB000;
+  obs::span_drain();  // clear anything earlier tests recorded
+  obs::set_span_enabled(true);
+  const Platform pf = geometric_platform(4, 1.5);
+  ServerOptions opts;
+  opts.shards = 1;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client client;
+  ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    client.queue_request(Request::admit(0, i, 1, 1000).traced(kFirstTrace + i));
+  }
+  ASSERT_TRUE(client.flush(2000)) << client.last_error();
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    Response r;
+    ASSERT_TRUE(client.recv_response(&r, 5000)) << client.last_error();
+    EXPECT_EQ(r.status, Status::kAdmitted);
+  }
+  server.request_stop();
+  server.wait();
+  obs::set_span_enabled(false);
+
+#if HETSCHED_METRICS_ENABLED
+  std::map<std::uint64_t, std::pair<int, int>> batch_spans;  // commit, send
+  for (const obs::SpanRecord& sp : obs::span_drain()) {
+    if (sp.stage == obs::SpanStage::kGroupCommit) {
+      ++batch_spans[sp.trace_id].first;
+    } else if (sp.stage == obs::SpanStage::kSendmsg) {
+      ++batch_spans[sp.trace_id].second;
+    }
+  }
+  EXPECT_EQ(batch_spans.size(), kFrames);
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    const auto it = batch_spans.find(kFirstTrace + i);
+    ASSERT_NE(it, batch_spans.end()) << "trace " << i;
+    EXPECT_EQ(it->second.first, 1) << "trace " << i;
+    EXPECT_EQ(it->second.second, 1) << "trace " << i;
+  }
+#else
+  EXPECT_TRUE(obs::span_drain().empty());  // kill switch: no spans, ever
+#endif
+}
+
 TEST(IntrospectLoopback, GetStatsAnswersPrometheusText) {
   const Platform pf = geometric_platform(4, 1.5);
   ServerOptions opts;

@@ -1351,6 +1351,98 @@ TEST(NetLoopback, PerLoopCountersSumExactlyAndNeverDecrease) {
   EXPECT_EQ(s.departed, kN);
   EXPECT_EQ(s.enqueued, 0u);
   EXPECT_EQ(s.connection_handoffs, 1u);  // shard 1's connection
+  // One sendmsg per flush and per GET_STATS answer, more only where a
+  // send came back short; and the loops read their sockets.
+  EXPECT_GE(s.sendmsg_calls, s.batches + s.introspect);
+  EXPECT_GT(s.recv_calls, 0u);
+}
+
+// ---------------------------------------------------------------------
+// flush rule: a loop alternating connections flushes each read whole
+// ---------------------------------------------------------------------
+
+// One loop serves `conns` connections.  Connection i admits the arrivals
+// of a generated trace on shard i in windows of 256 frames, in lock step:
+// every connection writes its window in one flush, then every connection
+// reads its answers.  Each connection's decisions must fold to the
+// offline replay's checksum; returns the server's final stats.
+ServerStats serve_admit_windows(std::size_t conns) {
+  constexpr std::size_t kWindow = 256;
+  constexpr std::size_t kArrivals = 8 * kWindow;
+  const Platform pf = geometric_platform(4, 1.5);
+  std::vector<ChurnTrace> traces;
+  for (std::size_t i = 0; i < conns; ++i) {
+    traces.push_back(make_trace(61 + i, kArrivals));
+    std::erase_if(traces.back().events, [](const ChurnEvent& ev) {
+      return ev.kind != ChurnEvent::Kind::kArrival;
+    });
+  }
+  ServerOptions opts;
+  opts.shards = conns;
+  opts.loops = 1;
+  Server server(pf, opts);
+  std::string err;
+  std::vector<Client> clients(conns);
+  bool ok = server.start(&err);
+  for (std::size_t i = 0; ok && i < conns; ++i) {
+    ok = clients[i].connect(loopback_addr(server), 2000, &err);
+  }
+  std::vector<std::uint64_t> served(conns, kFnv1aSeed);
+  for (std::size_t first = 0; ok && first < kArrivals; first += kWindow) {
+    for (std::size_t i = 0; ok && i < conns; ++i) {
+      for (std::size_t k = first; k < first + kWindow; ++k) {
+        const Task& t = traces[i].events[k].params;
+        clients[i].queue_request(Request::admit(static_cast<std::uint16_t>(i),
+                                                k, t.exec, t.period));
+      }
+      ok = clients[i].flush(2000);
+      if (!ok) err = clients[i].last_error();
+    }
+    for (std::size_t i = 0; ok && i < conns; ++i) {
+      for (std::size_t k = first; ok && k < first + kWindow; ++k) {
+        Response r;
+        if (!clients[i].recv_response(&r, 5000)) {
+          ok = false;
+          err = clients[i].last_error();
+        } else if (r.request_id != k || r.status == Status::kRetryLater) {
+          ok = false;
+          err = "request " + std::to_string(k) + " out of order or retried";
+        }
+        const bool admitted = r.status == Status::kAdmitted;
+        served[i] = fnv1a(served[i], admitted ? 1 : 0);
+        served[i] = fnv1a(served[i], admitted ? r.machine : 0);
+        served[i] = fnv1a(served[i], r.value);
+      }
+    }
+  }
+  EXPECT_TRUE(ok) << err;
+  for (std::size_t i = 0; ok && i < conns; ++i) {
+    EXPECT_EQ(served[i], offline_decision_checksum(pf, traces[i],
+                                                   AdmissionKind::kEdf, 1.0))
+        << "connection " << i;
+  }
+  server.request_stop();
+  server.wait();
+  const ServerStats s = server.stats();
+  if (ok) {
+    EXPECT_EQ(s.frames_rx, conns * kArrivals);
+  }
+  return s;
+}
+
+// Two connections on one loop: the loop alternates between them, so each
+// read is one flush (one group commit, one sendmsg), where a per-budget
+// flush never passes 64 frames.
+TEST(NetLoopback, AlternatingConnectionsFlushWholeReads) {
+  const ServerStats s = serve_admit_windows(2);
+  EXPECT_GT(s.frames_rx, AdaptiveBatch::kMaxFrames * s.batches);
+}
+
+// A loop that keeps reading one connection keeps the per-budget flush, so
+// the client can refill its window while the loop finishes the read.
+TEST(NetLoopback, LoneConnectionKeepsThePerBudgetFlush) {
+  const ServerStats s = serve_admit_windows(1);
+  EXPECT_GE(s.batches, s.frames_rx / AdaptiveBatch::kMaxFrames);
 }
 
 TEST(NetReplay, OfflineChecksumIsDeterministic) {
