@@ -299,7 +299,8 @@ int main(int argc, char** argv) {
               "naive(us)", "tree(us)", "naive pass", "tree pass", "speedup");
   first = true;
   for (const AdmissionKind kind :
-       {AdmissionKind::kEdf, AdmissionKind::kRmsLiuLayland}) {
+       {AdmissionKind::kEdf, AdmissionKind::kRmsLiuLayland,
+        AdmissionKind::kRmsHyperbolic}) {
     const AlphaCell c = run_alpha_cell(16384, 128, kind, reps);
     std::printf("%8zu %6zu %18s %12.1f %12.1f %12.2f %12.2f %8.2fx\n", c.n,
                 c.m, to_string(c.kind).c_str(), c.naive_ns / 1e3,

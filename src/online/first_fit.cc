@@ -71,6 +71,27 @@ constexpr double kLoadBoundMargin = 1e-8;
 // f for the RMS kinds: a constant just below ln 2 = 0.693147...
 constexpr double kRmsLoadFactor = 0.693;
 
+// h(a) = k a + 2/(1 + a)^k - 1, k = floor(ln 2 / ln(1 + a)), at
+// a = w_max / cap rounded up, or 1 for a >= 1: the most sum w / cap a
+// machine of capacity cap holds under RMS-HB's test with every w <= w_max
+// (load_bound_verdict).  For every integer p >= 0, g(p) = p a +
+// 2/(1 + a)^p - 1 >= h(a) (g falls until p = k and rises after), so a k
+// that rounding moves by one, or clamping k to n, still gives an upper
+// bound, and so does 1 (sum x <= prod(1 + x) - 1).  It is evaluated as
+// p a + 2 exp(-p log1p(a)) - 1 with 0 <= p log1p(a) < 2: log1p and exp
+// err by a few ulps and the other five operations by half an ulp each, so
+// the computed h is within 1e-14 of g(p) >= ln 2, far inside delta.
+// HETSCHED_NOALLOC
+double hyperbolic_fill(double w_max, double cap, std::size_t n) {
+  const double a = std::nextafter(w_max / cap,
+                                  std::numeric_limits<double>::infinity());
+  if (!(a < 1.0)) return 1.0;
+  const double l = std::log1p(a);
+  const double p =
+      std::min(std::floor(std::numbers::ln2 / l), static_cast<double>(n));
+  return std::min(1.0, p * a + 2.0 * std::exp(-p * l) - 1.0);
+}
+
 // Decides a probe from O(m + n/G) load bounds, without a first-fit pass;
 // nullopt when none applies.  The bounds come from the load argument
 // behind Theorem I.1's failure certificate.  W = the in-order sum of the n
@@ -81,24 +102,33 @@ constexpr double kRmsLoadFactor = 0.693;
 // below adds non-negative terms, so its rounding is relative: at most
 // (terms + 2)u of the exact sum.
 //
-// Reject when W > (1 + delta) * sum_j c_j, with c_j = cap_j except
+// Reject when W > (1 + delta) * sum_j c_j, with c_j = cap_j for EDF,
 // c_j = LL(K_j) cap_j for RMS-LL, K_j = max(1, ceil(ln 2 cap_j / w_max))
-// clamped to n.  A pass that places every task leaves each machine's exact
-// load L_j (the real sum of its doubles) at most c_j up to rounding:
+// clamped to n, and c_j = h(a_j) cap_j for RMS-HB (hyperbolic_fill).  A
+// pass that places every task leaves each machine's exact load L_j (the
+// real sum of its doubles) at most c_j up to rounding:
 //   * EDF's last admission passed fl(sum + w) <= cap_j;
-//   * RMS-HB's product prod(1 + w/cap_j) <= 2 gives sum w/cap_j <=
-//     prod - 1 <= 1;
 //   * RMS-LL's last admission onto a machine that ends with k tasks passed
 //     against fl(LL(k) cap_j).  If k >= K_j, LL(k) <= LL(K_j) (up to LL's
 //     1e-9); if k < K_j, then k <= K_j - 1 < ln 2 cap_j / w_max, so
 //     L_j <= k w_max < ln 2 cap_j <= LL(K_j) cap_j.  Clamping K_j to n
-//     keeps both cases, as k <= n.
-// RMS-HB keeps cap_j: its test admits {0.99, 0.001} on a unit machine,
-// more than LL(2) = 0.828.  With three roundings per task,
-// L_j <= c_j (1 + 6 k_j u + 3e-9), so W <= (1 + 6nu + 3e-9) sum_j c_j
-// exactly, and the two computed sums add (n + m + 2)u more: in all less
-// than delta.  So a computed W above (1 + delta) times the computed sum
-// rules out an accepting pass.
+//     keeps both cases, as k <= n;
+//   * RMS-HB's last admission passed prod(1 + x_i) <= 2 with
+//     x_i = w_i / cap_j <= a_j = w_max / cap_j.  ln(1 + x) is concave, so
+//     moving load from a smaller x to a larger one, up to a_j, keeps
+//     sum x and does not raise sum ln(1 + x): the largest sum x is k
+//     tasks at a_j plus one remainder, h(a_j) = k a_j + 2/(1 + a_j)^k - 1
+//     with k = floor(ln 2 / ln(1 + a_j)).  h rises with a_j and is 1 for
+//     a_j >= 1 (not LL(k): the test admits {0.99, 0.001} on a unit
+//     machine, more than LL(2) = 0.828).
+// With k_j tasks on machine j and three roundings per task, EDF's and
+// RMS-LL's L_j <= c_j (1 + 6 k_j u + 3e-9).  RMS-HB's computed product is
+// within (1 + 3 k_j u) of the real one, and the largest sum x under
+// prod(1 + x) <= C grows with C at slope (1 + a)^-k <= 1, so
+// L_j <= c_j (1 + 10 k_j u) with h >= ln 2.
+// So W <= (1 + 10nu + 3e-9) sum_j c_j exactly, and the two computed sums
+// add (n + m + 2)u more: in all less than delta.  So a computed W above
+// (1 + delta) times the computed sum rules out an accepting pass.
 //
 // Accept when, for every group g of G = kLoadBoundGroup consecutive tasks
 // in first-fit order, with w_g its first (largest) utilization, P_g the
@@ -151,6 +181,8 @@ std::optional<bool> load_bound_verdict(AdmissionFold fold,
               ? n
               : std::max(std::size_t{1}, static_cast<std::size_t>(k));
       capacity += rms_liu_layland_bound(tasks) * cap;
+    } else if (fold == AdmissionFold::kHyperbolic) {
+      capacity += hyperbolic_fill(w_max, cap, n) * cap;
     } else {
       capacity += cap;
     }

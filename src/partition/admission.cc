@@ -6,6 +6,7 @@
 
 #include "core/rta.h"
 #include "core/uniproc.h"
+#include "partition/audit.h"
 #include "util/check.h"
 
 namespace hetsched {
@@ -16,18 +17,18 @@ namespace {
 // a negative value when even w = 0 fails.  The search runs over the ordered
 // bit representation of non-negative doubles (monotone bijection to
 // integers), so the returned threshold characterizes the predicate EXACTLY:
-// for every double w >= 0, (w <= threshold) == pred(w).  This is what lets
-// the slack-form engines reproduce the floating-point boundary behaviour of
-// the per-machine admission comparisons bit for bit — a closed-form
-// rearranged slack (e.g. capacity - util_sum) can differ by 1 ulp at
-// exact-fit boundaries and flip verdicts on adversarially tight instances
-// (an exact bin packing like {0.44, 0.40, 0.16} on a unit machine).
+// for every double w >= 0, (w <= threshold) == pred(w).  A rearranged
+// closed form (e.g. capacity - util_sum) can be 1 ulp off at exact-fit
+// boundaries and flip verdicts on adversarially tight instances (an exact
+// bin packing like {0.44, 0.40, 0.16} on a unit machine); the search
+// cannot.  It decides the hyperbolic fold's threshold, and the EDF-form
+// folds' wherever edf_form_threshold's closed form does not cover the
+// inputs.
 //
 // `estimate` is the closed-form rearrangement, which lies within a few ulps
 // of the true threshold; galloping from it and then bisecting the remaining
 // bracket costs ~6 predicate evaluations in the common case (vs ~63 for a
-// blind bisection over the full double range), keeping the fast-path
-// engines fast.
+// blind bisection over the full double range).
 template <typename Pred>
 double exact_admission_threshold(double estimate, const Pred& pred) {
   if (!pred(0.0)) return -1.0;
@@ -76,6 +77,27 @@ double exact_admission_threshold(double estimate, const Pred& pred) {
   return std::bit_cast<double>(lo);
 }
 
+// edf_form_threshold, or the gallop where it does not decide.  Audit
+// builds check the result bit for bit against the gallop.
+inline double edf_form_slack(double limit, double util_sum) {
+  const auto admits = [&](double w) {
+    return admission_admits(AdmissionFold::kEdf, w, limit, util_sum, 0, 1.0);
+  };
+  const std::optional<double> closed = edf_form_threshold(limit, util_sum);
+  const double slack =
+      closed ? *closed : exact_admission_threshold(limit - util_sum, admits);
+  HETSCHED_AUDIT_HOOK(
+      const double reference =
+          exact_admission_threshold(limit - util_sum, admits);
+      // Bit equality on purpose: the closed form must reproduce the
+      // gallop's threshold exactly.  hetsched-lint: allow(float-compare)
+      HETSCHED_CHECK_MSG(std::bit_cast<std::uint64_t>(slack) ==
+                             std::bit_cast<std::uint64_t>(reference),
+                         "audit: closed-form admission threshold diverged "
+                         "from the gallop"));
+  return slack;
+}
+
 }  // namespace
 
 std::string to_string(AdmissionKind k) { return admission_row(k).label; }
@@ -92,23 +114,15 @@ std::optional<AdmissionKind> find_admission(std::string_view name) {
 
 double admission_slack(AdmissionFold fold, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product) {
-  // Each predicate is admission_admits at a literal fold, so its switch
-  // folds away outside the search.  Liu–Layland's comparison is EDF's
-  // against the count-aware limit, as in admission_admits; the limit is
-  // computed once here rather than on every probe.
+  // Liu–Layland's comparison is EDF's against the count-aware limit, as in
+  // admission_admits.  The hyperbolic predicate is admission_admits at a
+  // literal fold, so its switch folds away inside the search.
   switch (fold) {
     case AdmissionFold::kEdf:
-      return exact_admission_threshold(capacity - util_sum, [&](double w) {
-        return admission_admits(AdmissionFold::kEdf, w, capacity, util_sum,
-                                task_count, hyper_product);
-      });
-    case AdmissionFold::kLiuLayland: {
-      const double limit = rms_liu_layland_bound(task_count + 1) * capacity;
-      return exact_admission_threshold(limit - util_sum, [&](double w) {
-        return admission_admits(AdmissionFold::kEdf, w, limit, util_sum,
-                                task_count, hyper_product);
-      });
-    }
+      return edf_form_slack(capacity, util_sum);
+    case AdmissionFold::kLiuLayland:
+      return edf_form_slack(rms_liu_layland_bound(task_count + 1) * capacity,
+                            util_sum);
     case AdmissionFold::kHyperbolic:
       return exact_admission_threshold(
           (2.0 / hyper_product - 1.0) * capacity, [&](double w) {

@@ -13,9 +13,11 @@
 // escalations are correspondingly more expensive.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -151,24 +153,87 @@ inline bool admission_admits(AdmissionFold fold, double w, double capacity,
 
 // The largest weight the machine still admits — the EXACT floating-point
 // threshold of admission_admits, i.e. for every double w >= 0,
-// (w <= slack) == admission_admits(fold, w, ...).  The threshold search
-// evaluates admission_admits itself as its predicate, so the two agree by
-// construction.  In real arithmetic the thresholds are
+// (w <= slack) == admission_admits(fold, w, ...).  In real arithmetic the
+// thresholds are
 //   kEdf:        capacity - util_sum
 //   kLiuLayland: LL(task_count + 1) * capacity - util_sum
 //   kHyperbolic: (2 / hyper_product - 1) * capacity
 // but those rearranged closed forms can be 1 ulp off at exact-fit
-// boundaries, so the implementation instead bisects the original predicate
-// over the double bit-space.  This exactness is what keeps the naive scan
-// and the segment-tree engine bit-identical (the equivalence property test
-// relies on it) and keeps boundary instances — exact bin packings like
-// {0.44, 0.40, 0.16} on a unit machine — admissible, matching the predicate
-// form the repo has always used.  `task_count` and `hyper_product` describe
-// the weights already admitted; negative return means not even w = 0 fits.
-// kNone's slack is always negative, so a fold over it never admits and
-// every decision falls to the row's escalation.
+// boundaries.  The EDF-form folds (kEdf, kLiuLayland) take the exact
+// threshold of their comparison from edf_form_threshold; kHyperbolic, and
+// the inputs edf_form_threshold does not cover, gallop and bisect the
+// original predicate over the double bit-space.  This exactness is what
+// keeps the naive scan and the segment-tree engine bit-identical (the
+// equivalence property test relies on it) and keeps boundary instances —
+// exact bin packings like {0.44, 0.40, 0.16} on a unit machine —
+// admissible, matching the predicate form the repo has always used.
+// `task_count` and `hyper_product` describe the weights already admitted;
+// negative return means not even w = 0 fits.  kNone's slack is always
+// negative, so a fold over it never admits and every decision falls to the
+// row's escalation.  Audit builds check every EDF-form threshold bit for
+// bit against the bit-space search.
 double admission_slack(AdmissionFold fold, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product);
+
+// The exact threshold of the EDF-form comparison fl(util_sum + w) <= limit
+// in closed form: for every double w >= 0, (w <= threshold) ==
+// (util_sum + w <= limit), and -1 when not even w = 0 passes.  kEdf
+// compares against limit = capacity, kLiuLayland against
+// LL(task_count + 1) * capacity.  nullopt for the inputs the closed form
+// does not cover, which admission_slack decides by the bit-space search.
+//
+// Under the default round-to-nearest-even mode, fl(x) <= L holds exactly
+// when x lies below the midpoint M = L + g of L and its successor L+,
+// g = (L+ - L) / 2, or on M when L's significand is even (a tie rounds to
+// the even neighbour).  With U = util_sum, x = U + w is exact, so the
+// threshold is the largest double below D = M - U (`to_midpoint`), or D
+// itself on an even tie:
+//   * L/2 <= U <= L: L - U is exact (Sterbenz).  With L in [2^e, 2^(e+1)),
+//     U >= 2^(e-1) is a multiple of g = 2^(e-53), and so is
+//     D <= L/2 + g <= 2^e: D is a double.  The threshold is D when L is
+//     even and the double below D when L is odd: two floating-point
+//     operations and a bit test.
+//   * 0 <= U < L/2: est = fl(L - U) (`estimate`) lies in (L/2, L] and is
+//     off by at most half an ulp of est, while ulp(est)/2 <= g <=
+//     ulp(est).  So est <= D <= est + 1.5 ulp(est), and the threshold is
+//     est-, est or est+: evaluating the comparison at est and its
+//     neighbours (at most three evaluations) brackets it by monotonicity.
+//   * U > L: not even w = 0 fits.
+// Not covered: L below 2^-1021 (g is not a double), L at DBL_MAX or above
+// (L+ is not finite), a negative U, NaNs, and a bracket that does not
+// close.  No extended precision is involved, so the form does not depend
+// on the ABI.
+// HETSCHED_NOALLOC
+inline std::optional<double> edf_form_threshold(double limit,
+                                                double util_sum) {
+  if (!(limit >= 2.0 * std::numeric_limits<double>::min() &&
+        limit < std::numeric_limits<double>::max() && util_sum >= 0.0)) {
+    return std::nullopt;
+  }
+  if (util_sum > limit) return -1.0;
+  const std::uint64_t l = std::bit_cast<std::uint64_t>(limit);
+  if (util_sum >= 0.5 * limit) {
+    const double to_midpoint =
+        (limit - util_sum) + 0.5 * (std::bit_cast<double>(l + 1) - limit);
+    return (l & 1) == 0 ? to_midpoint
+                        : std::bit_cast<double>(
+                              std::bit_cast<std::uint64_t>(to_midpoint) - 1);
+  }
+  const double estimate = limit - util_sum;
+  const std::uint64_t e = std::bit_cast<std::uint64_t>(estimate);
+  // The comparison at the double whose bit pattern is `w_bits`.
+  const auto admits = [&](std::uint64_t w_bits) {
+    return admission_admits(AdmissionFold::kEdf, std::bit_cast<double>(w_bits),
+                            limit, util_sum, 0, 1.0);
+  };
+  if (admits(e)) {
+    if (!admits(e + 1)) return estimate;
+    if (!admits(e + 2)) return std::bit_cast<double>(e + 1);
+  } else if (admits(e - 1)) {
+    return std::bit_cast<double>(e - 1);
+  }
+  return std::nullopt;
+}
 
 // Accumulates a weight `w` into a machine's running state under `fold`:
 // the one accumulation MachineLoad::admit, the batch scratch engine and

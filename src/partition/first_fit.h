@@ -95,11 +95,15 @@ bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
 // (partition/engine.h), each with w_g its first (largest) utilization and
 // P_g the sum of every utilization before its last task:
 //   * reject when W > (1 + delta) sum_j c_j: a pass that places every task
-//     loads machine j with at most c_j.  c_j = cap_j for EDF and RMS-HB
-//     (whose test admits {0.99, 0.001} on a unit machine, above LL(2)), and
+//     loads machine j with at most c_j.  c_j = cap_j for EDF;
 //     c_j = LL(K_j) cap_j for RMS-LL, K_j = max(1, ceil(ln 2 cap_j / w_max)):
 //     a machine that ends with k tasks passed its last admission against
-//     LL(k) cap_j and holds at most k w_max;
+//     LL(k) cap_j and holds at most k w_max; and c_j = h(a_j) cap_j for
+//     RMS-HB, a_j = w_max / cap_j, h(a) = k a + 2/(1 + a)^k - 1 with
+//     k = floor(ln 2 / ln(1 + a)), 1 once a >= 1: under
+//     prod(1 + w/cap_j) <= 2 with every w <= w_max a machine holds at most
+//     k tasks at w_max plus one remainder (more than LL(k): the test admits
+//     {0.99, 0.001} on a unit machine, above LL(2));
 //   * accept when every group has P_g <= (1 - delta) R_g with
 //     R_g = sum_j max(0, f cap_j - w_g) > 0: a pass that fails on task t
 //     of group g leaves every machine j loaded beyond f cap_j - w_t >=

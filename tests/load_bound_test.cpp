@@ -8,8 +8,8 @@
 // machine, a single machine, n on both sides of the ordering's small-n
 // cut-over and of the accept bound's group size, and instances that only
 // the bounds' margins keep sound — the rounding margin delta, the RMS load
-// factor f < ln 2, each group's own largest task and prefix, RMS-LL's
-// count-aware capacity, and RMS-HB's exemption from it.  In the audit
+// factor f < ln 2, each group's own largest task and prefix, and the
+// count-aware capacities of RMS-LL and RMS-HB.  In the audit
 // build every accept probe also replays the full partition and the other
 // engine, so these cases run through that oracle too.
 #include <gtest/gtest.h>
@@ -406,7 +406,8 @@ TEST(LoadBounds, HyperbolicMachinesHoldMoreThanLiuLaylandCounts) {
   // RMS-HB admits {0.99, 0.001} (1.99 * 1.001 <= 2) and {0.6, 0.24}
   // (1.6 * 1.24 <= 2) on a unit machine: two tasks each, loads 0.991 and
   // 0.84, both over LL(2) = 0.828, and the second with
-  // ceil(ln 2 / 0.6) = 2.  The count-aware reject is RMS-LL's alone.
+  // ceil(ln 2 / 0.6) = 2.  RMS-HB's own count-aware reject leaves them
+  // room: h(0.99) = 0.995 and h(0.6) = 0.85.
   const TaskSet witnesses[] = {TaskSet({{99, 100}, {1, 1000}}),
                                TaskSet({{3, 5}, {6, 25}})};
   const Platform platform = Platform::identical(1);
@@ -418,6 +419,40 @@ TEST(LoadBounds, HyperbolicMachinesHoldMoreThanLiuLaylandCounts) {
     EXPECT_FALSE(expect_agree(tasks, platform, AdmissionKind::kRmsLiuLayland,
                               1.0, "HB witness")
                      .verdict);
+  }
+}
+
+TEST(LoadBounds, RmsHyperbolicRejectCountsTasksPerMachine) {
+  // On a unit machine RMS-HB first admits {0.35, 0.35, 0.15} at
+  // alpha = 1.0770623 and {0.6, 0.3} at 1.0684658.  Each is k tasks at
+  // w_max plus one remainder (k = 2 and 1), the load that
+  // h(a) = k a + 2/(1 + a)^k - 1 at a = w_max / alpha bounds, so the
+  // reject W > (1 + delta) h(a) alpha holds to within delta of it.  With
+  // k + 1 tasks at w_max, h alpha would exceed W = 0.85 and 0.9 already at
+  // alpha = 1.
+  struct Case {
+    TaskSet tasks;
+    double alpha;  // RMS-HB's first accepting alpha, to 1e-7
+  };
+  const Case cases[] = {{TaskSet({{7, 20}, {7, 20}, {3, 20}}), 1.0770623},
+                        {TaskSet({{3, 5}, {3, 10}}), 1.0684658}};
+  const Platform platform = Platform::identical(1);
+  const AdmissionKind kind = AdmissionKind::kRmsHyperbolic;
+  for (const Case& c : cases) {
+    const auto rejected_by_bound = [&](double a) {
+      const TreeProbe p = tree_probe(c.tasks, platform, kind, a);
+      return !p.pass_ran && !p.verdict;
+    };
+    ASSERT_TRUE(rejected_by_bound(1.0)) << c.alpha;
+    const double threshold = boundary(1.0, 2.0, rejected_by_bound);
+    EXPECT_GT(threshold, c.alpha - 1e-6);
+    expect_agree_around(c.tasks, platform, kind, threshold,
+                        "hyperbolic count-aware reject threshold");
+    expect_agree_around(c.tasks, platform, kind,
+                        std::nextafter(threshold, 2.0),
+                        "hyperbolic count-aware reject threshold");
+    EXPECT_FALSE(tree_probe(c.tasks, platform, kind, c.alpha - 1e-6).verdict);
+    EXPECT_TRUE(tree_probe(c.tasks, platform, kind, c.alpha + 1e-6).verdict);
   }
 }
 
